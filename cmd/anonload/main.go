@@ -10,15 +10,16 @@
 // distribution (uniform, zipf, hotset, shifting-hotset), the arrival
 // process (closed loop, or open-loop poisson/bursty at an offered
 // rate), the op mix (blocking / try / deadline-bounded), and the
-// session profile. The older -dist/-cs/-think/-op-timeout flags remain
-// as deprecated aliases for the common cases.
+// session profile. Without either flag the traffic is the plain closed
+// loop: uniform keys, blocking acquires, one spin unit of critical
+// section and one between cycles.
 //
 // Usage:
 //
 //	anonload -clients 64 -keys 32 -cycles 2000
-//	anonload -mode net -addr 127.0.0.1:7117 -dist skewed -duration 10s
+//	anonload -mode net -addr 127.0.0.1:7117 -workload '{"keys":{"dist":"hotset","hot_keys":1,"hot_frac":0.8}}' -duration 10s
 //	anonload -mode net -proto binary -mux 16 -clients 64 -cycles 20000
-//	anonload -op-timeout 5ms -clients 64 -keys 4       # per-acquire SLA
+//	anonload -workload '{"ops":{"timed":1,"timeout_ms":5}}' -clients 64 -keys 4       # per-acquire SLA
 //	anonload -workload-file zipf-openloop.json -duration 5s
 //	anonload -mode net -heartbeat 500ms -workload '{"ops":{"lock":0.95,"crash":0.05}}' -duration 5s
 //	anonload -workload '{"keys":{"dist":"zipf"},"arrival":{"process":"poisson","rate_per_sec":50000},"ops":{"timed":1,"timeout_ms":5}}' -duration 2s
@@ -48,8 +49,8 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/internal/stats"
 	"anonmutex/internal/workload"
-	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 func main() {
@@ -79,11 +80,7 @@ func run(args []string) error {
 	duration := fs.Duration("duration", 0, "wall-clock bound (0: run until -cycles)")
 	workloadJSON := fs.String("workload", "", "inline workload-spec JSON (the unified traffic model; see internal/workload.Spec)")
 	workloadFile := fs.String("workload-file", "", "workload-spec JSON file (same schema as -workload)")
-	dist := fs.String("dist", "uniform", "deprecated alias: key/profile shorthand (uniform, bursty, or skewed); use -workload instead")
 	seed := fs.Uint64("seed", 1, "workload seed (overrides the spec's seed when set explicitly)")
-	cs := fs.Int("cs", 1, "deprecated alias: critical-section spin units (the spec's base_cs)")
-	think := fs.Int("think", 1, "deprecated alias: between-cycle spin units (the spec's base_remainder)")
-	opTimeout := fs.Duration("op-timeout", 0, "deprecated alias: per-acquire deadline; expired attempts abort cleanly and are counted (0: unbounded)")
 	heartbeat := fs.Duration("heartbeat", 0, "background heartbeat interval per client session — keep under the backend's lease TTL (0: no heartbeats)")
 	tolerateLoss := fs.Bool("tolerate-grant-loss", false, "net mode: count grants lost to fencing or node failure instead of failing the run (cluster failover workloads; exclusion is judged by the servers' counters)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "inproc mode: run grants under a lease manager with this TTL, enabling crash ops and fencing (0: leases off; net mode takes the TTL from the server)")
@@ -110,13 +107,6 @@ func run(args []string) error {
 	case *workloadJSON != "" && *workloadFile != "":
 		return fmt.Errorf("-workload and -workload-file are mutually exclusive")
 	case *workloadJSON != "" || *workloadFile != "":
-		// The unified spec owns the traffic; the deprecated aliases
-		// cannot silently fight it.
-		for _, name := range []string{"dist", "cs", "think", "op-timeout"} {
-			if flagSet(fs, name) {
-				return fmt.Errorf("-%s cannot be combined with -workload/-workload-file (put it in the spec)", name)
-			}
-		}
 		data := []byte(*workloadJSON)
 		if *workloadFile != "" {
 			var err error
@@ -133,17 +123,7 @@ func run(args []string) error {
 		}
 		cfg.Workload = &spec
 	default:
-		// The deprecated alias fields are populated only when their flags
-		// were explicitly given (loadgen warns once about them); a plain
-		// run takes the unified model's path with the same defaults.
-		if flagSet(fs, "dist") || flagSet(fs, "cs") || flagSet(fs, "think") || flagSet(fs, "op-timeout") {
-			cfg.Dist = *dist
-			cfg.CSWork = *cs
-			cfg.ThinkWork = *think
-			cfg.OpTimeout = *opTimeout
-		} else {
-			cfg.Workload = &workload.Spec{BaseCS: *cs, BaseRemainder: *think}
-		}
+		cfg.Workload = &workload.Spec{BaseCS: 1, BaseRemainder: 1}
 	}
 
 	var (
@@ -291,7 +271,7 @@ func flagSet(fs *flag.FlagSet, name string) bool {
 }
 
 // serverTable renders a lockd stats snapshot as a table.
-func serverTable(st lockd.Stats) *stats.Table {
+func serverTable(st wire.Stats) *stats.Table {
 	t := &stats.Table{
 		Title: "lockd server counters",
 		Header: []string{"acquires", "releases", "waits", "aborts", "lease-timeouts",

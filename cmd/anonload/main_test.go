@@ -9,8 +9,8 @@ import (
 func TestRunInproc(t *testing.T) {
 	cases := [][]string{
 		{"-clients", "4", "-keys", "4", "-cycles", "80"},
-		{"-clients", "4", "-keys", "4", "-cycles", "80", "-dist", "skewed", "-alg", "rw", "-handles", "2"},
-		{"-clients", "2", "-keys", "2", "-cycles", "40", "-dist", "bursty", "-json"},
+		{"-clients", "4", "-keys", "4", "-cycles", "80", "-workload", `{"keys":{"dist":"hotset","hot_keys":1,"hot_frac":0.8}}`, "-alg", "rw", "-handles", "2"},
+		{"-clients", "2", "-keys", "2", "-cycles", "40", "-workload", `{"profile":"bursty"}`, "-json"},
 		{"-clients", "2", "-keys", "2", "-duration", "50ms"},
 		{"-clients", "2", "-keys", "4", "-cycles", "40",
 			"-workload", `{"keys":{"dist":"zipf","zipf_s":1.2}}`},
@@ -43,15 +43,13 @@ func TestRunWorkloadFile(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "quantum"},
-		{"-dist", "pareto", "-cycles", "10"},
+		{"-workload", `{"keys":{"dist":"pareto"}}`, "-cycles", "10"}, // unknown key distribution
 		{"-alg", "greedy", "-cycles", "10"},
 		{"-clients", "-1", "-cycles", "10"},
 		{"-mode", "net", "-addr", "127.0.0.1:1", "-clients", "1", "-cycles", "1"}, // nothing listening
 		{"-workload", `{"profile":"pareto"}`, "-cycles", "10"},                    // unknown profile fails loudly
 		{"-workload", `{"keyz":{}}`, "-cycles", "10"},                             // unknown field fails loudly
 		{"-workload", `{}`, "-workload-file", "x.json"},                           // mutually exclusive
-		{"-workload", `{}`, "-dist", "skewed", "-cycles", "10"},                   // alias vs spec conflict
-		{"-workload", `{}`, "-op-timeout", "5ms", "-cycles", "10"},                // alias vs spec conflict
 		{"-workload-file", "/no/such/spec.json", "-cycles", "10"},
 	}
 	for _, args := range cases {

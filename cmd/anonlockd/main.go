@@ -2,8 +2,8 @@
 // backed by anonymous-register mutexes, sharded and lease-pooled by
 // internal/lockmgr, over the TCP protocol in package lockd. Both wire
 // formats are served on the one port: clients leading with the binary
-// magic get the multiplexed framed protocol, everything else is
-// newline-JSON — no configuration needed on either side.
+// preamble (lockd/wire) get the multiplexed framed protocol, everything
+// else is newline-JSON — no configuration needed on either side.
 //
 // Usage:
 //

@@ -13,8 +13,8 @@ import (
 
 	"anonmutex/internal/loadgen"
 	"anonmutex/internal/workload"
-	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // runKillHolder: the holder's process dies inside its critical section
@@ -173,8 +173,8 @@ func runDropMidPipeline(cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(c *client.Conn) {
 			defer wg.Done()
-			reqs := []lockd.Request{{Op: lockd.OpPing}, {Op: lockd.OpPing}, {Op: lockd.OpPing}}
-			resps := make([]lockd.Response, len(reqs))
+			reqs := []wire.Request{{Op: wire.OpPing}, {Op: wire.OpPing}, {Op: wire.OpPing}}
+			resps := make([]wire.Response, len(reqs))
 			for {
 				if err := c.Batch(reqs, resps); err != nil {
 					return // the drop: every in-flight batch fails

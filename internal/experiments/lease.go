@@ -12,6 +12,7 @@ import (
 	"anonmutex/internal/workload"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // LeaseSweep (experiment S5) is the crash-recovery grid: lease TTL ×
@@ -116,7 +117,7 @@ func runLeaseCell(ttl, heartbeat time.Duration, rate float64, seed, clients, key
 			}
 		}
 	}
-	var st lockd.Stats
+	var st wire.Stats
 	if runErr == nil && sweepErr == nil {
 		c, err := client.DialConn(addr)
 		if err == nil {

@@ -9,7 +9,13 @@ import (
 	"time"
 
 	"anonmutex/internal/lockmgr"
+	"anonmutex/internal/workload"
 )
+
+// timedOps is a spec whose every acquire carries the deadline d.
+func timedOps(d time.Duration) *workload.Spec {
+	return &workload.Spec{Ops: workload.OpMix{Timed: 1, TimeoutMS: float64(d) / float64(time.Millisecond)}}
+}
 
 func TestOpTimeoutAbortsEveryAttempt(t *testing.T) {
 	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 2})
@@ -20,7 +26,7 @@ func TestOpTimeoutAbortsEveryAttempt(t *testing.T) {
 	const attempts = 40
 	res, err := Run(Config{
 		Clients: 4, Keys: 2, Cycles: attempts,
-		OpTimeout: time.Nanosecond, // over before any acquire can start
+		Workload:  timedOps(time.Nanosecond), // over before any acquire can start
 		NewLocker: func(int) (Locker, error) { return NewManagerLocker(mgr), nil },
 	})
 	if err != nil {
@@ -48,7 +54,7 @@ func TestOpTimeoutGenerousAbortsNothing(t *testing.T) {
 	defer mgr.Close()
 	res, err := Run(Config{
 		Clients: 4, Keys: 2, Cycles: 40,
-		OpTimeout: time.Minute,
+		Workload:  timedOps(time.Minute),
 		NewLocker: func(int) (Locker, error) { return NewManagerLocker(mgr), nil },
 	})
 	if err != nil {
@@ -65,16 +71,16 @@ func TestOpTimeoutGenerousAbortsNothing(t *testing.T) {
 	}
 }
 
-// TestOpTimeoutNeedsDeadlineBackend: OpTimeout over a backend without
+// TestOpTimeoutNeedsDeadlineBackend: timed ops over a backend without
 // AcquireFor must fail loudly, not silently fall back to unbounded.
 func TestOpTimeoutNeedsDeadlineBackend(t *testing.T) {
 	_, err := Run(Config{
 		Clients: 1, Keys: 1, Cycles: 1,
-		OpTimeout: time.Millisecond,
+		Workload:  timedOps(time.Millisecond),
 		NewLocker: func(int) (Locker, error) { return plainLocker{}, nil },
 	})
 	if err == nil {
-		t.Fatal("OpTimeout over a deadline-less backend succeeded")
+		t.Fatal("timed ops over a deadline-less backend succeeded")
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,24 +99,11 @@ type Config struct {
 	// Duration bounds the run's wall clock; 0 means run until Cycles.
 	Duration time.Duration
 	// Workload is the unified traffic model driving key choice, arrival
-	// pacing, op kinds, and session lengths. Nil: a spec is built from
-	// the deprecated alias fields below.
+	// pacing, op kinds, and session lengths. Nil: the zero spec, which
+	// normalizes to uniform keys, a closed loop and blocking acquires.
 	Workload *workload.Spec
-	// Dist is the deprecated pre-unified-model alias: "uniform",
-	// "bursty" (the bursty session profile), or "skewed" (a 1-key
-	// hotset taking 80% of the traffic). It cannot be combined with
-	// Workload.
-	Dist string
 	// Seed drives the traffic model when the spec's own seed is unset.
 	Seed uint64
-	// CSWork and ThinkWork are deprecated aliases for the spec's BaseCS
-	// and BaseRemainder spin units. They cannot be combined with
-	// Workload.
-	CSWork, ThinkWork int
-	// OpTimeout is the deprecated alias for a pure deadline-bounded op
-	// mix: every acquire carries this deadline, and expired attempts
-	// abort cleanly. It cannot be combined with Workload.
-	OpTimeout time.Duration
 	// ConnsPerSocket, when nonzero, overrides the spec's
 	// conns_per_socket knob — the CLI's -mux flag. The generator itself
 	// only records it; NewLocker decides what it means.
@@ -134,14 +120,6 @@ type Config struct {
 	// NewLocker opens client i's session.
 	NewLocker func(client int) (Locker, error)
 }
-
-// aliasWarn receives the one-time deprecation warning for the
-// pre-unified-model alias fields; a test hook, os.Stderr by default.
-var aliasWarn = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
-
-// aliasWarned makes the deprecation warning fire once per process
-// (resettable in tests).
-var aliasWarned atomic.Bool
 
 // withDefaults validates the config and resolves the effective workload
 // spec.
@@ -165,37 +143,13 @@ func (c Config) withDefaults() (Config, workload.Spec, error) {
 	if c.Cycles == 0 && c.Duration == 0 {
 		return c, zero, fmt.Errorf("loadgen: need Cycles or Duration")
 	}
-	if c.OpTimeout < 0 {
-		return c, zero, fmt.Errorf("loadgen: negative OpTimeout")
-	}
 	if c.NewLocker == nil {
 		return c, zero, fmt.Errorf("loadgen: NewLocker is required")
 	}
 
 	var spec workload.Spec
-	aliased := c.Dist != "" || c.CSWork != 0 || c.ThinkWork != 0 || c.OpTimeout != 0
 	if c.Workload != nil {
-		if aliased {
-			return c, zero, fmt.Errorf("loadgen: Workload cannot be combined with the deprecated Dist/CSWork/ThinkWork/OpTimeout fields")
-		}
 		spec = *c.Workload
-	} else {
-		if aliased && aliasWarned.CompareAndSwap(false, true) {
-			aliasWarn("loadgen: the Dist/CSWork/ThinkWork/OpTimeout fields are deprecated aliases; describe the traffic with a workload.Spec (Config.Workload) instead")
-		}
-		spec = workload.Spec{BaseCS: c.CSWork, BaseRemainder: c.ThinkWork}
-		switch c.Dist {
-		case "", "uniform":
-		case "bursty":
-			spec.Profile = "bursty"
-		case "skewed":
-			spec.Keys = workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}
-		default:
-			return c, zero, fmt.Errorf("loadgen: unknown distribution %q (want uniform, bursty, or skewed)", c.Dist)
-		}
-		if c.OpTimeout > 0 {
-			spec.Ops = workload.OpMix{Timed: 1, TimeoutMS: float64(c.OpTimeout) / float64(time.Millisecond)}
-		}
 	}
 	if spec.Seed == 0 {
 		spec.Seed = c.Seed

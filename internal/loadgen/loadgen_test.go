@@ -19,12 +19,19 @@ func managerConfig(t *testing.T, mcfg lockmgr.Config, cfg Config) (Config, *lock
 	return cfg, mgr
 }
 
-func TestRunCyclesLegacyDistAliases(t *testing.T) {
-	for _, dist := range []string{"uniform", "bursty", "skewed"} {
-		t.Run(dist, func(t *testing.T) {
+// TestRunCyclesProfiles runs the closed loop over the stock traffic
+// shapes: uniform, the bursty session profile, and a one-key hotset
+// taking 80% of the traffic.
+func TestRunCyclesProfiles(t *testing.T) {
+	for name, spec := range map[string]workload.Spec{
+		"uniform": {},
+		"bursty":  {Profile: "bursty"},
+		"skewed":  {Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}},
+	} {
+		t.Run(name, func(t *testing.T) {
 			cfg, mgr := managerConfig(t,
 				lockmgr.Config{Shards: 2, HandlesPerLock: 2},
-				Config{Clients: 4, Keys: 4, Cycles: 120, Dist: dist, Seed: 7})
+				Config{Clients: 4, Keys: 4, Cycles: 120, Workload: &spec, Seed: 7})
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -45,34 +52,12 @@ func TestRunCyclesLegacyDistAliases(t *testing.T) {
 				t.Errorf("latency percentiles out of order: %+v", res)
 			}
 			if res.Arrival != workload.ArrivalClosed {
-				t.Errorf("legacy dist %q resolved to arrival %q", dist, res.Arrival)
+				t.Errorf("%s resolved to arrival %q", name, res.Arrival)
 			}
 			if err := mgr.Close(); err != nil {
 				t.Errorf("manager close: %v", err)
 			}
 		})
-	}
-}
-
-// TestLegacyDistMapping pins what the deprecated -dist vocabulary means
-// in the unified model.
-func TestLegacyDistMapping(t *testing.T) {
-	run := func(dist string) *Result {
-		cfg, mgr := managerConfig(t,
-			lockmgr.Config{Shards: 2, HandlesPerLock: 2},
-			Config{Clients: 2, Keys: 4, Cycles: 20, Dist: dist})
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mgr.Close()
-		return res
-	}
-	if res := run("skewed"); res.KeyDist != workload.KeyHotset || res.Profile != "uniform" {
-		t.Errorf("skewed mapped to profile=%s keys=%s", res.Profile, res.KeyDist)
-	}
-	if res := run("bursty"); res.Profile != "bursty" || res.KeyDist != workload.KeyUniform {
-		t.Errorf("bursty mapped to profile=%s keys=%s", res.Profile, res.KeyDist)
 	}
 }
 
@@ -144,10 +129,6 @@ func TestConfigErrors(t *testing.T) {
 		withLocker(Config{Cycles: 1, Clients: -1}),
 		withLocker(Config{Cycles: 1, Keys: -1}),
 		withLocker(Config{Cycles: -1}),
-		withLocker(Config{Cycles: 1, Dist: "pareto"}),
-		// Unified spec and deprecated aliases cannot be mixed.
-		withLocker(Config{Cycles: 1, Dist: "uniform", Workload: &workload.Spec{}}),
-		withLocker(Config{Cycles: 1, OpTimeout: time.Second, Workload: &workload.Spec{}}),
 		// An invalid spec fails loudly.
 		withLocker(Config{Cycles: 1, Workload: &workload.Spec{Profile: "pareto"}}),
 		withLocker(Config{Cycles: 1, Workload: &workload.Spec{Keys: workload.KeySpec{Dist: "pareto"}}}),

@@ -27,29 +27,9 @@ func benchManager(b *testing.B) *lockmgr.Manager {
 	return mgr
 }
 
-// BenchmarkAcquireRelease_Solo is the uncontended steady-state cycle on a
-// single hot name: the path every lockd request takes when the lock is
-// free.
-func BenchmarkAcquireRelease_Solo(b *testing.B) {
-	mgr := benchManager(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := mgr.Acquire("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := g.Release(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if v := mgr.Violations(); v != 0 {
-		b.Fatalf("violations = %d", v)
-	}
-}
-
-// BenchmarkAcquireRelease_SoloLease is the allocation-free variant of the
-// solo cycle: the Lease API the lockd server drives.
+// BenchmarkAcquireRelease_SoloLease is the uncontended steady-state cycle
+// on a single hot name: the path every lockd request takes when the lock
+// is free.
 func BenchmarkAcquireRelease_SoloLease(b *testing.B) {
 	mgr := benchManager(b)
 	ctx := context.Background()
@@ -98,14 +78,14 @@ func BenchmarkTryAcquire_Solo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, ok, err := mgr.TryAcquire("bench")
+		g, ok, err := mgr.TryAcquireLease("bench")
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !ok {
 			b.Fatal("uncontended TryAcquire failed")
 		}
-		if err := g.Release(); err != nil {
+		if err := mgr.Release(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,12 +109,12 @@ func BenchmarkAcquireRelease_Contended(b *testing.B) {
 				for pb.Next() {
 					name := names[i%keys]
 					i++
-					g, err := mgr.Acquire(name)
+					g, err := mgr.AcquireLeaseCtx(context.Background(), name)
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					if err := g.Release(); err != nil {
+					if err := mgr.Release(g); err != nil {
 						b.Error(err)
 						return
 					}
@@ -151,11 +131,11 @@ func BenchmarkAcquireRelease_Contended(b *testing.B) {
 // not serialize against the shards' acquire traffic).
 func BenchmarkStats(b *testing.B) {
 	mgr := benchManager(b)
-	g, err := mgr.Acquire("bench")
+	g, err := mgr.AcquireLeaseCtx(context.Background(), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer g.Release()
+	defer mgr.Release(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 package lockmgr
 
-// AcquireCtx tests: deadline-bounded acquisition must give up cleanly at
+// AcquireLeaseCtx tests: deadline-bounded acquisition must give up cleanly at
 // both stages — queued for a handle, and competing for the registers —
 // without leaking handles or corrupting the manager.
 
@@ -19,14 +19,14 @@ func TestAcquireCtxAbortsCompetition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := m.Acquire("hot")
+	g, err := m.AcquireLeaseCtx(context.Background(), "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
-	if _, err := m.AcquireCtx(ctx, "hot"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AcquireCtx on a held lock = %v, want DeadlineExceeded", err)
+	if _, err := m.AcquireLeaseCtx(ctx, "hot"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("AcquireLeaseCtx on a held lock = %v, want DeadlineExceeded", err)
 	}
 	c := m.Counters()
 	if c.Aborts != 1 {
@@ -35,16 +35,16 @@ func TestAcquireCtxAbortsCompetition(t *testing.T) {
 	if c.LeaseTimeouts != 0 {
 		t.Fatalf("LeaseTimeouts = %d, want 0 (a handle was free)", c.LeaseTimeouts)
 	}
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
 	// The withdrawn competitor left no residue: an unbounded acquire must
 	// complete immediately-ish.
-	g2, err := m.AcquireCtx(context.Background(), "hot")
+	g2, err := m.AcquireLeaseCtx(context.Background(), "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.Release(); err != nil {
+	if err := m.Release(g2); err != nil {
 		t.Fatal(err)
 	}
 	if v := m.Violations(); v != 0 {
@@ -63,7 +63,7 @@ func TestAcquireCtxLeaseTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := m.Acquire("hot")
+	g1, err := m.AcquireLeaseCtx(context.Background(), "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,27 +76,27 @@ func TestAcquireCtxLeaseTimeout(t *testing.T) {
 		defer close(occupied)
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		m.AcquireCtx(ctx, "hot") // holds the second handle for ~100ms
+		m.AcquireLeaseCtx(ctx, "hot") // holds the second handle for ~100ms
 	}()
 	time.Sleep(10 * time.Millisecond) // let it lease the second handle
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := m.AcquireCtx(ctx, "hot"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued AcquireCtx = %v, want DeadlineExceeded", err)
+	if _, err := m.AcquireLeaseCtx(ctx, "hot"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued AcquireLeaseCtx = %v, want DeadlineExceeded", err)
 	}
 	c := m.Counters()
 	if c.LeaseTimeouts != 1 {
 		t.Fatalf("LeaseTimeouts = %d, want 1 (counters: %+v)", c.LeaseTimeouts, c)
 	}
 	<-occupied
-	if err := g1.Release(); err != nil {
+	if err := m.Release(g1); err != nil {
 		t.Fatal(err)
 	}
-	g, err := m.Acquire("hot")
+	g, err := m.AcquireLeaseCtx(context.Background(), "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -104,18 +104,18 @@ func TestAcquireCtxLeaseTimeout(t *testing.T) {
 	}
 }
 
-// TestAcquireCtxUnboundedEquivalence: AcquireCtx(Background) is exactly
-// Acquire.
+// TestAcquireCtxUnboundedEquivalence: an acquire under a context that
+// never ends counts as a plain acquire — no abort, no lease timeout.
 func TestAcquireCtxUnboundedEquivalence(t *testing.T) {
 	m, err := New(Config{HandlesPerLock: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := m.AcquireCtx(context.Background(), "x")
+	g, err := m.AcquireLeaseCtx(context.Background(), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Counters()

@@ -17,20 +17,19 @@
 //     stores.
 //   - Lease pooling. Every named lock is a fixed-n anonmutex lock; a
 //     lease pool multiplexes arbitrarily many clients onto those n
-//     process handles through a lock-free free list, built on the root
-//     package's Close/re-lease lifecycle. Clients that find all n handles
-//     leased queue for the next release.
+//     process handles through a mutex-guarded slice of parked handles,
+//     built on the root package's Close/re-lease lifecycle. Clients that
+//     find all n handles leased queue for the next release.
 //
-// The hot path is built to stay off mutexes and off the heap: per-shard
-// counters are atomics (reading Counters/StatsTable never blocks an
-// acquire), entry pin counts are atomics, and the Lease-returning calls
-// (AcquireLeaseCtx, AcquireFast) complete a steady-state acquire/release
-// cycle with zero allocations. Acquire/AcquireCtx/TryAcquire wrap the
-// same paths in a heap-allocated Grant for callers that prefer a
-// self-contained handle.
+// The hot path is built to stay off the heap and off long critical
+// sections: per-shard counters are atomics (reading Counters/StatsTable
+// never blocks an acquire), entry pin counts are atomics, and a
+// steady-state acquire/release cycle performs zero allocations. The API
+// is the value-type Lease: AcquireLeaseCtx, AcquireFast and
+// TryAcquireLease hand one out, Release and Revoke take it back.
 //
-// AcquireCtx is the deadline-bounded path: a waiter whose context ends
-// leaves the lease queue without leaking a handle, and a leased
+// AcquireLeaseCtx is the deadline-bounded path: a waiter whose context
+// ends leaves the lease queue without leaking a handle, and a leased
 // competitor withdraws from the register competition through the root
 // package's abortable back-out — both outcomes are counted per shard
 // (LeaseTimeouts, Aborts). The manager cross-checks mutual exclusion on
@@ -150,7 +149,7 @@ func (c *shardCounters) snapshot() Counters {
 
 // shard owns one partition of the name space. The mutex guards only the
 // name table and recency list; counters are atomic, and lease traffic
-// runs through each entry's lock-free pool.
+// runs through each entry's own pool.
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -347,12 +346,10 @@ func (sh *shard) evictColdest() {
 	}
 }
 
-// Lease is a held named lock, as returned by the allocation-free acquire
-// paths (AcquireLeaseCtx, AcquireFast). A Lease is a value — nothing is
+// Lease is a held named lock, as returned by AcquireLeaseCtx,
+// AcquireFast and TryAcquireLease. A Lease is a value — nothing is
 // heap-allocated per acquire — and must be given back through
-// Manager.Release exactly once; the zero Lease is invalid. Callers that
-// want a self-contained, misuse-checking handle use Acquire/AcquireCtx,
-// which wrap the Lease in a Grant.
+// Manager.Release (or Revoke) exactly once; the zero Lease is invalid.
 type Lease struct {
 	e *entry
 	h procHandle
@@ -364,33 +361,17 @@ func (l Lease) Valid() bool { return l.e != nil }
 // Name returns the held lock's name.
 func (l Lease) Name() string { return l.e.name }
 
-// Acquire blocks until the caller holds the named lock, queueing for a
-// process handle when all n are leased and then competing through the
-// anonymous-register algorithm. The returned Grant's Release gives the
-// lock back.
-func (m *Manager) Acquire(name string) (*Grant, error) {
-	return m.AcquireCtx(context.Background(), name)
-}
-
-// AcquireCtx is Acquire bounded by a context: a caller whose ctx is
+// AcquireLeaseCtx blocks until the caller holds the named lock,
+// queueing for a process handle when all n are leased and then competing
+// through the anonymous-register algorithm. A caller whose ctx is
 // cancelled or deadlined gives up cleanly at whichever stage it has
 // reached — a queued waiter leaves the lease queue (no handle leaked, no
 // successor reordered), and a leased competitor withdraws from the
 // anonymous-register competition via the abortable-mutex back-out before
-// its handle returns to the pool. Either way AcquireCtx returns ctx's
-// error (test with errors.Is) and the per-shard LeaseTimeouts or Aborts
-// counter steps.
-func (m *Manager) AcquireCtx(ctx context.Context, name string) (*Grant, error) {
-	l, err := m.AcquireLeaseCtx(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return &Grant{m: m, l: l}, nil
-}
-
-// AcquireLeaseCtx is AcquireCtx without the Grant allocation: the
-// steady-state acquire/release cycle through it performs zero heap
-// allocations. The returned Lease must be given back through Release.
+// its handle returns to the pool. Either way it returns ctx's error
+// (test with errors.Is) and the per-shard LeaseTimeouts or Aborts
+// counter steps. The steady-state acquire/release cycle through it
+// performs zero heap allocations.
 func (m *Manager) AcquireLeaseCtx(ctx context.Context, name string) (Lease, error) {
 	start := time.Now()
 	e, h, err := m.checkout(ctx, name, true)
@@ -424,21 +405,11 @@ func (m *Manager) AcquireFast(name string) (Lease, bool, error) {
 	return m.tryAcquire(name, false)
 }
 
-// TryAcquire acquires the named lock only if it is immediately
-// available: it fails fast when another grant holds the lock, all n
+// TryAcquireLease acquires the named lock only if it is immediately
+// available: it fails fast when another lease holds the lock, all n
 // handles are leased out, or the bounded register-level attempt
 // (TryLock: at most ~4m shared-memory operations, never a sleep) does
 // not enter. It never waits out another acquirer's critical section.
-func (m *Manager) TryAcquire(name string) (*Grant, bool, error) {
-	l, ok, err := m.tryAcquire(name, true)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return &Grant{m: m, l: l}, true, nil
-}
-
-// TryAcquireLease is TryAcquire without the Grant allocation: the same
-// fail-fast semantics and try-op bookkeeping, returning a value Lease.
 func (m *Manager) TryAcquireLease(name string) (Lease, bool, error) {
 	return m.tryAcquire(name, true)
 }
@@ -498,8 +469,7 @@ func (m *Manager) tryAcquire(name string, countTry bool) (Lease, bool, error) {
 
 // Release leaves the lease's critical section and returns the leased
 // handle to the lock's pool. A Lease may be released exactly once;
-// releasing a copy twice corrupts the holder cross-check (use Grant for
-// a misuse-checking handle).
+// releasing a copy twice corrupts the holder cross-check.
 func (m *Manager) Release(l Lease) error {
 	// Step the holder counter down while still inside the critical
 	// section, so a successor's 0→1 check cannot race our decrement.
@@ -540,27 +510,6 @@ func (m *Manager) checkin(e *entry, h procHandle, countRelease bool) {
 	if countRelease {
 		e.sh.c.releases.Add(1)
 	}
-}
-
-// Grant is one client's hold on a named lock: a Lease plus
-// double-release protection.
-type Grant struct {
-	m        *Manager
-	l        Lease
-	released bool
-}
-
-// Name returns the held lock's name.
-func (g *Grant) Name() string { return g.l.Name() }
-
-// Release leaves the critical section and returns the leased handle to
-// the lock's pool. A Grant can be released once.
-func (g *Grant) Release() error {
-	if g.released {
-		return fmt.Errorf("lockmgr: Release of a released grant on %q", g.l.Name())
-	}
-	g.released = true
-	return g.m.Release(g.l)
 }
 
 // Violations reports mutual-exclusion violations observed by the per-lock
@@ -617,7 +566,7 @@ func (m *Manager) StatsTable() *stats.Table {
 }
 
 // Close tears the manager down, closing every pooled handle. It fails if
-// any grant is still outstanding.
+// any lease is still outstanding.
 func (m *Manager) Close() error {
 	for _, sh := range m.shards {
 		sh.mu.Lock()

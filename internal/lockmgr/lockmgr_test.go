@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,18 +20,15 @@ func TestAcquireRelease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := m.Acquire("orders/42")
+			g, err := m.AcquireLeaseCtx(context.Background(), "orders/42")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if g.Name() != "orders/42" {
 				t.Errorf("Name() = %q", g.Name())
 			}
-			if err := g.Release(); err != nil {
+			if err := m.Release(g); err != nil {
 				t.Fatal(err)
-			}
-			if err := g.Release(); err == nil {
-				t.Error("double Release succeeded")
 			}
 			c := m.Counters()
 			if c.Acquires != 1 || c.Releases != 1 || c.LockCreates != 1 {
@@ -62,8 +60,8 @@ func TestConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire("k"); err == nil {
-		t.Error("Acquire with illegal register count succeeded")
+	if _, err := m.AcquireLeaseCtx(context.Background(), "k"); err == nil {
+		t.Error("acquire with illegal register count succeeded")
 	}
 }
 
@@ -88,7 +86,7 @@ func TestMutualExclusionAcrossClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < cycles; i++ {
 				k := (int(me) + i) % len(names)
-				g, err := m.Acquire(names[k])
+				g, err := m.AcquireLeaseCtx(context.Background(), names[k])
 				if err != nil {
 					t.Error(err)
 					return
@@ -99,7 +97,7 @@ func TestMutualExclusionAcrossClients(t *testing.T) {
 				if !owners[k].CompareAndSwap(me, 0) {
 					violations.Add(1)
 				}
-				if err := g.Release(); err != nil {
+				if err := m.Release(g); err != nil {
 					t.Error(err)
 					return
 				}
@@ -161,6 +159,132 @@ func TestLeaseWaited(t *testing.T) {
 	}
 }
 
+// TestPoolOneKeyStress runs 16 clients against one lock's 8 handles while
+// clients are preempted at arbitrary instructions. A pool operation cut
+// in half that way must look like nothing worse than a handle in use:
+// the lock-free ring this pool replaced read a pop preempted between its
+// claim and its publication as "more releases than handles" and
+// panicked, with no handle released twice.
+//
+// The pool subtest is the one that bites. The clients share one
+// scheduler thread; a second one runs a goroutine that stops the world
+// in a loop, and every stop preempts the running client wherever it is —
+// thousands of times a second, where the scheduler alone preempts a
+// hundred. With stub handles the clients' loop is all pool code, so the
+// preemptions land inside it: the ring panicked within 60ms in 10 of 10
+// runs. The manager subtest is the same crowd on one thread through
+// the real stack, where the pool is a sliver of a microsecond-long
+// cycle; it checks that exclusion and the counters hold.
+func TestPoolOneKeyStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const clients = 16
+
+	t.Run("pool", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		const handles = 8
+		var created atomic.Int32
+		p := newLeasePool(handles, func() (procHandle, error) {
+			created.Add(1)
+			return &countingHandle{}, nil
+		})
+		stop := time.Now().Add(500 * time.Millisecond)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ms runtime.MemStats
+			for time.Now().Before(stop) {
+				runtime.ReadMemStats(&ms) // stops the world
+			}
+		}()
+		var cycles, shared atomic.Int64
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n, bad := int64(0), int64(0)
+				for ; n&1023 != 0 || time.Now().Before(stop); n++ {
+					h, _, _, err := p.lease(context.Background(), true)
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					// Plain accesses: the pool's own synchronization is
+					// what orders two clients' turns with a handle.
+					ch := h.(*countingHandle)
+					if ch.users++; ch.users != 1 {
+						bad++
+					}
+					ch.users--
+					p.release(h)
+				}
+				cycles.Add(n)
+				shared.Add(bad)
+			}()
+		}
+		wg.Wait()
+		if n := shared.Load(); n != 0 {
+			t.Errorf("a handle was leased to two clients at once %d times", n)
+		}
+		if n := created.Load(); n > handles {
+			t.Errorf("created %d handles, want <= %d", n, handles)
+		}
+		if n := cycles.Load(); n < 200000 {
+			t.Errorf("only %d cycles ran", n)
+		}
+		if err := p.closeIdle(); err != nil {
+			t.Error(err)
+		}
+	})
+
+	t.Run("manager", func(t *testing.T) {
+		m, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const cycles = 12500 // 200k in all
+		var owner, violations atomic.Int64
+		var wg sync.WaitGroup
+		for c := 1; c <= clients; c++ {
+			wg.Add(1)
+			go func(me int64) {
+				defer wg.Done()
+				for i := 0; i < cycles; i++ {
+					l, err := m.AcquireLeaseCtx(context.Background(), "hot")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !owner.CompareAndSwap(0, me) || !owner.CompareAndSwap(me, 0) {
+						violations.Add(1)
+					}
+					if err := m.Release(l); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(int64(c))
+		}
+		wg.Wait()
+		if v := violations.Load() + int64(m.Violations()); v != 0 {
+			t.Errorf("%d mutual-exclusion violations", v)
+		}
+		if c := m.Counters(); c.Acquires != clients*cycles || c.Releases != clients*cycles {
+			t.Errorf("acquires/releases = %d/%d, want %d", c.Acquires, c.Releases, clients*cycles)
+		}
+		if err := m.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// countingHandle is a stub handle that counts the clients using it, so a
+// test can see the pool hand one handle to two clients.
+type countingHandle struct {
+	stubHandle
+	users int
+}
+
 type stubHandle struct{}
 
 func (stubHandle) Lock() error                       { return nil }
@@ -178,7 +302,7 @@ func TestHandleMultiplexing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := m.Acquire("hot")
+	g, err := m.AcquireLeaseCtx(context.Background(), "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +311,12 @@ func TestHandleMultiplexing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g, err := m.Acquire("hot")
+			g, err := m.AcquireLeaseCtx(context.Background(), "hot")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := g.Release(); err != nil {
+			if err := m.Release(g); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -200,7 +324,7 @@ func TestHandleMultiplexing(t *testing.T) {
 	// Let both acquirers reach the pool: one leases the second handle and
 	// spins in the algorithm, the other queues for a lease.
 	time.Sleep(100 * time.Millisecond)
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -224,21 +348,21 @@ func TestTryAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ok, err := m.TryAcquire("k")
+	g, ok, err := m.TryAcquireLease("k")
 	if err != nil || !ok {
-		t.Fatalf("first TryAcquire: ok=%v err=%v", ok, err)
+		t.Fatalf("first TryAcquireLease: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := m.TryAcquire("k"); err != nil || ok {
-		t.Fatalf("TryAcquire of a held lock: ok=%v err=%v", ok, err)
+	if _, ok, err := m.TryAcquireLease("k"); err != nil || ok {
+		t.Fatalf("TryAcquireLease of a held lock: ok=%v err=%v", ok, err)
 	}
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
-	g2, ok, err := m.TryAcquire("k")
+	g2, ok, err := m.TryAcquireLease("k")
 	if err != nil || !ok {
-		t.Fatalf("TryAcquire after release: ok=%v err=%v", ok, err)
+		t.Fatalf("TryAcquireLease after release: ok=%v err=%v", ok, err)
 	}
-	if err := g2.Release(); err != nil {
+	if err := m.Release(g2); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Counters()
@@ -253,11 +377,11 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		g, err := m.Acquire(fmt.Sprintf("key-%d", i))
+		g, err := m.AcquireLeaseCtx(context.Background(), fmt.Sprintf("key-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Release(); err != nil {
+		if err := m.Release(g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,11 +393,11 @@ func TestLRUEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 3", c.Evictions)
 	}
 	// An evicted name is simply cold: re-acquiring materializes it again.
-	g, err := m.Acquire("key-0")
+	g, err := m.AcquireLeaseCtx(context.Background(), "key-0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Counters().LockCreates; got != 6 {
@@ -288,19 +412,19 @@ func TestEvictionSkipsPinnedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := m.Acquire("pinned")
+	g, err := m.AcquireLeaseCtx(context.Background(), "pinned")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := m.Acquire("other")
+	g2, err := m.AcquireLeaseCtx(context.Background(), "other")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both grants must still be valid: release in either order.
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.Release(); err != nil {
+	if err := m.Release(g2); err != nil {
 		t.Fatal(err)
 	}
 	if v := m.Violations(); v != 0 {
@@ -313,14 +437,14 @@ func TestCloseRejectsOutstandingGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := m.Acquire("k")
+	g, err := m.AcquireLeaseCtx(context.Background(), "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err == nil {
 		t.Error("Close with an outstanding grant succeeded")
 	}
-	if err := g.Release(); err != nil {
+	if err := m.Release(g); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -334,11 +458,11 @@ func TestStatsTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"x", "y", "z"} {
-		g, err := m.Acquire(name)
+		g, err := m.AcquireLeaseCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Release(); err != nil {
+		if err := m.Release(g); err != nil {
 			t.Fatal(err)
 		}
 	}

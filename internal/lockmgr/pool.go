@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -18,39 +19,76 @@ type procHandle interface {
 
 // leasePool multiplexes an unbounded client population onto one lock's
 // fixed n process handles. Handles are created lazily (a lock that only
-// ever sees one client materializes one handle) and parked in a lock-free
-// free list between leases, so the uncontended lease/release cycle is a
-// few atomic operations with no mutex handoff and no allocation. Only
-// when all n handles are leased out do blocking callers touch a channel:
-// they register as waiters and park on a signal that every release posts
-// after returning its handle to the free list — a timed-out waiter simply
-// stops receiving, so it leaves the queue without holding, leaking, or
-// reordering any handle. The pool never discards a handle while the
-// entry lives — the root package's Close/re-lease cycle is exercised at
-// eviction time, when closeIdle returns every slot to the lock.
+// ever sees one client materializes one handle) and parked between
+// leases on a mutex-guarded slice: the uncontended lease/release cycle
+// is two short critical sections and no allocation. Only when all n
+// handles are leased out do blocking callers touch a channel: they
+// register as waiters and park on a signal that every release posts
+// after parking its handle — a timed-out waiter simply stops receiving,
+// so it leaves the queue without holding, leaking, or reordering any
+// handle. The pool never discards a handle while the entry lives — the
+// root package's Close/re-lease cycle is exercised at eviction time,
+// when closeIdle returns every slot to the lock.
+//
+// A mutex rather than a lock-free ring on purpose: interleaved runs of
+// the solo acquire/release benchmark could not separate the two, and a
+// mutex has no window in which a preempted pop leaves the structure
+// looking full (TestPoolOneKeyStress drives that schedule on one core).
+// Double releases are caught by the entry's held 0→1→0 cross-check, not
+// here.
 type leasePool struct {
 	newHandle func() (procHandle, error)
 
-	idle     freeList     // parked idle handles (lock-free MPMC ring)
-	created  atomic.Int64 // materialized handles; creation slots claimed by CAS
-	capacity int64
+	mu       sync.Mutex
+	idle     []procHandle // parked handles, most recently parked last
+	created  int          // materialized handles, parked or leased
+	capacity int
 
 	// waiters counts callers blocked for a handle; wake carries one
 	// signal per release that observed a waiter. A waiter that consumes a
-	// signal re-polls the free list, so a stolen handle only costs a
+	// signal re-polls the parked set, so a stolen handle only costs a
 	// spurious wakeup, never a lost one.
 	waiters atomic.Int64
 	wake    chan struct{}
 }
 
 func newLeasePool(capacity int, newHandle func() (procHandle, error)) *leasePool {
-	p := &leasePool{
+	return &leasePool{
 		newHandle: newHandle,
-		capacity:  int64(capacity),
+		idle:      make([]procHandle, 0, capacity),
+		capacity:  capacity,
 		wake:      make(chan struct{}, capacity),
 	}
-	p.idle.init(capacity)
-	return p
+}
+
+// tryLease checks out a handle without waiting: a parked one if
+// available, a freshly materialized one while slots remain, and nil
+// otherwise.
+func (p *leasePool) tryLease() (procHandle, error) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		h := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return h, nil
+	}
+	create := p.created < p.capacity
+	if create {
+		p.created++ // claim the slot; fill it outside the mutex
+	}
+	p.mu.Unlock()
+	if !create {
+		return nil, nil
+	}
+	h, err := p.newHandle()
+	if err != nil {
+		p.mu.Lock()
+		p.created--
+		p.mu.Unlock()
+		return nil, err
+	}
+	return h, nil
 }
 
 // lease checks out a handle: a parked one if available, a freshly
@@ -59,25 +97,8 @@ func newLeasePool(capacity int, newHandle func() (procHandle, error)) *leasePool
 // caller had to queue. With block unset, exhaustion returns ok=false.
 // A queued caller whose ctx ends gives up with ctx's error.
 func (p *leasePool) lease(ctx context.Context, block bool) (h procHandle, ok, waited bool, err error) {
-	if h, ok := p.idle.pop(); ok {
-		return h, true, false, nil
-	}
-	for {
-		c := p.created.Load()
-		if c >= p.capacity {
-			break
-		}
-		if p.created.CompareAndSwap(c, c+1) {
-			h, err := p.newHandle()
-			if err != nil {
-				p.created.Add(-1)
-				return nil, false, false, err
-			}
-			return h, true, false, nil
-		}
-	}
-	if !block {
-		return nil, false, false, nil
+	if h, err = p.tryLease(); h != nil || err != nil || !block {
+		return h, h != nil, false, err
 	}
 	// All n handles exist and are leased out: queue. The re-poll after
 	// registering closes the race with a release that loaded the waiter
@@ -85,8 +106,8 @@ func (p *leasePool) lease(ctx context.Context, block bool) (h procHandle, ok, wa
 	p.waiters.Add(1)
 	defer p.waiters.Add(-1)
 	for {
-		if h, ok := p.idle.pop(); ok {
-			return h, true, true, nil
+		if h, err = p.tryLease(); h != nil || err != nil {
+			return h, h != nil, true, err
 		}
 		select {
 		case <-p.wake:
@@ -97,19 +118,21 @@ func (p *leasePool) lease(ctx context.Context, block bool) (h procHandle, ok, wa
 }
 
 // release parks a handle for the next lease and wakes a queued waiter if
-// any is registered. The signal is posted after the handle is visible on
-// the free list, so the woken waiter's re-poll finds it (or finds it
-// already taken by a fast-path lease, which is just as good: the handle
-// is in use, and its own release will signal again).
+// any is registered. The signal is posted after the handle is parked, so
+// the woken waiter's re-poll finds it (or finds it already taken by a
+// fast-path lease, which is just as good: the handle is in use, and its
+// own release will signal again).
 func (p *leasePool) release(h procHandle) {
-	p.idle.push(h)
+	p.mu.Lock()
+	p.idle = append(p.idle, h)
+	p.mu.Unlock()
 	if p.waiters.Load() > 0 {
 		select {
 		case p.wake <- struct{}{}:
 		default:
 			// The buffer already carries one pending signal per possible
 			// handle; further signals are redundant — every pending one
-			// forces a free-list re-poll that happens after this push.
+			// forces a re-poll that happens after this handle was parked.
 		}
 	}
 }
@@ -118,95 +141,19 @@ func (p *leasePool) release(h procHandle) {
 // handle is leased out (the manager guarantees this via entry refcounts);
 // a missing handle means a caller violated that contract.
 func (p *leasePool) closeIdle() error {
-	created := int(p.created.Load())
-	for i := 0; i < created; i++ {
-		h, ok := p.idle.pop()
-		if !ok {
-			return fmt.Errorf("lockmgr: pool torn down with %d of %d handles still leased",
-				created-i, created)
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if leased := p.created - len(p.idle); leased != 0 {
+		return fmt.Errorf("lockmgr: pool torn down with %d of %d handles still leased",
+			leased, p.created)
+	}
+	for i, h := range p.idle {
 		if err := h.Close(); err != nil {
 			return fmt.Errorf("lockmgr: closing pooled handle: %w", err)
 		}
+		p.idle[i] = nil
 	}
-	p.created.Store(0)
+	p.idle = p.idle[:0]
+	p.created = 0
 	return nil
-}
-
-// freeList is a bounded lock-free MPMC ring (Vyukov's array queue) of
-// parked handles. Capacity is fixed at init; the pool never holds more
-// than its n handles, so push cannot overflow.
-type freeList struct {
-	slots []freeSlot
-	mask  uint64
-	enq   atomic.Uint64
-	deq   atomic.Uint64
-}
-
-// freeSlot pads each cell to its own cache line: neighboring slots are
-// hammered by different cores on the lease/release fast path.
-type freeSlot struct {
-	seq atomic.Uint64
-	h   procHandle
-	_   [64 - 8 - 16]byte
-}
-
-func (q *freeList) init(capacity int) {
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
-	q.slots = make([]freeSlot, size)
-	q.mask = uint64(size - 1)
-	for i := range q.slots {
-		q.slots[i].seq.Store(uint64(i))
-	}
-}
-
-// push parks a handle. It never blocks and never fails: the ring is as
-// large as the number of handles that exist.
-func (q *freeList) push(h procHandle) {
-	pos := q.enq.Load()
-	for {
-		s := &q.slots[pos&q.mask]
-		seq := s.seq.Load()
-		switch d := int64(seq) - int64(pos); {
-		case d == 0:
-			if q.enq.CompareAndSwap(pos, pos+1) {
-				s.h = h
-				s.seq.Store(pos + 1)
-				return
-			}
-			pos = q.enq.Load()
-		case d < 0:
-			panic("lockmgr: free list overflow (more releases than handles)")
-		default:
-			pos = q.enq.Load()
-		}
-	}
-}
-
-// pop takes the oldest parked handle, reporting ok=false when the list is
-// empty (a push mid-publication counts as empty; the pool's wake-signal
-// protocol covers that window).
-func (q *freeList) pop() (procHandle, bool) {
-	pos := q.deq.Load()
-	for {
-		s := &q.slots[pos&q.mask]
-		seq := s.seq.Load()
-		switch d := int64(seq) - int64(pos+1); {
-		case d == 0:
-			if q.deq.CompareAndSwap(pos, pos+1) {
-				h := s.h
-				s.h = nil
-				s.seq.Store(pos + q.mask + 1)
-				return h, true
-			}
-			pos = q.deq.Load()
-		case d < 0:
-			return nil, false
-		default:
-			pos = q.deq.Load()
-		}
-	}
 }

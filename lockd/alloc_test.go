@@ -1,130 +1,91 @@
 package lockd
 
-// The allocation budget the performance overhaul commits to: the
-// server's steady-state request loop — decode one request line, execute
-// it, encode the response — performs ZERO heap allocations for the hot
-// ops (uncontended acquire, release, holds, ping, failed try) once the
-// session and the lock entry are warm. BENCH_baseline.json tracks the
-// numbers; this test enforces the budget so a regression fails CI
-// instead of quietly eroding latency.
+// The allocation budget of the binary protocol's per-op pipeline: decode
+// one binary op, execute it, encode the response into the stream's frame
+// — ZERO heap allocations for the hot ops (uncontended acquire, release,
+// holds, ping, failed try) once the session and the lock entry are warm.
+// BENCH_baseline.json tracks the numbers; these tests enforce the budget
+// so a regression fails CI instead of quietly eroding latency. The JSON
+// protocol has no such budget: it is encoding/json, off every measured
+// path.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"anonmutex/internal/lockmgr"
+	"anonmutex/lockd/wire"
 )
 
-// steadySession builds a warm server+session pair the way serveConn
-// does, plus the reader-side interning table.
-func steadySession(t *testing.T) (*Server, *session, *nameTable) {
+// binPipeline is a warm server+session pair the way serveBinary builds
+// it, with the reader-side interning table and a reused response frame.
+type binPipeline struct {
+	t     *testing.T
+	s     *Server
+	sess  *session
+	names *wire.NameTable
+	req   wire.Request
+	frame []byte
+}
+
+func newBinPipeline(t *testing.T) *binPipeline {
 	t.Helper()
 	mgr, err := lockmgr.New(lockmgr.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mgr.Close() })
-	s := NewServer(mgr)
-	return s, newSession(), newNameTable()
+	return &binPipeline{
+		t: t, s: NewServer(mgr), sess: newSession(), names: wire.NewNameTable(),
+		frame: wire.BeginFrame(make([]byte, 0, 512), 1),
+	}
 }
 
-// loop runs the exact per-request pipeline of the processing loop.
-func loop(t *testing.T, s *Server, sess *session, names *nameTable, req *Request, respBuf []byte, line []byte) []byte {
-	t.Helper()
-	if err := decodeRequest(line, req, names); err != nil {
-		t.Fatalf("decode %s: %v", line, err)
+// encode is one op's request bytes, as a client would frame them.
+func (p *binPipeline) encode(req wire.Request) []byte {
+	p.t.Helper()
+	op, err := wire.AppendRequestBin(nil, &req)
+	if err != nil {
+		p.t.Fatal(err)
 	}
-	resp := s.handle(context.Background(), sess, *req, nil)
+	return op
+}
+
+// run is the exact per-op pipeline of the stream loop, framing included
+// (BeginFrame/EndFrame on the reused buffer).
+func (p *binPipeline) run(op []byte) wire.Response {
+	if _, err := wire.DecodeRequestBin(op, &p.req, p.names); err != nil {
+		p.t.Fatalf("decode: %v", err)
+	}
+	resp := p.s.handle(context.Background(), p.sess, p.req, nil)
 	if resp.Err != "" {
-		t.Fatalf("handle %s: %s", line, resp.Err)
+		p.t.Fatalf("handle: %s", resp.Err)
 	}
-	return AppendResponse(respBuf[:0], &resp)
+	p.frame = wire.AppendResponseBin(p.frame, &resp)
+	p.frame = wire.EndFrame(p.frame, 0)
+	p.frame = wire.BeginFrame(p.frame[:0], 1)
+	return resp
 }
 
-func TestServerSteadyStateRequestLoopZeroAllocs(t *testing.T) {
-	s, sess, names := steadySession(t)
-	acquire := []byte(`{"op":"acquire","name":"hot-key"}`)
-	release := []byte(`{"op":"release","name":"hot-key"}`)
-	holds := []byte(`{"op":"holds","name":"hot-key"}`)
-	ping := []byte(`{"op":"ping"}`)
-	var req Request
-	respBuf := make([]byte, 0, 256)
+func TestServerBinarySteadyStateZeroAllocs(t *testing.T) {
+	p := newBinPipeline(t)
+	acquire := p.encode(wire.Request{Op: wire.OpAcquire, Name: "hot-key"})
+	release := p.encode(wire.Request{Op: wire.OpRelease, Name: "hot-key"})
+	holds := p.encode(wire.Request{Op: wire.OpHolds, Name: "hot-key"})
+	ping := p.encode(wire.Request{Op: wire.OpPing})
 
+	cycle := func() {
+		p.run(acquire)
+		p.run(holds)
+		p.run(release)
+		p.run(ping)
+	}
 	// Warm up: materialize the lock entry, the handles, the interned
 	// name, and the session map buckets.
 	for i := 0; i < 3; i++ {
-		respBuf = loop(t, s, sess, names, &req, respBuf, acquire)
-		respBuf = loop(t, s, sess, names, &req, respBuf, holds)
-		respBuf = loop(t, s, sess, names, &req, respBuf, release)
-		respBuf = loop(t, s, sess, names, &req, respBuf, ping)
+		cycle()
 	}
-
-	cases := []struct {
-		name  string
-		lines [][]byte
-	}{
-		{"acquire-release", [][]byte{acquire, release}},
-		{"acquire-holds-release", [][]byte{acquire, holds, release}},
-		{"ping", [][]byte{ping}},
-	}
-	for _, c := range cases {
-		allocs := testing.AllocsPerRun(200, func() {
-			for _, line := range c.lines {
-				respBuf = loop(t, s, sess, names, &req, respBuf, line)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state request loop, budget is 0", c.name, allocs)
-		}
-	}
-}
-
-// TestServerBinarySteadyStateZeroAllocs pins the same budget for the
-// binary transport's per-op pipeline: decode one binary op, execute it,
-// encode the response into the stream's frame. The framing itself
-// (BeginFrame/EndFrame on a reused buffer) is included.
-func TestServerBinarySteadyStateZeroAllocs(t *testing.T) {
-	s, sess, names := steadySession(t)
-	encode := func(req Request) []byte {
-		op, err := AppendRequestBin(nil, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return op
-	}
-	acquire := encode(Request{Op: OpAcquire, Name: "hot-key"})
-	release := encode(Request{Op: OpRelease, Name: "hot-key"})
-	holds := encode(Request{Op: OpHolds, Name: "hot-key"})
-	ping := encode(Request{Op: OpPing})
-	var req Request
-	frame := BeginFrame(make([]byte, 0, 512), 1)
-
-	binLoop := func(op []byte) {
-		if _, err := decodeRequestBin(op, &req, names); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		resp := s.handle(context.Background(), sess, req, nil)
-		if resp.Err != "" {
-			t.Fatalf("handle: %s", resp.Err)
-		}
-		frame = AppendResponseBin(frame, &resp)
-		frame = EndFrame(frame, 0)
-		frame = BeginFrame(frame[:0], 1)
-	}
-	for i := 0; i < 3; i++ {
-		binLoop(acquire)
-		binLoop(holds)
-		binLoop(release)
-		binLoop(ping)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		binLoop(acquire)
-		binLoop(holds)
-		binLoop(release)
-		binLoop(ping)
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("binary loop: %.1f allocs per steady-state cycle, budget is 0", allocs)
 	}
 }
@@ -132,34 +93,22 @@ func TestServerBinarySteadyStateZeroAllocs(t *testing.T) {
 // TestServerFailedTryZeroAllocs covers the contended fail-fast probe: a
 // try on a held lock must also stay off the heap.
 func TestServerFailedTryZeroAllocs(t *testing.T) {
-	s, sess, names := steadySession(t)
-	other := newSession()
-	var req Request
-	respBuf := make([]byte, 0, 256)
-
-	// Another session holds the lock.
-	if err := decodeRequest([]byte(`{"op":"acquire","name":"hot-key"}`), &req, names); err != nil {
-		t.Fatal(err)
-	}
-	if resp := s.handle(context.Background(), other, req, nil); !resp.Acquired {
+	p := newBinPipeline(t)
+	holder := &binPipeline{t: t, s: p.s, sess: newSession(), names: p.names, frame: wire.BeginFrame(nil, 2)}
+	if resp := holder.run(p.encode(wire.Request{Op: wire.OpAcquire, Name: "hot-key"})); !resp.Acquired {
 		t.Fatalf("setup acquire failed: %+v", resp)
 	}
 
-	try := []byte(`{"op":"try","name":"hot-key"}`)
+	try := p.encode(wire.Request{Op: wire.OpTryAcquire, Name: "hot-key"})
 	for i := 0; i < 3; i++ {
-		respBuf = loop(t, s, sess, names, &req, respBuf, try)
+		if resp := p.run(try); resp.Acquired {
+			t.Fatal("try on a held lock succeeded")
+		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		respBuf = loop(t, s, sess, names, &req, respBuf, try)
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { p.run(try) }); allocs != 0 {
 		t.Errorf("failed try: %.1f allocs per request, budget is 0", allocs)
 	}
-	if err := decodeRequest([]byte(`{"op":"release","name":"hot-key"}`), &req, names); err != nil {
-		t.Fatal(err)
-	}
-	if resp := s.handle(context.Background(), other, req, nil); !resp.OK {
+	if resp := holder.run(p.encode(wire.Request{Op: wire.OpRelease, Name: "hot-key"})); !resp.OK {
 		t.Fatalf("teardown release failed: %+v", resp)
 	}
-	_ = fmt.Sprint()
 }

@@ -17,6 +17,7 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // pipeListener adapts a stream of pre-connected net.Pipe ends to the
@@ -145,11 +146,11 @@ func benchRoundTrips(b *testing.B, conn *client.Conn) {
 		}
 	})
 	b.Run("batch-acquire-release", func(b *testing.B) {
-		reqs := []lockd.Request{
-			{Op: lockd.OpAcquire, Name: "bench-key"},
-			{Op: lockd.OpRelease, Name: "bench-key"},
+		reqs := []wire.Request{
+			{Op: wire.OpAcquire, Name: "bench-key"},
+			{Op: wire.OpRelease, Name: "bench-key"},
 		}
-		resps := make([]lockd.Response, len(reqs))
+		resps := make([]wire.Response, len(reqs))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := conn.Batch(reqs, resps); err != nil {

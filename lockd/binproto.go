@@ -60,14 +60,9 @@ type binConn struct {
 	conn   net.Conn
 	ctx    context.Context
 	cancel context.CancelFunc
-	// dialect pins the response encoding negotiated by the connection's
-	// magic preamble: v1 (no lease/fenced flags, 13-field stats), v2
-	// (lease fields, byte flags), v3 (uvarint flags, redirects), or v4
-	// (owner hints).
-	dialect wire.Dialect
-	// fromProxy marks an inter-node connection (BinaryMagicProxy): its
-	// ops were already forwarded once, so its sessions never forward
-	// again — the proxy hop cap.
+	// fromProxy marks an inter-node connection (wire.HelloForwarded in
+	// the preamble): its ops were already forwarded once, so its sessions
+	// never forward again — the proxy hop cap.
 	fromProxy bool
 	w         muxWriter
 	// rframe is the reader's scratch response frame for the inline fast
@@ -84,7 +79,7 @@ type binConn struct {
 type binStream struct {
 	id   uint32
 	sess *session
-	q    *opQueue[Request]
+	q    *opQueue[wire.Request]
 	// inflight counts ops handed to the stream goroutine whose responses
 	// have not yet reached the shared writer (queued, mid-handle, or
 	// batched unflushed). The reader increments before each push; the
@@ -100,15 +95,15 @@ type binStream struct {
 // each op to its stream's queue (spawning the stream's processing
 // goroutine on first use) and applying cancels out of band exactly as
 // the JSON reader does — so a cancel aborts its stream's blocked acquire
-// without waiting behind it. Any protocol error — bad magic, oversized
+// without waiting behind it. Any protocol error — bad preamble, oversized
 // or malformed frame, unknown opcode, the reserved stream 0 — is
 // answered once with an error response on stream 0 and ends the
 // connection, mirroring the JSON path's oversized-line contract. When
 // the connection ends, every stream's queue is closed and every stream's
 // grants are released before the socket is torn down.
 func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
-	var magic [len(BinaryMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	var preamble [wire.PreambleLen]byte
+	if _, err := io.ReadFull(br, preamble[:]); err != nil {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -120,22 +115,12 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		streams: make(map[uint32]*binStream),
 	}
 	bc.w.bw = bufio.NewWriter(conn)
-	switch magic {
-	case BinaryMagic:
-		bc.dialect = wire.DialectV1
-	case BinaryMagicV2:
-		bc.dialect = wire.DialectV2
-	case BinaryMagicV3:
-		bc.dialect = wire.DialectV3
-	case BinaryMagicV4:
-		bc.dialect = wire.DialectV4
-	case BinaryMagicProxy:
-		bc.dialect = wire.DialectV4
-		bc.fromProxy = true
-	default:
-		bc.connError(fmt.Sprintf("lockd: bad protocol magic %x", magic[:]))
+	hello, err := wire.ParsePreamble(preamble)
+	if err != nil {
+		bc.connError(err.Error())
 		return
 	}
+	bc.fromProxy = hello&wire.HelloForwarded != 0
 	defer func() {
 		// Cancel first so any stream blocked in a slow-path acquire
 		// withdraws instead of competing on behalf of a dead connection,
@@ -158,18 +143,18 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 
 	maxFrame := s.MaxFrameBytes
 	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrameBytes
+		maxFrame = wire.DefaultMaxFrameBytes
 	}
-	names := newNameTable() // per-connection lock-name interning (byte-bounded)
+	names := wire.NewNameTable() // per-connection lock-name interning (byte-bounded)
 	var buf []byte
-	var req Request
+	var req wire.Request
 	for {
 		var stream uint32
 		var ops []byte
 		var err error
-		stream, ops, buf, err = ReadFrame(br, buf, maxFrame)
+		stream, ops, buf, err = wire.ReadFrame(br, buf, maxFrame)
 		if err != nil {
-			if errors.Is(err, errFrameTooBig) || errors.Is(err, errShortFrame) {
+			if errors.Is(err, wire.ErrFrameTooBig) || errors.Is(err, wire.ErrShortFrame) {
 				bc.connError(err.Error())
 			}
 			return // disconnect (or the protocol error answered above)
@@ -191,14 +176,14 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		// anything is pushed.
 		inline := bc.fromProxy && st.inflight.Load() == 0
 		if inline {
-			bc.rframe = BeginFrame(bc.rframe[:0], stream)
+			bc.rframe = wire.BeginFrame(bc.rframe[:0], stream)
 		}
 		for len(ops) > 0 {
-			if ops, err = decodeRequestBin(ops, &req, names); err != nil {
+			if ops, err = wire.DecodeRequestBin(ops, &req, names); err != nil {
 				bc.connError(fmt.Sprintf("lockd: bad request: %v", err))
 				return
 			}
-			if req.Op == OpCancel {
+			if req.Op == wire.OpCancel {
 				st.sess.cancelAcquire(req.Name)
 			}
 			if inline {
@@ -206,8 +191,8 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 					continue
 				}
 				inline = false
-				if len(bc.rframe) > frameHeaderLen {
-					if bc.w.writeFrame(EndFrame(bc.rframe, 0)) != nil {
+				if len(bc.rframe) > wire.FrameHeaderLen {
+					if bc.w.writeFrame(wire.EndFrame(bc.rframe, 0)) != nil {
 						bc.conn.Close()
 						return
 					}
@@ -216,8 +201,8 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			st.inflight.Add(1)
 			st.q.push(req)
 		}
-		if inline && len(bc.rframe) > frameHeaderLen {
-			if bc.w.writeFrame(EndFrame(bc.rframe, 0)) != nil {
+		if inline && len(bc.rframe) > wire.FrameHeaderLen {
+			if bc.w.writeFrame(wire.EndFrame(bc.rframe, 0)) != nil {
 				bc.conn.Close()
 				return
 			}
@@ -233,25 +218,25 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 // every other stream on the connection would stall behind it) or an
 // end_stream (whose retirement dance belongs to the goroutine being
 // retired).
-func (bc *binConn) handleInline(st *binStream, req *Request) bool {
+func (bc *binConn) handleInline(st *binStream, req *wire.Request) bool {
 	switch req.Op {
-	case OpEndStream:
+	case wire.OpEndStream:
 		return false
-	case OpAcquire:
+	case wire.OpAcquire:
 		resp, done := bc.srv.handleAcquire(bc.ctx, st.sess, *req, nil, false)
 		if !done {
 			return false
 		}
-		bc.rframe = appendResponseBin(bc.rframe, &resp, bc.dialect)
+		bc.rframe = wire.AppendResponseBin(bc.rframe, &resp)
 		return true
-	case OpReleaseNoAck:
+	case wire.OpReleaseNoAck:
 		nreq := *req
-		nreq.Op = OpRelease
+		nreq.Op = wire.OpRelease
 		bc.srv.handle(bc.ctx, st.sess, nreq, nil)
 		return true
 	default:
 		resp := bc.srv.handle(bc.ctx, st.sess, *req, nil)
-		bc.rframe = appendResponseBin(bc.rframe, &resp, bc.dialect)
+		bc.rframe = wire.AppendResponseBin(bc.rframe, &resp)
 		return true
 	}
 }
@@ -259,9 +244,9 @@ func (bc *binConn) handleInline(st *binStream, req *Request) bool {
 // connError answers a connection-fatal protocol error once, on the
 // reserved stream 0, before the connection closes.
 func (bc *binConn) connError(msg string) {
-	frame := BeginFrame(make([]byte, 0, 64+len(msg)), 0)
-	frame = appendResponseBin(frame, &Response{Err: msg}, bc.dialect)
-	bc.w.writeFrame(EndFrame(frame, 0))
+	frame := wire.BeginFrame(make([]byte, 0, 64+len(msg)), 0)
+	frame = wire.AppendResponseBin(frame, &wire.Response{Err: msg})
+	bc.w.writeFrame(wire.EndFrame(frame, 0))
 }
 
 // stream returns the processing stream for id, spawning it on first use.
@@ -272,7 +257,7 @@ func (bc *binConn) stream(id uint32) *binStream {
 		st = &binStream{
 			id:   id,
 			sess: newSession(),
-			q:    newOpQueue[Request](),
+			q:    newOpQueue[wire.Request](),
 		}
 		st.sess.noForward = bc.fromProxy
 		bc.streams[id] = st
@@ -307,7 +292,7 @@ func (bc *binConn) streamLoop(st *binStream) {
 		bc.srv.liveStreams.Add(-1)
 		bc.wg.Done()
 	}()
-	frame := BeginFrame(make([]byte, 0, 512), st.id)
+	frame := wire.BeginFrame(make([]byte, 0, 512), st.id)
 	// batched counts the ops whose responses sit in frame; their
 	// inflight debt is settled only once the responses reach the shared
 	// writer, keeping the reader's inline fast path (which keys on
@@ -317,11 +302,11 @@ func (bc *binConn) streamLoop(st *binStream) {
 	// flush pushes the batched responses, reporting false — after closing
 	// the connection so every stream unwinds — when the write failed.
 	flush := func() bool {
-		if len(frame) == frameHeaderLen {
+		if len(frame) == wire.FrameHeaderLen {
 			return true
 		}
-		err := bc.w.writeFrame(EndFrame(frame, 0))
-		frame = BeginFrame(frame[:0], st.id)
+		err := bc.w.writeFrame(wire.EndFrame(frame, 0))
+		frame = wire.BeginFrame(frame[:0], st.id)
 		if err != nil {
 			bc.conn.Close()
 			return false
@@ -343,10 +328,10 @@ func (bc *binConn) streamLoop(st *binStream) {
 				return
 			}
 		}
-		if req.Op == OpEndStream {
+		if req.Op == wire.OpEndStream {
 			// Retire the stream: ack, then forget it so the id can be
 			// reused; the deferred cleanup releases its grants.
-			frame = appendResponseBin(frame, &Response{OK: true}, bc.dialect)
+			frame = wire.AppendResponseBin(frame, &wire.Response{OK: true})
 			batched++
 			flush()
 			bc.mu.Lock()
@@ -356,17 +341,17 @@ func (bc *binConn) streamLoop(st *binStream) {
 			bc.mu.Unlock()
 			return
 		}
-		if req.Op == OpReleaseNoAck {
+		if req.Op == wire.OpReleaseNoAck {
 			// Fire-and-forget: the sender registered no response slot, so
 			// answering would desync its FIFO. Perform the release and
 			// move on without touching the response frame.
-			req.Op = OpRelease
+			req.Op = wire.OpRelease
 			bc.srv.handle(bc.ctx, st.sess, req, preBlock)
 			st.inflight.Add(-1)
 			continue
 		}
 		resp := bc.srv.handle(bc.ctx, st.sess, req, preBlock)
-		frame = appendResponseBin(frame, &resp, bc.dialect)
+		frame = wire.AppendResponseBin(frame, &resp)
 		batched++
 		if len(frame) >= binResponseFlushBytes {
 			if !flush() {

@@ -1,7 +1,7 @@
 package lockd_test
 
-// End-to-end coverage of the binary multiplexed transport: negotiation
-// (binary magic vs the JSON fallback old clients speak), stream
+// End-to-end coverage of the binary multiplexed transport: the choice of
+// format by first byte (binary preamble vs the JSON fallback), stream
 // independence (a blocked or cancelled stream must not desync its
 // siblings), the stream lifecycle (end_stream releases grants without
 // killing the socket; a dropped socket reaps every stream), and the
@@ -22,6 +22,7 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 func dialMux(t *testing.T, addr string) *client.Mux {
@@ -41,6 +42,30 @@ func openStream(t *testing.T, m *client.Mux) *client.Conn {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestMuxRoundTripZeroAllocs holds the whole binary round trip — client
+// encode, server pipeline, client decode — to the zero-allocation budget
+// alloc_test.go holds the server's half to. The client's Conn methods
+// serve the JSON transport too, so anything on the JSON branch that lets
+// a request escape to the heap is paid for here as well.
+func TestMuxRoundTripZeroAllocs(t *testing.T) {
+	_, _, addr := startServer(t, lockmgr.Config{})
+	c := openStream(t, dialMux(t, addr))
+	cycle := func() {
+		if err := c.Acquire("hot-key"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Release("hot-key"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // materialize the lock, the stream, the pooled channels
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("%.1f allocs per acquire+release over the mux, budget is 0", allocs)
+	}
 }
 
 // TestMuxSessionLifecycle is TestSessionLifecycle over one stream of a
@@ -343,12 +368,12 @@ func TestMuxBatch(t *testing.T) {
 	_, _, addr := startServer(t, lockmgr.Config{HandlesPerLock: 2})
 	m := dialMux(t, addr)
 	c := openStream(t, m)
-	reqs := []lockd.Request{
-		{Op: lockd.OpAcquire, Name: "k"},
-		{Op: lockd.OpHolds, Name: "k"},
-		{Op: lockd.OpRelease, Name: "k"},
+	reqs := []wire.Request{
+		{Op: wire.OpAcquire, Name: "k"},
+		{Op: wire.OpHolds, Name: "k"},
+		{Op: wire.OpRelease, Name: "k"},
 	}
-	resps := make([]lockd.Response, len(reqs))
+	resps := make([]wire.Response, len(reqs))
 	if err := c.Batch(reqs, resps); err != nil {
 		t.Fatal(err)
 	}
@@ -357,9 +382,9 @@ func TestMuxBatch(t *testing.T) {
 	}
 }
 
-// TestJSONFallbackOldClient verifies negotiation end to end: a
-// pre-binary client — raw newline-JSON, no magic — must be served
-// unchanged by a binary-capable server.
+// TestJSONFallbackOldClient verifies the choice of format by first byte
+// end to end: raw newline-JSON, no preamble — what nc or a script sends —
+// must be served as a JSON session.
 func TestJSONFallbackOldClient(t *testing.T) {
 	_, _, addr := startServer(t, lockmgr.Config{HandlesPerLock: 2})
 	conn, err := net.Dial("tcp", addr)
@@ -368,7 +393,7 @@ func TestJSONFallbackOldClient(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	roundTrip := func(line string) lockd.Response {
+	roundTrip := func(line string) wire.Response {
 		t.Helper()
 		if _, err := conn.Write([]byte(line + "\n")); err != nil {
 			t.Fatal(err)
@@ -377,8 +402,8 @@ func TestJSONFallbackOldClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resp lockd.Response
-		if err := lockd.DecodeResponse(raw[:len(raw)-1], &resp); err != nil {
+		var resp wire.Response
+		if err := wire.DecodeResponse(raw[:len(raw)-1], &resp); err != nil {
 			t.Fatalf("unparseable response %q: %v", raw, err)
 		}
 		return resp
@@ -401,15 +426,15 @@ func TestBinaryProtocolErrors(t *testing.T) {
 	readStream0Err := func(t *testing.T, conn net.Conn) string {
 		t.Helper()
 		br := bufio.NewReader(conn)
-		stream, ops, _, err := lockd.ReadFrame(br, nil, 0)
+		stream, ops, _, err := wire.ReadFrame(br, nil, 0)
 		if err != nil {
 			t.Fatalf("reading error frame: %v", err)
 		}
 		if stream != 0 {
 			t.Fatalf("error frame on stream %d, want 0", stream)
 		}
-		var resp lockd.Response
-		if _, err := lockd.DecodeResponseBin(ops, &resp); err != nil {
+		var resp wire.Response
+		if _, err := wire.DecodeResponseBin(ops, &resp); err != nil {
 			t.Fatalf("decoding error frame: %v", err)
 		}
 		if resp.OK || resp.Err == "" {
@@ -446,9 +471,9 @@ func TestBinaryProtocolErrors(t *testing.T) {
 		}
 		defer mgr.Close()
 		conn := dialBin(t, srv)
-		frame := lockd.BeginFrame(nil, 0)
-		frame, _ = lockd.AppendRequestBin(frame, &lockd.Request{Op: lockd.OpPing})
-		if _, err := conn.Write(lockd.EndFrame(frame, 0)); err != nil {
+		frame := wire.BeginFrame(nil, 0)
+		frame, _ = wire.AppendRequestBin(frame, &wire.Request{Op: wire.OpPing})
+		if _, err := conn.Write(wire.EndFrame(frame, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if msg := readStream0Err(t, conn); !strings.Contains(msg, "reserved") {
@@ -462,26 +487,52 @@ func TestBinaryProtocolErrors(t *testing.T) {
 		}
 		defer mgr.Close()
 		conn := dialBin(t, srv)
-		frame := lockd.BeginFrame(nil, 1)
+		frame := wire.BeginFrame(nil, 1)
 		frame = append(frame, 0xEE) // no such opcode
-		if _, err := conn.Write(lockd.EndFrame(frame, 0)); err != nil {
+		if _, err := conn.Write(wire.EndFrame(frame, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if msg := readStream0Err(t, conn); !strings.Contains(msg, "bad request") {
 			t.Errorf("err = %q", msg)
 		}
 	})
-	t.Run("bad magic", func(t *testing.T) {
+	t.Run("short frame", func(t *testing.T) {
 		srv, mgr, err := newBinServer(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mgr.Close()
 		conn := dialBin(t, srv)
-		if msg := readStream0Err(t, conn); !strings.Contains(msg, "magic") {
+		// A length of 3 cannot even hold the stream id.
+		if _, err := conn.Write([]byte{3, 0, 0, 0, 1, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if msg := readStream0Err(t, conn); !strings.Contains(msg, "shorter than its stream id") {
 			t.Errorf("err = %q", msg)
 		}
 	})
+	// One preamble is spoken. Anything else in its place — a corrupted
+	// magic, the magic of a retired binary dialect, a hello byte asking
+	// for something undefined — is refused before any frame is read, so
+	// mixed versions fail closed.
+	for name, preamble := range map[string][wire.PreambleLen]byte{
+		"bad magic":          {wire.MagicByte, 'X', 'K', 0},
+		"retired magic LK1":  {wire.MagicByte, 'L', 'K', '1'},
+		"retired magic LKP":  {wire.MagicByte, 'L', 'K', 'P'},
+		"unknown hello bits": {wire.MagicByte, 'L', 'K', wire.HelloForwarded | 0x40},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, mgr, err := newBinServer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
+			conn := dialPreamble(t, srv, preamble)
+			if msg := readStream0Err(t, conn); !strings.Contains(msg, "magic") {
+				t.Errorf("err = %q", msg)
+			}
+		})
+	}
 }
 
 // binServer is a server with a configurable frame limit on a loopback
@@ -507,20 +558,22 @@ func newBinServer(maxFrame int) (*binServer, *lockmgr.Manager, error) {
 	return &binServer{addr: ln.Addr().String(), shutdown: func() { ln.Close() }}, mgr, nil
 }
 
-// dialBin dials the raw socket and sends the binary magic — except for
-// the "bad magic" case, which sends a corrupted preamble.
+// dialBin dials the raw socket and sends the binary preamble.
 func dialBin(t *testing.T, srv *binServer) net.Conn {
+	t.Helper()
+	return dialPreamble(t, srv, wire.Preamble(0))
+}
+
+// dialPreamble dials the raw socket and leads with preamble, well formed
+// or not.
+func dialPreamble(t *testing.T, srv *binServer, preamble [wire.PreambleLen]byte) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", srv.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close(); srv.shutdown() })
-	magic := lockd.BinaryMagic
-	if t.Name() == "TestBinaryProtocolErrors/bad_magic" {
-		magic[1] = 'X'
-	}
-	if _, err := conn.Write(magic[:]); err != nil {
+	if _, err := conn.Write(preamble[:]); err != nil {
 		t.Fatal(err)
 	}
 	return conn

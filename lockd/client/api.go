@@ -13,7 +13,7 @@ import (
 	"strings"
 	"time"
 
-	"anonmutex/lockd"
+	"anonmutex/lockd/wire"
 )
 
 // ErrUnavailable marks an operation that failed because the transport
@@ -82,7 +82,7 @@ type Session interface {
 type Client interface {
 	Open() (Session, error)
 	// Stats sums counter snapshots across every reachable address.
-	Stats() (lockd.Stats, error)
+	Stats() (wire.Stats, error)
 	Close() error
 }
 

@@ -1,6 +1,7 @@
 // Package client is the Go client for the lockd network lock service:
 // one Conn per session, typed methods over the wire protocol defined in
-// the lockd package.
+// lockd/wire — the only repository package this one imports, so a client
+// binary links none of the server.
 //
 // Requests are pipelined: any goroutine may issue a request while others
 // are waiting for responses, and a dedicated reader matches the server's
@@ -9,11 +10,12 @@
 // lets one connection carry overlapping traffic. Locks held by the
 // session are released by the server when the connection closes.
 //
-// The hot path mirrors the server's: requests are encoded by the
-// lockd wire codec into a per-connection buffer, responses are decoded
-// without reflection, and the per-request bookkeeping (the waiter slot a
-// response is matched to) is pooled — a steady-state AcquireFor/Release
-// cycle performs no heap allocations on the client.
+// The hot path mirrors the server's: on a mux stream (the binary
+// protocol) requests are encoded into a per-connection buffer, responses
+// are decoded in place, and the per-request bookkeeping (the waiter slot
+// a response is matched to) is pooled — a steady-state AcquireFor/Release
+// cycle performs no heap allocations on the client. A dialed JSON Conn
+// goes through encoding/json and allocates accordingly.
 package client
 
 import (
@@ -25,7 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anonmutex/lockd"
+	"anonmutex/lockd/wire"
 )
 
 // ErrAborted is returned by Acquire when the attempt was abandoned —
@@ -44,7 +46,7 @@ var ErrFenced = errors.New("client: fenced: stale lease token")
 
 // result is one matched response.
 type result struct {
-	resp lockd.Response
+	resp wire.Response
 	err  error
 }
 
@@ -134,7 +136,7 @@ func (c *Conn) readLoop() {
 			return
 		}
 		var res result
-		if derr := lockd.DecodeResponse(line[:len(line)-1], &res.resp); derr != nil {
+		if derr := wire.DecodeResponse(line[:len(line)-1], &res.resp); derr != nil {
 			c.fail(fmt.Errorf("client: bad response: %w", derr))
 			return
 		}
@@ -174,7 +176,7 @@ func (c *Conn) fail(err error) {
 
 // do executes one request/response exchange, waiting its turn in the
 // response order.
-func (c *Conn) do(req lockd.Request) (lockd.Response, error) {
+func (c *Conn) do(req wire.Request) (wire.Response, error) {
 	if c.mux != nil {
 		return c.mux.do(c, req)
 	}
@@ -186,11 +188,11 @@ func (c *Conn) do(req lockd.Request) (lockd.Response, error) {
 		c.mu.Unlock()
 		c.sendMu.Unlock()
 		waiterPool.Put(ch)
-		return lockd.Response{}, fmt.Errorf("client: %s: %w: %w", req.Op, ErrUnavailable, err)
+		return wire.Response{}, fmt.Errorf("client: %s: %w: %w", req.Op, ErrUnavailable, err)
 	}
 	c.queue = append(c.queue, ch)
 	c.mu.Unlock()
-	c.wbuf = lockd.AppendRequest(c.wbuf[:0], &req)
+	c.wbuf = wire.AppendRequest(c.wbuf[:0], &req)
 	c.wbuf = append(c.wbuf, '\n')
 	_, werr := c.c.Write(c.wbuf)
 	c.sendMu.Unlock()
@@ -209,9 +211,9 @@ func (c *Conn) do(req lockd.Request) (lockd.Response, error) {
 // failures wrap ErrUnavailable, wrong-owner rejections wrap a
 // *RedirectError carrying the owner's address, fenced rejections wrap
 // ErrFenced.
-func finishResult(req lockd.Request, res result) (lockd.Response, error) {
+func finishResult(req wire.Request, res result) (wire.Response, error) {
 	if res.err != nil {
-		return lockd.Response{}, fmt.Errorf("client: %s: %w: %w", req.Op, ErrUnavailable, res.err)
+		return wire.Response{}, fmt.Errorf("client: %s: %w: %w", req.Op, ErrUnavailable, res.err)
 	}
 	if !res.resp.OK {
 		if res.resp.WrongOwner {
@@ -250,7 +252,7 @@ func (c *Conn) Token(name string) uint64 {
 // doAcquire runs one acquire-type exchange, recording the fencing token
 // when a grant came back, and returns the raw response — the routing
 // layer reads owner hints (and Aborted/Acquired) off it directly.
-func (c *Conn) doAcquire(req lockd.Request) (lockd.Response, error) {
+func (c *Conn) doAcquire(req wire.Request) (wire.Response, error) {
 	resp, err := c.do(req)
 	if err == nil && resp.Acquired {
 		c.noteToken(req.Name, resp.Token)
@@ -260,8 +262,8 @@ func (c *Conn) doAcquire(req lockd.Request) (lockd.Response, error) {
 
 // acquireForRequest builds AcquireFor's wire request, rounding
 // sub-millisecond deadlines up to 1ms rather than down to "forever".
-func acquireForRequest(name string, timeout time.Duration) lockd.Request {
-	req := lockd.Request{Op: lockd.OpAcquire, Name: name, TimeoutMS: int64(timeout / time.Millisecond)}
+func acquireForRequest(name string, timeout time.Duration) wire.Request {
+	req := wire.Request{Op: wire.OpAcquire, Name: name, TimeoutMS: int64(timeout / time.Millisecond)}
 	if timeout > 0 && req.TimeoutMS == 0 {
 		req.TimeoutMS = 1
 	}
@@ -271,7 +273,7 @@ func acquireForRequest(name string, timeout time.Duration) lockd.Request {
 // Acquire blocks until the session holds the named lock, or returns
 // ErrAborted if the attempt was cancelled or capped server-side.
 func (c *Conn) Acquire(name string) error {
-	resp, err := c.doAcquire(lockd.Request{Op: lockd.OpAcquire, Name: name})
+	resp, err := c.doAcquire(wire.Request{Op: wire.OpAcquire, Name: name})
 	if err != nil {
 		return err
 	}
@@ -295,26 +297,26 @@ func (c *Conn) AcquireFor(name string, timeout time.Duration) (bool, error) {
 // server-side, closing the race with a pipelined Acquire). With name ""
 // it matches any acquire.
 func (c *Conn) Cancel(name string) error {
-	_, err := c.do(lockd.Request{Op: lockd.OpCancel, Name: name})
+	_, err := c.do(wire.Request{Op: wire.OpCancel, Name: name})
 	return err
 }
 
 // TryAcquire reports whether the lock was available and is now held.
 func (c *Conn) TryAcquire(name string) (bool, error) {
-	resp, err := c.doAcquire(lockd.Request{Op: lockd.OpTryAcquire, Name: name})
+	resp, err := c.doAcquire(wire.Request{Op: wire.OpTryAcquire, Name: name})
 	return resp.Acquired, err
 }
 
 // Release gives a held lock back.
 func (c *Conn) Release(name string) error {
-	_, err := c.do(lockd.Request{Op: lockd.OpRelease, Name: name})
+	_, err := c.do(wire.Request{Op: wire.OpRelease, Name: name})
 	return err
 }
 
 // Holds reports whether this session holds the named lock according to
 // the server — the owner check issued inside a critical section.
 func (c *Conn) Holds(name string) (bool, error) {
-	resp, err := c.do(lockd.Request{Op: lockd.OpHolds, Name: name})
+	resp, err := c.do(wire.Request{Op: wire.OpHolds, Name: name})
 	if err != nil {
 		return false, err
 	}
@@ -322,20 +324,20 @@ func (c *Conn) Holds(name string) (bool, error) {
 }
 
 // Stats fetches the server's counter snapshot.
-func (c *Conn) Stats() (lockd.Stats, error) {
-	resp, err := c.do(lockd.Request{Op: lockd.OpStats})
+func (c *Conn) Stats() (wire.Stats, error) {
+	resp, err := c.do(wire.Request{Op: wire.OpStats})
 	if err != nil {
-		return lockd.Stats{}, err
+		return wire.Stats{}, err
 	}
 	if resp.Stats == nil {
-		return lockd.Stats{}, fmt.Errorf("client: stats: empty response")
+		return wire.Stats{}, fmt.Errorf("client: stats: empty response")
 	}
 	return *resp.Stats, nil
 }
 
 // Ping probes liveness.
 func (c *Conn) Ping() error {
-	_, err := c.do(lockd.Request{Op: lockd.OpPing})
+	_, err := c.do(wire.Request{Op: wire.OpPing})
 	return err
 }
 
@@ -344,7 +346,7 @@ func (c *Conn) Ping() error {
 // any grant's lease had already expired — the session no longer holds
 // that lock.
 func (c *Conn) Heartbeat() error {
-	resp, err := c.do(lockd.Request{Op: lockd.OpHeartbeat})
+	resp, err := c.do(wire.Request{Op: wire.OpHeartbeat})
 	if err != nil {
 		return err
 	}
@@ -426,7 +428,7 @@ func (c *Conn) Close() error {
 // responses, in order. It returns only transport errors: per-request
 // failures are left in each Response for the caller to inspect. A
 // pipelined acquire+release pair through Batch costs one round trip.
-func (c *Conn) Batch(reqs []lockd.Request, resps []lockd.Response) error {
+func (c *Conn) Batch(reqs []wire.Request, resps []wire.Response) error {
 	if len(reqs) != len(resps) {
 		return fmt.Errorf("client: batch: %d requests but %d response slots", len(reqs), len(resps))
 	}
@@ -471,7 +473,7 @@ func (c *Conn) Batch(reqs []lockd.Request, resps []lockd.Response) error {
 
 // sendBatch is the direct-connection half of Batch: all lines in one
 // Write, ch registered once per request.
-func (c *Conn) sendBatch(reqs []lockd.Request, ch chan result) error {
+func (c *Conn) sendBatch(reqs []wire.Request, ch chan result) error {
 	c.sendMu.Lock()
 	c.mu.Lock()
 	if c.broken != nil {
@@ -486,7 +488,7 @@ func (c *Conn) sendBatch(reqs []lockd.Request, ch chan result) error {
 	c.mu.Unlock()
 	c.wbuf = c.wbuf[:0]
 	for i := range reqs {
-		c.wbuf = lockd.AppendRequest(c.wbuf, &reqs[i])
+		c.wbuf = wire.AppendRequest(c.wbuf, &reqs[i])
 		c.wbuf = append(c.wbuf, '\n')
 	}
 	_, werr := c.c.Write(c.wbuf)

@@ -17,7 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"anonmutex/lockd"
+	"anonmutex/lockd/wire"
 )
 
 // errStreamClosed fails requests issued on a mux stream after Close.
@@ -65,13 +65,12 @@ func DialMux(addr string) (*Mux, error) {
 
 // NewMux wraps an already-established connection as a binary multiplexed
 // client. The Mux takes ownership of c and immediately stakes the
-// protocol claim: the magic preamble — v4, so responses may carry
-// fencing tokens, TTLs, the fenced bit, cluster wrong-owner redirects,
-// and proxy-mode owner hints — is buffered ahead of the first frame
-// (the server reads it before anything else).
+// protocol claim: the binary preamble is buffered ahead of the first
+// frame (the server reads it before anything else).
 func NewMux(c net.Conn) *Mux {
 	m := &Mux{c: c, bw: bufio.NewWriter(c), streams: make(map[uint32]*Conn)}
-	m.bw.Write(lockd.BinaryMagicV4[:])
+	preamble := wire.Preamble(0)
+	m.bw.Write(preamble[:])
 	go m.readLoop()
 	return m
 }
@@ -100,20 +99,20 @@ func (m *Mux) Close() error {
 // send encodes reqs as one frame on st's stream and registers ch to
 // receive len(reqs) responses, in order. It never partially registers:
 // on any error nothing was queued and nothing was written.
-func (m *Mux) send(st *Conn, reqs []lockd.Request, ch chan result) error {
+func (m *Mux) send(st *Conn, reqs []wire.Request, ch chan result) error {
 	m.waiters.Add(1)
 	m.sendMu.Lock()
 	m.waiters.Add(-1)
-	m.wbuf = lockd.BeginFrame(m.wbuf[:0], st.stream)
+	m.wbuf = wire.BeginFrame(m.wbuf[:0], st.stream)
 	var err error
 	for i := range reqs {
-		if m.wbuf, err = lockd.AppendRequestBin(m.wbuf, &reqs[i]); err != nil {
+		if m.wbuf, err = wire.AppendRequestBin(m.wbuf, &reqs[i]); err != nil {
 			m.flushIfLast()
 			m.sendMu.Unlock()
 			return err
 		}
 	}
-	m.wbuf = lockd.EndFrame(m.wbuf, 0)
+	m.wbuf = wire.EndFrame(m.wbuf, 0)
 	st.mu.Lock()
 	if st.broken != nil {
 		err = fmt.Errorf("%w: %w", ErrUnavailable, st.broken)
@@ -150,12 +149,12 @@ func (m *Mux) flushIfLast() {
 }
 
 // do executes one request/response exchange on stream st.
-func (m *Mux) do(st *Conn, req lockd.Request) (lockd.Response, error) {
+func (m *Mux) do(st *Conn, req wire.Request) (wire.Response, error) {
 	ch := waiterPool.Get().(chan result)
-	reqs := [1]lockd.Request{req}
+	reqs := [1]wire.Request{req}
 	if err := m.send(st, reqs[:], ch); err != nil {
 		waiterPool.Put(ch)
-		return lockd.Response{}, fmt.Errorf("client: %s: %w", req.Op, err)
+		return wire.Response{}, fmt.Errorf("client: %s: %w", req.Op, err)
 	}
 	res := <-ch
 	waiterPool.Put(ch)
@@ -171,7 +170,7 @@ func (m *Mux) closeStream(st *Conn) error {
 	if already {
 		return nil
 	}
-	_, err := m.do(st, lockd.Request{Op: lockd.OpEndStream})
+	_, err := m.do(st, wire.Request{Op: wire.OpEndStream})
 	st.fail(errStreamClosed)
 	m.mu.Lock()
 	if m.streams[st.stream] == st {
@@ -194,14 +193,14 @@ func (m *Mux) readLoop() {
 		var stream uint32
 		var ops []byte
 		var err error
-		stream, ops, buf, err = lockd.ReadFrame(br, buf, lockd.DefaultMaxFrameBytes)
+		stream, ops, buf, err = wire.ReadFrame(br, buf, wire.DefaultMaxFrameBytes)
 		if err != nil {
 			m.fail(fmt.Errorf("mux broken: %w", err))
 			return
 		}
 		if stream == 0 {
-			var resp lockd.Response
-			if _, derr := lockd.DecodeResponseBin(ops, &resp); derr == nil && resp.Err != "" {
+			var resp wire.Response
+			if _, derr := wire.DecodeResponseBin(ops, &resp); derr == nil && resp.Err != "" {
 				m.fail(fmt.Errorf("server error: %s", resp.Err))
 			} else {
 				m.fail(errors.New("server error on stream 0"))
@@ -217,7 +216,7 @@ func (m *Mux) readLoop() {
 		}
 		for len(ops) > 0 {
 			var res result
-			if ops, err = lockd.DecodeResponseBin(ops, &res.resp); err != nil {
+			if ops, err = wire.DecodeResponseBin(ops, &res.resp); err != nil {
 				m.fail(fmt.Errorf("bad response: %w", err))
 				return
 			}

@@ -18,7 +18,7 @@ import (
 	"sync"
 	"time"
 
-	"anonmutex/lockd"
+	"anonmutex/lockd/wire"
 )
 
 // retryDelay is the pause before retry number attempt (0-based):
@@ -299,8 +299,8 @@ func (cl *poolClient) dropStatsConn(addr string, c *Conn) {
 // Stats sums counter snapshots across every reachable address, over the
 // client's existing per-address transports (a cached sub-session each —
 // no throwaway dial per call); it fails only when no address answers.
-func (cl *poolClient) Stats() (lockd.Stats, error) {
-	var sum lockd.Stats
+func (cl *poolClient) Stats() (wire.Stats, error) {
+	var sum wire.Stats
 	var lastErr error
 	reached := 0
 	for _, addr := range cl.opts.Addrs {
@@ -334,7 +334,7 @@ func (cl *poolClient) Stats() (lockd.Stats, error) {
 		sum.Streams += st.Streams
 	}
 	if reached == 0 {
-		return lockd.Stats{}, fmt.Errorf("client: stats: no address reachable: %w", lastErr)
+		return wire.Stats{}, fmt.Errorf("client: stats: no address reachable: %w", lastErr)
 	}
 	return sum, nil
 }
@@ -507,7 +507,7 @@ func (s *routedSession) dropSub(addr string, c *Conn) {
 // relays them), but the session's next acquire of that key routes
 // straight to the owner, so hot keys converge to direct routing after
 // one forwarded trip.
-func (s *routedSession) acquireRoute(name string, op func(c *Conn) (lockd.Response, error)) (lockd.Response, error) {
+func (s *routedSession) acquireRoute(name string, op func(c *Conn) (wire.Response, error)) (wire.Response, error) {
 	maxAttempts := s.cl.opts.MaxAttempts
 	hops := 0
 	next := "" // a just-received redirect target, followed unconditionally
@@ -520,7 +520,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (lockd.Respon
 		}
 		c, err := s.sub(addr)
 		if err == nil {
-			var resp lockd.Response
+			var resp wire.Response
 			resp, err = op(c)
 			if err == nil {
 				if resp.OwnerHint && resp.Owner != "" {
@@ -539,7 +539,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (lockd.Respon
 				s.cl.cache.learn(redir.Name, redir.Owner, redir.Epoch)
 				hops++
 				if hops > s.cl.opts.MaxRedirects {
-					return lockd.Response{}, err
+					return wire.Response{}, err
 				}
 				// Go where the redirect points, not where the cache says:
 				// the cache may rightly refuse to learn from a node whose
@@ -553,7 +553,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (lockd.Respon
 				s.cl.markDown(addr)
 				s.dropSub(addr, c)
 			} else {
-				return lockd.Response{}, err // a real rejection (aborted, held, fenced…)
+				return wire.Response{}, err // a real rejection (aborted, held, fenced…)
 			}
 		}
 		// Dial failure or mid-op transport loss: the cached owner (if
@@ -563,7 +563,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (lockd.Respon
 		lastErr = err
 		time.Sleep(retryDelay(attempt, s.cl.opts.RetryBackoff, s.cl.opts.RetryBackoffMax))
 	}
-	return lockd.Response{}, fmt.Errorf("client: %s: no cluster member could serve the acquire: %w", name, lastErr)
+	return wire.Response{}, fmt.Errorf("client: %s: no cluster member could serve the acquire: %w", name, lastErr)
 }
 
 // grantConn resolves the connection a grant-bound op must use: the
@@ -582,8 +582,8 @@ func (s *routedSession) grantConn(name string) (*Conn, string, error) {
 
 // Acquire blocks until the session holds name on its owning node.
 func (s *routedSession) Acquire(name string) error {
-	resp, err := s.acquireRoute(name, func(c *Conn) (lockd.Response, error) {
-		return c.doAcquire(lockd.Request{Op: lockd.OpAcquire, Name: name})
+	resp, err := s.acquireRoute(name, func(c *Conn) (wire.Response, error) {
+		return c.doAcquire(wire.Request{Op: wire.OpAcquire, Name: name})
 	})
 	if err != nil {
 		return err
@@ -596,7 +596,7 @@ func (s *routedSession) Acquire(name string) error {
 
 // AcquireFor bounds the attempt; expiry reports (false, nil).
 func (s *routedSession) AcquireFor(name string, d time.Duration) (bool, error) {
-	resp, err := s.acquireRoute(name, func(c *Conn) (lockd.Response, error) {
+	resp, err := s.acquireRoute(name, func(c *Conn) (wire.Response, error) {
 		return c.doAcquire(acquireForRequest(name, d))
 	})
 	return resp.Acquired, err
@@ -604,8 +604,8 @@ func (s *routedSession) AcquireFor(name string, d time.Duration) (bool, error) {
 
 // TryAcquire probes the owning node without waiting.
 func (s *routedSession) TryAcquire(name string) (bool, error) {
-	resp, err := s.acquireRoute(name, func(c *Conn) (lockd.Response, error) {
-		return c.doAcquire(lockd.Request{Op: lockd.OpTryAcquire, Name: name})
+	resp, err := s.acquireRoute(name, func(c *Conn) (wire.Response, error) {
+		return c.doAcquire(wire.Request{Op: wire.OpTryAcquire, Name: name})
 	})
 	return resp.Acquired, err
 }

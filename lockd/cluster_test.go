@@ -16,6 +16,7 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // clusterNode is one member of an in-test lockd cluster.
@@ -163,8 +164,7 @@ func TestClusterServeNeedsLeases(t *testing.T) {
 	}
 }
 
-// TestClusterRedirect exercises the v3 redirect through the modern
-// client: the owning node grants, the other node redirects to it.
+// TestClusterRedirect exercises the redirect through the Go client: the owning node grants, the other node redirects to it.
 func TestClusterRedirect(t *testing.T) {
 	nodes := startCluster(t, 2)
 	key := keyOwnedBy(t, nodes, "n0")
@@ -261,81 +261,6 @@ func TestClusterRoutedClient(t *testing.T) {
 	}
 }
 
-// TestClusterOldBinaryClients runs v1 and v2 binary clients against a
-// clustered server: the owning node serves them untouched; the wrong
-// node rejects cleanly — ok=false with an error they can surface — since
-// their dialects cannot carry the redirect payload.
-func TestClusterOldBinaryClients(t *testing.T) {
-	nodes := startCluster(t, 2)
-	ownKey := keyOwnedBy(t, nodes, "n0")
-	awayKey := keyOwnedBy(t, nodes, "n1")
-
-	dialects := []struct {
-		name   string
-		magic  [4]byte
-		decode func([]byte, *lockd.Response) ([]byte, error)
-	}{
-		{"v1", lockd.BinaryMagic, lockd.DecodeResponseBinV1},
-		{"v2", lockd.BinaryMagicV2, lockd.DecodeResponseBinV2},
-	}
-	for _, d := range dialects {
-		t.Run(d.name, func(t *testing.T) {
-			conn, err := net.Dial("tcp", nodes[0].addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if _, err := conn.Write(d.magic[:]); err != nil {
-				t.Fatal(err)
-			}
-			br := bufio.NewReader(conn)
-			do := func(op, name string) lockd.Response {
-				t.Helper()
-				frame := lockd.BeginFrame(nil, 1)
-				frame, err := lockd.AppendRequestBin(frame, &lockd.Request{Op: op, Name: name})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := conn.Write(lockd.EndFrame(frame, 0)); err != nil {
-					t.Fatal(err)
-				}
-				stream, ops, _, err := lockd.ReadFrame(br, nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stream != 1 {
-					t.Fatalf("response on stream %d", stream)
-				}
-				var resp lockd.Response
-				if _, err := d.decode(ops, &resp); err != nil {
-					t.Fatalf("%s decode: %v", d.name, err)
-				}
-				return resp
-			}
-
-			// The owning node serves the old dialect exactly as before.
-			if resp := do(lockd.OpAcquire, ownKey); !resp.OK {
-				t.Fatalf("%s acquire on owner failed: %+v", d.name, resp)
-			}
-			if resp := do(lockd.OpRelease, ownKey); !resp.OK {
-				t.Fatalf("%s release on owner failed: %+v", d.name, resp)
-			}
-			// A key owned elsewhere fails loudly, never silently: the old
-			// dialect drops the redirect payload but keeps the error.
-			resp := do(lockd.OpTryAcquire, awayKey)
-			if resp.OK {
-				t.Fatalf("%s acquire of a foreign key succeeded on the wrong node", d.name)
-			}
-			if resp.Err == "" {
-				t.Fatalf("%s wrong-owner rejection lost its error text", d.name)
-			}
-			if !strings.Contains(resp.Err, "wrong owner") {
-				t.Errorf("%s err = %q", d.name, resp.Err)
-			}
-		})
-	}
-}
-
 // TestClusterOldJSONClient sends a raw newline-JSON acquire — what a
 // pre-cluster JSON client emits — to the wrong node and checks the
 // response stays parseable and explicit for a reader that ignores the
@@ -349,7 +274,7 @@ func TestClusterOldJSONClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, `{"op":%q,"name":%q}`+"\n", lockd.OpTryAcquire, awayKey)
+	fmt.Fprintf(conn, `{"op":%q,"name":%q}`+"\n", wire.OpTryAcquire, awayKey)
 	line, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,21 @@
-package lockd
+package lockd_test
 
-// Property-style codec tests: the hand-rolled encoder/decoder must agree
-// with encoding/json on every field combination of the protocol's shapes
-// — byte-identical encoding, and cross-decoding in both directions — so
-// a codec client talks to a reflection server (and vice versa) without
-// either noticing.
+// Property-style tests of the two wire formats as the server's users see
+// them: every field combination of the protocol's shapes survives JSON
+// and binary alike, and the two formats mean the same thing — a binary
+// client and a JSON client are indistinguishable to the server.
 
 import (
-	"encoding/json"
-	"fmt"
+	"bufio"
+	"io"
 	"math"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"anonmutex/internal/lockmgr"
 	"anonmutex/internal/xrand"
 	"anonmutex/lockd/wire"
 )
@@ -33,31 +35,17 @@ var codecNames = []string{
 
 var codecTimeouts = []int64{0, 1, -5, 123456789, math.MaxInt64, math.MinInt64}
 
-func checkRequestCodec(t *testing.T, req Request) {
+// checkRequestCodec: req survives the JSON format, and (through
+// checkRequestBinCodec) the binary one.
+func checkRequestCodec(t *testing.T, req wire.Request) {
 	t.Helper()
-	js, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("json.Marshal(%+v): %v", req, err)
-	}
-	enc := AppendRequest(nil, &req)
-	if string(enc) != string(js) {
-		t.Errorf("encoding mismatch for %+v:\n codec: %s\n  json: %s", req, enc, js)
-	}
-	// Cross-decode: our decoder on encoding/json's bytes...
-	var got Request
-	if err := DecodeRequest(js, &got); err != nil {
-		t.Fatalf("DecodeRequest(%s): %v", js, err)
+	enc := wire.AppendRequest(nil, &req)
+	var got wire.Request
+	if err := wire.DecodeRequest(enc, &got); err != nil {
+		t.Fatalf("DecodeRequest(%s): %v", enc, err)
 	}
 	if got != req {
-		t.Errorf("DecodeRequest(json.Marshal) = %+v, want %+v", got, req)
-	}
-	// ...and encoding/json's decoder on ours.
-	var jgot Request
-	if err := json.Unmarshal(enc, &jgot); err != nil {
-		t.Fatalf("json.Unmarshal(%s): %v", enc, err)
-	}
-	if jgot != req {
-		t.Errorf("json.Unmarshal(AppendRequest) = %+v, want %+v", jgot, req)
+		t.Errorf("JSON round trip = %+v, want %+v", got, req)
 	}
 	checkRequestBinCodec(t, req)
 }
@@ -68,9 +56,9 @@ func checkRequestCodec(t *testing.T, req Request) {
 // indistinguishable to the server. Ops outside the protocol must be
 // rejected by the binary encoder (the JSON format carries any string;
 // the binary format's opcode table is closed on purpose).
-func checkRequestBinCodec(t *testing.T, req Request) {
+func checkRequestBinCodec(t *testing.T, req wire.Request) {
 	t.Helper()
-	enc, err := AppendRequestBin(nil, &req)
+	enc, err := wire.AppendRequestBin(nil, &req)
 	if wire.Opcode(req.Op) == 0 {
 		if err == nil {
 			t.Errorf("AppendRequestBin(%+v) accepted an op with no opcode", req)
@@ -80,8 +68,8 @@ func checkRequestBinCodec(t *testing.T, req Request) {
 	if err != nil {
 		t.Fatalf("AppendRequestBin(%+v): %v", req, err)
 	}
-	var bgot Request
-	rest, err := DecodeRequestBin(enc, &bgot)
+	var bgot wire.Request
+	rest, err := wire.DecodeRequestBin(enc, &bgot, nil)
 	if err != nil {
 		t.Fatalf("DecodeRequestBin(%+v): %v", req, err)
 	}
@@ -92,9 +80,9 @@ func checkRequestBinCodec(t *testing.T, req Request) {
 		t.Errorf("binary round trip = %+v, want %+v", bgot, req)
 	}
 	// The decoded struct must re-enter the JSON format unchanged.
-	var jgot Request
-	if err := json.Unmarshal(AppendRequest(nil, &bgot), &jgot); err != nil {
-		t.Fatalf("json.Unmarshal(AppendRequest(binary round trip)): %v", err)
+	var jgot wire.Request
+	if err := wire.DecodeRequest(wire.AppendRequest(nil, &bgot), &jgot); err != nil {
+		t.Fatalf("DecodeRequest(AppendRequest(binary round trip)): %v", err)
 	}
 	if jgot != req {
 		t.Errorf("binary→struct→JSON→struct = %+v, want %+v", jgot, req)
@@ -102,39 +90,26 @@ func checkRequestBinCodec(t *testing.T, req Request) {
 }
 
 func TestRequestCodecAllFieldCombinations(t *testing.T) {
-	ops := []string{OpAcquire, OpTryAcquire, OpRelease, OpCancel, OpHolds, OpHeartbeat, OpStats, OpPing, OpEndStream, "unknown-op", ""}
+	ops := []string{wire.OpAcquire, wire.OpTryAcquire, wire.OpRelease, wire.OpCancel, wire.OpHolds, wire.OpHeartbeat, wire.OpStats, wire.OpPing, wire.OpEndStream, "unknown-op", ""}
 	for _, op := range ops {
 		for _, name := range codecNames {
 			for _, timeout := range codecTimeouts {
-				checkRequestCodec(t, Request{Op: op, Name: name, TimeoutMS: timeout})
+				checkRequestCodec(t, wire.Request{Op: op, Name: name, TimeoutMS: timeout})
 			}
 		}
 	}
 }
 
-func checkResponseCodec(t *testing.T, resp Response) {
+// checkResponseCodec is checkRequestCodec for responses.
+func checkResponseCodec(t *testing.T, resp wire.Response) {
 	t.Helper()
-	js, err := json.Marshal(resp)
-	if err != nil {
-		t.Fatalf("json.Marshal(%+v): %v", resp, err)
-	}
-	enc := AppendResponse(nil, &resp)
-	if string(enc) != string(js) {
-		t.Errorf("encoding mismatch for %+v:\n codec: %s\n  json: %s", resp, enc, js)
-	}
-	var got Response
-	if err := DecodeResponse(js, &got); err != nil {
-		t.Fatalf("DecodeResponse(%s): %v", js, err)
+	enc := wire.AppendResponse(nil, &resp)
+	var got wire.Response
+	if err := wire.DecodeResponse(enc, &got); err != nil {
+		t.Fatalf("DecodeResponse(%s): %v", enc, err)
 	}
 	if !reflect.DeepEqual(got, resp) {
-		t.Errorf("DecodeResponse(json.Marshal) = %+v, want %+v", got, resp)
-	}
-	var jgot Response
-	if err := json.Unmarshal(enc, &jgot); err != nil {
-		t.Fatalf("json.Unmarshal(%s): %v", enc, err)
-	}
-	if !reflect.DeepEqual(jgot, resp) {
-		t.Errorf("json.Unmarshal(AppendResponse) = %+v, want %+v", jgot, resp)
+		t.Errorf("JSON round trip = %+v, want %+v", got, resp)
 	}
 	checkResponseBinCodec(t, resp)
 }
@@ -142,11 +117,11 @@ func checkResponseCodec(t *testing.T, resp Response) {
 // checkResponseBinCodec is the response half of the cross-format
 // equivalence property: binary→struct→JSON→struct must reproduce the
 // value exactly, including full-range stats counters.
-func checkResponseBinCodec(t *testing.T, resp Response) {
+func checkResponseBinCodec(t *testing.T, resp wire.Response) {
 	t.Helper()
-	enc := AppendResponseBin(nil, &resp)
-	var bgot Response
-	rest, err := DecodeResponseBin(enc, &bgot)
+	enc := wire.AppendResponseBin(nil, &resp)
+	var bgot wire.Response
+	rest, err := wire.DecodeResponseBin(enc, &bgot)
 	if err != nil {
 		t.Fatalf("DecodeResponseBin(%+v): %v", resp, err)
 	}
@@ -156,9 +131,9 @@ func checkResponseBinCodec(t *testing.T, resp Response) {
 	if !reflect.DeepEqual(bgot, resp) {
 		t.Errorf("binary round trip = %+v, want %+v", bgot, resp)
 	}
-	var jgot Response
-	if err := json.Unmarshal(AppendResponse(nil, &bgot), &jgot); err != nil {
-		t.Fatalf("json.Unmarshal(AppendResponse(binary round trip)): %v", err)
+	var jgot wire.Response
+	if err := wire.DecodeResponse(wire.AppendResponse(nil, &bgot), &jgot); err != nil {
+		t.Fatalf("DecodeResponse(AppendResponse(binary round trip)): %v", err)
 	}
 	if !reflect.DeepEqual(jgot, resp) {
 		t.Errorf("binary→struct→JSON→struct = %+v, want %+v", jgot, resp)
@@ -166,7 +141,7 @@ func checkResponseBinCodec(t *testing.T, resp Response) {
 }
 
 func TestResponseCodecAllFieldCombinations(t *testing.T) {
-	statsCases := []*Stats{
+	statsCases := []*wire.Stats{
 		nil,
 		{},
 		{
@@ -212,7 +187,7 @@ func TestResponseCodecAllFieldCombinations(t *testing.T) {
 						for _, lf := range leaseCases {
 							for _, rd := range redirectCases {
 								for _, stats := range statsCases {
-									checkResponseCodec(t, Response{
+									checkResponseCodec(t, wire.Response{
 										OK: ok, Err: errStr, Acquired: acquired,
 										Aborted: aborted, Holds: holds,
 										Token: lf.token, TTLMS: lf.ttl, Fenced: lf.fenced,
@@ -230,117 +205,6 @@ func TestResponseCodecAllFieldCombinations(t *testing.T) {
 	}
 }
 
-// TestResponseBinV1Dialect pins the legacy binary response dialect a
-// BinaryMagic (v1) client decodes: lease fields are dropped on encode
-// — byte-for-byte what a pre-lease server sent — stats carry the
-// original 13-field sequence, and the v2 flag bits stay unknown to the
-// v1 decoder. This is the compatibility contract that lets old binary
-// clients talk to a lease-running server.
-func TestResponseBinV1Dialect(t *testing.T) {
-	full := Response{
-		OK: true, Acquired: true, Token: 42, TTLMS: 1500, Fenced: true,
-		Stats: &Stats{
-			Acquires: 1, Releases: 2, Waits: 3, TryAcquires: 4, TryFailures: 5,
-			LockCreates: 6, Evictions: 7, ResidentLocks: 8, Aborts: 9,
-			LeaseTimeouts: 10, Expired: 11, Revoked: 12, FencedRejects: 13,
-			Violations: 14, Sessions: 15, Streams: 16,
-		},
-	}
-	enc := AppendResponseBinV1(nil, &full)
-	var got Response
-	rest, err := DecodeResponseBinV1(enc, &got)
-	if err != nil {
-		t.Fatalf("DecodeResponseBinV1: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Errorf("v1 decode left %d trailing bytes", len(rest))
-	}
-	want := full
-	want.Token, want.TTLMS, want.Fenced = 0, 0, false
-	ws := *full.Stats
-	ws.Expired, ws.Revoked, ws.FencedRejects = 0, 0, 0
-	want.Stats = &ws
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v1 round trip = %+v, want %+v", got, want)
-	}
-	// A newer-dialect encoding of the same response must be rejected by
-	// the v1 decoder: its lease/fenced flag bits are unknown there.
-	v2 := AppendResponseBinV2(nil, &full)
-	if _, err := DecodeResponseBinV1(v2, &got); err == nil {
-		t.Error("v1 decoder accepted v2 lease flag bits")
-	}
-	// And a lease-free response must encode identically in every
-	// dialect except for the stats tail — spot-check the plain case.
-	plain := Response{OK: true, Holds: true}
-	if v1, v3 := AppendResponseBinV1(nil, &plain), AppendResponseBin(nil, &plain); string(v1) != string(v3) {
-		t.Errorf("lease-free response differs across dialects: v1=%x v3=%x", v1, v3)
-	}
-}
-
-// TestResponseBinV2Dialect pins the v2 binary response dialect a
-// BinaryMagicV2 client decodes: lease fields intact, but the redirect
-// fields are dropped on encode — the peer sees only the refusal's
-// error string, exactly what a pre-cluster server sent — and the v3
-// redirect flag stays unknown to the v2 decoder. This is the contract
-// that lets v2 binary clients talk to a clustered server: a redirect
-// reaching them fails cleanly, never silently.
-func TestResponseBinV2Dialect(t *testing.T) {
-	redir := Response{
-		Err:        `lockd: wrong owner for "k": try 10.0.0.7:7171`,
-		WrongOwner: true, Owner: "10.0.0.7:7171", Epoch: 9,
-		Token: 42, TTLMS: 1500, Fenced: true,
-	}
-	enc := AppendResponseBinV2(nil, &redir)
-	var got Response
-	rest, err := DecodeResponseBinV2(enc, &got)
-	if err != nil {
-		t.Fatalf("DecodeResponseBinV2: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Errorf("v2 decode left %d trailing bytes", len(rest))
-	}
-	want := redir
-	want.WrongOwner, want.Owner, want.Epoch = false, "", 0
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v2 round trip = %+v, want %+v", got, want)
-	}
-	if got.Err == "" || got.OK {
-		t.Error("a redirect through the v2 dialect must stay a visible error")
-	}
-
-	// A v3 redirect encoding means nothing to a v2 decoder: the uvarint
-	// flag field is not a valid v2 flags byte stream, so the decode
-	// errors or yields garbage — never the redirect. The magic preamble
-	// is what guarantees a v2 connection never receives these bytes;
-	// this pins that the dialects really did diverge.
-	v3 := AppendResponseBin(nil, &redir)
-	var cross Response
-	if _, err := DecodeResponseBinV2(v3, &cross); err == nil && reflect.DeepEqual(cross, got) {
-		t.Error("v2 decoder understood a v3 redirect response; the dialect bump is not a bump")
-	}
-
-	// Responses whose flags fit seven bits encode identically in v2 and
-	// v3 — the uvarint widening is free for every pre-redirect shape.
-	lease := Response{OK: true, Acquired: true, Token: 7, TTLMS: 900}
-	if v2, v3 := AppendResponseBinV2(nil, &lease), AppendResponseBin(nil, &lease); string(v2) != string(v3) {
-		t.Errorf("lease response differs across v2/v3: v2=%x v3=%x", v2, v3)
-	}
-	// A fenced response is the first shape that does differ (bit 7 sets
-	// the uvarint continuation bit in v3) — but both dialects must
-	// decode their own bytes to the same value.
-	fenced := Response{Err: "lockd: fenced", Fenced: true}
-	var fromV2, fromV3 Response
-	if _, err := DecodeResponseBinV2(AppendResponseBinV2(nil, &fenced), &fromV2); err != nil {
-		t.Fatalf("v2 fenced round trip: %v", err)
-	}
-	if _, err := DecodeResponseBin(AppendResponseBin(nil, &fenced), &fromV3); err != nil {
-		t.Fatalf("v3 fenced round trip: %v", err)
-	}
-	if !reflect.DeepEqual(fromV2, fromV3) {
-		t.Errorf("fenced response decodes differently: v2=%+v v3=%+v", fromV2, fromV3)
-	}
-}
-
 // TestRequestCodecRandomized hammers the string path with seeded random
 // names mixing ASCII, escapes, multi-byte runes, and control characters.
 func TestRequestCodecRandomized(t *testing.T) {
@@ -352,8 +216,8 @@ func TestRequestCodecRandomized(t *testing.T) {
 		for j := range name {
 			name[j] = alphabet[r.Intn(len(alphabet))]
 		}
-		checkRequestCodec(t, Request{
-			Op:        OpAcquire,
+		checkRequestCodec(t, wire.Request{
+			Op:        wire.OpAcquire,
 			Name:      string(name),
 			TimeoutMS: int64(r.Intn(1000)) - 500,
 		})
@@ -362,38 +226,32 @@ func TestRequestCodecRandomized(t *testing.T) {
 
 // TestDecodeForeignShapes: the decoder must accept what foreign clients
 // may legally send — reordered fields, whitespace, unknown fields, null
-// stats — exactly as encoding/json would.
+// stats.
 func TestDecodeForeignShapes(t *testing.T) {
 	cases := []struct {
 		line string
-		want Request
+		want wire.Request
 	}{
-		{`{"name":"k","op":"acquire"}`, Request{Op: OpAcquire, Name: "k"}},
-		{` { "op" : "try" , "timeout_ms" : 42 , "name" : "x" } `, Request{Op: OpTryAcquire, Name: "x", TimeoutMS: 42}},
-		{`{"op":"ping","future_field":{"nested":[1,2.5,"s",null,true]},"name":"p"}`, Request{Op: OpPing, Name: "p"}},
-		{`{"op":"release","name":"\u0068\u00e9\ud83d\ude00"}`, Request{Op: OpRelease, Name: "hé😀"}},
-		{`{}`, Request{}},
+		{`{"name":"k","op":"acquire"}`, wire.Request{Op: wire.OpAcquire, Name: "k"}},
+		{` { "op" : "try" , "timeout_ms" : 42 , "name" : "x" } `, wire.Request{Op: wire.OpTryAcquire, Name: "x", TimeoutMS: 42}},
+		{`{"op":"ping","future_field":{"nested":[1,2.5,"s",null,true]},"name":"p"}`, wire.Request{Op: wire.OpPing, Name: "p"}},
+		{`{"op":"release","name":"\u0068\u00e9\ud83d\ude00"}`, wire.Request{Op: wire.OpRelease, Name: "hé😀"}},
+		{`{"ok":1}`, wire.Request{}}, // a response's field means nothing in a request
+		{`{}`, wire.Request{}},
 	}
 	for _, c := range cases {
-		var got Request
-		if err := DecodeRequest([]byte(c.line), &got); err != nil {
+		var got wire.Request
+		if err := wire.DecodeRequest([]byte(c.line), &got); err != nil {
 			t.Errorf("DecodeRequest(%s): %v", c.line, err)
 			continue
 		}
 		if got != c.want {
 			t.Errorf("DecodeRequest(%s) = %+v, want %+v", c.line, got, c.want)
 		}
-		var jgot Request
-		if err := json.Unmarshal([]byte(c.line), &jgot); err != nil {
-			t.Fatalf("control: json.Unmarshal(%s): %v", c.line, err)
-		}
-		if jgot != got {
-			t.Errorf("decoder disagrees with encoding/json on %s: %+v vs %+v", c.line, got, jgot)
-		}
 	}
 
-	var resp Response
-	if err := DecodeResponse([]byte(`{"stats":null,"ok":true,"extra":"x"}`), &resp); err != nil {
+	var resp wire.Response
+	if err := wire.DecodeResponse([]byte(`{"stats":null,"ok":true,"extra":"x"}`), &resp); err != nil {
 		t.Fatalf("DecodeResponse with null stats: %v", err)
 	}
 	if !resp.OK || resp.Stats != nil {
@@ -401,123 +259,53 @@ func TestDecodeForeignShapes(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsGarbage: malformed lines must error, not misparse.
+// TestDecodeRejectsGarbage: a malformed line must error, not misparse —
+// in the decoder, and on a live connection, where it draws exactly one
+// bad-request response and a hangup.
 func TestDecodeRejectsGarbage(t *testing.T) {
+	_, _, addr := startServer(t, lockmgr.Config{})
 	for _, line := range []string{
 		``, `x`, `{`, `{"op"}`, `{"op":}`, `{"op":"a"`, `{"op":"a",}`,
-		`{"timeout_ms":"5"}`, `{"ok":1}`, `{"op":"a" "name":"b"}`,
-		`{"name":"unterminated}`,
-		// Trailing data after the object must be rejected, exactly as
-		// encoding/json's "invalid character after top-level value" — a
-		// second object on the line would otherwise be silently dropped
-		// and desynchronize a pipelining client.
+		`{"timeout_ms":"5"}`, `{"op":7}`, `{"op":"a" "name":"b"}`,
+		`{"name":"unterminated}`, `[]`, `"acquire"`,
+		// Trailing data after the object: a second object on the line
+		// would otherwise be silently dropped and desynchronize a
+		// pipelining client.
 		`{"op":"ping"} junk`,
 		`{"op":"acquire","name":"a"}{"op":"release","name":"a"}`,
 	} {
-		var req Request
-		if err := DecodeRequest([]byte(line), &req); err == nil {
-			// encoding/json must reject it too, or our decoder is stricter
-			// than the contract.
-			var jreq Request
-			if jerr := json.Unmarshal([]byte(line), &jreq); jerr != nil {
-				t.Errorf("DecodeRequest(%q) accepted what encoding/json rejects", line)
-			}
+		var req wire.Request
+		if err := wire.DecodeRequest([]byte(line), &req); err == nil {
+			t.Errorf("DecodeRequest(%q) accepted garbage as %+v", line, req)
 		}
-	}
-}
 
-// TestInterningDecode: the server-side decoder must reuse one string per
-// recurring name, and the table must stay byte-bounded under a stream
-// of unique names.
-func TestInterningDecode(t *testing.T) {
-	names := newNameTable()
-	var a, b Request
-	if err := decodeRequest([]byte(`{"op":"acquire","name":"hot-key"}`), &a, names); err != nil {
-		t.Fatal(err)
-	}
-	if err := decodeRequest([]byte(`{"op":"release","name":"hot-key"}`), &b, names); err != nil {
-		t.Fatal(err)
-	}
-	if len(names.m) != 1 {
-		t.Fatalf("interning table has %d entries, want 1", len(names.m))
-	}
-	if a.Name != "hot-key" || b.Name != "hot-key" {
-		t.Fatalf("interned names %q/%q", a.Name, b.Name)
-	}
-
-	// A pathological stream of unique long names must not grow the table
-	// past its byte budget (plus one entry of slack around each reset).
-	long := strings.Repeat("x", 1<<10)
-	var req Request
-	for i := 0; i < 4096; i++ {
-		line := AppendRequest(nil, &Request{Op: OpHolds, Name: fmt.Sprintf("%s-%d", long, i)})
-		if err := decodeRequest(line, &req, names); err != nil {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if names.bytes > maxInternedNameBytes+len(long)+16 {
-			t.Fatalf("interning table grew to %d bytes, budget %d", names.bytes, maxInternedNameBytes)
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
 		}
+		br := bufio.NewReader(conn)
+		raw, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("%q: no response before the hangup: %v", line, err)
+		}
+		var resp wire.Response
+		if err := wire.DecodeResponse(raw[:len(raw)-1], &resp); err != nil {
+			t.Fatalf("%q: unparseable response %q: %v", line, raw, err)
+		}
+		if resp.OK || !strings.Contains(resp.Err, "bad request") {
+			t.Errorf("%q: want a bad-request error, got %+v", line, resp)
+		}
+		if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+			t.Errorf("%q: want a hangup after one response, got %q, %v", line, rest, err)
+		}
+		conn.Close()
 	}
-}
-
-// BenchmarkCodec pits the hand codec against encoding/json on the
-// steady-state shapes.
-func BenchmarkCodec(b *testing.B) {
-	req := Request{Op: OpAcquire, Name: "key-0001", TimeoutMS: 250}
-	reqLine, _ := json.Marshal(req)
-	resp := Response{OK: true, Acquired: true}
-	respLine, _ := json.Marshal(resp)
-
-	b.Run("encode-request", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 256)
-		for i := 0; i < b.N; i++ {
-			buf = AppendRequest(buf[:0], &req)
-		}
-	})
-	b.Run("encode-request-json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-request", func(b *testing.B) {
-		b.ReportAllocs()
-		names := newNameTable()
-		var r Request
-		for i := 0; i < b.N; i++ {
-			if err := decodeRequest(reqLine, &r, names); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-request-json", func(b *testing.B) {
-		b.ReportAllocs()
-		var r Request
-		for i := 0; i < b.N; i++ {
-			r = Request{}
-			if err := json.Unmarshal(reqLine, &r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encode-response", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 256)
-		for i := 0; i < b.N; i++ {
-			buf = AppendResponse(buf[:0], &resp)
-		}
-	})
-	b.Run("decode-response", func(b *testing.B) {
-		b.ReportAllocs()
-		var r Response
-		for i := 0; i < b.N; i++ {
-			if err := DecodeResponse(respLine, &r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	_ = fmt.Sprint()
+	var resp wire.Response
+	if err := wire.DecodeResponse([]byte(`{"ok":1}`), &resp); err == nil {
+		t.Errorf(`DecodeResponse({"ok":1}) accepted a number as a boolean`)
+	}
 }

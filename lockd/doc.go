@@ -1,15 +1,18 @@
 // Package lockd implements a small network lock service over the
 // internal/lockmgr sharded named-lock manager. Two wire formats carry
-// the same protocol: newline-delimited JSON (one logical session per
-// connection — the zero-config default every old client speaks) and a
-// length-prefixed binary framing that multiplexes many logical streams
-// over one connection and batches ops per frame (see frame.go; a client
-// opts in by leading with BinaryMagic, anything else is served as
-// JSON). Either way, every grant a logical session holds is released
-// automatically when the session ends.
+// the same protocol: a length-prefixed binary framing that multiplexes
+// many logical streams over one connection and batches ops per frame —
+// what the Go client and every measured workload speak; a client opts in
+// by leading with the wire.Preamble — and newline-delimited JSON (one
+// logical session per connection), which any other first byte selects
+// and which exists so that nc, a script, or a debugger can talk to a
+// node. Both formats, and the Request/Response/Stats shapes they carry,
+// are defined in lockd/wire and nowhere else; this package only moves
+// their bytes. Either way, every grant a logical session holds is
+// released automatically when the session ends.
 //
-// The protocol is deliberately minimal. Each request line is a Request;
-// each response line is a Response, and responses are written in request
+// The protocol is deliberately minimal. Each request is a wire.Request;
+// each response is a wire.Response, and responses are written in request
 // order (per stream, on the binary transport). Operations:
 //
 //	acquire  block until the session holds the named lock; with
@@ -45,10 +48,9 @@
 // Key ops sent to the wrong node are refused with wrong_owner=true
 // plus the owning node's address and the membership epoch, so a
 // routing client can follow the redirect and invalidate stale cache
-// entries. Single-node servers never emit the field, and old clients —
-// which skip unknown JSON fields, or whose binary dialect predates the
-// redirect flag — see a plain error: a clean failure, never a silent
-// success on the wrong node.
+// entries. Single-node servers never emit the field, and a JSON reader
+// that skips fields it does not know sees a plain error: a clean
+// failure, never a silent success on the wrong node.
 //
 // A connection that drops mid-acquire is reaped: the server cancels the
 // in-flight acquisition, the waiter leaves the lease queue or withdraws
@@ -58,38 +60,4 @@
 // is an error, as is releasing one it does not hold. See lockd/client for
 // the Go client (which pipelines requests, so Cancel can chase a blocked
 // Acquire on the same session).
-//
-// The protocol's vocabulary — op names, Request/Response/Stats shapes,
-// binary opcode and flag tables — is defined once in lockd/wire and
-// consumed by both codecs; this package re-exports the names so
-// existing importers keep compiling.
 package lockd
-
-import "anonmutex/lockd/wire"
-
-// Operation names of the wire protocol (defined in lockd/wire).
-const (
-	OpAcquire    = wire.OpAcquire
-	OpTryAcquire = wire.OpTryAcquire
-	OpRelease    = wire.OpRelease
-	OpCancel     = wire.OpCancel
-	OpHolds      = wire.OpHolds
-	OpHeartbeat  = wire.OpHeartbeat
-	OpStats      = wire.OpStats
-	OpPing       = wire.OpPing
-	// OpReleaseNoAck is a fire-and-forget release: the server performs
-	// it and answers nothing, so the sender must not wait for (or
-	// FIFO-match) a response. The proxy uses it to retire forwarded
-	// grants without an inter-node round trip.
-	OpReleaseNoAck = wire.OpReleaseNoAck
-)
-
-// Request is one client request line. Alias of wire.Request.
-type Request = wire.Request
-
-// Response is one server response line. Alias of wire.Response.
-type Response = wire.Response
-
-// Stats is the manager-wide counter snapshot served by the stats op.
-// Alias of wire.Stats.
-type Stats = wire.Stats

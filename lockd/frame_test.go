@@ -1,13 +1,9 @@
-package lockd
+package lockd_test
 
 // Frame-layer tests: the binary mirror of maxline_test.go's contract —
 // frames beyond the limit (or malformed below it) error cleanly instead
-// of ballooning memory or mis-framing — plus the fuzz harness pinning
-// that arbitrary bytes never panic any binary decoder and never claim
-// more bytes than are present. The committed seed corpus under
-// testdata/fuzz/FuzzFrameDecode keeps the interesting shapes (valid
-// batches, oversized lengths, truncations) in every CI run even without
-// -fuzz.
+// of ballooning memory or mis-framing. The fuzz harness over the same
+// decoders lives with them, in lockd/wire.
 
 import (
 	"bufio"
@@ -17,29 +13,31 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"anonmutex/lockd/wire"
 )
 
 // TestFrameRoundTrip: Begin/EndFrame against DecodeFrame and ReadFrame,
 // including batched ops and trailing data (the next frame) left intact.
 func TestFrameRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{Op: OpAcquire, Name: "key-0001", TimeoutMS: 250},
-		{Op: OpHolds, Name: "key-0001"},
-		{Op: OpRelease, Name: "key-0001"},
-		{Op: OpPing},
+	reqs := []wire.Request{
+		{Op: wire.OpAcquire, Name: "key-0001", TimeoutMS: 250},
+		{Op: wire.OpHolds, Name: "key-0001"},
+		{Op: wire.OpRelease, Name: "key-0001"},
+		{Op: wire.OpPing},
 	}
-	frame := BeginFrame(nil, 7)
+	frame := wire.BeginFrame(nil, 7)
 	for i := range reqs {
 		var err error
-		if frame, err = AppendRequestBin(frame, &reqs[i]); err != nil {
+		if frame, err = wire.AppendRequestBin(frame, &reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	frame = EndFrame(frame, 0)
+	frame = wire.EndFrame(frame, 0)
 	trailer := []byte("next frame bytes")
-	wire := append(append([]byte{}, frame...), trailer...)
+	raw := append(append([]byte{}, frame...), trailer...)
 
-	stream, ops, rest, err := DecodeFrame(wire, 0)
+	stream, ops, rest, err := wire.DecodeFrame(raw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +47,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(rest, trailer) {
 		t.Errorf("rest = %q, want %q", rest, trailer)
 	}
-	var got Request
+	var got wire.Request
 	for i := range reqs {
-		if ops, err = DecodeRequestBin(ops, &got); err != nil {
+		if ops, err = wire.DecodeRequestBin(ops, &got, nil); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		if got != reqs[i] {
@@ -63,12 +61,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	// ReadFrame must agree with DecodeFrame on the same bytes.
-	br := bufio.NewReader(bytes.NewReader(wire))
-	rstream, rops, _, err := ReadFrame(br, nil, 0)
+	br := bufio.NewReader(bytes.NewReader(raw))
+	rstream, rops, _, err := wire.ReadFrame(br, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rstream != 7 || !bytes.Equal(rops, frame[frameHeaderLen:]) {
+	if rstream != 7 || !bytes.Equal(rops, frame[wire.FrameHeaderLen:]) {
 		t.Errorf("ReadFrame disagrees with DecodeFrame")
 	}
 	left, _ := io.ReadAll(br)
@@ -85,23 +83,23 @@ func TestFrameLimitContract(t *testing.T) {
 	huge := binary.LittleEndian.AppendUint32(nil, 1<<30)
 	huge = binary.LittleEndian.AppendUint32(huge, 1)
 
-	if _, _, _, err := DecodeFrame(huge, 1<<16); !errors.Is(err, errFrameTooBig) {
+	if _, _, _, err := wire.DecodeFrame(huge, 1<<16); !errors.Is(err, wire.ErrFrameTooBig) {
 		t.Errorf("DecodeFrame oversize: %v", err)
 	}
 	// ReadFrame must reject on the header alone: the reader holds only 8
 	// bytes, so reaching for the payload would block or fail — erroring
 	// first is what keeps a hostile length from ballooning memory.
 	br := bufio.NewReader(bytes.NewReader(huge))
-	if _, _, _, err := ReadFrame(br, nil, 1<<16); !errors.Is(err, errFrameTooBig) {
+	if _, _, _, err := wire.ReadFrame(br, nil, 1<<16); !errors.Is(err, wire.ErrFrameTooBig) {
 		t.Errorf("ReadFrame oversize: %v", err)
 	}
 
 	short := binary.LittleEndian.AppendUint32(nil, 3)
 	short = append(short, 0, 0, 0, 0)
-	if _, _, _, err := DecodeFrame(short, 0); !errors.Is(err, errShortFrame) {
+	if _, _, _, err := wire.DecodeFrame(short, 0); !errors.Is(err, wire.ErrShortFrame) {
 		t.Errorf("DecodeFrame short length: %v", err)
 	}
-	if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(short)), nil, 0); !errors.Is(err, errShortFrame) {
+	if _, _, _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(short)), nil, 0); !errors.Is(err, wire.ErrShortFrame) {
 		t.Errorf("ReadFrame short length: %v", err)
 	}
 
@@ -109,10 +107,10 @@ func TestFrameLimitContract(t *testing.T) {
 	trunc := binary.LittleEndian.AppendUint32(nil, 100)
 	trunc = binary.LittleEndian.AppendUint32(trunc, 1)
 	trunc = append(trunc, "only a little"...)
-	if _, _, _, err := DecodeFrame(trunc, 0); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, _, _, err := wire.DecodeFrame(trunc, 0); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("DecodeFrame truncated: %v", err)
 	}
-	if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(trunc)), nil, 0); err != io.ErrUnexpectedEOF {
+	if _, _, _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(trunc)), nil, 0); err != io.ErrUnexpectedEOF {
 		t.Errorf("ReadFrame truncated: %v", err)
 	}
 }
@@ -120,18 +118,18 @@ func TestFrameLimitContract(t *testing.T) {
 // TestFrameBufferReuse: ReadFrame reuses the caller's buffer across
 // frames and never allocates past the frame limit.
 func TestFrameBufferReuse(t *testing.T) {
-	var wire []byte
+	var all []byte
 	for i := 0; i < 3; i++ {
-		frame := BeginFrame(nil, uint32(i+1))
-		frame, _ = AppendRequestBin(frame, &Request{Op: OpPing})
-		wire = append(wire, EndFrame(frame, 0)...)
+		frame := wire.BeginFrame(nil, uint32(i+1))
+		frame, _ = wire.AppendRequestBin(frame, &wire.Request{Op: wire.OpPing})
+		all = append(all, wire.EndFrame(frame, 0)...)
 	}
-	br := bufio.NewReader(bytes.NewReader(wire))
+	br := bufio.NewReader(bytes.NewReader(all))
 	var buf []byte
 	var firstCap int
 	for i := 0; i < 3; i++ {
 		var err error
-		_, _, buf, err = ReadFrame(br, buf, 1<<10)
+		_, _, buf, err = wire.ReadFrame(br, buf, 1<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,88 +142,4 @@ func TestFrameBufferReuse(t *testing.T) {
 			t.Errorf("frame %d reallocated the buffer (cap %d -> %d)", i, firstCap, cap(buf))
 		}
 	}
-}
-
-// FuzzFrameDecode drives every binary decode surface with arbitrary
-// bytes: framing, the op decoder over the frame's payload, and the
-// response decoder over the same bytes. Nothing may panic; a decoded
-// frame may never claim more bytes than are present or exceed the frame
-// limit; and anything the decoders accept must re-encode to bytes that
-// decode to the same values.
-func FuzzFrameDecode(f *testing.F) {
-	ping := BeginFrame(nil, 1)
-	ping, _ = AppendRequestBin(ping, &Request{Op: OpPing})
-	f.Add(EndFrame(ping, 0))
-	batch := BeginFrame(nil, 42)
-	batch, _ = AppendRequestBin(batch, &Request{Op: OpAcquire, Name: "key-0001", TimeoutMS: 250})
-	batch, _ = AppendRequestBin(batch, &Request{Op: OpRelease, Name: "key-0001"})
-	batch, _ = AppendRequestBin(batch, &Request{Op: OpEndStream})
-	f.Add(EndFrame(batch, 0))
-	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
-	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{10, 0, 0, 0, 1, 0})
-	f.Add([]byte("junk that is not a frame"))
-	resp := AppendResponseBin(nil, &Response{OK: true, Stats: &Stats{Acquires: 1 << 60, Sessions: -1}})
-	f.Add(append([]byte{byte(len(resp) + 4), 0, 0, 0, 9, 0, 0, 0}, resp...))
-
-	const max = 4096
-	f.Fuzz(func(t *testing.T, data []byte) {
-		stream, ops, rest, err := DecodeFrame(data, max)
-		if err == nil {
-			if len(ops) > max {
-				t.Fatalf("frame of %d bytes accepted past the %d limit", len(ops), max)
-			}
-			if len(ops)+len(rest)+frameHeaderLen != len(data) {
-				t.Fatalf("frame claims %d+%d bytes of %d", len(ops), len(rest), len(data))
-			}
-			// The ops payload must decode deterministically: each op
-			// either errors (ending the stream) or round-trips.
-			remaining := ops
-			var req Request
-			for len(remaining) > 0 {
-				next, derr := DecodeRequestBin(remaining, &req)
-				if derr != nil {
-					break
-				}
-				if len(next) >= len(remaining) {
-					t.Fatal("op decoder failed to consume input")
-				}
-				reenc, eerr := AppendRequestBin(nil, &req)
-				if eerr != nil {
-					t.Fatalf("decoded op %+v does not re-encode: %v", req, eerr)
-				}
-				var again Request
-				if _, rerr := DecodeRequestBin(reenc, &again); rerr != nil || again != req {
-					t.Fatalf("op round trip: %+v -> %+v (%v)", req, again, rerr)
-				}
-				remaining = next
-			}
-			// A valid frame must survive re-framing byte-identically.
-			refrm := BeginFrame(nil, stream)
-			refrm = EndFrame(append(refrm, ops...), 0)
-			if !bytes.Equal(refrm, data[:len(data)-len(rest)]) {
-				t.Fatalf("re-framed bytes differ")
-			}
-		}
-		// ReadFrame must agree with DecodeFrame on validity.
-		_, rops, rbuf, rerr := ReadFrame(bufio.NewReader(bytes.NewReader(data)), nil, max)
-		if (err == nil) != (rerr == nil) {
-			t.Fatalf("DecodeFrame err=%v but ReadFrame err=%v", err, rerr)
-		}
-		if rerr == nil && !bytes.Equal(rops, ops) {
-			t.Fatal("ReadFrame and DecodeFrame disagree on the payload")
-		}
-		if cap(rbuf) > max {
-			t.Fatalf("ReadFrame allocated %d bytes, past the %d limit", cap(rbuf), max)
-		}
-		// The response decoder gets the same hostile bytes.
-		var resp Response
-		if _, derr := DecodeResponseBin(data, &resp); derr == nil {
-			reenc := AppendResponseBin(nil, &resp)
-			var again Response
-			if _, rerr := DecodeResponseBin(reenc, &again); rerr != nil {
-				t.Fatalf("decoded response does not re-decode: %v", rerr)
-			}
-		}
-	})
 }

@@ -3,10 +3,9 @@ package lockd_test
 // End-to-end coverage of the lease subsystem over the wire: fencing
 // tokens on grants, heartbeat renewal, TTL expiry of silent holders,
 // the stale-token rejection an expired holder sees on its next op, and
-// the compatibility contracts that keep pre-lease clients working —
-// plain JSON sessions and BinaryMagic (v1) sockets never see the lease
-// fields. The teardown-vs-expiry race regression lives here too; run
-// the package under -race to give it teeth.
+// the contract that keeps a field-skipping JSON reader working — it
+// never needs the lease fields. The teardown-vs-expiry race regression
+// lives here too; run the package under -race to give it teeth.
 
 import (
 	"bufio"
@@ -22,6 +21,7 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // startLeaseServer is startServer with leases on: grants carry fencing
@@ -153,7 +153,7 @@ func TestHoldsReportsTokenAndTTL(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	roundTrip := func(req lockd.Request) lockd.Response {
+	roundTrip := func(req wire.Request) wire.Response {
 		t.Helper()
 		line, err := json.Marshal(req)
 		if err != nil {
@@ -166,31 +166,31 @@ func TestHoldsReportsTokenAndTTL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resp lockd.Response
+		var resp wire.Response
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
-	acq := roundTrip(lockd.Request{Op: lockd.OpAcquire, Name: "k"})
+	acq := roundTrip(wire.Request{Op: wire.OpAcquire, Name: "k"})
 	if !acq.OK || !acq.Acquired || acq.Token == 0 {
 		t.Fatalf("acquire = %+v, want OK with nonzero token", acq)
 	}
 	if acq.TTLMS <= 0 || acq.TTLMS > int64(ttl/time.Millisecond) {
 		t.Errorf("acquire ttl_ms = %d, want in (0, %d]", acq.TTLMS, int64(ttl/time.Millisecond))
 	}
-	holds := roundTrip(lockd.Request{Op: lockd.OpHolds, Name: "k"})
+	holds := roundTrip(wire.Request{Op: wire.OpHolds, Name: "k"})
 	if !holds.OK || !holds.Holds || holds.Token != acq.Token {
 		t.Fatalf("holds = %+v, want held with token %d", holds, acq.Token)
 	}
 	if holds.TTLMS <= 0 {
 		t.Errorf("holds ttl_ms = %d, want positive remaining TTL", holds.TTLMS)
 	}
-	hb := roundTrip(lockd.Request{Op: lockd.OpHeartbeat, Name: "k"})
+	hb := roundTrip(wire.Request{Op: wire.OpHeartbeat, Name: "k"})
 	if !hb.OK || hb.TTLMS <= 0 {
 		t.Fatalf("heartbeat = %+v, want OK with renewed TTL", hb)
 	}
-	rel := roundTrip(lockd.Request{Op: lockd.OpRelease, Name: "k"})
+	rel := roundTrip(wire.Request{Op: wire.OpRelease, Name: "k"})
 	if !rel.OK {
 		t.Fatalf("release = %+v", rel)
 	}
@@ -231,75 +231,14 @@ func TestJSONOldClientCompat(t *testing.T) {
 		}
 		return resp
 	}
-	if r := roundTrip(lockd.OpAcquire, "k"); !r.OK || !r.Acquired {
+	if r := roundTrip(wire.OpAcquire, "k"); !r.OK || !r.Acquired {
 		t.Fatalf("old-client acquire = %+v", r)
 	}
-	if r := roundTrip(lockd.OpHolds, "k"); !r.OK || !r.Holds {
+	if r := roundTrip(wire.OpHolds, "k"); !r.OK || !r.Holds {
 		t.Fatalf("old-client holds = %+v", r)
 	}
-	if r := roundTrip(lockd.OpRelease, "k"); !r.OK {
+	if r := roundTrip(wire.OpRelease, "k"); !r.OK {
 		t.Fatalf("old-client release = %+v", r)
-	}
-}
-
-// TestBinaryV1ClientCompat speaks the legacy binary dialect — the
-// BinaryMagic negotiation a pre-lease binary client sends — against a
-// lease-running server. The server must pin the connection to the v1
-// dialect: responses decode with DecodeResponseBinV1 (which rejects
-// the lease flag bits as unknown, so any leakage fails loudly) and
-// stats carry the original 13-field sequence.
-func TestBinaryV1ClientCompat(t *testing.T) {
-	_, _, addr := startLeaseServer(t, time.Second)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(lockd.BinaryMagic[:]); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	var buf []byte
-	roundTrip := func(req lockd.Request) lockd.Response {
-		t.Helper()
-		frame := lockd.BeginFrame(nil, 1)
-		frame, err := lockd.AppendRequestBin(frame, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(lockd.EndFrame(frame, 0)); err != nil {
-			t.Fatal(err)
-		}
-		stream, ops, newBuf, err := lockd.ReadFrame(br, buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = newBuf
-		if stream != 1 {
-			t.Fatalf("response on stream %d, want 1", stream)
-		}
-		var resp lockd.Response
-		rest, err := lockd.DecodeResponseBinV1(ops, &resp)
-		if err != nil {
-			t.Fatalf("v1 decode: %v", err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("v1 decode left %d trailing bytes", len(rest))
-		}
-		return resp
-	}
-	if r := roundTrip(lockd.Request{Op: lockd.OpAcquire, Name: "k"}); !r.OK || !r.Acquired {
-		t.Fatalf("v1 acquire = %+v", r)
-	}
-	if r := roundTrip(lockd.Request{Op: lockd.OpHolds, Name: "k"}); !r.OK || !r.Holds {
-		t.Fatalf("v1 holds = %+v", r)
-	}
-	r := roundTrip(lockd.Request{Op: lockd.OpStats})
-	if !r.OK || r.Stats == nil || r.Stats.Acquires != 1 {
-		t.Fatalf("v1 stats = %+v", r)
-	}
-	if r := roundTrip(lockd.Request{Op: lockd.OpRelease, Name: "k"}); !r.OK {
-		t.Fatalf("v1 release = %+v", r)
 	}
 }
 

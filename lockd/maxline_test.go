@@ -16,6 +16,7 @@ import (
 
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
+	"anonmutex/lockd/wire"
 )
 
 // dialRaw opens a raw conn to a fresh server with the given line limit.
@@ -54,13 +55,13 @@ func TestLongLineWithinLimit(t *testing.T) {
 	if _, err := conn.Write([]byte(`{"op":"acquire","name":"` + name + "\"}\n")); err != nil {
 		t.Fatal(err)
 	}
-	var resp lockd.Response
+	var resp wire.Response
 	br := bufio.NewReader(conn)
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lockd.DecodeResponse(line[:len(line)-1], &resp); err != nil {
+	if err := wire.DecodeResponse(line[:len(line)-1], &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !resp.OK || !resp.Acquired {
@@ -81,8 +82,8 @@ func TestSmallLimitBindsBelowBufioBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("expected a protocol error response, got read error %v", err)
 	}
-	var resp lockd.Response
-	if err := lockd.DecodeResponse(line[:len(line)-1], &resp); err != nil {
+	var resp wire.Response
+	if err := wire.DecodeResponse(line[:len(line)-1], &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK || !strings.Contains(resp.Err, "line limit") {
@@ -103,8 +104,8 @@ func TestOverlongLineProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("expected a protocol error response, got read error %v", err)
 	}
-	var resp lockd.Response
-	if err := lockd.DecodeResponse(line[:len(line)-1], &resp); err != nil {
+	var resp wire.Response
+	if err := wire.DecodeResponse(line[:len(line)-1], &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK || !strings.Contains(resp.Err, "line limit") {

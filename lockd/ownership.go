@@ -126,19 +126,19 @@ func (s *Server) applyHandoff(self string, v cluster.View) {
 // Owner and epoch come from one View snapshot: reading them separately
 // could pair a stale owner address with a newer epoch and teach the
 // client cache a wrong owner at that epoch.
-func (s *Server) checkOwner(name string) (Response, bool) {
+func (s *Server) checkOwner(name string) (wire.Response, bool) {
 	v := s.Cluster.View()
 	owner, ok := v.Owner(name)
 	if !ok {
-		return Response{Err: fmt.Sprintf("lockd: no live owner for %q", name)}, false
+		return wire.Response{Err: fmt.Sprintf("lockd: no live owner for %q", name)}, false
 	}
 	if owner.ID == v.Self.ID {
-		return Response{}, true
+		return wire.Response{}, true
 	}
 	// The error text is stamped lazily (stampRedirect): in proxy mode the
 	// redirect is usually consumed by a successful forward, and formatting
 	// a string per forwarded op would be pure waste on that hot path.
-	return Response{WrongOwner: true, Owner: owner.Addr, Epoch: v.Epoch}, false
+	return wire.Response{WrongOwner: true, Owner: owner.Addr, Epoch: v.Epoch}, false
 }
 
 // stampRedirect fills in the human-readable error text of a redirect
@@ -146,7 +146,7 @@ func (s *Server) checkOwner(name string) (Response, bool) {
 // lazy. The text is exactly wire.WrongOwnerResponse's, so clients too
 // old for the wrong_owner field see the same plain failure they always
 // did.
-func stampRedirect(name string, r Response) Response {
+func stampRedirect(name string, r wire.Response) wire.Response {
 	if r.WrongOwner && r.Err == "" {
 		r.Err = wire.WrongOwnerResponse(name, r.Owner, r.Epoch).Err
 	}
@@ -173,11 +173,11 @@ func stampRedirect(name string, r Response) Response {
 // even if its handoff sweep has not run yet; because no other floor
 // raise can interleave (they all hold handoffMu), the token also
 // cannot land in a band newer than the view it was validated under.
-func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) Response {
+func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) wire.Response {
 	if s.Cluster == nil {
 		g, err := s.attachGrant(l)
 		if err != nil {
-			return Response{Err: err.Error()}
+			return wire.Response{Err: err.Error()}
 		}
 		sess.grants[name] = g
 		return s.grantResponse(g)
@@ -189,7 +189,7 @@ func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) Resp
 		s.handoffMu.Unlock()
 		s.mgr.Release(l)
 		if !ok {
-			return Response{Err: fmt.Sprintf("lockd: no live owner for %q", name)}
+			return wire.Response{Err: fmt.Sprintf("lockd: no live owner for %q", name)}
 		}
 		return wire.WrongOwnerResponse(name, owner.Addr, v.Epoch)
 	}
@@ -198,7 +198,7 @@ func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) Resp
 	s.handoffMu.Unlock()
 	if err != nil {
 		// Attach released the lock on failure; the acquire is refused.
-		return Response{Err: err.Error()}
+		return wire.Response{Err: err.Error()}
 	}
 	g := grant{l: l, token: tok}
 	sess.grants[name] = g
@@ -215,12 +215,12 @@ func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) Resp
 // only ever does so for sessions whose ops arrived over an inter-node
 // connection, whose noForward flag also keeps maybeForward — the one
 // other spot this path could stall — an immediate return.
-func (s *Server) handleAcquire(connCtx context.Context, sess *session, req Request, preBlock func(), block bool) (resp Response, done bool) {
+func (s *Server) handleAcquire(connCtx context.Context, sess *session, req wire.Request, preBlock func(), block bool) (resp wire.Response, done bool) {
 	if req.Name == "" {
 		return needName(req.Op), true
 	}
 	if req.TimeoutMS < 0 {
-		return Response{Err: fmt.Sprintf("lockd: negative timeout_ms %d", req.TimeoutMS)}, true
+		return wire.Response{Err: fmt.Sprintf("lockd: negative timeout_ms %d", req.TimeoutMS)}, true
 	}
 	if _, held := sess.grants[req.Name]; held {
 		return alreadyHeld(req.Name), true
@@ -237,12 +237,12 @@ func (s *Server) handleAcquire(connCtx context.Context, sess *session, req Reque
 	// remembered cancel, then take the lock manager's uncontended
 	// probe. Only a lock that is actually busy pays the slow path.
 	if sess.beginFastAcquire(req.Name) {
-		return Response{OK: true, Aborted: true}, true
+		return wire.Response{OK: true, Aborted: true}, true
 	}
 	l, ok, err := s.mgr.AcquireFast(req.Name)
 	cancelled := sess.endFastAcquire()
 	if err != nil {
-		return Response{Err: err.Error()}, true
+		return wire.Response{Err: err.Error()}, true
 	}
 	if ok {
 		// A cancel that raced in during the attempt lost, exactly as a
@@ -250,10 +250,10 @@ func (s *Server) handleAcquire(connCtx context.Context, sess *session, req Reque
 		return s.commitAcquire(sess, req.Name, l), true
 	}
 	if cancelled {
-		return Response{OK: true, Aborted: true}, true
+		return wire.Response{OK: true, Aborted: true}, true
 	}
 	if !block {
-		return Response{}, false
+		return wire.Response{}, false
 	}
 	if preBlock != nil {
 		preBlock()
@@ -266,9 +266,9 @@ func (s *Server) handleAcquire(connCtx context.Context, sess *session, req Reque
 	sess.endAcquire()
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return Response{OK: true, Aborted: true}, true
+			return wire.Response{OK: true, Aborted: true}, true
 		}
-		return Response{Err: err.Error()}, true
+		return wire.Response{Err: err.Error()}, true
 	}
 	return s.commitAcquire(sess, req.Name, held), true
 }
@@ -278,17 +278,17 @@ func (s *Server) handleAcquire(connCtx context.Context, sess *session, req Reque
 // slow path — the transport uses it to flush responses batched so far,
 // keeping the fast path's batching while never letting a contended
 // acquire delay answers already owed.
-func (s *Server) handle(connCtx context.Context, sess *session, req Request, preBlock func()) Response {
+func (s *Server) handle(connCtx context.Context, sess *session, req wire.Request, preBlock func()) wire.Response {
 	switch req.Op {
-	case OpAcquire:
+	case wire.OpAcquire:
 		resp, _ := s.handleAcquire(connCtx, sess, req, preBlock, true)
 		return resp
-	case OpCancel:
+	case wire.OpCancel:
 		// The abort itself already happened out of band (or was
 		// remembered) when the reader saw this line; this is just the
 		// in-order acknowledgement.
-		return Response{OK: true}
-	case OpTryAcquire:
+		return wire.Response{OK: true}
+	case wire.OpTryAcquire:
 		if req.Name == "" {
 			return needName(req.Op)
 		}
@@ -305,13 +305,13 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 		}
 		l, ok, err := s.mgr.TryAcquireLease(req.Name)
 		if err != nil {
-			return Response{Err: err.Error()}
+			return wire.Response{Err: err.Error()}
 		}
 		if !ok {
-			return Response{OK: true, Acquired: false}
+			return wire.Response{OK: true, Acquired: false}
 		}
 		return s.commitAcquire(sess, req.Name, l)
-	case OpRelease:
+	case wire.OpRelease:
 		if req.Name == "" {
 			return needName(req.Op)
 		}
@@ -320,17 +320,17 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 		}
 		g, held := sess.grants[req.Name]
 		if !held {
-			return Response{Err: fmt.Sprintf("lockd: session does not hold %q", req.Name)}
+			return wire.Response{Err: fmt.Sprintf("lockd: session does not hold %q", req.Name)}
 		}
 		delete(sess.grants, req.Name)
 		if err := s.releaseGrant(g); err != nil {
 			if errors.Is(err, lease.ErrFenced) {
-				return Response{Err: err.Error(), Fenced: true}
+				return wire.Response{Err: err.Error(), Fenced: true}
 			}
-			return Response{Err: err.Error()}
+			return wire.Response{Err: err.Error()}
 		}
-		return Response{OK: true}
-	case OpHolds:
+		return wire.Response{OK: true}
+	case wire.OpHolds:
 		if req.Name == "" {
 			return needName(req.Op)
 		}
@@ -338,7 +338,7 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 			return s.forwardHeld(sess, req, owner)
 		}
 		g, held := sess.grants[req.Name]
-		resp := Response{OK: true, Holds: held}
+		resp := wire.Response{OK: true, Holds: held}
 		if held && s.leases != nil {
 			resp.Token = g.token
 			if rem, ok := s.leases.Remaining(req.Name, g.token); ok {
@@ -352,11 +352,11 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 			}
 		}
 		return resp
-	case OpHeartbeat:
+	case wire.OpHeartbeat:
 		if s.leases == nil {
 			// Leases off: an acknowledged no-op, so clients can always
 			// send heartbeats unconditionally.
-			return Response{OK: true}
+			return wire.Response{OK: true}
 		}
 		if req.Name != "" {
 			if owner, held := sess.remoteGrants[req.Name]; held {
@@ -364,7 +364,7 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 			}
 			g, held := sess.grants[req.Name]
 			if !held {
-				return Response{Err: fmt.Sprintf("lockd: session does not hold %q", req.Name)}
+				return wire.Response{Err: fmt.Sprintf("lockd: session does not hold %q", req.Name)}
 			}
 			ttl, err := s.leases.Heartbeat(req.Name, g.token)
 			if err != nil {
@@ -373,11 +373,11 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 				// client should retry rather than drop its hold.
 				if errors.Is(err, lease.ErrFenced) {
 					delete(sess.grants, req.Name)
-					return Response{Err: err.Error(), Fenced: true}
+					return wire.Response{Err: err.Error(), Fenced: true}
 				}
-				return Response{Err: err.Error()}
+				return wire.Response{Err: err.Error()}
 			}
-			return Response{OK: true, TTLMS: ttlMillis(ttl)}
+			return wire.Response{OK: true, TTLMS: ttlMillis(ttl)}
 		}
 		// Bare heartbeat renews every grant the session holds, dropping
 		// the ones whose leases already expired; Fenced flags that any
@@ -400,10 +400,10 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 		if len(sess.remotes) > 0 {
 			s.heartbeatRemotes(sess, &fenced, &min)
 		}
-		return Response{OK: true, Fenced: fenced, TTLMS: ttlMillis(min)}
-	case OpStats:
+		return wire.Response{OK: true, Fenced: fenced, TTLMS: ttlMillis(min)}
+	case wire.OpStats:
 		c := s.mgr.Counters()
-		st := &Stats{
+		st := &wire.Stats{
 			Acquires:      c.Acquires,
 			Releases:      c.Releases,
 			Waits:         c.Waits,
@@ -424,20 +424,20 @@ func (s *Server) handle(connCtx context.Context, sess *session, req Request, pre
 			st.Revoked = lc.Revoked
 			st.FencedRejects = lc.FencedRejects
 		}
-		return Response{OK: true, Stats: st}
-	case OpPing:
-		return Response{OK: true}
+		return wire.Response{OK: true, Stats: st}
+	case wire.OpPing:
+		return wire.Response{OK: true}
 	default:
-		return Response{Err: fmt.Sprintf("lockd: unknown op %q", req.Op)}
+		return wire.Response{Err: fmt.Sprintf("lockd: unknown op %q", req.Op)}
 	}
 }
 
-func needName(op string) Response {
-	return Response{Err: fmt.Sprintf("lockd: %s needs a name", op)}
+func needName(op string) wire.Response {
+	return wire.Response{Err: fmt.Sprintf("lockd: %s needs a name", op)}
 }
 
-func alreadyHeld(name string) Response {
-	return Response{Err: fmt.Sprintf("lockd: session already holds %q", name)}
+func alreadyHeld(name string) wire.Response {
+	return wire.Response{Err: fmt.Sprintf("lockd: session already holds %q", name)}
 }
 
 // ttlMillis reports a remaining TTL in milliseconds, rounded up so a

@@ -20,8 +20,9 @@ package lockd
 //     stream, released when the stream (or its socket) dies, exactly
 //     as a directly connected client's grants are.
 //
-//   - Forwarding cannot loop. Inter-node connections lead with
-//     BinaryMagicProxy, which marks every session on them noForward: a
+//   - Forwarding cannot loop. Inter-node connections set
+//     wire.HelloForwarded in their preamble, which marks every session on
+//     them noForward: a
 //     node receiving a forwarded op for a key it believes belongs to
 //     yet another node answers wrong_owner instead of forwarding
 //     again, and the first proxy relays that redirect to the client.
@@ -65,6 +66,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"anonmutex/lockd/wire"
 )
 
 // proxyDialTimeout bounds one inter-node dial; a peer that cannot be
@@ -84,7 +87,7 @@ var errPeerPoolClosed = errors.New("lockd: proxy peer pool closed")
 // fwdResult is one forwarded op's outcome: the owner's response, or the
 // transport error that lost it.
 type fwdResult struct {
-	resp Response
+	resp wire.Response
 	err  error
 }
 
@@ -100,7 +103,7 @@ type peerPool struct {
 
 func newPeerPool(maxFrame int) *peerPool {
 	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrameBytes
+		maxFrame = wire.DefaultMaxFrameBytes
 	}
 	return &peerPool{maxFrame: maxFrame, peers: make(map[string]*peer)}
 }
@@ -160,7 +163,8 @@ func (p *peer) open() (*peerStream, error) {
 		return nil, err
 	}
 	pc := newPeerConn(conn, p.maxFrame)
-	if _, err := conn.Write(BinaryMagicProxy[:]); err != nil {
+	preamble := wire.Preamble(wire.HelloForwarded)
+	if _, err := conn.Write(preamble[:]); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -257,17 +261,17 @@ func (pc *peerConn) forget(id uint32) {
 // send encodes req as one frame on st and registers ch to receive the
 // matching response. ch must be buffered: a reader never blocks on
 // a receiver. An error means nothing was sent and ch will not fire.
-func (pc *peerConn) send(st *peerStream, req *Request, ch chan fwdResult) error {
+func (pc *peerConn) send(st *peerStream, req *wire.Request, ch chan fwdResult) error {
 	pc.waiters.Add(1)
 	pc.sendMu.Lock()
 	pc.waiters.Add(-1)
-	pc.wbuf = BeginFrame(pc.wbuf[:0], st.id)
+	pc.wbuf = wire.BeginFrame(pc.wbuf[:0], st.id)
 	var err error
-	if pc.wbuf, err = AppendRequestBin(pc.wbuf, req); err != nil {
+	if pc.wbuf, err = wire.AppendRequestBin(pc.wbuf, req); err != nil {
 		pc.sendMu.Unlock()
 		return err
 	}
-	pc.wbuf = EndFrame(pc.wbuf, 0)
+	pc.wbuf = wire.EndFrame(pc.wbuf, 0)
 	st.mu.Lock()
 	if st.broken != nil {
 		err = st.broken
@@ -317,19 +321,19 @@ func (pc *peerConn) writeLocked(frame []byte) error {
 // A nil ch registers nothing — for ops the server never answers
 // (OpReleaseNoAck), where a registration would desync the FIFO.
 // No syscall happens on this path.
-func (pc *peerConn) sendDeferred(st *peerStream, req *Request, ch chan fwdResult) error {
+func (pc *peerConn) sendDeferred(st *peerStream, req *wire.Request, ch chan fwdResult) error {
 	pc.waiters.Add(1)
 	pc.sendMu.Lock()
 	pc.waiters.Add(-1)
 	mark := len(pc.pending)
-	pc.pending = BeginFrame(pc.pending, st.id)
+	pc.pending = wire.BeginFrame(pc.pending, st.id)
 	var err error
-	if pc.pending, err = AppendRequestBin(pc.pending, req); err != nil {
+	if pc.pending, err = wire.AppendRequestBin(pc.pending, req); err != nil {
 		pc.pending = pc.pending[:mark]
 		pc.sendMu.Unlock()
 		return err
 	}
-	pc.pending = EndFrame(pc.pending, mark)
+	pc.pending = wire.EndFrame(pc.pending, mark)
 	st.mu.Lock()
 	if st.broken != nil {
 		err = st.broken
@@ -435,7 +439,7 @@ func (pc *peerConn) await(ch chan fwdResult) fwdResult {
 // registered channel (own included) holds the error.
 func (pc *peerConn) readAsReader(own chan fwdResult) (fwdResult, bool) {
 	for {
-		stream, ops, nbuf, err := ReadFrame(pc.br, pc.rbuf, pc.maxFrame)
+		stream, ops, nbuf, err := wire.ReadFrame(pc.br, pc.rbuf, pc.maxFrame)
 		pc.rbuf = nbuf
 		if err != nil {
 			pc.fail(fmt.Errorf("lockd: proxy peer read: %w", err))
@@ -443,8 +447,8 @@ func (pc *peerConn) readAsReader(own chan fwdResult) (fwdResult, bool) {
 		}
 		if stream == 0 {
 			// A connection-fatal protocol error from the owner.
-			var resp Response
-			if _, derr := DecodeResponseBin(ops, &resp); derr == nil && resp.Err != "" {
+			var resp wire.Response
+			if _, derr := wire.DecodeResponseBin(ops, &resp); derr == nil && resp.Err != "" {
 				pc.fail(fmt.Errorf("lockd: proxy peer: %s", resp.Err))
 			} else {
 				pc.fail(errors.New("lockd: proxy peer closed the connection"))
@@ -460,7 +464,7 @@ func (pc *peerConn) readAsReader(own chan fwdResult) (fwdResult, bool) {
 		}
 		for len(ops) > 0 {
 			var res fwdResult
-			if ops, err = DecodeResponseBin(ops, &res.resp); err != nil {
+			if ops, err = wire.DecodeResponseBin(ops, &res.resp); err != nil {
 				pc.fail(fmt.Errorf("lockd: proxy peer response: %w", err))
 				return fwdResult{}, false
 			}
@@ -545,12 +549,12 @@ var fwdChPool = sync.Pool{New: func() any { return make(chan fwdResult, 1) }}
 
 // do performs one synchronous forwarded round trip, reading the
 // response off the socket itself when no other waiter already is.
-func (st *peerStream) do(req *Request) (Response, error) {
+func (st *peerStream) do(req *wire.Request) (wire.Response, error) {
 	ch := fwdChPool.Get().(chan fwdResult)
 	if err := st.pc.send(st, req, ch); err != nil {
 		// Nothing was sent and ch was never registered; safe to recycle.
 		fwdChPool.Put(ch)
-		return Response{}, err
+		return wire.Response{}, err
 	}
 	res := st.pc.await(ch)
 	fwdChPool.Put(ch)
@@ -563,8 +567,8 @@ func (st *peerStream) do(req *Request) (Response, error) {
 // undisturbed — a proxied acquire/release cycle draws exactly one
 // response frame from the owner. The frame is parked to piggyback on
 // the next send (or the flush timer).
-func (st *peerStream) post(req *Request) error {
-	noack := Request{Op: OpReleaseNoAck, Name: req.Name}
+func (st *peerStream) post(req *wire.Request) error {
+	noack := wire.Request{Op: wire.OpReleaseNoAck, Name: req.Name}
 	return st.pc.sendDeferred(st, &noack, nil)
 }
 
@@ -573,7 +577,7 @@ func (st *peerStream) post(req *Request) error {
 // out-of-band cancelAcquire. Cancels are latency-critical, so they
 // take the immediate path, never the pending buffer.
 func (st *peerStream) postCancel(name string) {
-	st.pc.send(st, &Request{Op: OpCancel, Name: name}, make(chan fwdResult, 1))
+	st.pc.send(st, &wire.Request{Op: wire.OpCancel, Name: name}, make(chan fwdResult, 1))
 }
 
 // end retires the stream at the owner (releasing its grants there) and
@@ -585,7 +589,7 @@ func (st *peerStream) postCancel(name string) {
 // the map forever.
 func (st *peerStream) end() {
 	ch := make(chan fwdResult, 1)
-	if err := st.pc.send(st, &Request{Op: OpEndStream}, ch); err != nil {
+	if err := st.pc.send(st, &wire.Request{Op: wire.OpEndStream}, ch); err != nil {
 		return
 	}
 	go func() {
@@ -636,14 +640,14 @@ func (sess *session) dropRemote(owner string, st *peerStream) {
 // stamped with the owner hint. Any failure — dial, transport, or the
 // owner's own divergent-view redirect — degrades to the redirect the
 // client would have gotten anyway.
-func (s *Server) maybeForward(sess *session, req Request, redirect Response, preBlock func()) Response {
+func (s *Server) maybeForward(sess *session, req wire.Request, redirect wire.Response, preBlock func()) wire.Response {
 	if !s.Proxy || sess.noForward || !redirect.WrongOwner || s.peers == nil {
 		return stampRedirect(req.Name, redirect)
 	}
 	// A cancel that raced ahead of this acquire must abort it here,
 	// exactly as beginFastAcquire would have locally.
-	if req.Op == OpAcquire && sess.consumePendingCancel(req.Name) {
-		return Response{OK: true, Aborted: true}
+	if req.Op == wire.OpAcquire && sess.consumePendingCancel(req.Name) {
+		return wire.Response{OK: true, Aborted: true}
 	}
 	owner, epoch := redirect.Owner, redirect.Epoch
 	st, err := sess.remoteStream(s, owner)
@@ -689,37 +693,37 @@ func (s *Server) maybeForward(sess *session, req Request, redirect Response, pre
 // stream's FIFO (ordered before any later op there), answered OK
 // immediately. If the stream is already gone the owner released the
 // grant with the socket; either way the client no longer holds it.
-func (s *Server) forwardRelease(sess *session, req Request, owner string) Response {
+func (s *Server) forwardRelease(sess *session, req wire.Request, owner string) wire.Response {
 	delete(sess.remoteGrants, req.Name)
 	st := sess.remotes[owner]
 	if st == nil {
-		return Response{OK: true}
+		return wire.Response{OK: true}
 	}
 	if err := st.post(&req); err != nil {
 		sess.dropRemote(owner, st)
-		return Response{OK: true}
+		return wire.Response{OK: true}
 	}
 	s.proxyForwarded.Add(1)
-	return Response{OK: true}
+	return wire.Response{OK: true}
 }
 
 // forwardHeld forwards a holds or named-heartbeat op for a proxied
 // grant, synchronously — TTL and fenced answers are only worth
 // relaying if they are the owner's truth. A lost stream means the
 // owner reaped the grant: the truthful answer is fenced.
-func (s *Server) forwardHeld(sess *session, req Request, owner string) Response {
+func (s *Server) forwardHeld(sess *session, req wire.Request, owner string) wire.Response {
 	st := sess.remotes[owner]
 	if st == nil {
 		delete(sess.remoteGrants, req.Name)
-		return Response{Err: fmt.Sprintf("lockd: proxied grant on %q lost with its owner connection", req.Name), Fenced: true}
+		return wire.Response{Err: fmt.Sprintf("lockd: proxied grant on %q lost with its owner connection", req.Name), Fenced: true}
 	}
 	fresp, err := st.do(&req)
 	if err != nil {
 		sess.dropRemote(owner, st)
-		return Response{Err: fmt.Sprintf("lockd: proxied grant on %q lost with its owner connection", req.Name), Fenced: true}
+		return wire.Response{Err: fmt.Sprintf("lockd: proxied grant on %q lost with its owner connection", req.Name), Fenced: true}
 	}
 	s.proxyForwarded.Add(1)
-	if fresp.Fenced || (req.Op == OpHolds && !fresp.Holds) {
+	if fresp.Fenced || (req.Op == wire.OpHolds && !fresp.Holds) {
 		delete(sess.remoteGrants, req.Name)
 	}
 	return fresp
@@ -731,7 +735,7 @@ func (s *Server) forwardHeld(sess *session, req Request, owner string) Response 
 // counts as fenced — its grants died with the socket.
 func (s *Server) heartbeatRemotes(sess *session, fenced *bool, min *time.Duration) {
 	for owner, st := range sess.remotes {
-		fresp, err := st.do(&Request{Op: OpHeartbeat})
+		fresp, err := st.do(&wire.Request{Op: wire.OpHeartbeat})
 		if err != nil {
 			hadGrants := false
 			for _, o := range sess.remoteGrants {

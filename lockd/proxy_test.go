@@ -5,8 +5,7 @@ package lockd_test
 // client-visible round trip, hinted), the structural loop guard (two
 // nodes with divergent views degrade to a redirect instead of
 // forwarding in a cycle), the client-side redirect hop cap the guard
-// falls back on, forwarded cancel, and old clients riding through a
-// proxy untouched.
+// falls back on, and forwarded cancel.
 
 import (
 	"bufio"
@@ -22,6 +21,7 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // TestProxyForward drives the full proxied-grant lifecycle through the
@@ -98,7 +98,7 @@ func TestProxyOwnerHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, `{"op":%q,"name":%q}`+"\n", lockd.OpTryAcquire, key)
+	fmt.Fprintf(conn, `{"op":%q,"name":%q}`+"\n", wire.OpTryAcquire, key)
 	line, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
@@ -391,57 +391,5 @@ func TestRedirectHopCap(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("routed client followed the redirect cycle past its hop cap")
-	}
-}
-
-// TestProxyOldClientForwarded runs a v1 binary client — two protocol
-// generations before redirects existed — against a proxy node: its
-// foreign-key ops are forwarded transparently and it gets plain grants,
-// where a redirect-mode node could only reject it.
-func TestProxyOldClientForwarded(t *testing.T) {
-	nodes := startProxyCluster(t, 2)
-	awayKey := keyOwnedBy(t, nodes, "n0")
-
-	conn, err := net.Dial("tcp", nodes[1].addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(lockd.BinaryMagic[:]); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	do := func(op, name string) lockd.Response {
-		t.Helper()
-		frame := lockd.BeginFrame(nil, 1)
-		frame, err := lockd.AppendRequestBin(frame, &lockd.Request{Op: op, Name: name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(lockd.EndFrame(frame, 0)); err != nil {
-			t.Fatal(err)
-		}
-		stream, ops, _, err := lockd.ReadFrame(br, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stream != 1 {
-			t.Fatalf("response on stream %d", stream)
-		}
-		var resp lockd.Response
-		if _, err := lockd.DecodeResponseBinV1(ops, &resp); err != nil {
-			t.Fatalf("v1 decode: %v", err)
-		}
-		return resp
-	}
-
-	if resp := do(lockd.OpTryAcquire, awayKey); !resp.OK || !resp.Acquired {
-		t.Fatalf("v1 foreign-key try through the proxy = %+v, want a grant", resp)
-	}
-	if resp := do(lockd.OpRelease, awayKey); !resp.OK {
-		t.Fatalf("v1 release through the proxy = %+v", resp)
-	}
-	if fwd, _ := nodes[1].srv.ProxyCounters(); fwd == 0 {
-		t.Error("v1 ops were not forwarded")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"anonmutex/internal/journal"
 	"anonmutex/internal/lease"
 	"anonmutex/internal/lockmgr"
+	"anonmutex/lockd/wire"
 )
 
 // DefaultMaxLineBytes bounds one request line when Server.MaxLineBytes
@@ -59,9 +60,9 @@ type Durability struct {
 // connection. Create with NewServer, start with Serve, stop with
 // Shutdown.
 //
-// The per-request path is allocation-free at steady state: requests are
-// decoded and responses encoded by the hand-rolled wire codec
-// (AppendResponse/DecodeRequest), lock names are interned per session,
+// On a binary connection the per-request path is allocation-free at
+// steady state: ops are decoded and responses encoded in place by the
+// wire package's binary codec, lock names are interned per connection,
 // responses are batched through a per-connection buffered writer that
 // flushes only when no further pipelined request is already queued, and
 // an uncontended acquire takes the lock manager's context-free fast path
@@ -412,7 +413,7 @@ func (s *Server) Sessions() int {
 
 // acquireCtx derives the context governing one slow-path acquire from
 // the session context, the request's timeout, and the server cap.
-func (s *Server) acquireCtx(connCtx context.Context, req Request) (context.Context, context.CancelFunc) {
+func (s *Server) acquireCtx(connCtx context.Context, req wire.Request) (context.Context, context.CancelFunc) {
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 	if s.MaxWait > 0 && (timeout == 0 || timeout > s.MaxWait) {
 		timeout = s.MaxWait

@@ -14,6 +14,7 @@ import (
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
 	"anonmutex/lockd/client"
+	"anonmutex/lockd/wire"
 )
 
 // startServer runs a server on a loopback listener and tears it down
@@ -235,7 +236,7 @@ func TestShutdownForceClosesIdleSessions(t *testing.T) {
 // client cannot reach.
 func TestRawProtocolErrors(t *testing.T) {
 	_, _, addr := startServer(t, lockmgr.Config{HandlesPerLock: 2})
-	send := func(line string) lockd.Response {
+	send := func(line string) wire.Response {
 		t.Helper()
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -249,7 +250,7 @@ func TestRawProtocolErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resp lockd.Response
+		var resp wire.Response
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatalf("unparseable response %q: %v", raw, err)
 		}

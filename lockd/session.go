@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"anonmutex/internal/lockmgr"
+	"anonmutex/lockd/wire"
 )
 
 // grant is one held lock plus the fencing token the lease subsystem
@@ -27,7 +28,7 @@ type session struct {
 	grants map[string]grant
 
 	// noForward marks a session whose ops arrived over an inter-node
-	// proxy connection (BinaryMagicProxy): they were already forwarded
+	// proxy connection (wire.HelloForwarded): they were already forwarded
 	// once, so foreign keys answer wrong_owner instead of forwarding
 	// again — the structural hop cap that makes proxy loops impossible.
 	noForward bool
@@ -72,8 +73,8 @@ func (s *Server) attachGrant(l lockmgr.Lease) (grant, error) {
 // grantResponse is the success response for a fresh acquire: the grant's
 // fencing token plus the full TTL, so a client learns the heartbeat
 // budget it must stay under without a separate negotiation round.
-func (s *Server) grantResponse(g grant) Response {
-	resp := Response{OK: true, Acquired: true, Token: g.token}
+func (s *Server) grantResponse(g grant) wire.Response {
+	resp := wire.Response{OK: true, Acquired: true, Token: g.token}
 	if s.leases != nil {
 		resp.TTLMS = ttlMillis(s.leases.TTL())
 	}

@@ -11,12 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+
+	"anonmutex/lockd/wire"
 )
 
 // inbound is one parsed request line, or the error that ended the
 // stream.
 type inbound struct {
-	req      Request
+	req      wire.Request
 	parseErr error
 }
 
@@ -61,10 +63,10 @@ func readLine(br *bufio.Reader, scratch []byte, max int) (line, newScratch []byt
 }
 
 // serveConn dispatches one connection to its wire format. The first
-// byte decides: BinaryMagic[0] selects the length-prefixed multiplexed
+// byte decides: wire.MagicByte selects the length-prefixed multiplexed
 // framing, anything else — in particular the '{' every JSON request
-// line starts with — selects newline-JSON, so old clients keep working
-// with zero configuration. Whatever ends the connection, the deferred
+// line starts with — selects newline-JSON, so nc and a script work with
+// zero configuration. Whatever ends the connection, the deferred
 // cleanup here unregisters it; each protocol handler releases its own
 // sessions' grants before returning.
 func (s *Server) serveConn(conn net.Conn) {
@@ -80,7 +82,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil {
 		return // closed before the first byte; nothing was promised
 	}
-	if first[0] == BinaryMagic[0] {
+	if first[0] == wire.MagicByte {
 		s.serveBinary(conn, br)
 		return
 	}
@@ -135,7 +137,6 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 		// owner explicitly.
 		defer sess.abortRemote()
 		defer connCancel()
-		names := newNameTable() // per-session lock-name interning (byte-bounded)
 		var scratch []byte
 		for {
 			var line []byte
@@ -148,11 +149,11 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 				return // disconnect (or the too-long protocol error above)
 			}
 			var in inbound
-			if err := decodeRequest(line, &in.req, names); err != nil {
+			if err := wire.DecodeRequest(line, &in.req); err != nil {
 				lines.push(inbound{parseErr: err})
 				return
 			}
-			if in.req.Op == OpCancel {
+			if in.req.Op == wire.OpCancel {
 				sess.cancelAcquire(in.req.Name)
 			}
 			lines.push(in)
@@ -177,19 +178,19 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 				return
 			}
 		}
-		var resp Response
+		var resp wire.Response
 		if in.parseErr != nil {
 			// The stream is unusable; answer once and hang up.
-			resp = Response{Err: fmt.Sprintf("lockd: bad request: %v", in.parseErr)}
-		} else if in.req.Op == OpReleaseNoAck {
+			resp = wire.Response{Err: fmt.Sprintf("lockd: bad request: %v", in.parseErr)}
+		} else if in.req.Op == wire.OpReleaseNoAck {
 			// Fire-and-forget: perform the release, answer nothing.
-			in.req.Op = OpRelease
+			in.req.Op = wire.OpRelease
 			s.handle(connCtx, sess, in.req, flushPending)
 			continue
 		} else {
 			resp = s.handle(connCtx, sess, in.req, flushPending)
 		}
-		respBuf = AppendResponse(respBuf[:0], &resp)
+		respBuf = wire.AppendResponse(respBuf[:0], &resp)
 		bw.Write(respBuf)
 		if err := bw.WriteByte('\n'); err != nil {
 			return

@@ -1,17 +1,12 @@
-// Package wire defines the lockd protocol's vocabulary once, for every
-// codec: the operation names, the Request/Response/Stats shapes, the
-// binary opcode and response-flag tables, and the dialect numbering
-// that version-gates them. The JSON codec (lockd's AppendResponse/
-// DecodeRequest family) and the binary codec (AppendResponseBin/
-// DecodeRequestBin) both consume these definitions, so a protocol
-// addition — the wrong_owner redirect being the first one made under
-// this regime — is declared in exactly one place and picked up by both
-// wire formats.
+// Package wire is the lockd protocol's data format, whole: the operation
+// names and the Request/Response/Stats shapes (this file), the binary
+// framed encoding with its preamble, opcode and flag tables (frame.go),
+// and the newline-JSON encoding (json.go). Nothing outside this package
+// knows how a message is laid out in bytes; the server (lockd) and the
+// client (lockd/client) both import it and neither imports the other.
 //
-// The package is pure data: no I/O, no dependencies beyond the
-// standard library's fmt. lockd re-exports the names (type aliases and
-// constant re-declarations), so existing importers keep compiling
-// unchanged.
+// The package is pure data and codecs: no sockets, no goroutines, no
+// dependencies beyond the standard library.
 package wire
 
 import "fmt"
@@ -96,7 +91,7 @@ type Response struct {
 	// owner, so a routing client can send its next op for the key
 	// directly — the proxy path is a cold-start accelerator, not a
 	// steady-state tax. Unlike WrongOwner it rides a success (OK=true);
-	// old clients that skip unknown fields lose only the routing hint,
+	// JSON readers that skip unknown fields lose only the routing hint,
 	// never the grant.
 	OwnerHint bool `json:"owner_hint,omitempty"`
 	// Owner is the owning node's lock-service address (with WrongOwner
@@ -145,10 +140,9 @@ type Stats struct {
 // WrongOwnerResponse builds the redirect answer for a key this node
 // does not own: a refusal (OK=false) whose WrongOwner/Owner/Epoch
 // fields carry where the key lives now. Both codecs encode it from
-// here — the redirect is defined once. Old-dialect peers (JSON decoders
-// that skip unknown fields, binary v1/v2 connections whose encoder has
-// no redirect flag) see a plain refusal with the same error text: they
-// fail cleanly rather than silently operating on the wrong node.
+// here — the redirect is defined once. A JSON reader that skips fields
+// it does not know sees a plain refusal with the same error text: it
+// fails cleanly rather than silently operating on the wrong node.
 func WrongOwnerResponse(name, owner string, epoch uint64) Response {
 	return Response{
 		Err:        fmt.Sprintf("lockd: wrong owner for %q: try %s", name, owner),
@@ -157,28 +151,6 @@ func WrongOwnerResponse(name, owner string, epoch uint64) Response {
 		Epoch:      epoch,
 	}
 }
-
-// Dialect numbers one negotiated binary response encoding. The magic
-// preamble a client leads with pins the dialect for its whole
-// connection; there is no per-op tolerance.
-type Dialect uint8
-
-const (
-	// DialectV1 is the pre-lease encoding: no lease/fenced flags, the
-	// original 13-field stats sequence.
-	DialectV1 Dialect = 1
-	// DialectV2 added the lease token/TTL pair, the fenced flag, and
-	// the expired/revoked/fenced_rejects stats fields.
-	DialectV2 Dialect = 2
-	// DialectV3 widens the response flags to a uvarint (values under
-	// 128 still cost one byte) and adds the wrong_owner redirect: flag
-	// FlagRedirect, owner address, membership epoch.
-	DialectV3 Dialect = 3
-	// DialectV4 adds the proxy-mode owner hint: flag FlagOwnerHint,
-	// followed by the owning node's address and the membership epoch —
-	// the same shape as the redirect, but riding a success.
-	DialectV4 Dialect = 4
-)
 
 // Binary opcodes, one per wire op (OpEndStream is transport-level and
 // has no JSON counterpart).
@@ -249,12 +221,8 @@ func OpOfCode(c byte) string {
 	return ""
 }
 
-// Binary response flag bits. The lease and fenced bits exist only from
-// the v2 dialect on; the redirect bit only from v3, where the flag
-// field widened from one byte to a uvarint. A connection pinned to an
-// older dialect never sees the newer bits (and its decoder rejects
-// them as unknown — that strictness is what makes the magic preamble
-// the version gate).
+// Binary response flag bits. The flag field is a uvarint, so every
+// response without a redirect or an owner hint still costs one byte.
 const (
 	FlagOK        = 1 << iota // Response.OK
 	FlagAcquired              // Response.Acquired
@@ -262,26 +230,12 @@ const (
 	FlagHolds                 // Response.Holds
 	FlagErr                   // an error string follows
 	FlagStats                 // a stats payload follows
-	FlagLease                 // v2+: a fencing token uvarint + ttl_ms varint follow
-	FlagFenced                // v2+: Response.Fenced
-	FlagRedirect              // v3+: an owner address + epoch uvarint follow
-	FlagOwnerHint             // v4+: a proxied op's owner address + epoch uvarint follow
-)
+	FlagLease                 // a fencing token uvarint + ttl_ms varint follow
+	FlagFenced                // Response.Fenced
+	FlagRedirect              // an owner address + epoch uvarint follow
+	FlagOwnerHint             // a proxied op's owner address + epoch uvarint follow
 
-// KnownFlags is the set of flag bits a dialect defines; anything
-// outside it is a protocol error for that dialect.
-func KnownFlags(d Dialect) uint64 {
-	switch d {
-	case DialectV1:
-		return FlagOK | FlagAcquired | FlagAborted | FlagHolds | FlagErr | FlagStats
-	case DialectV2:
-		return FlagOK | FlagAcquired | FlagAborted | FlagHolds | FlagErr | FlagStats |
-			FlagLease | FlagFenced
-	case DialectV3:
-		return FlagOK | FlagAcquired | FlagAborted | FlagHolds | FlagErr | FlagStats |
-			FlagLease | FlagFenced | FlagRedirect
-	default:
-		return FlagOK | FlagAcquired | FlagAborted | FlagHolds | FlagErr | FlagStats |
-			FlagLease | FlagFenced | FlagRedirect | FlagOwnerHint
-	}
-}
+	// knownFlags is every defined bit; anything outside it is a protocol
+	// error.
+	knownFlags = FlagOwnerHint<<1 - 1
+)
