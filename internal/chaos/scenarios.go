@@ -216,9 +216,16 @@ func runCrashUnderLoad(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	r := &Report{}
-	pool := client.NewCrashPool(h.addr)
-	pool.Timeout = 2*cfg.TTL + recoverySlack
-	defer pool.Close()
+	cl, err := client.Dial(client.Options{
+		Addrs:        []string{h.addr},
+		Heartbeat:    cfg.Heartbeat,
+		CrashTimeout: 2*cfg.TTL + recoverySlack,
+	})
+	if err != nil {
+		h.stop()
+		return nil, err
+	}
+	defer cl.Close()
 	const keys = 8
 	spec := workload.Spec{
 		Seed:    cfg.Seed,
@@ -227,18 +234,11 @@ func runCrashUnderLoad(cfg Config) (*Report, error) {
 		Ops:     workload.OpMix{Lock: 0.9, Crash: 0.1},
 	}
 	res, err := loadgen.Run(loadgen.Config{
-		Clients:  8,
-		Keys:     keys,
-		Duration: cfg.Duration,
-		Workload: &spec,
-		NewLocker: func(int) (loadgen.Locker, error) {
-			s, err := pool.Session()
-			if err != nil {
-				return nil, err
-			}
-			s.AutoHeartbeat(cfg.Heartbeat)
-			return s, nil
-		},
+		Clients:   8,
+		Keys:      keys,
+		Duration:  cfg.Duration,
+		Workload:  &spec,
+		NewLocker: func(int) (loadgen.Locker, error) { return cl.Open() },
 	})
 	if err != nil {
 		h.stop()
@@ -251,7 +251,7 @@ func runCrashUnderLoad(cfg Config) (*Report, error) {
 		h.stop()
 		return r, fmt.Errorf("chaos: the crash fraction never fired (cycles=%d)", r.Cycles)
 	}
-	// The corpses' sockets are still open (the pool holds them), so
+	// The corpses' sockets are still open (the client holds them), so
 	// only TTL expiry can free whatever they hold: sweep every key and
 	// record the worst recovery.
 	bound := 2*cfg.TTL + recoverySlack
@@ -275,6 +275,6 @@ func runCrashUnderLoad(cfg Config) (*Report, error) {
 	}
 	// Release the corpses' sockets only after the sweep proved expiry
 	// did the recovery.
-	pool.Close()
+	cl.Close()
 	return r, h.stop()
 }

@@ -72,13 +72,17 @@ func runLeaseCell(ttl, heartbeat time.Duration, rate float64, seed, clients, key
 		mgr.Close()
 		return nil, err
 	}
+	addr := ln.Addr().String()
+	recoveryBound := 2*ttl + 250*time.Millisecond
+	cl, err := client.Dial(client.Options{Addrs: []string{addr}, Heartbeat: heartbeat, CrashTimeout: recoveryBound})
+	if err != nil {
+		ln.Close()
+		mgr.Close()
+		return nil, err
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	addr := ln.Addr().String()
 
-	recoveryBound := 2*ttl + 250*time.Millisecond
-	pool := client.NewCrashPool(addr)
-	pool.Timeout = recoveryBound
 	spec := workload.Spec{
 		Keys: workload.KeySpec{Dist: workload.KeyZipf, ZipfS: 1.1},
 		Arrival: workload.ArrivalSpec{
@@ -89,14 +93,7 @@ func runLeaseCell(ttl, heartbeat time.Duration, rate float64, seed, clients, key
 	cfg := loadgen.Config{
 		Clients: clients, Keys: keys, Duration: d,
 		Workload: &spec, Seed: uint64(1100 + seed),
-		NewLocker: func(int) (loadgen.Locker, error) {
-			s, err := pool.Session()
-			if err != nil {
-				return nil, err
-			}
-			s.AutoHeartbeat(heartbeat)
-			return s, nil
-		},
+		NewLocker: func(int) (loadgen.Locker, error) { return cl.Open() },
 	}
 	res, runErr := loadgen.Run(cfg)
 
@@ -128,7 +125,7 @@ func runLeaseCell(ttl, heartbeat time.Duration, rate float64, seed, clients, key
 			sweepErr = err
 		}
 	}
-	pool.Close()
+	cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -205,7 +205,7 @@ func benchPipeMuxStream(b *testing.B) *client.Conn {
 	go srv.Serve(ln)
 	cs, ss := net.Pipe()
 	ln.conns <- ss
-	mux := client.NewMux(cs)
+	mux := client.NewMux(cs, 0)
 	st, err := mux.Open()
 	if err != nil {
 		b.Fatal(err)

@@ -3,8 +3,7 @@ package client
 // The unified front door: one Dial(Options) constructor behind which
 // every transport shape — newline-JSON one-socket-per-session, binary
 // multiplexed streams, and multi-address cluster routing — presents the
-// same two interfaces. Callers that used to switch between Conn, Mux,
-// and CrashPool per configuration hold a Client and open Sessions; the
+// same two interfaces. Callers hold a Client and open Sessions; the
 // options decide what runs underneath.
 
 import (
@@ -118,27 +117,21 @@ type Options struct {
 
 	// CrashTimeout bounds each Crash op's acquire (default 10s).
 	CrashTimeout time.Duration
-
-	// MaxRedirects bounds how many wrong_owner redirects one operation
-	// will follow before giving up (default 3).
-	MaxRedirects int
-
-	// RetryBackoff is the base delay between retries after an
-	// unavailable node (default 10ms). Each retry doubles the delay,
-	// jittered uniformly over [d/2, d], up to RetryBackoffMax — so a
-	// fleet of clients hammering a restarting server spreads out
-	// instead of retrying in lockstep.
-	RetryBackoff time.Duration
-
-	// RetryBackoffMax caps the exponential retry delay (default 1s).
-	RetryBackoffMax time.Duration
-
-	// MaxAttempts bounds how many times one acquire-type op is retried
-	// against the cluster before the last error surfaces (default
-	// 2×len(Addrs)+2; redirect hops are budgeted separately by
-	// MaxRedirects).
-	MaxAttempts int
 }
+
+// The routed client's retry policy: constants, because no caller has
+// needed a second value of any of them.
+const (
+	// maxRedirects bounds how many wrong_owner redirects one operation
+	// follows before the redirect surfaces as its error.
+	maxRedirects = 3
+	// retryBackoff is the base delay between retries after an unavailable
+	// node. Each retry doubles the delay, jittered uniformly over
+	// [d/2, d], up to retryBackoffMax — so a fleet of clients hammering a
+	// restarting server spreads out instead of retrying in lockstep.
+	retryBackoff    = 10 * time.Millisecond
+	retryBackoffMax = time.Second
+)
 
 // withDefaults validates and fills in the option defaults.
 func (o Options) withDefaults() (Options, error) {
@@ -173,21 +166,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CrashTimeout <= 0 {
 		o.CrashTimeout = 10 * time.Second
-	}
-	if o.MaxRedirects <= 0 {
-		o.MaxRedirects = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 10 * time.Millisecond
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = time.Second
-	}
-	if o.RetryBackoffMax < o.RetryBackoff {
-		o.RetryBackoffMax = o.RetryBackoff
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2*len(o.Addrs) + 2
 	}
 	return o, nil
 }

@@ -16,6 +16,13 @@
 // a response is matched to) is pooled — a steady-state AcquireFor/Release
 // cycle performs no heap allocations on the client. A dialed JSON Conn
 // goes through encoding/json and allocates accordingly.
+//
+// The package has a second caller besides client programs: a proxy-mode
+// lockd node forwards foreign-key ops to their owners over a Mux of its
+// own (NewMux with wire.HelloForwarded), one stream per forwarded
+// session, through Exchange, ReleaseNoAck, Cancel and Close. The mux is
+// the repository's only client-side implementation of the binary
+// protocol; the server package imports this one, never the reverse.
 package client
 
 import (
@@ -140,22 +147,53 @@ func (c *Conn) readLoop() {
 			c.fail(fmt.Errorf("client: bad response: %w", derr))
 			return
 		}
-		c.mu.Lock()
-		if c.qhead == len(c.queue) {
-			c.mu.Unlock()
+		if !c.deliver(res) {
 			c.fail(fmt.Errorf("client: response with no request in flight"))
 			return
 		}
-		ch := c.queue[c.qhead]
-		c.queue[c.qhead] = nil
-		c.qhead++
-		if c.qhead == len(c.queue) {
-			c.queue = c.queue[:0]
-			c.qhead = 0
-		}
-		c.mu.Unlock()
-		ch <- res
 	}
+}
+
+// enqueue registers ch as the waiter of every request in reqs that the
+// server answers — all but OpReleaseNoAck, for which a registration
+// would never be matched and would desync the FIFO behind it. The caller
+// holds the lock that orders its write (sendMu, or the mux's), so queue
+// order is wire order.
+func (c *Conn) enqueue(reqs []wire.Request, ch chan result) error {
+	c.mu.Lock()
+	if c.broken != nil {
+		err := c.broken
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+	}
+	for i := range reqs {
+		if reqs[i].Op != wire.OpReleaseNoAck {
+			c.queue = append(c.queue, ch)
+		}
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// deliver hands res to the oldest waiter; false means no request was in
+// flight, which breaks the session (the readers' call). Waiter channels
+// are buffered for every registration they carry, so this never blocks.
+func (c *Conn) deliver(res result) bool {
+	c.mu.Lock()
+	if c.qhead == len(c.queue) {
+		c.mu.Unlock()
+		return false
+	}
+	ch := c.queue[c.qhead]
+	c.queue[c.qhead] = nil
+	c.qhead++
+	if c.qhead == len(c.queue) {
+		c.queue = c.queue[:0]
+		c.qhead = 0
+	}
+	c.mu.Unlock()
+	ch <- res
+	return true
 }
 
 // fail breaks the session: all waiters are unblocked with err and later
@@ -174,58 +212,45 @@ func (c *Conn) fail(err error) {
 	}
 }
 
-// do executes one request/response exchange, waiting its turn in the
-// response order.
-func (c *Conn) do(req wire.Request) (wire.Response, error) {
-	if c.mux != nil {
-		return c.mux.do(c, req)
-	}
+// Exchange executes one request/response exchange, waiting its turn in
+// the response order, and returns the server's answer as it came:
+// per-request failures (wrong_owner, fenced, any Err) stay in the
+// Response, and the error reports only that the transport lost the
+// exchange (wrapping ErrUnavailable) — the one-request form of Batch.
+// The typed methods classify its answer into the client's error
+// vocabulary; a proxy-mode server relays it untouched. req must be an op
+// the server answers (not OpReleaseNoAck).
+func (c *Conn) Exchange(req wire.Request) (wire.Response, error) {
 	ch := waiterPool.Get().(chan result)
-	c.sendMu.Lock()
-	c.mu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
-		c.sendMu.Unlock()
+	reqs := [1]wire.Request{req}
+	if err := c.send(reqs[:], ch); err != nil {
 		waiterPool.Put(ch)
-		return wire.Response{}, fmt.Errorf("client: %s: %w: %w", req.Op, ErrUnavailable, err)
-	}
-	c.queue = append(c.queue, ch)
-	c.mu.Unlock()
-	c.wbuf = wire.AppendRequest(c.wbuf[:0], &req)
-	c.wbuf = append(c.wbuf, '\n')
-	_, werr := c.c.Write(c.wbuf)
-	c.sendMu.Unlock()
-	if werr != nil {
-		// The reader will observe the broken connection and deliver the
-		// failure to every queued waiter, including this one.
-		c.c.Close()
+		return wire.Response{}, fmt.Errorf("client: %s: %w", req.Op, err)
 	}
 	res := <-ch
 	waiterPool.Put(ch)
-	return finishResult(req, res)
-}
-
-// finishResult classifies one matched exchange into the client's error
-// vocabulary, shared by the direct and multiplexed paths: transport
-// failures wrap ErrUnavailable, wrong-owner rejections wrap a
-// *RedirectError carrying the owner's address, fenced rejections wrap
-// ErrFenced.
-func finishResult(req wire.Request, res result) (wire.Response, error) {
 	if res.err != nil {
 		return wire.Response{}, fmt.Errorf("client: %s: %w: %w", req.Op, ErrUnavailable, res.err)
 	}
-	if !res.resp.OK {
-		if res.resp.WrongOwner {
-			return res.resp, fmt.Errorf("client: %s: %w",
-				req.Op, &RedirectError{Name: req.Name, Owner: res.resp.Owner, Epoch: res.resp.Epoch})
-		}
-		if res.resp.Fenced {
-			return res.resp, fmt.Errorf("client: %s: %s: %w", req.Op, res.resp.Err, ErrFenced)
-		}
-		return res.resp, fmt.Errorf("client: %s: %s", req.Op, res.resp.Err)
-	}
 	return res.resp, nil
+}
+
+// do is Exchange plus the client's error vocabulary: wrong-owner
+// rejections wrap a *RedirectError carrying the owner's address, fenced
+// rejections wrap ErrFenced, any other rejection is a plain error.
+func (c *Conn) do(req wire.Request) (wire.Response, error) {
+	resp, err := c.Exchange(req)
+	if err != nil || resp.OK {
+		return resp, err
+	}
+	if resp.WrongOwner {
+		return resp, fmt.Errorf("client: %s: %w",
+			req.Op, &RedirectError{Name: req.Name, Owner: resp.Owner, Epoch: resp.Epoch})
+	}
+	if resp.Fenced {
+		return resp, fmt.Errorf("client: %s: %s: %w", req.Op, resp.Err, ErrFenced)
+	}
+	return resp, fmt.Errorf("client: %s: %s", req.Op, resp.Err)
 }
 
 // noteToken records the fencing token of a fresh grant on name.
@@ -311,6 +336,21 @@ func (c *Conn) TryAcquire(name string) (bool, error) {
 func (c *Conn) Release(name string) error {
 	_, err := c.do(wire.Request{Op: wire.OpRelease, Name: name})
 	return err
+}
+
+// ReleaseNoAck gives a held lock back without waiting to hear so: the
+// server performs the release and answers nothing, so no waiter is
+// registered and the call returns once the request is written — an
+// ordinary send, flushed by the last writer of its convoy. The release
+// is ordered before every later op on the session. A release the server
+// would have rejected (not held, fenced) is dropped silently; the error
+// reports only a session that was already broken.
+func (c *Conn) ReleaseNoAck(name string) error {
+	reqs := [1]wire.Request{{Op: wire.OpReleaseNoAck, Name: name}}
+	if err := c.send(reqs[:], nil); err != nil {
+		return fmt.Errorf("client: %s: %w", wire.OpReleaseNoAck, err)
+	}
+	return nil
 }
 
 // Holds reports whether this session holds the named lock according to
@@ -442,13 +482,7 @@ func (c *Conn) Batch(reqs []wire.Request, resps []wire.Response) error {
 	} else {
 		ch = make(chan result, len(reqs))
 	}
-	var err error
-	if c.mux != nil {
-		err = c.mux.send(c, reqs, ch)
-	} else {
-		err = c.sendBatch(reqs, ch)
-	}
-	if err != nil {
+	if err := c.send(reqs, ch); err != nil {
 		if pooled {
 			batchPool.Put(ch)
 		}
@@ -471,21 +505,21 @@ func (c *Conn) Batch(reqs []wire.Request, resps []wire.Response) error {
 	return nil
 }
 
-// sendBatch is the direct-connection half of Batch: all lines in one
-// Write, ch registered once per request.
-func (c *Conn) sendBatch(reqs []wire.Request, ch chan result) error {
+// send writes reqs as one coalesced write — one frame on a mux stream,
+// one buffer of lines on a direct connection — after registering ch for
+// their responses (enqueue). It never partially registers: on an error
+// nothing was queued and nothing was written. A write failure is not
+// reported here: the connection is closed, and the reader delivers the
+// failure to every queued waiter, this call's included.
+func (c *Conn) send(reqs []wire.Request, ch chan result) error {
+	if c.mux != nil {
+		return c.mux.send(c, reqs, ch)
+	}
 	c.sendMu.Lock()
-	c.mu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
+	if err := c.enqueue(reqs, ch); err != nil {
 		c.sendMu.Unlock()
 		return err
 	}
-	for range reqs {
-		c.queue = append(c.queue, ch)
-	}
-	c.mu.Unlock()
 	c.wbuf = c.wbuf[:0]
 	for i := range reqs {
 		c.wbuf = wire.AppendRequest(c.wbuf, &reqs[i])

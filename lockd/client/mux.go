@@ -58,18 +58,20 @@ type Mux struct {
 func DialMux(addr string) (*Mux, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("client: dialing lockd at %s: %w", addr, err)
+		return nil, fmt.Errorf("client: dialing lockd at %s: %w: %w", addr, ErrUnavailable, err)
 	}
-	return NewMux(c), nil
+	return NewMux(c, 0), nil
 }
 
 // NewMux wraps an already-established connection as a binary multiplexed
 // client. The Mux takes ownership of c and immediately stakes the
 // protocol claim: the binary preamble is buffered ahead of the first
-// frame (the server reads it before anything else).
-func NewMux(c net.Conn) *Mux {
+// frame (the server reads it before anything else). hello is the
+// preamble's flag byte, fixed by who is calling: 0 from a client,
+// wire.HelloForwarded from a proxy-mode server's inter-node link.
+func NewMux(c net.Conn, hello byte) *Mux {
 	m := &Mux{c: c, bw: bufio.NewWriter(c), streams: make(map[uint32]*Conn)}
-	preamble := wire.Preamble(0)
+	preamble := wire.Preamble(hello)
 	m.bw.Write(preamble[:])
 	go m.readLoop()
 	return m
@@ -96,9 +98,9 @@ func (m *Mux) Close() error {
 	return m.c.Close()
 }
 
-// send encodes reqs as one frame on st's stream and registers ch to
-// receive len(reqs) responses, in order. It never partially registers:
-// on any error nothing was queued and nothing was written.
+// send is Conn.send on a mux stream: reqs go out as one frame on st's
+// stream, with registration and the frame write atomic under sendMu so
+// the stream's FIFO matches the wire order.
 func (m *Mux) send(st *Conn, reqs []wire.Request, ch chan result) error {
 	m.waiters.Add(1)
 	m.sendMu.Lock()
@@ -113,18 +115,11 @@ func (m *Mux) send(st *Conn, reqs []wire.Request, ch chan result) error {
 		}
 	}
 	m.wbuf = wire.EndFrame(m.wbuf, 0)
-	st.mu.Lock()
-	if st.broken != nil {
-		err = fmt.Errorf("%w: %w", ErrUnavailable, st.broken)
-		st.mu.Unlock()
+	if err = st.enqueue(reqs, ch); err != nil {
 		m.flushIfLast()
 		m.sendMu.Unlock()
 		return err
 	}
-	for range reqs {
-		st.queue = append(st.queue, ch)
-	}
-	st.mu.Unlock()
 	_, werr := m.bw.Write(m.wbuf)
 	if werr == nil && m.waiters.Load() == 0 {
 		werr = m.bw.Flush()
@@ -148,19 +143,6 @@ func (m *Mux) flushIfLast() {
 	}
 }
 
-// do executes one request/response exchange on stream st.
-func (m *Mux) do(st *Conn, req wire.Request) (wire.Response, error) {
-	ch := waiterPool.Get().(chan result)
-	reqs := [1]wire.Request{req}
-	if err := m.send(st, reqs[:], ch); err != nil {
-		waiterPool.Put(ch)
-		return wire.Response{}, fmt.Errorf("client: %s: %w", req.Op, err)
-	}
-	res := <-ch
-	waiterPool.Put(ch)
-	return finishResult(req, res)
-}
-
 // closeStream retires one logical session: the server acks after
 // releasing the stream's grants, then both sides forget the stream.
 func (m *Mux) closeStream(st *Conn) error {
@@ -170,7 +152,7 @@ func (m *Mux) closeStream(st *Conn) error {
 	if already {
 		return nil
 	}
-	_, err := m.do(st, wire.Request{Op: wire.OpEndStream})
+	_, err := st.do(wire.Request{Op: wire.OpEndStream})
 	st.fail(errStreamClosed)
 	m.mu.Lock()
 	if m.streams[st.stream] == st {
@@ -220,21 +202,10 @@ func (m *Mux) readLoop() {
 				m.fail(fmt.Errorf("bad response: %w", err))
 				return
 			}
-			st.mu.Lock()
-			if st.qhead == len(st.queue) {
-				st.mu.Unlock()
+			if !st.deliver(res) {
 				m.fail(fmt.Errorf("response with no request in flight on stream %d", stream))
 				return
 			}
-			ch := st.queue[st.qhead]
-			st.queue[st.qhead] = nil
-			st.qhead++
-			if st.qhead == len(st.queue) {
-				st.queue = st.queue[:0]
-				st.qhead = 0
-			}
-			st.mu.Unlock()
-			ch <- res
 		}
 	}
 }

@@ -206,15 +206,15 @@ func (cl *poolClient) openConn(addr string) (*Conn, error) {
 	return c, err
 }
 
-// markDown quarantines addr from the fallback guess for a few retry
-// periods, so a dead member stops being every cache miss's first hop.
-// Entries whose quarantine has lapsed are swept here, so the map stays
-// bounded by the members that failed recently, not ever.
+// downHold is how long markDown keeps an address out of the fallback
+// guess.
+const downHold = 100 * time.Millisecond
+
+// markDown quarantines addr from the fallback guess for downHold, so a
+// dead member stops being every cache miss's first hop. Entries whose
+// quarantine has lapsed are swept here, so the map stays bounded by the
+// members that failed recently, not ever.
 func (cl *poolClient) markDown(addr string) {
-	hold := 4 * cl.opts.RetryBackoff
-	if hold < 100*time.Millisecond {
-		hold = 100 * time.Millisecond
-	}
 	now := time.Now()
 	cl.mu.Lock()
 	for a, until := range cl.down {
@@ -222,7 +222,7 @@ func (cl *poolClient) markDown(addr string) {
 			delete(cl.down, a)
 		}
 	}
-	cl.down[addr] = now.Add(hold)
+	cl.down[addr] = now.Add(downHold)
 	cl.mu.Unlock()
 }
 
@@ -355,7 +355,7 @@ func (cl *poolClient) crash(name string) (bool, error) {
 		if err != nil {
 			c.Close()
 			var redir *RedirectError
-			if errors.As(err, &redir) && hop < cl.opts.MaxRedirects {
+			if errors.As(err, &redir) && hop < maxRedirects {
 				cl.cache.learn(redir.Name, redir.Owner, redir.Epoch)
 				addr = redir.Owner
 				continue
@@ -498,7 +498,7 @@ func (s *routedSession) dropSub(addr string, c *Conn) {
 }
 
 // acquireRoute runs one acquire-type op with routing: redirects are
-// followed (teaching the cache) up to MaxRedirects, unavailable members
+// followed (teaching the cache) up to maxRedirects, unavailable members
 // are retried against the rest with backoff, and a success pins the
 // grant to the address that issued it. A response carrying an owner
 // hint — a proxy-mode node answering for a key it forwarded — also
@@ -508,7 +508,9 @@ func (s *routedSession) dropSub(addr string, c *Conn) {
 // straight to the owner, so hot keys converge to direct routing after
 // one forwarded trip.
 func (s *routedSession) acquireRoute(name string, op func(c *Conn) (wire.Response, error)) (wire.Response, error) {
-	maxAttempts := s.cl.opts.MaxAttempts
+	// Two tries per member and two to spare; redirect hops are budgeted
+	// separately by maxRedirects.
+	maxAttempts := 2*len(s.cl.opts.Addrs) + 2
 	hops := 0
 	next := "" // a just-received redirect target, followed unconditionally
 	var lastErr error
@@ -538,7 +540,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (wire.Respons
 			if errors.As(err, &redir) {
 				s.cl.cache.learn(redir.Name, redir.Owner, redir.Epoch)
 				hops++
-				if hops > s.cl.opts.MaxRedirects {
+				if hops > maxRedirects {
 					return wire.Response{}, err
 				}
 				// Go where the redirect points, not where the cache says:
@@ -561,7 +563,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (wire.Respons
 		// the fallback pick a surviving member after a short pause.
 		s.cl.cache.invalidate(name)
 		lastErr = err
-		time.Sleep(retryDelay(attempt, s.cl.opts.RetryBackoff, s.cl.opts.RetryBackoffMax))
+		time.Sleep(retryDelay(attempt, retryBackoff, retryBackoffMax))
 	}
 	return wire.Response{}, fmt.Errorf("client: %s: no cluster member could serve the acquire: %w", name, lastErr)
 }

@@ -151,17 +151,8 @@ func TestDialOptionDefaults(t *testing.T) {
 		{name: "unknown proto", in: Options{Addrs: []string{"a:1"}, Proto: "quic"}, wantErr: true},
 		{name: "negative conns", in: Options{Addrs: []string{"a:1"}, ConnsPerSocket: -1}, wantErr: true},
 		{name: "routing defaults", in: Options{Addrs: []string{"a:1", "b:1"}}, check: func(o Options) error {
-			if o.MaxRedirects != 3 || o.RetryBackoff != 10*time.Millisecond || o.CrashTimeout != 10*time.Second {
+			if o.Proto != ProtoJSON || o.ConnsPerSocket != 0 || o.Heartbeat != 0 || o.CrashTimeout != 10*time.Second {
 				return fmt.Errorf("defaults = %+v", o)
-			}
-			if o.RetryBackoffMax != time.Second || o.MaxAttempts != 6 {
-				return fmt.Errorf("retry defaults = %+v", o)
-			}
-			return nil
-		}},
-		{name: "backoff max floored at base", in: Options{Addrs: []string{"a:1"}, RetryBackoff: 3 * time.Second, RetryBackoffMax: time.Second}, check: func(o Options) error {
-			if o.RetryBackoffMax != 3*time.Second {
-				return fmt.Errorf("RetryBackoffMax = %v", o.RetryBackoffMax)
 			}
 			return nil
 		}},
@@ -229,5 +220,38 @@ func TestDialRefusesBadOptions(t *testing.T) {
 	}
 	if err := s.Ping(); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("Ping against a dead address = %v, want ErrUnavailable", err)
+	}
+}
+
+// TestDialClosedPortIsUnavailable pins what a routed op reports when it
+// must dial a node that is not there: ErrUnavailable, on either
+// protocol — the error the load generator's grant-loss tolerance and the
+// routed retry loop both key on.
+func TestDialClosedPortIsUnavailable(t *testing.T) {
+	for _, proto := range []string{ProtoJSON, ProtoBinary} {
+		t.Run(proto, func(t *testing.T) {
+			cl, err := Dial(Options{Addrs: []string{"127.0.0.1:1"}, Proto: proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			s, err := cl.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := []struct {
+				name string
+				run  func() error
+			}{
+				{"Acquire", func() error { return s.Acquire("k") }},
+				{"Release", func() error { return s.Release("k") }},
+				{"Ping", s.Ping},
+			}
+			for _, op := range ops {
+				if err := op.run(); !errors.Is(err, ErrUnavailable) {
+					t.Errorf("%s against a closed port = %v, want ErrUnavailable", op.name, err)
+				}
+			}
+		})
 	}
 }

@@ -33,17 +33,20 @@ type clusterNode struct {
 // tears the whole thing down with the test.
 func startCluster(t testing.TB, n int) []*clusterNode {
 	t.Helper()
-	return startClusterMode(t, n, false)
+	return startClusterMode(t, n, false, nil)
 }
 
 // startProxyCluster is startCluster with proxy-mode forwarding on at
 // every member.
 func startProxyCluster(t testing.TB, n int) []*clusterNode {
 	t.Helper()
-	return startClusterMode(t, n, true)
+	return startClusterMode(t, n, true, nil)
 }
 
-func startClusterMode(t testing.TB, n int, proxy bool) []*clusterNode {
+// startClusterMode is the shared bring-up. wrap, when non-nil, wraps
+// member i's lock-service listener before Serve sees it (the address the
+// member advertises stays the real one).
+func startClusterMode(t testing.TB, n int, proxy bool, wrap func(i int, ln net.Listener) net.Listener) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, 0, n)
 	var seeds []string
@@ -73,6 +76,9 @@ func startClusterMode(t testing.TB, n int, proxy bool) []*clusterNode {
 		srv.LeaseTTL = time.Second
 		srv.Cluster = cn
 		srv.Proxy = proxy
+		if wrap != nil {
+			ln = wrap(i, ln)
+		}
 		serveErr := make(chan error, 1)
 		go func() { serveErr <- srv.Serve(ln) }()
 		node := &clusterNode{addr: ln.Addr().String(), srv: srv, node: cn, mgr: mgr, ln: ln}
@@ -129,15 +135,24 @@ func (cn *clusterNode) stop(t testing.TB) {
 // view (every member owns some key within a few dozen candidates).
 func keyOwnedBy(t testing.TB, nodes []*clusterNode, id string) string {
 	t.Helper()
+	return keysOwnedBy(t, nodes, id, 1)[0]
+}
+
+// keysOwnedBy finds n distinct lock names the given member owns.
+func keysOwnedBy(t testing.TB, nodes []*clusterNode, id string, n int) []string {
+	t.Helper()
 	view := nodes[0].node.View()
-	for i := 0; i < 10000; i++ {
+	var keys []string
+	for i := 0; i < 10000 && len(keys) < n; i++ {
 		name := fmt.Sprintf("key-%d", i)
 		if owner, ok := view.Owner(name); ok && owner.ID == id {
-			return name
+			keys = append(keys, name)
 		}
 	}
-	t.Fatalf("no key hashed to member %s", id)
-	return ""
+	if len(keys) < n {
+		t.Fatalf("only %d of %d keys hashed to member %s", len(keys), n, id)
+	}
+	return keys
 }
 
 // TestClusterServeNeedsLeases pins that a clustered server without

@@ -5,7 +5,8 @@ package lockd_test
 // client-visible round trip, hinted), the structural loop guard (two
 // nodes with divergent views degrade to a redirect instead of
 // forwarding in a cycle), the client-side redirect hop cap the guard
-// falls back on, and forwarded cancel.
+// falls back on, forwarded cancel, and recovery from a severed
+// inter-node socket.
 
 import (
 	"bufio"
@@ -14,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +216,123 @@ func TestProxyCancelForwarded(t *testing.T) {
 	}
 }
 
+// severListener records the connections it accepts so a test can cut
+// them all at once: the dialers see a dead socket while the listener —
+// and the server behind it — stay up.
+type severListener struct {
+	net.Listener
+
+	mu       sync.Mutex
+	live     []net.Conn
+	accepted int
+}
+
+func (l *severListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.live = append(l.live, c)
+		l.accepted++
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// sever closes every connection accepted so far.
+func (l *severListener) sever() {
+	l.mu.Lock()
+	live := l.live
+	l.live = nil
+	l.mu.Unlock()
+	for _, c := range live {
+		c.Close()
+	}
+}
+
+func (l *severListener) acceptedCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.accepted
+}
+
+// TestProxyRedialsBrokenPeer severs the inter-node socket under two
+// sessions that each hold a forwarded grant. The grants died with the
+// socket at the owner, so the truthful answers are: holds reports the
+// grant fenced, release still answers OK (the client no longer holds
+// it either way), and the next forwarded acquire rides a freshly dialed
+// socket — costing the clients at most one redirect fallback.
+func TestProxyRedialsBrokenPeer(t *testing.T) {
+	var ownerLn *severListener
+	nodes := startClusterMode(t, 2, true, func(i int, ln net.Listener) net.Listener {
+		if i != 0 {
+			return ln
+		}
+		ownerLn = &severListener{Listener: ln}
+		return ownerLn
+	})
+	keys := keysOwnedBy(t, nodes, "n0", 2)
+
+	// Both sessions talk only to n1, so the one connection n0 accepts is
+	// n1's forwarding socket, carrying one stream per session.
+	sessions := make([]*client.Conn, 2)
+	for i := range sessions {
+		c, err := client.DialConn(nodes[1].addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Acquire(keys[i]); err != nil {
+			t.Fatalf("proxied acquire of %s: %v", keys[i], err)
+		}
+		sessions[i] = c
+	}
+	if n := ownerLn.acceptedCount(); n != 1 {
+		t.Fatalf("owner accepted %d connections before the cut, want the one forwarding socket", n)
+	}
+	_, fbBefore := nodes[1].srv.ProxyCounters()
+
+	ownerLn.sever()
+
+	if held, err := sessions[0].Holds(keys[0]); !errors.Is(err, client.ErrFenced) || held {
+		t.Errorf("Holds of a grant lost with the forwarding socket = %v, %v; want ErrFenced", held, err)
+	}
+	if err := sessions[1].Release(keys[1]); err != nil {
+		t.Errorf("Release of a grant lost with the forwarding socket = %v; want OK", err)
+	}
+
+	// A fresh forwarded acquire of each key must succeed: the owner
+	// released both when the socket died, and the proxy redials. One
+	// attempt may degrade to a redirect if it is what discovers the break.
+	for i, c := range sessions {
+		done := make(chan error, 1)
+		go func() {
+			err := c.Acquire(keys[i])
+			var redir *client.RedirectError
+			if errors.As(err, &redir) {
+				err = c.Acquire(keys[i])
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("forwarded acquire of %s after the cut: %v", keys[i], err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("forwarded acquire of %s hung after the cut", keys[i])
+		}
+		if held, err := c.Holds(keys[i]); err != nil || !held {
+			t.Errorf("Holds of the re-acquired %s = %v, %v", keys[i], held, err)
+		}
+	}
+	if n := ownerLn.acceptedCount(); n != 2 {
+		t.Errorf("owner accepted %d connections in all, want 2 (the original socket and one redial)", n)
+	}
+	if _, fb := nodes[1].srv.ProxyCounters(); fb-fbBefore > 1 {
+		t.Errorf("fallbacks rose by %d across the cut, want at most 1", fb-fbBefore)
+	}
+}
+
 // aliasedPair builds the divergent-view fixture the loop-guard tests
 // need: two single-server "universes" that each gossip with a dummy
 // member advertising the other universe's lock address. Universe A
@@ -355,16 +474,11 @@ func TestProxyLoopGuard(t *testing.T) {
 // TestRedirectHopCap pins the client-side bound the loop guard degrades
 // to: with proxying off, a key both nodes disown redirects back and
 // forth, and the routed client gives up with the redirect error after
-// MaxRedirects hops instead of following the cycle forever.
+// its fixed hop budget instead of following the cycle forever.
 func TestRedirectHopCap(t *testing.T) {
 	_, _, addrA, _, key := aliasedPair(t, false)
 
-	cl, err := client.Dial(client.Options{
-		Addrs:        []string{addrA},
-		MaxRedirects: 2,
-		MaxAttempts:  8,
-		RetryBackoff: time.Millisecond,
-	})
+	cl, err := client.Dial(client.Options{Addrs: []string{addrA}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"anonmutex/internal/journal"
 	"anonmutex/internal/lease"
 	"anonmutex/internal/lockmgr"
+	"anonmutex/lockd/client"
 	"anonmutex/lockd/wire"
 )
 
@@ -212,7 +213,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errProxyNeedsCluster
 	}
 	if s.Proxy && s.peers == nil {
-		s.peers = newPeerPool(s.MaxFrameBytes)
+		s.peers = &peerPool{muxes: make(map[string]*client.Mux)}
 	}
 	if s.leases == nil && s.LeaseTTL > 0 {
 		cfg := lease.Config{TTL: s.LeaseTTL, Grace: s.LeaseGrace}

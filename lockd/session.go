@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"anonmutex/internal/lockmgr"
+	"anonmutex/lockd/client"
 	"anonmutex/lockd/wire"
 )
 
@@ -38,7 +39,7 @@ type session struct {
 	// the owner address whose stream holds it. Both nil until the first
 	// forward, so non-proxied sessions pay nothing. Owned by the
 	// processing loop, like grants.
-	remotes      map[string]*peerStream
+	remotes      map[string]*client.Conn
 	remoteGrants map[string]string
 
 	mu             sync.Mutex
@@ -48,7 +49,11 @@ type session struct {
 	fastCancelled  bool               // a cancel matched that fast attempt
 	cancelPending  bool               // a cancel arrived with no acquire in flight
 	pendingName    string             // the name that pending cancel targets ("" = any)
-	remoteInflight *peerStream        // stream carrying a forwarded acquire in flight; nil when none
+	remoteInflight *client.Conn       // stream carrying a forwarded acquire in flight; nil when none
+
+	// remoteCancels counts forwarded cancels still in flight (cancelRemote);
+	// closeRemotes retires the streams only behind them.
+	remoteCancels sync.WaitGroup
 }
 
 func newSession() *session {
@@ -159,10 +164,9 @@ func (sess *session) endAcquire() {
 // in-flight acquire if its name matches — whichever path it is on —
 // otherwise remember the cancellation for the session's next acquire.
 // A forwarded acquire blocked at another node is aborted by forwarding
-// the cancel on its stream (from a goroutine: the reader must never
-// block on an inter-node write); if the cancel loses the race against
-// the grant, the owner remembers it for the stream's next acquire,
-// mirroring the local remembered-cancel semantics.
+// the cancel on its stream (cancelRemote); if the cancel loses the race
+// against the grant, the owner remembers it for the stream's next
+// acquire, mirroring the local remembered-cancel semantics.
 func (sess *session) cancelAcquire(name string) {
 	sess.mu.Lock()
 	switch {
@@ -171,8 +175,7 @@ func (sess *session) cancelAcquire(name string) {
 	case sess.fastInflight && (name == "" || name == sess.inflightName):
 		sess.fastCancelled = true
 	case sess.remoteInflight != nil && (name == "" || name == sess.inflightName):
-		st := sess.remoteInflight
-		go st.postCancel(name)
+		sess.cancelRemote(name)
 	default:
 		sess.cancelPending = true
 		sess.pendingName = name
@@ -195,12 +198,12 @@ func (sess *session) consumePendingCancel(name string) bool {
 	return false
 }
 
-// beginRemote registers a forwarded acquire in flight on st so an
+// beginRemote registers a forwarded acquire in flight on c so an
 // out-of-band cancel (or the teardown abort) can reach it at the owner.
-func (sess *session) beginRemote(name string, st *peerStream) {
+func (sess *session) beginRemote(name string, c *client.Conn) {
 	sess.mu.Lock()
 	sess.inflightName = name
-	sess.remoteInflight = st
+	sess.remoteInflight = c
 	sess.mu.Unlock()
 }
 
@@ -218,11 +221,28 @@ func (sess *session) endRemote() {
 // session can drain.
 func (sess *session) abortRemote() {
 	sess.mu.Lock()
-	st := sess.remoteInflight
-	sess.mu.Unlock()
-	if st != nil {
-		st.postCancel("")
+	if sess.remoteInflight != nil {
+		sess.cancelRemote("")
 	}
+	sess.mu.Unlock()
+}
+
+// cancelRemote forwards a cancel on the stream carrying the forwarded
+// acquire in flight, from a goroutine of its own: Cancel waits for the
+// owner's ack, which arrives behind the aborted acquire's answer, and
+// neither caller may block on an inter-node round trip. The caller holds
+// sess.mu with remoteInflight set, which orders the Add before endRemote
+// and so before closeRemotes' Wait: the stream is never retired with a
+// cancel still to be written on it (a cancel arriving on a retired id
+// would reopen the id at the owner, and its ack would break the shared
+// socket).
+func (sess *session) cancelRemote(name string) {
+	c := sess.remoteInflight
+	sess.remoteCancels.Add(1)
+	go func() {
+		defer sess.remoteCancels.Done()
+		c.Cancel(name) // a lost stream needs no cancel: its acquire died with it
+	}()
 }
 
 // opQueue is the unbounded handoff between a session's reader and its
