@@ -59,6 +59,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -310,6 +311,8 @@ type Log struct {
 	syncedLSN uint64
 	syncing   bool
 	syncErr   error
+
+	commitSyncs atomic.Uint64 // fsyncs Commit's leaders have issued
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -565,6 +568,7 @@ func (w *Log) Commit(lsn uint64) error {
 		target, err := w.flush()
 		if err == nil {
 			crash(crashBeforeSync)
+			w.commitSyncs.Add(1)
 			err = w.f.Sync()
 			crash(crashAfterSync)
 		}
@@ -579,6 +583,12 @@ func (w *Log) Commit(lsn uint64) error {
 	}
 	return w.syncErr
 }
+
+// CommitSyncs reports how many fsyncs Commit has issued. Under
+// SyncAlways every acknowledged commit waited for one of them; a count
+// below the number of commits is group commit at work, which tests of
+// the layers above use to check that they still commit concurrently.
+func (w *Log) CommitSyncs() uint64 { return w.commitSyncs.Load() }
 
 // forceSync flushes and fsyncs right now, regardless of policy.
 func (w *Log) forceSync() error {

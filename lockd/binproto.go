@@ -1,13 +1,17 @@
 package lockd
 
-// Server side of the binary framed protocol: one reader goroutine per
-// connection demultiplexes frames onto per-stream processing goroutines,
-// each of which is a full logical session (own grants, own reaper
-// semantics) running the same handle() the JSON path uses. Responses are
-// batched per stream into frames and pushed through a shared writer
-// whose flush coalesces across streams — the last writer in a convoy
-// pays the syscall for everyone, the multi-stream analogue of the JSON
-// path's flush-when-idle batching.
+// Server side of the binary framed protocol. One execution model serves
+// client and inter-node connections alike: the connection's frame reader
+// executes every op that cannot block (handleInline says which those
+// are) through the same handle() the JSON path uses, and appends the
+// answers to a shared buffered writer that is flushed when the reader's
+// input runs dry (flushBeforeRead) — so the ops that arrived in one read
+// are answered in one write. Each stream is a full logical session (own
+// grants, own reaper semantics) with a processing goroutine of its own
+// that takes over only for an op that can block and whatever is
+// pipelined behind it; those goroutines flush for themselves, the last
+// writer in a convoy paying the syscall for everyone, because the reader
+// may be parked in Read when a blocked acquire is finally granted.
 
 import (
 	"bufio"
@@ -26,11 +30,15 @@ import (
 // into one frame before pushing it to the shared writer mid-burst.
 const binResponseFlushBytes = 16 << 10
 
-// muxWriter serializes frames from many stream goroutines onto one
-// connection and coalesces flushes: a writer flushes only when no other
-// writer is already waiting for the lock, so a convoy of frames costs
-// one syscall — the last writer out pays it. The error is sticky; once a
-// write fails every subsequent writeFrame reports it.
+// muxWriter serializes frames from the frame reader and the stream
+// goroutines onto one connection. Two ways in, one way out: the reader
+// appends (appendFrame) and leaves the flush to its own next socket read
+// (flushPending); a stream goroutine writes (writeFrame) and flushes
+// unless another stream goroutine is already waiting for the lock, so a
+// convoy of frames costs one syscall — the last writer out pays it.
+// Everything is ordered by mu: a frame the reader appended precedes
+// whatever a stream goroutine writes after it. The error is sticky; once
+// a write fails every later call reports it.
 type muxWriter struct {
 	waiters atomic.Int32
 	mu      sync.Mutex
@@ -53,6 +61,51 @@ func (w *muxWriter) writeFrame(frame []byte) error {
 	return err
 }
 
+// appendFrame buffers one of the reader's frames without flushing it.
+func (w *muxWriter) appendFrame(frame []byte) error {
+	w.mu.Lock()
+	if w.err == nil {
+		_, w.err = w.bw.Write(frame)
+	}
+	err := w.err
+	w.mu.Unlock()
+	return err
+}
+
+// flushPending pushes out whatever is buffered.
+func (w *muxWriter) flushPending() error {
+	w.mu.Lock()
+	if w.err == nil && w.bw.Buffered() > 0 {
+		w.err = w.bw.Flush()
+	}
+	err := w.err
+	w.mu.Unlock()
+	return err
+}
+
+// flushBeforeRead is the io.Reader between a connection and its frame
+// reader's bufio.Reader. bufio calls Read only when its buffer is empty
+// — the input has run dry, mid-frame included — so flushing here is what
+// makes the reader's answers cost one write per read instead of one per
+// op, and nothing the reader appended is ever held across a blocking
+// read. w stays nil on a JSON connection. A failed flush has no caller
+// to report to: it closes the connection, which ends the frame reader
+// and runs its teardown exactly as a failed writeFrame does.
+type flushBeforeRead struct {
+	conn net.Conn
+	w    *muxWriter
+}
+
+func (r *flushBeforeRead) Read(p []byte) (int, error) {
+	if r.w != nil {
+		if err := r.w.flushPending(); err != nil {
+			r.conn.Close()
+			return 0, err
+		}
+	}
+	return r.conn.Read(p)
+}
+
 // binConn is one binary connection: the demultiplexer state shared by
 // its reader and its stream goroutines.
 type binConn struct {
@@ -65,8 +118,8 @@ type binConn struct {
 	// never forward again — the proxy hop cap.
 	fromProxy bool
 	w         muxWriter
-	// rframe is the reader's scratch response frame for the inline fast
-	// path on inter-node connections; only the reader touches it.
+	// rframe is the reader's scratch response frame for the ops it
+	// executes itself; only the reader touches it.
 	rframe []byte
 
 	mu      sync.Mutex
@@ -84,24 +137,29 @@ type binStream struct {
 	// have not yet reached the shared writer (queued, mid-handle, or
 	// batched unflushed). The reader increments before each push; the
 	// stream goroutine decrements as responses are flushed. Zero is the
-	// inline fast path's license: no ordering hazard exists between a
-	// response written by the reader and anything the stream goroutine
-	// still owes.
+	// reader's license to execute the stream's next op itself: the stream
+	// goroutine is parked on an empty queue, so the session is the
+	// reader's to touch and no ordering hazard exists between a response
+	// the reader appends and anything the stream goroutine still owes.
 	inflight atomic.Int32
 }
 
-// serveBinary runs one binary framed connection. The reader goroutine is
-// the caller: it validates the magic, then demultiplexes frames, routing
-// each op to its stream's queue (spawning the stream's processing
-// goroutine on first use) and applying cancels out of band exactly as
-// the JSON reader does — so a cancel aborts its stream's blocked acquire
-// without waiting behind it. Any protocol error — bad preamble, oversized
-// or malformed frame, unknown opcode, the reserved stream 0 — is
-// answered once with an error response on stream 0 and ends the
-// connection, mirroring the JSON path's oversized-line contract. When
-// the connection ends, every stream's queue is closed and every stream's
-// grants are released before the socket is torn down.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
+// serveBinary runs one binary framed connection, client or inter-node.
+// The reader goroutine is the caller: it validates the magic, then reads
+// frames and executes each op itself while the op's stream has nothing
+// in flight and the op cannot block (handleInline); from the first op
+// that can, the rest of the frame — and every later op of that stream
+// until its goroutine has answered them all — goes to the stream's
+// queue, behind the reader's partial frame, so answers keep their order.
+// Cancels are applied out of band exactly as the JSON reader does, so a
+// cancel aborts its stream's blocked acquire without waiting behind it.
+// Any protocol error — bad preamble, oversized or malformed frame,
+// unknown opcode, the reserved stream 0 — is answered once with an error
+// response on stream 0 and ends the connection, mirroring the JSON
+// path's oversized-line contract. When the connection ends, every
+// stream's queue is closed and every stream's grants are released
+// before the socket is torn down.
+func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, in *flushBeforeRead) {
 	var preamble [wire.PreambleLen]byte
 	if _, err := io.ReadFull(br, preamble[:]); err != nil {
 		return
@@ -115,6 +173,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		streams: make(map[uint32]*binStream),
 	}
 	bc.w.bw = bufio.NewWriter(conn)
+	in.w = &bc.w
 	hello, err := wire.ParsePreamble(preamble)
 	if err != nil {
 		bc.connError(err.Error())
@@ -164,20 +223,8 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		st := bc.stream(stream)
-		// Inline fast path, inter-node connections only: when the stream
-		// is idle (nothing queued, nothing mid-handle, nothing batched
-		// unflushed), the reader executes the frame's non-blocking ops
-		// itself and answers in one frame, sparing the handoff to the
-		// stream goroutine — this read is on the critical path of some
-		// client's proxied acquire at another node. The moment an op
-		// would block (a contended acquire), or on end_stream, the rest
-		// of the frame falls back to the queue and ordering is preserved:
-		// the reader's partial frame goes to the shared writer before
-		// anything is pushed.
-		inline := bc.fromProxy && st.inflight.Load() == 0
-		if inline {
-			bc.rframe = wire.BeginFrame(bc.rframe[:0], stream)
-		}
+		inline := st.inflight.Load() == 0
+		bc.rframe = wire.BeginFrame(bc.rframe[:0], stream)
 		for len(ops) > 0 {
 			if ops, err = wire.DecodeRequestBin(ops, &req, names); err != nil {
 				bc.connError(fmt.Sprintf("lockd: bad request: %v", err))
@@ -187,58 +234,83 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 				st.sess.cancelAcquire(req.Name)
 			}
 			if inline {
-				if handled := bc.handleInline(st, &req); handled {
+				if bc.handleInline(st, &req) {
 					continue
 				}
 				inline = false
-				if len(bc.rframe) > wire.FrameHeaderLen {
-					if bc.w.writeFrame(wire.EndFrame(bc.rframe, 0)) != nil {
-						bc.conn.Close()
-						return
-					}
+				if !bc.appendInline() {
+					return
 				}
 			}
 			st.inflight.Add(1)
 			st.q.push(req)
 		}
-		if inline && len(bc.rframe) > wire.FrameHeaderLen {
-			if bc.w.writeFrame(wire.EndFrame(bc.rframe, 0)) != nil {
-				bc.conn.Close()
-				return
-			}
+		if inline && !bc.appendInline() {
+			return
 		}
 	}
 }
 
-// handleInline executes one op from the reader when the stream is
-// idle, appending any response to the reader's frame. It reports false
-// — leaving all state untouched beyond one uncontended probe — when
-// the op must go to the stream goroutine instead: a contended acquire
-// (whose blocking wait the reader must never perform, or cancels and
-// every other stream on the connection would stall behind it) or an
-// end_stream (whose retirement dance belongs to the goroutine being
-// retired).
+// handleInline executes one op on the frame reader, appending any
+// response to the reader's frame. It reports false — leaving all state
+// untouched beyond one uncontended probe — when the op can block and
+// must go to the stream goroutine instead; were the reader to wait,
+// cancels and every other stream of the connection would wait behind it.
+// This is the one statement of "can block":
+//
+//   - end_stream: not a wait, but the retirement dance belongs to the
+//     goroutine being retired;
+//   - any op of a session that holds forwarded streams or proxied grants
+//     (proxy mode): its release, holds and heartbeat are inter-node
+//     writes and round trips;
+//   - an acquire or try of a key another node owns, when this node would
+//     forward it — handleAcquire(block=false) stops before the forward;
+//   - a contended acquire — handleAcquire(block=false) stops after one
+//     AcquireFast probe;
+//   - acquire, try and heartbeat when the journal fsyncs before it
+//     acknowledges (Server.syncCommits): a grant or a renewal then waits
+//     for the disk, and waiters on separate goroutines are what lets the
+//     streams of one socket share a group commit.
 func (bc *binConn) handleInline(st *binStream, req *wire.Request) bool {
-	switch req.Op {
-	case wire.OpEndStream:
+	sess := st.sess
+	grants := req.Op == wire.OpAcquire || req.Op == wire.OpTryAcquire
+	switch {
+	case req.Op == wire.OpEndStream:
 		return false
-	case wire.OpAcquire:
-		resp, done := bc.srv.handleAcquire(bc.ctx, st.sess, *req, nil, false)
+	case len(sess.remotes) > 0 || len(sess.remoteGrants) > 0:
+		return false
+	case bc.srv.syncCommits && (grants || req.Op == wire.OpHeartbeat):
+		return false
+	case grants:
+		resp, done := bc.srv.handleAcquire(bc.ctx, sess, *req, nil, false)
 		if !done {
 			return false
 		}
 		bc.rframe = wire.AppendResponseBin(bc.rframe, &resp)
-		return true
-	case wire.OpReleaseNoAck:
+	case req.Op == wire.OpReleaseNoAck:
 		nreq := *req
 		nreq.Op = wire.OpRelease
-		bc.srv.handle(bc.ctx, st.sess, nreq, nil)
-		return true
+		bc.srv.handle(bc.ctx, sess, nreq, nil)
 	default:
-		resp := bc.srv.handle(bc.ctx, st.sess, *req, nil)
+		resp := bc.srv.handle(bc.ctx, sess, *req, nil)
 		bc.rframe = wire.AppendResponseBin(bc.rframe, &resp)
+	}
+	return true
+}
+
+// appendInline hands the reader's frame, if it holds any response, to
+// the shared writer unflushed — the reader's next socket read flushes
+// it — and reports false, after closing the connection, when the writer
+// has failed.
+func (bc *binConn) appendInline() bool {
+	if len(bc.rframe) == wire.FrameHeaderLen {
 		return true
 	}
+	if bc.w.appendFrame(wire.EndFrame(bc.rframe, 0)) != nil {
+		bc.conn.Close()
+		return false
+	}
+	return true
 }
 
 // connError answers a connection-fatal protocol error once, on the
@@ -269,7 +341,10 @@ func (bc *binConn) stream(id uint32) *binStream {
 	return st
 }
 
-// streamLoop is one stream's processing goroutine: the binary
+// streamLoop is one stream's processing goroutine. It sees only what the
+// frame reader would not run itself — an op that can block, and whatever
+// arrives for the stream until that op and everything queued behind it
+// are answered — and is otherwise parked on its queue. It is the binary
 // counterpart of the JSON processing loop, with the same batching shape
 // — responses accumulate into a frame that is pushed when the stream's
 // queue runs dry, when it grows past binResponseFlushBytes, or right
@@ -295,9 +370,9 @@ func (bc *binConn) streamLoop(st *binStream) {
 	frame := wire.BeginFrame(make([]byte, 0, 512), st.id)
 	// batched counts the ops whose responses sit in frame; their
 	// inflight debt is settled only once the responses reach the shared
-	// writer, keeping the reader's inline fast path (which keys on
-	// inflight reaching zero) ordered behind everything this goroutine
-	// still owes.
+	// writer, keeping the reader (which runs the stream's next op itself
+	// once inflight reaches zero) ordered behind everything this
+	// goroutine still owes.
 	batched := 0
 	// flush pushes the batched responses, reporting false — after closing
 	// the connection so every stream unwinds — when the write failed.
@@ -329,16 +404,19 @@ func (bc *binConn) streamLoop(st *binStream) {
 			}
 		}
 		if req.Op == wire.OpEndStream {
-			// Retire the stream: ack, then forget it so the id can be
-			// reused; the deferred cleanup releases its grants.
-			frame = wire.AppendResponseBin(frame, &wire.Response{OK: true})
-			batched++
-			flush()
+			// Retire the stream: forget it so the id can be reused, then
+			// ack; the deferred cleanup releases its grants. The ack's
+			// inflight debt is never settled: a retired stream must not
+			// look idle to the reader, or an op pipelined behind the
+			// end_stream would run on a session whose grants were already
+			// swept.
 			bc.mu.Lock()
 			if bc.streams[st.id] == st {
 				delete(bc.streams, st.id)
 			}
 			bc.mu.Unlock()
+			frame = wire.AppendResponseBin(frame, &wire.Response{OK: true})
+			flush()
 			return
 		}
 		if req.Op == wire.OpReleaseNoAck {

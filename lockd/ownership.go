@@ -205,21 +205,21 @@ func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) wire
 	return s.grantResponse(g)
 }
 
-// handleAcquire is handle's OpAcquire case. With block=true it always
-// answers (done=true). With block=false it answers only when no
-// blocking would be needed: done=false means the acquire ran its
-// validations and one uncontended fast probe, found the lock busy, and
-// stopped — with no residue, so re-submitting the same request through
-// the blocking path is exactly an acquire that started a moment later.
-// The binary reader's inline fast path uses the non-blocking mode; it
-// only ever does so for sessions whose ops arrived over an inter-node
-// connection, whose noForward flag also keeps maybeForward — the one
-// other spot this path could stall — an immediate return.
+// handleAcquire is handle's acquire and try case. With block=true it
+// always answers (done=true). With block=false — the binary frame
+// reader's mode (handleInline) — it answers only when neither of the
+// two waits on this path would be needed, and done=false means it
+// stopped short of one: before forwarding a key another node owns (an
+// inter-node round trip, which may itself block at the owner), or after
+// the validations and one uncontended fast probe found the lock busy.
+// Either way it leaves no residue, so re-submitting the same request
+// through the blocking path is exactly an acquire that started a moment
+// later.
 func (s *Server) handleAcquire(connCtx context.Context, sess *session, req wire.Request, preBlock func(), block bool) (resp wire.Response, done bool) {
 	if req.Name == "" {
 		return needName(req.Op), true
 	}
-	if req.TimeoutMS < 0 {
+	if req.Op == wire.OpAcquire && req.TimeoutMS < 0 {
 		return wire.Response{Err: fmt.Sprintf("lockd: negative timeout_ms %d", req.TimeoutMS)}, true
 	}
 	if _, held := sess.grants[req.Name]; held {
@@ -229,9 +229,22 @@ func (s *Server) handleAcquire(connCtx context.Context, sess *session, req wire.
 		return alreadyHeld(req.Name), true
 	}
 	if s.Cluster != nil {
-		if resp, ok := s.checkOwner(req.Name); !ok {
-			return s.maybeForward(sess, req, resp, preBlock), true
+		if redirect, ok := s.checkOwner(req.Name); !ok {
+			if !block && s.wouldForward(sess, redirect) {
+				return wire.Response{}, false
+			}
+			return s.maybeForward(sess, req, redirect, preBlock), true
 		}
+	}
+	if req.Op == wire.OpTryAcquire {
+		l, ok, err := s.mgr.TryAcquireLease(req.Name)
+		if err != nil {
+			return wire.Response{Err: err.Error()}, true
+		}
+		if !ok {
+			return wire.Response{OK: true, Acquired: false}, true
+		}
+		return s.commitAcquire(sess, req.Name, l), true
 	}
 	// Fast path: no contexts, no timers, no allocation — consume a
 	// remembered cancel, then take the lock manager's uncontended
@@ -280,7 +293,7 @@ func (s *Server) handleAcquire(connCtx context.Context, sess *session, req wire.
 // acquire delay answers already owed.
 func (s *Server) handle(connCtx context.Context, sess *session, req wire.Request, preBlock func()) wire.Response {
 	switch req.Op {
-	case wire.OpAcquire:
+	case wire.OpAcquire, wire.OpTryAcquire:
 		resp, _ := s.handleAcquire(connCtx, sess, req, preBlock, true)
 		return resp
 	case wire.OpCancel:
@@ -288,29 +301,6 @@ func (s *Server) handle(connCtx context.Context, sess *session, req wire.Request
 		// remembered) when the reader saw this line; this is just the
 		// in-order acknowledgement.
 		return wire.Response{OK: true}
-	case wire.OpTryAcquire:
-		if req.Name == "" {
-			return needName(req.Op)
-		}
-		if _, held := sess.grants[req.Name]; held {
-			return alreadyHeld(req.Name)
-		}
-		if _, held := sess.remoteGrants[req.Name]; held {
-			return alreadyHeld(req.Name)
-		}
-		if s.Cluster != nil {
-			if resp, ok := s.checkOwner(req.Name); !ok {
-				return s.maybeForward(sess, req, resp, preBlock)
-			}
-		}
-		l, ok, err := s.mgr.TryAcquireLease(req.Name)
-		if err != nil {
-			return wire.Response{Err: err.Error()}
-		}
-		if !ok {
-			return wire.Response{OK: true, Acquired: false}
-		}
-		return s.commitAcquire(sess, req.Name, l)
 	case wire.OpRelease:
 		if req.Name == "" {
 			return needName(req.Op)

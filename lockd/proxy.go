@@ -146,6 +146,13 @@ func (sess *session) dropRemote(owner string, c *client.Conn) {
 	}
 }
 
+// wouldForward reports whether maybeForward would make the inter-node
+// round trip for redirect, the wrong_owner answer checkOwner produced,
+// rather than return it: handleAcquire's non-blocking mode asks first.
+func (s *Server) wouldForward(sess *session, redirect wire.Response) bool {
+	return s.Proxy && !sess.noForward && redirect.WrongOwner && s.peers != nil
+}
+
 // maybeForward is the proxy-mode branch of the acquire/try ownership
 // gate: redirect is the wrong_owner answer checkOwner produced; when
 // forwarding is off (or this session's ops arrived over an inter-node
@@ -155,7 +162,7 @@ func (sess *session) dropRemote(owner string, c *client.Conn) {
 // owner's own divergent-view redirect — degrades to the redirect the
 // client would have gotten anyway.
 func (s *Server) maybeForward(sess *session, req wire.Request, redirect wire.Response, preBlock func()) wire.Response {
-	if !s.Proxy || sess.noForward || !redirect.WrongOwner || s.peers == nil {
+	if !s.wouldForward(sess, redirect) {
 		return stampRedirect(req.Name, redirect)
 	}
 	// A cancel that raced ahead of this acquire must abort it here,

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -330,6 +331,102 @@ func TestProxyRedialsBrokenPeer(t *testing.T) {
 	}
 	if _, fb := nodes[1].srv.ProxyCounters(); fb-fbBefore > 1 {
 		t.Errorf("fallbacks rose by %d across the cut, want at most 1", fb-fbBefore)
+	}
+}
+
+// deafListener accepts connections that hear nothing — every Read waits
+// — until hear is closed: an owner that is slow to answer.
+type deafListener struct {
+	net.Listener
+	hear     chan struct{}
+	accepted atomic.Int32
+}
+
+type deafConn struct {
+	net.Conn
+	hear <-chan struct{}
+}
+
+func (l *deafListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.accepted.Add(1)
+	return &deafConn{Conn: c, hear: l.hear}, nil
+}
+
+func (c *deafConn) Read(p []byte) (int, error) {
+	<-c.hear
+	return c.Conn.Read(p)
+}
+
+// TestProxyForwardDoesNotStallSiblings: a forward is an inter-node round
+// trip, so on a client connection it belongs to the stream's goroutine,
+// never to the frame reader. While one stream's acquire of a foreign key
+// is outstanding at an owner that does not answer, a sibling stream of
+// the same socket must still get its pings answered; a reader that
+// forwarded inline would be parked in the exchange and read none of
+// them.
+func TestProxyForwardDoesNotStallSiblings(t *testing.T) {
+	hear := make(chan struct{})
+	var once sync.Once
+	answer := func() { once.Do(func() { close(hear) }) }
+	defer answer() // before the cluster's cleanup: a deaf connection cannot be shut down
+	owner := &deafListener{hear: hear}
+	nodes := startClusterMode(t, 2, true, func(i int, ln net.Listener) net.Listener {
+		if i != 0 {
+			return ln
+		}
+		owner.Listener = ln
+		return owner
+	})
+	key := keyOwnedBy(t, nodes, "n0")
+
+	m := dialMux(t, nodes[1].addr)
+	forwarder, sibling := openStream(t, m), openStream(t, m)
+	if err := sibling.Ping(); err != nil { // both streams exist before the forward starts
+		t.Fatal(err)
+	}
+	acquired := make(chan error, 1)
+	go func() { acquired <- forwarder.Acquire(key) }()
+	waitFor(t, 5*time.Second, "the proxy to dial the owner", func() bool { return owner.accepted.Load() == 1 })
+
+	pinged := make(chan error, 1)
+	go func() {
+		for i := 0; i < 50; i++ {
+			if err := sibling.Ping(); err != nil {
+				pinged <- err
+				return
+			}
+		}
+		pinged <- nil
+	}()
+	select {
+	case err := <-pinged:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sibling stream stalled behind a forward in flight")
+	}
+	select {
+	case err := <-acquired:
+		t.Fatalf("forwarded acquire resolved while its owner was deaf: %v", err)
+	default:
+	}
+
+	answer()
+	select {
+	case err := <-acquired:
+		if err != nil {
+			t.Fatalf("forwarded acquire: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("forwarded acquire never resolved once its owner answered")
+	}
+	if err := forwarder.Release(key); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -64,11 +64,12 @@ type Durability struct {
 // On a binary connection the per-request path is allocation-free at
 // steady state: ops are decoded and responses encoded in place by the
 // wire package's binary codec, lock names are interned per connection,
-// responses are batched through a per-connection buffered writer that
-// flushes only when no further pipelined request is already queued, and
-// an uncontended acquire takes the lock manager's context-free fast path
-// (lockmgr.AcquireFast) — the context and cancellation machinery is paid
-// only when the lock is actually contended.
+// the connection's frame reader executes every op that cannot block and
+// its answers leave through a per-connection buffered writer in one
+// write per read, and an uncontended acquire takes the lock manager's
+// context-free fast path (lockmgr.AcquireFast) — a stream goroutine, the
+// context and the cancellation machinery are paid only when the lock is
+// actually contended.
 type Server struct {
 	mgr *lockmgr.Manager
 
@@ -133,6 +134,11 @@ type Server struct {
 
 	// journal is non-nil iff Durability.Dir was set when Serve started.
 	journal *journal.Log
+
+	// syncCommits is set at Serve when the journal's policy makes a grant
+	// or a renewal wait for an fsync before it is acknowledged
+	// (Durability.Fsync "always"): those ops can block (handleInline).
+	syncCommits bool
 
 	// recovered is how many grants Serve reattached from the journal.
 	recovered uint64
@@ -235,6 +241,7 @@ func (s *Server) Serve(ln net.Listener) error {
 				return err
 			}
 			s.journal = jn
+			s.syncCommits = pol == journal.SyncAlways
 			cfg.Journal = jn
 			cfg.Recovered = &st
 		}

@@ -246,15 +246,31 @@ func (sess *session) cancelRemote(name string) {
 }
 
 // opQueue is the unbounded handoff between a session's reader and its
-// processing loop (of request lines on the JSON path, of decoded ops on
-// a binary stream). It must be unbounded: the reader can never be
-// allowed to block on a full buffer, or a client that pipelines
+// processing loop: of request lines on the JSON path, and on a binary
+// stream of the ops queued from the first one that can block until the
+// stream goroutine has answered them all (the frame reader executes the
+// rest itself, see handleInline). It must be unbounded: the reader can
+// never be allowed to block on a full buffer, or a client that pipelines
 // requests behind a blocked acquire and then drops its connection would
 // park the reader mid-handoff — it would never return to Read, never
 // observe the EOF, and the dead session's acquire would compete on as a
 // ghost. Memory is bounded by what the client actually sends; the
 // backing array is reused (a head cursor instead of re-slicing), so a
 // steady-state session allocates nothing per item.
+//
+// The invariant (TestOpQueueStress holds the queue to it):
+//
+//   - one producer, the connection's reader, which alone calls push and
+//     close, and close after its last push; one consumer, the session's
+//     processing goroutine, which alone calls pop and tryPop;
+//   - push never blocks, and items come out in the order they went in,
+//     each exactly once;
+//   - after close, pop hands out what is still queued and only then
+//     reports done; it never blocks again;
+//   - on a binary stream, binStream.inflight is raised before the push
+//     and lowered only after the op's answer has reached the shared
+//     writer, so inflight == 0 implies the queue is empty and the
+//     consumer is parked in pop (or about to be) with nothing owed.
 type opQueue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -77,13 +77,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	br := bufio.NewReader(conn)
+	in := &flushBeforeRead{conn: conn}
+	br := bufio.NewReader(in)
 	first, err := br.Peek(1)
 	if err != nil {
 		return // closed before the first byte; nothing was promised
 	}
 	if first[0] == wire.MagicByte {
-		s.serveBinary(conn, br)
+		s.serveBinary(conn, br, in)
 		return
 	}
 	s.serveJSON(conn, br)
