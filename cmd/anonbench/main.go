@@ -10,13 +10,9 @@
 //	anonbench -experiment T2     # one experiment
 //	anonbench -list              # list experiment ids
 //	anonbench -json              # JSON results (presentation order)
-//	anonbench -parallel 4 -json > BENCH_results.json
-//	anonbench -experiment S4 -workload-file zipf-openloop.json
 //
-// -workload-file parameterizes the S4 open-load experiment with a
-// caller-supplied traffic model (internal/workload.Spec JSON, open-loop
-// arrivals required): the spec runs against both service backends
-// instead of the default backend × distribution × rate grid.
+// The suite is the reproduction (T1…S1), not a performance record: what
+// the lock service costs is measured by bench/ (BENCHMARK.json).
 package main
 
 import (
@@ -28,7 +24,6 @@ import (
 
 	"anonmutex/internal/experiments"
 	"anonmutex/internal/stats"
-	"anonmutex/internal/workload"
 )
 
 func main() {
@@ -52,7 +47,6 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiments and exit")
 	parallel := fs.Int("parallel", 1, "worker-pool size for running experiments concurrently (0: GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit results as JSON instead of text tables")
-	workloadFile := fs.String("workload-file", "", "traffic-model JSON file (internal/workload.Spec, open-loop) that parameterizes the S4 experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -73,30 +67,6 @@ func run(args []string) error {
 		toRun = append(toRun, e)
 	} else {
 		toRun = experiments.All()
-	}
-
-	if *workloadFile != "" {
-		data, err := os.ReadFile(*workloadFile)
-		if err != nil {
-			return err
-		}
-		spec, err := workload.ParseJSON(data)
-		if err != nil {
-			return err
-		}
-		replaced := false
-		for i, e := range toRun {
-			if e.ID == "S4" {
-				toRun[i].Title = fmt.Sprintf("Open-loop load: %s (both backends)", *workloadFile)
-				toRun[i].Run = func() (*stats.Table, error) {
-					return experiments.OpenLoadSweepWith(spec)
-				}
-				replaced = true
-			}
-		}
-		if !replaced {
-			return fmt.Errorf("-workload-file parameterizes S4, but S4 is not selected (use -experiment S4 or run the full suite)")
-		}
 	}
 
 	// Serial text mode streams each table as its experiment finishes (the

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -86,47 +85,11 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
-func TestRunWorkloadFileParameterizesS4(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traffic.json")
-	spec := `{
-		"keys": {"dist": "zipf", "zipf_s": 1.2},
-		"arrival": {"process": "poisson", "rate_per_sec": 5000},
-		"ops": {"timed": 1, "timeout_ms": 10}
-	}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := captureStdout(t, func() error {
-		return run([]string{"-experiment", "S4", "-workload-file", path, "-json"})
-	})
-	var results []struct {
-		ID    string `json:"id"`
-		Table struct {
-			Rows [][]string `json:"rows"`
-		} `json:"table"`
-	}
-	if err := json.Unmarshal(out, &results); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(results) != 1 || results[0].ID != "S4" {
-		t.Fatalf("unexpected results: %+v", results)
-	}
-	if len(results[0].Table.Rows) != 2 {
-		t.Fatalf("S4 with -workload-file should run the spec on both backends, got %d rows", len(results[0].Table.Rows))
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-experiment", "nope"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 	if err := run([]string{"-qqq"}); err == nil {
 		t.Error("bad flag accepted")
-	}
-	if err := run([]string{"-experiment", "T1", "-workload-file", "nope.json"}); err == nil {
-		t.Error("-workload-file without S4 accepted")
-	}
-	if err := run([]string{"-experiment", "S4", "-workload-file", "/no/such.json"}); err == nil {
-		t.Error("missing workload file accepted")
 	}
 }

@@ -23,7 +23,7 @@
 //	anonload -workload-file zipf-openloop.json -duration 5s
 //	anonload -mode net -heartbeat 500ms -workload '{"ops":{"lock":0.95,"crash":0.05}}' -duration 5s
 //	anonload -workload '{"keys":{"dist":"zipf"},"arrival":{"process":"poisson","rate_per_sec":50000},"ops":{"timed":1,"timeout_ms":5}}' -duration 2s
-//	anonload -json > BENCH_load.json
+//	anonload -json > load.json
 //
 // With deadline-bounded ops every acquire carries a deadline: attempts
 // that cannot complete in time withdraw cleanly (the abortable-mutex
@@ -32,9 +32,8 @@
 // throughput and shed arrivals.
 //
 // The JSON output is an array of {id, title, seconds, table} records —
-// the same shape anonbench emits — so runs slot into BENCH_*.json
-// trajectories. The command exits nonzero if any mutual-exclusion
-// violation is observed.
+// the same shape anonbench emits. The command exits nonzero if any
+// mutual-exclusion violation is observed.
 package main
 
 import (

@@ -7,7 +7,7 @@
 // and small integer process indices — and show what that information is
 // worth:
 //
-//   - TAS / TTAS: test-and-set spin locks built from one RMW register
+//   - TTAS: test-and-test-and-set spin lock built from one RMW register
 //     (the non-anonymous cousin of Algorithm 2 with m = 1).
 //   - Ticket: FIFO spin lock from two fetch-and-increment counters.
 //   - Bakery: Lamport's bakery — the classic n-process RW-register
@@ -42,33 +42,6 @@ type Lock interface {
 	// NewHandle allocates the next process slot.
 	NewHandle() (Handle, error)
 }
-
-// ---------------------------------------------------------------------------
-// TAS
-
-// TAS is a test-and-set spin lock.
-type TAS struct {
-	flag atomic.Bool
-}
-
-// NewTAS creates a TAS lock.
-func NewTAS() *TAS { return &TAS{} }
-
-// Name implements Lock.
-func (l *TAS) Name() string { return "tas" }
-
-// NewHandle implements Lock.
-func (l *TAS) NewHandle() (Handle, error) { return tasHandle{l}, nil }
-
-type tasHandle struct{ l *TAS }
-
-func (h tasHandle) Lock() {
-	for h.l.flag.Swap(true) {
-		runtime.Gosched()
-	}
-}
-
-func (h tasHandle) Unlock() { h.l.flag.Store(false) }
 
 // ---------------------------------------------------------------------------
 // TTAS
@@ -319,7 +292,6 @@ func (h goHandle) Unlock() { h.l.mu.Unlock() }
 
 // Verify interface compliance.
 var (
-	_ Lock = (*TAS)(nil)
 	_ Lock = (*TTAS)(nil)
 	_ Lock = (*Ticket)(nil)
 	_ Lock = (*Bakery)(nil)

@@ -17,7 +17,7 @@ func allLocks(t *testing.T, n int) []Lock {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Lock{NewTAS(), NewTTAS(), NewTicket(), bak, pet, NewGo()}
+	return []Lock{NewTTAS(), NewTicket(), bak, pet, NewGo()}
 }
 
 // TestMutualExclusionCounter is the standard torture test: n goroutines

@@ -23,48 +23,25 @@ import (
 	"anonmutex/lockd/client"
 )
 
-// ClusterConfig parameterizes a clustered scenario run.
-type ClusterConfig struct {
+// The failover scenario's shape: three nodes (one dies, two survive to
+// agree on the handoff) under the crash-under-load scenario's load —
+// eight keys, eight open-loop clients, 500 arrivals a second.
+const (
+	clusterNodes      = 3
+	clusterKeys       = 8
+	clusterClients    = 8
+	clusterRatePerSec = 500
+)
+
+// clusterConfig parameterizes a clustered scenario run.
+type clusterConfig struct {
 	Config
-	// Nodes is the cluster size (default 3). A single-node run is the
-	// sweep's baseline: there is no survivor to hand off to, so nothing
-	// is killed and the probes measure the clustered path's cost alone.
-	Nodes int
-	// Keys is the keyspace width (default 8).
-	Keys int
-	// Clients is the open-loop client count (default 8).
-	Clients int
-	// RatePerSec is the offered arrival rate (default 500).
-	RatePerSec float64
 	// Proxy turns on server-side forwarding: a node that receives an op
 	// for a foreign key relays it to the owner over the inter-node pool
 	// instead of redirecting the client. The failover invariants are
 	// identical — the mode changes who chases the new owner, not what
 	// the cluster promises.
 	Proxy bool
-}
-
-func (c ClusterConfig) withDefaults() (ClusterConfig, error) {
-	var err error
-	if c.Config, err = c.Config.withDefaults(); err != nil {
-		return c, err
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
-	if c.Nodes < 1 {
-		return c, fmt.Errorf("chaos: need Nodes >= 1, got %d", c.Nodes)
-	}
-	if c.Keys == 0 {
-		c.Keys = 8
-	}
-	if c.Clients == 0 {
-		c.Clients = 8
-	}
-	if c.RatePerSec == 0 {
-		c.RatePerSec = 500
-	}
-	return c, nil
 }
 
 // clusterMember is one node of the harness cluster.
@@ -101,18 +78,18 @@ type clusterHarness struct {
 	violations uint64
 }
 
-// startClusterHarness brings up n clustered lockd servers with gossip
-// timings derived from the lease TTL — Interval = TTL/4 (min 10ms),
-// SuspectAfter = TTL, DeadAfter = 2×TTL — and waits for every member to
-// see the full cluster alive.
-func startClusterHarness(cfg ClusterConfig) (*clusterHarness, error) {
+// startClusterHarness brings up clusterNodes clustered lockd servers
+// with gossip timings derived from the lease TTL — Interval = TTL/4 (min
+// 10ms), SuspectAfter = TTL, DeadAfter = 2×TTL — and waits for every
+// member to see the full cluster alive.
+func startClusterHarness(cfg clusterConfig) (*clusterHarness, error) {
 	h := &clusterHarness{}
 	interval := cfg.TTL / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
 	var seeds []string
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < clusterNodes; i++ {
 		mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 8})
 		if err != nil {
 			h.stop()
@@ -157,12 +134,12 @@ func startClusterHarness(cfg ClusterConfig) (*clusterHarness, error) {
 					alive++
 				}
 			}
-			if alive == cfg.Nodes {
+			if alive == clusterNodes {
 				break
 			}
 			if time.Now().After(deadline) {
 				h.stop()
-				return nil, fmt.Errorf("chaos: cluster never converged (%s sees %d/%d alive)", m.node.Self().ID, alive, cfg.Nodes)
+				return nil, fmt.Errorf("chaos: cluster never converged (%s sees %d/%d alive)", m.node.Self().ID, alive, clusterNodes)
 			}
 			time.Sleep(interval / 2)
 		}
@@ -229,14 +206,14 @@ func (h *clusterHarness) stop() error {
 	return first
 }
 
-// RunClusterFailover is the kill-a-node scenario body, shared with the
-// experiments sweep: open-loop zipf load through the cluster-routed
-// client, one member (an owner of probed keys) killed at half duration,
-// and after the load drains a full-keyspace probe that measures recovery
-// and checks per-key token monotonicity across the handoff.
-func RunClusterFailover(ccfg ClusterConfig) (*Report, error) {
-	ccfg, err := ccfg.withDefaults()
-	if err != nil {
+// runClusterFailover is the kill-a-node scenario body: open-loop zipf
+// load through the cluster-routed client, one member (an owner of
+// probed keys) killed at half duration, and after the load drains a
+// full-keyspace probe that measures recovery and checks per-key token
+// monotonicity across the handoff.
+func runClusterFailover(ccfg clusterConfig) (*Report, error) {
+	var err error
+	if ccfg.Config, err = ccfg.Config.withDefaults(); err != nil {
 		return nil, err
 	}
 	h, err := startClusterHarness(ccfg)
@@ -259,8 +236,8 @@ func RunClusterFailover(ccfg ClusterConfig) (*Report, error) {
 		return nil, err
 	}
 	defer probe.Close()
-	keys := make([]string, ccfg.Keys)
-	preTokens := make([]uint64, ccfg.Keys)
+	keys := make([]string, clusterKeys)
+	preTokens := make([]uint64, clusterKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%04d", i)
 		if err := probe.Acquire(keys[i]); err != nil {
@@ -279,33 +256,27 @@ func RunClusterFailover(ccfg ClusterConfig) (*Report, error) {
 	}
 
 	// The victim is the owner of the first key, so at least one probed
-	// key is guaranteed to change hands. A single-node cluster runs the
-	// same load and probe phases with nothing killed.
-	victim := -1
-	if ccfg.Nodes > 1 {
-		if victim, err = h.owner(keys[0]); err != nil {
-			h.stop()
-			return nil, err
-		}
+	// key is guaranteed to change hands.
+	victim, err := h.owner(keys[0])
+	if err != nil {
+		h.stop()
+		return nil, err
 	}
 
 	spec := workload.Spec{
 		Seed:    ccfg.Seed,
 		Keys:    workload.KeySpec{Dist: workload.KeyZipf},
-		Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerSec: ccfg.RatePerSec},
+		Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerSec: clusterRatePerSec},
 	}
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		if victim < 0 {
-			return
-		}
 		time.Sleep(ccfg.Duration / 2)
 		h.violations += h.members[victim].kill()
 	}()
 	res, err := loadgen.Run(loadgen.Config{
-		Clients:           ccfg.Clients,
-		Keys:              ccfg.Keys,
+		Clients:           clusterClients,
+		Keys:              clusterKeys,
 		Duration:          ccfg.Duration,
 		Workload:          &spec,
 		TolerateGrantLoss: true,
@@ -371,10 +342,10 @@ func RunClusterFailover(ccfg ClusterConfig) (*Report, error) {
 	return r, stopErr
 }
 
-// runKillNodeFailover adapts RunClusterFailover to the registry's
+// runKillNodeFailover adapts runClusterFailover to the registry's
 // single-config shape.
 func runKillNodeFailover(cfg Config) (*Report, error) {
-	return RunClusterFailover(ClusterConfig{Config: cfg})
+	return runClusterFailover(clusterConfig{Config: cfg})
 }
 
 // runKillNodeFailoverProxy is the same kill-a-node scenario with every
@@ -383,5 +354,5 @@ func runKillNodeFailover(cfg Config) (*Report, error) {
 // the grants the proxies hold on remote owners must be reaped when the
 // forwarding node's client sessions end.
 func runKillNodeFailoverProxy(cfg Config) (*Report, error) {
-	return RunClusterFailover(ClusterConfig{Config: cfg, Proxy: true})
+	return runClusterFailover(clusterConfig{Config: cfg, Proxy: true})
 }

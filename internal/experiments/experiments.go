@@ -16,16 +16,14 @@
 //	E9             — fairness (deadlock-freedom is not starvation-freedom)
 //	E10            — anonymity invariance
 //	S1             — the scenario-registry sweep, on both substrates
-//	S2             — the named-lock service sweep (lockmgr + lockd)
-//	S3             — deadline-bounded acquisition (abort rate, tail latency)
-//	S4             — open-loop offered load (backend × distribution × rate)
-//	S5             — lease sweep (TTL × heartbeat × rate, crash fraction)
-//	S6             — cluster failover sweep (nodes × keys × rate, owner killed)
 //
-// Everything except S1's real-substrate timings and the S2–S6 service
-// measurements is deterministic: fixed seeds, simulated schedules.
-// Experiments are independent — RunConcurrent executes them on a worker
-// pool and reports results in presentation order.
+// Everything except S1's real-substrate rows is deterministic: fixed
+// seeds, simulated schedules. Experiments are independent —
+// RunConcurrent executes them on a worker pool and reports results in
+// presentation order. What measures the lock service lives elsewhere:
+// performance in bench/ (BENCHMARK.json), crash and failover behaviour
+// in internal/chaos; DESIGN.md's claim ledger says which test checks
+// what.
 package experiments
 
 import (
@@ -44,7 +42,6 @@ import (
 	"anonmutex/internal/scenario"
 	"anonmutex/internal/sched"
 	"anonmutex/internal/stats"
-	"anonmutex/internal/strawman"
 	"anonmutex/sim"
 )
 
@@ -73,11 +70,6 @@ func All() []Experiment {
 		{"E9", "Fairness: bypasses and waiting spread", Fairness},
 		{"E10", "Anonymity invariance: permutation adversaries", PermInvariance},
 		{"S1", "Scenario registry: every named scenario, both substrates", ScenarioSuite},
-		{"S2", "Service sweep: sharded named-lock manager and lockd under load", ServiceSweep},
-		{"S3", "Deadline sweep: abortable acquisition, abort rate and tail latency", DeadlineSweep},
-		{"S4", "Open-loop load: backend × key distribution × offered rate", OpenLoadSweep},
-		{"S5", "Lease sweep: TTL × heartbeat × offered rate under a crash fraction", LeaseSweep},
-		{"S6", "Cluster failover sweep: nodes × keys × offered rate × routing mode (redirect/proxy), one owner killed mid-run", ClusterSweep},
 	}
 }
 
@@ -651,13 +643,3 @@ func RunConcurrent(list []Experiment, parallel int) []Outcome {
 	wg.Wait()
 	return out
 }
-
-// Strawman contrast used by documentation examples: the greedy protocol
-// fails exactly where the paper's algorithms hold.
-func strawmanFactory(m int) sched.MachineFactory {
-	return func(_ int, me id.ID) (core.Machine, error) {
-		return strawman.New(me, m), nil
-	}
-}
-
-var _ = strawmanFactory // referenced by tests

@@ -18,8 +18,8 @@ func TestAllHaveDistinctIDs(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 16 {
-		t.Fatalf("expected 16 experiments, have %d", len(seen))
+	if len(seen) != 11 {
+		t.Fatalf("expected 11 experiments (T1…S1), have %d", len(seen))
 	}
 }
 

@@ -5,9 +5,8 @@ package loadgen
 // carries a fencing token, an optional background ticker heartbeats
 // the session's grants, and Crash implements the crash op by acquiring
 // a key and orphaning the grant — never heartbeated, never released —
-// so only the manager's TTL expiry frees it. It is the loopback
-// harness the lease sweeps and chaos scenarios drive when they want
-// the lease machinery without a network in the way.
+// so only the manager's TTL expiry frees it. It drives the lease
+// machinery without a network in the way (anonload -mode inproc).
 
 import (
 	"context"

@@ -19,8 +19,7 @@
 //
 // The backend is anything that can acquire and release named locks — the
 // in-process lockmgr.Manager (via ManagerLocker) or a lockd server over
-// TCP (via the lockd/client package); cmd/anonload exposes both, and the
-// S2–S4 experiments sweep them.
+// TCP (via the lockd/client package); cmd/anonload exposes both.
 package loadgen
 
 import (
@@ -217,8 +216,8 @@ type Result struct {
 	LatencyMax  float64 `json:"acquire_max_us"`
 }
 
-// Table renders the result in the harness's table format, suitable for
-// BENCH_*.json via the stats.Table JSON codec.
+// Table renders the result in the harness's table format (JSON via the
+// stats.Table codec).
 func (r *Result) Table() *stats.Table {
 	t := &stats.Table{
 		Title: fmt.Sprintf("anonload — backend=%s", r.Backend),

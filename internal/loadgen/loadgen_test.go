@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"anonmutex/internal/lockmgr"
+	"anonmutex/internal/scenario"
 	"anonmutex/internal/workload"
 )
 
@@ -20,18 +21,26 @@ func managerConfig(t *testing.T, mcfg lockmgr.Config, cfg Config) (Config, *lock
 }
 
 // TestRunCyclesProfiles runs the closed loop over the stock traffic
-// shapes: uniform, the bursty session profile, and a one-key hotset
-// taking 80% of the traffic.
+// shapes — uniform, the bursty session profile, and a one-key hotset
+// taking 80% of the traffic — on Algorithm 2 with twice as many clients
+// as handles, and once on Algorithm 1 with 8 clients on 3 handles: the
+// lease pool multiplexes the overflow under either algorithm.
 func TestRunCyclesProfiles(t *testing.T) {
-	for name, spec := range map[string]workload.Spec{
-		"uniform": {},
-		"bursty":  {Profile: "bursty"},
-		"skewed":  {Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}},
+	for _, tc := range []struct {
+		name             string
+		alg              string
+		clients, handles int
+		spec             workload.Spec
+	}{
+		{"uniform", scenario.AlgRMW, 4, 2, workload.Spec{}},
+		{"bursty", scenario.AlgRMW, 4, 2, workload.Spec{Profile: "bursty"}},
+		{"skewed", scenario.AlgRMW, 4, 2, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
+		{"alg1-8-on-3", scenario.AlgRW, 8, 3, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg, mgr := managerConfig(t,
-				lockmgr.Config{Shards: 2, HandlesPerLock: 2},
-				Config{Clients: 4, Keys: 4, Cycles: 120, Workload: &spec, Seed: 7})
+				lockmgr.Config{Shards: 2, Algorithm: tc.alg, HandlesPerLock: tc.handles},
+				Config{Clients: tc.clients, Keys: 4, Cycles: 120, Workload: &tc.spec, Seed: 7})
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -52,7 +61,7 @@ func TestRunCyclesProfiles(t *testing.T) {
 				t.Errorf("latency percentiles out of order: %+v", res)
 			}
 			if res.Arrival != workload.ArrivalClosed {
-				t.Errorf("%s resolved to arrival %q", name, res.Arrival)
+				t.Errorf("%s resolved to arrival %q", tc.name, res.Arrival)
 			}
 			if err := mgr.Close(); err != nil {
 				t.Errorf("manager close: %v", err)

@@ -233,7 +233,7 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a table produced by MarshalJSON, so stored
-// BENCH_*.json trajectories can be reloaded and diffed.
+// results can be reloaded and diffed.
 func (t *Table) UnmarshalJSON(data []byte) error {
 	var dec struct {
 		Title  string     `json:"title"`

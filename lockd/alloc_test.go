@@ -4,10 +4,10 @@ package lockd
 // one binary op, execute it, encode the response into the stream's frame
 // — ZERO heap allocations for the hot ops (uncontended acquire, release,
 // holds, ping, failed try) once the session and the lock entry are warm.
-// BENCH_baseline.json tracks the numbers; these tests enforce the budget
-// so a regression fails CI instead of quietly eroding latency. The JSON
-// protocol has no such budget: it is encoding/json, off every measured
-// path.
+// These tests enforce the budget, so a regression fails CI instead of
+// quietly eroding latency (bench/'s ladder reports allocs_per_cycle for
+// the whole cycle). The JSON protocol has no such budget: it is
+// encoding/json, off every measured path.
 
 import (
 	"context"

@@ -1,7 +1,7 @@
 // Hot-path benchmarks for the lockd service: full client→server→client
 // round trips on an in-memory transport (net.Pipe — isolates the lockd
-// stack from kernel TCP costs) and on real loopback TCP. These are the
-// numbers tracked in BENCH_baseline.json; run with
+// stack from kernel TCP costs) and on real loopback TCP. An ad-hoc tool:
+// nothing records or gates on these (bench/ does that); run with
 //
 //	go test -bench 'RoundTrip' -benchmem ./lockd
 package lockd_test

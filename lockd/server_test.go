@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -264,5 +265,47 @@ func TestRawProtocolErrors(t *testing.T) {
 	}
 	if resp := send(`{not json`); resp.OK || !strings.Contains(resp.Err, "bad request") {
 		t.Errorf("malformed line: %+v", resp)
+	}
+}
+
+// TestDecodeRejectsGarbage: on a live connection a malformed line draws
+// exactly one bad-request response and a hangup. (That the decoder
+// itself errors on each of these is lockd/wire's test of the same name.)
+func TestDecodeRejectsGarbage(t *testing.T) {
+	_, _, addr := startServer(t, lockmgr.Config{})
+	for _, line := range []string{
+		``, `x`, `{`, `{"op"}`, `{"op":}`, `{"op":"a"`, `{"op":"a",}`,
+		`{"timeout_ms":"5"}`, `{"op":7}`, `{"op":"a" "name":"b"}`,
+		`{"name":"unterminated}`, `[]`, `"acquire"`,
+		// Trailing data after the object: a second object on the line
+		// would otherwise be silently dropped and desynchronize a
+		// pipelining client.
+		`{"op":"ping"} junk`,
+		`{"op":"acquire","name":"a"}{"op":"release","name":"a"}`,
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		raw, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("%q: no response before the hangup: %v", line, err)
+		}
+		var resp wire.Response
+		if err := wire.DecodeResponse(raw[:len(raw)-1], &resp); err != nil {
+			t.Fatalf("%q: unparseable response %q: %v", line, raw, err)
+		}
+		if resp.OK || !strings.Contains(resp.Err, "bad request") {
+			t.Errorf("%q: want a bad-request error, got %+v", line, resp)
+		}
+		if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+			t.Errorf("%q: want a hangup after one response, got %q, %v", line, rest, err)
+		}
+		conn.Close()
 	}
 }

@@ -1,9 +1,9 @@
-package lockd_test
+package wire_test
 
-// Frame-layer tests: the binary mirror of maxline_test.go's contract —
-// frames beyond the limit (or malformed below it) error cleanly instead
-// of ballooning memory or mis-framing. The fuzz harness over the same
-// decoders lives with them, in lockd/wire.
+// Frame-layer tests: the binary mirror of lockd/maxline_test.go's
+// contract — frames beyond the limit (or malformed below it) error
+// cleanly instead of ballooning memory or mis-framing. The fuzz harness
+// over the same decoders is FuzzFrameDecode in wire_test.go.
 
 import (
 	"bufio"
