@@ -297,3 +297,43 @@ func TestPermutationModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestLockCycleAllocatesNothing pins what the lazily made buffers must
+// not cost: an RWLock handle makes its snapshot and double-scan buffers
+// on its first Lock (AllocsPerRun's warm-up call here), an RMWLock handle
+// never has any, and from then on a Lock/Unlock cycle of either stays off
+// the heap.
+func TestLockCycleAllocatesNothing(t *testing.T) {
+	rw, err := NewRWLock(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmw, err := NewRMWLock(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rwp, err := rw.NewProcess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmwp, err := rmw.NewProcess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]interface {
+		Lock() error
+		Unlock() error
+	}{"RWLock": rwp, "RMWLock": rmwp} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := p.Lock(); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per Lock/Unlock cycle, want 0", name, allocs)
+		}
+	}
+}

@@ -19,29 +19,43 @@ package amem
 
 import (
 	"fmt"
+	"unsafe"
 
 	"anonmutex/internal/id"
 	"anonmutex/internal/perm"
 	"anonmutex/internal/register"
 )
 
-// paddedRegister is one atomic register alone on its cache line. The
-// protocols hammer neighboring registers from different cores (the line 2
-// CAS sweep, the double-scan collects), and an unpadded []register.Atomic
-// packs 8 registers per 64-byte line — every CAS would invalidate its
-// neighbors' lines in every other core. m is tiny (the paper's optimal
-// sizes), so the 8x memory cost is a handful of cache lines per lock.
-type paddedRegister struct {
-	register.Atomic
-	_ [64 - 8]byte
-}
+// The register block is laid out against 64-byte cache lines (amd64, and
+// arm64 outside Apple silicon, where a 128-byte line only means a block
+// spans fewer lines than counted here).
+const (
+	lineBytes   = 64
+	regBytes    = unsafe.Sizeof(register.Atomic{}) // one 8-byte word
+	regsPerLine = int(lineBytes / regBytes)
+)
 
 // Memory is an anonymous shared memory of m atomic registers, all
 // initialized to ⊥ (the zero value of a register). It is the "external
 // omniscient observer" array; tests and monitors may inspect it with
 // Observe*, but protocol code must go through a View.
+//
+// The m registers are contiguous, 8 bytes apart, in one block that
+// starts on a cache line and is a whole number of lines long: 128 bytes
+// for the service's m = 11. One lock's registers share lines — a sweep
+// of an uncontended lock touches 2 lines, not m — and two locks never
+// do, so traffic on one name cannot invalidate another's.
+//
+// Registers were once padded to a line each, to keep neighbouring CAS
+// sweeps and collects off each other's lines. Measured (DESIGN.md "The
+// space budget"), that bought nothing the benchmarks can see on the
+// contended RMW lock, cost 4 % at most on the contended RW one, made the
+// double scan under writers ten times slower (m line fills a collect are
+// m windows for a writer to split two collects; one fill is one), and
+// cost every resident lock 8× the register memory — 576 of the 2 094
+// bytes a named lock then took in the service.
 type Memory struct {
-	regs []paddedRegister
+	regs []register.Atomic
 }
 
 // New creates a memory of m registers, every one holding ⊥. It panics if
@@ -51,7 +65,19 @@ func New(m int) *Memory {
 	if m < 1 {
 		panic(fmt.Sprintf("amem: memory size must be >= 1, got %d", m))
 	}
-	return &Memory{regs: make([]paddedRegister, m)}
+	// A block of whole lines lands in a size class that is a multiple of
+	// the line, and the allocator carves those from page-aligned spans:
+	// the block comes back aligned. That is how the runtime behaves, not
+	// what it promises, so check, and on a miss allocate one line more
+	// and start at the first boundary inside it.
+	intoLine := func(b []register.Atomic) uintptr { return uintptr(unsafe.Pointer(&b[0])) % lineBytes }
+	words := (m + regsPerLine - 1) / regsPerLine * regsPerLine
+	block := make([]register.Atomic, words)
+	if intoLine(block) != 0 {
+		block = make([]register.Atomic, words+regsPerLine)
+		block = block[(lineBytes-intoLine(block))%lineBytes/regBytes:]
+	}
+	return &Memory{regs: block[:m:m]}
 }
 
 // Size returns m.
@@ -76,7 +102,9 @@ func (mem *Memory) ObserveValues() []id.ID {
 
 // NewView creates the anonymous view of this memory for process me, using
 // the permutation p assigned by the adversary. The permutation maps local
-// register names (0-based) to physical indices.
+// register names (0-based) to physical indices. The view keeps p itself,
+// not a copy: the caller hands over the permutation it just built and
+// must not modify it afterwards.
 func (mem *Memory) NewView(me id.ID, p perm.Perm) (*View, error) {
 	if me.IsNone() {
 		return nil, fmt.Errorf("amem: a view requires a process identity, got ⊥")
@@ -87,26 +115,27 @@ func (mem *Memory) NewView(me id.ID, p perm.Perm) (*View, error) {
 	if !p.Valid() {
 		return nil, fmt.Errorf("amem: invalid permutation %v", p)
 	}
-	return &View{
-		mem:   mem,
-		perm:  p.Clone(),
-		me:    me,
-		scanA: make([]register.Packed, len(mem.regs)),
-		scanB: make([]register.Packed, len(mem.regs)),
-	}, nil
+	return &View{regs: mem.regs, perm: p, me: me}, nil
 }
 
 // View is process pi's anonymous handle on the shared memory: every access
 // through local index x reaches physical register perm[x]. Not safe for
 // concurrent use — one View belongs to one process.
+//
+// A view holds what its process must keep privately per register — one
+// permutation entry — plus the write stamp. The memory's register block
+// is referenced directly, so an operation touches the view, the
+// permutation and the block and nothing in between.
 type View struct {
-	mem  *Memory
+	regs []register.Atomic // the Memory's block, physical order
 	perm perm.Perm
 	me   id.ID
 	seq  uint32 // sni: per-process write sequence number
 
-	// Reusable double-scan buffers (allocation-free snapshots).
-	scanA, scanB []register.Packed
+	// scan is the double scan's two collect buffers, m words each, made
+	// by the first Snapshot and reused by every later one. Algorithm 2
+	// never snapshots, so its views never carry them.
+	scan []register.Packed
 
 	// Statistics for the snapshot-cost experiments.
 	snapshotCalls    uint64
@@ -122,7 +151,7 @@ func (v *View) Me() id.ID { return v.me }
 // Read returns the algorithmic value of local register x: the identity of
 // its last writer-recorded value, or ⊥.
 func (v *View) Read(x int) id.ID {
-	return id.FromHandle(v.mem.regs[v.perm[x]].LoadPacked().ValueHandle())
+	return id.FromHandle(v.regs[v.perm[x]].LoadPacked().ValueHandle())
 }
 
 // Write stores val into local register x, stamped with this process's
@@ -130,7 +159,7 @@ func (v *View) Read(x int) id.ID {
 // §II-B). Both identity writes and ⊥ writes (shrink) are stamped.
 func (v *View) Write(x int, val id.ID) {
 	v.seq++
-	v.mem.regs[v.perm[x]].Store(register.Stamped{Val: val, Writer: v.me, Seq: v.seq})
+	v.regs[v.perm[x]].Store(register.Stamped{Val: val, Writer: v.me, Seq: v.seq})
 }
 
 // CompareAndSwap atomically replaces the value of local register x with
@@ -138,7 +167,7 @@ func (v *View) Write(x int, val id.ID) {
 // operation; never used by Algorithm 1.
 func (v *View) CompareAndSwap(x int, old, newVal id.ID) bool {
 	v.seq++
-	return v.mem.regs[v.perm[x]].CompareAndSwapValue(old, newVal, v.me, v.seq)
+	return v.regs[v.perm[x]].CompareAndSwapValue(old, newVal, v.me, v.seq)
 }
 
 // Snapshot returns a linearizable snapshot of the algorithmic values of
@@ -155,7 +184,11 @@ func (v *View) CompareAndSwap(x int, old, newVal id.ID) bool {
 // exactly the model's behavior.
 func (v *View) Snapshot(dst []id.ID) []id.ID {
 	v.snapshotCalls++
-	prev, cur := v.scanA, v.scanB
+	m := len(v.perm)
+	if v.scan == nil {
+		v.scan = make([]register.Packed, 2*m)
+	}
+	prev, cur := v.scan[:m], v.scan[m:]
 	v.collect(prev)
 	for {
 		v.collect(cur)
@@ -181,7 +214,7 @@ func (v *View) Snapshot(dst []id.ID) []id.ID {
 func (v *View) collect(buf []register.Packed) {
 	v.snapshotCollects++
 	for x := range v.perm {
-		buf[x] = v.mem.regs[v.perm[x]].LoadPacked()
+		buf[x] = v.regs[v.perm[x]].LoadPacked()
 	}
 }
 

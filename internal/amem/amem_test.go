@@ -3,6 +3,7 @@ package amem
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"anonmutex/internal/id"
 	"anonmutex/internal/perm"
@@ -28,6 +29,58 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 			}()
 			New(m)
 		}()
+	}
+}
+
+// TestMemoryLayout pins the register block's shape: it starts on a cache
+// line, registers are one word apart, and the block is whole lines long,
+// so one lock's registers share lines and two locks' never do. The
+// second half pins what the lazy double-scan buffers must not become: a
+// per-snapshot allocation.
+func TestMemoryLayout(t *testing.T) {
+	addr := func(mem *Memory, x int) uintptr { return uintptr(unsafe.Pointer(&mem.regs[x])) }
+	for _, m := range []int{1, 3, 11, 17} {
+		// Back to back, and enough of them to fill an allocator span, so
+		// neighbours in a span are among the pairs compared.
+		mems := make([]*Memory, 128)
+		for i := range mems {
+			mems[i] = New(m)
+		}
+		lines := make(map[uintptr]int)
+		for i, mem := range mems {
+			if mem.Size() != m {
+				t.Fatalf("m=%d: Size() = %d", m, mem.Size())
+			}
+			if a := addr(mem, 0); a%lineBytes != 0 {
+				t.Fatalf("m=%d: memory %d starts at %#x, %d bytes into a line", m, i, a, a%lineBytes)
+			}
+			for x := 1; x < m; x++ {
+				if d := addr(mem, x) - addr(mem, x-1); d != 8 {
+					t.Fatalf("m=%d: registers %d and %d are %d bytes apart, want 8", m, x-1, x, d)
+				}
+			}
+			for x := 0; x < m; x++ {
+				line := addr(mem, x) / lineBytes
+				if j, taken := lines[line]; taken && j != i {
+					t.Fatalf("m=%d: memories %d and %d share the line at %#x", m, j, i, line*lineBytes)
+				}
+				lines[line] = i
+			}
+		}
+		if want := len(mems) * ((m + regsPerLine - 1) / regsPerLine); len(lines) != want {
+			t.Errorf("m=%d: %d memories span %d lines, want %d", m, len(mems), len(lines), want)
+		}
+	}
+
+	const m = 11
+	mem := New(m)
+	v := newTestView(t, mem, id.NewGenerator().MustNew(), perm.Identity(m))
+	if v.scan != nil {
+		t.Error("a view that has not taken a snapshot already carries scan buffers")
+	}
+	buf := v.Snapshot(nil) // the first one makes them
+	if allocs := testing.AllocsPerRun(100, func() { buf = v.Snapshot(buf) }); allocs != 0 {
+		t.Errorf("%.1f allocations per snapshot after the first, want 0", allocs)
 	}
 }
 

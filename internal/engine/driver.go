@@ -81,6 +81,9 @@ type Driver struct {
 	machine core.Machine
 	exec    Executor
 	backoff Backoff
+	// snapBuf is made by the first snapshot the machine requests (Exec
+	// grows it) and reused from then on; a driver of Algorithm 2, which
+	// never snapshots, never has one.
 	snapBuf []id.ID
 
 	// streak counts consecutive ops without progress within the current
@@ -98,8 +101,7 @@ type Driver struct {
 }
 
 // NewDriver builds a driver for machine over exec with the default
-// backoff. The snapshot buffer is preallocated so steady-state driving
-// performs zero allocations per operation.
+// backoff. Steady-state driving performs zero allocations per operation.
 func NewDriver(machine core.Machine, exec Executor) *Driver {
 	return NewDriverBackoff(machine, exec, DefaultBackoff())
 }
@@ -107,12 +109,7 @@ func NewDriver(machine core.Machine, exec Executor) *Driver {
 // NewDriverBackoff builds a driver with an explicit backoff policy.
 func NewDriverBackoff(machine core.Machine, exec Executor, b Backoff) *Driver {
 	b.normalize()
-	return &Driver{
-		machine: machine,
-		exec:    exec,
-		backoff: b,
-		snapBuf: make([]id.ID, exec.Size()),
-	}
+	return &Driver{machine: machine, exec: exec, backoff: b}
 }
 
 // Machine returns the driven machine.

@@ -1,10 +1,13 @@
 package lockmgr_test
 
 // Manager hot-path benchmarks: uncontended acquire/release on one name,
-// try-acquire, and a contended parallel mix. Tracked in
-// BENCH_baseline.json; run with
+// try-acquire, and a contended parallel mix. For measuring while working
+// on this package:
 //
 //	go test -bench . -benchmem ./internal/lockmgr
+//
+// A performance number is recorded only by `bash bench/run.sh`
+// (bench/README.md); its `ladder.lockmgr` rung is this package's row.
 import (
 	"context"
 	"fmt"

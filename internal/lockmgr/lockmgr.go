@@ -39,7 +39,6 @@
 package lockmgr
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -153,17 +152,22 @@ func (c *shardCounters) snapshot() Counters {
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	lru     *list.List // front = most recently used; values are *entry
+	// The recency list, threaded through the entries' own prev/next:
+	// hot is the most recently promoted entry, cold the eviction scan's
+	// starting point.
+	hot, cold *entry
 
 	c shardCounters
 }
 
-// entry is one resident named lock.
+// entry is one resident named lock: table slot, recency-list node and
+// lease pool in one object.
 type entry struct {
 	name string
 	sh   *shard
-	pool *leasePool
-	elem *list.Element
+	// prev points toward the hot end, next toward the cold end; both are
+	// guarded by the shard mutex.
+	prev, next *entry
 	// refs counts checked-out grants + queued acquirers; evictable only
 	// at 0. Pins (0→up) happen under the shard mutex; unpins are a plain
 	// atomic decrement on the release path.
@@ -174,6 +178,33 @@ type entry struct {
 	// reordering the list on every hit.
 	touched bool
 	held    atomic.Int32 // grants inside the critical section: must step 0→1→0
+	pool    leasePool
+}
+
+// pushHot links e in at the hot end. Called with the shard lock held.
+func (sh *shard) pushHot(e *entry) {
+	e.prev, e.next = nil, sh.hot
+	if sh.hot != nil {
+		sh.hot.prev = e
+	} else {
+		sh.cold = e
+	}
+	sh.hot = e
+}
+
+// unlink takes e out of the recency list. Called with the shard lock held.
+func (sh *shard) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		sh.hot = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		sh.cold = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // Counters aggregates a shard's (or with Manager.Counters, the whole
@@ -224,7 +255,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range m.shards {
-		m.shards[i] = &shard{entries: make(map[string]*entry), lru: list.New()}
+		m.shards[i] = &shard{entries: make(map[string]*entry)}
 	}
 	return m, nil
 }
@@ -266,48 +297,59 @@ func (m *Manager) newLock(name string) (func() (procHandle, error), error) {
 	}
 }
 
-// checkout pins the entry for name (creating it, and evicting a cold one,
-// as needed) and leases a handle from its pool. A caller whose ctx ends
-// while queued unpins and leaves empty-handed with ctx's error, counted
-// as a lease timeout.
-func (m *Manager) checkout(ctx context.Context, name string, block bool) (*entry, procHandle, error) {
-	sh := m.shard(name)
+// pin finds the entry for name in its shard sh (creating it, and evicting
+// a cold one, as needed) and pins it against eviction — one shard critical section. With
+// unlessHeld, a resident entry whose lock is visibly inside a critical
+// section is left unpinned and nil is returned: the non-blocking paths'
+// holder check, made in the lookup they need anyway.
+func (m *Manager) pin(sh *shard, name string, unlessHeld bool) (*entry, error) {
 	sh.mu.Lock()
-	e, ok := sh.entries[name]
-	if ok {
+	if e, ok := sh.entries[name]; ok {
+		if unlessHeld && e.held.Load() > 0 {
+			sh.mu.Unlock()
+			return nil, nil
+		}
 		e.touched = true
 		e.refs.Add(1)
 		sh.mu.Unlock()
 		sh.c.hits.Add(1)
-	} else {
-		if len(sh.entries) >= m.cfg.MaxLocksPerShard {
-			sh.evictColdest()
-		}
-		newHandle, err := m.newLock(name)
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, nil, err
-		}
-		e = &entry{name: name, sh: sh, pool: newLeasePool(m.cfg.HandlesPerLock, newHandle)}
-		e.refs.Store(1)
-		e.elem = sh.lru.PushFront(e)
-		sh.entries[name] = e
+		return e, nil
+	}
+	if len(sh.entries) >= m.cfg.MaxLocksPerShard {
+		sh.evictColdest()
+	}
+	newHandle, err := m.newLock(name)
+	if err != nil {
 		sh.mu.Unlock()
-		sh.c.lockCreates.Add(1)
-		sh.c.resident.Add(1)
+		return nil, err
 	}
+	e := &entry{name: name, sh: sh, pool: leasePool{capacity: m.cfg.HandlesPerLock, newHandle: newHandle}}
+	e.refs.Store(1)
+	sh.pushHot(e)
+	sh.entries[name] = e
+	sh.mu.Unlock()
+	sh.c.lockCreates.Add(1)
+	sh.c.resident.Add(1)
+	return e, nil
+}
 
-	h, ok, waited, err := e.pool.lease(ctx, block)
-	if waited {
-		sh.c.waits.Add(1)
+// checkout pins the entry for name and leases a handle from its pool,
+// queueing for one when all n are leased out. A caller whose ctx ends
+// while queued unpins and leaves empty-handed with ctx's error, counted
+// as a lease timeout.
+func (m *Manager) checkout(ctx context.Context, name string) (*entry, procHandle, error) {
+	e, err := m.pin(m.shard(name), name, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	if !ok || err != nil {
+	h, waited, err := e.pool.lease(ctx)
+	if waited {
+		e.sh.c.waits.Add(1)
+	}
+	if err != nil {
 		e.refs.Add(-1)
-		if err != nil {
-			sh.c.leaseTimeouts.Add(1)
-			return nil, nil, fmt.Errorf("lockmgr: acquiring %q: queued for a handle: %w", name, err)
-		}
-		return nil, nil, nil
+		e.sh.c.leaseTimeouts.Add(1)
+		return nil, nil, fmt.Errorf("lockmgr: acquiring %q: queued for a handle: %w", name, err)
 	}
 	return e, h, nil
 }
@@ -316,7 +358,7 @@ func (m *Manager) checkout(ctx context.Context, name string, block bool) (*entry
 // pooled handles. Called with the shard lock held. The scan is the CLOCK
 // second-chance pass: walking from the cold end, every pinned or touched
 // entry is promoted to the front (its touch bit cleared — this is where
-// the hit path's deferred MoveToFront work happens, in one batch), and
+// the hit path's deferred move-to-hot-end work happens, in one batch), and
 // the first cold unpinned entry is evicted. A shard whose every entry is
 // pinned or perpetually touched simply overflows its bound until one
 // goes idle.
@@ -324,13 +366,13 @@ func (sh *shard) evictColdest() {
 	// Two passes over the list suffice: the first pass clears every touch
 	// bit it meets, so the second finds a victim unless everything is
 	// pinned.
-	for i, el := 0, sh.lru.Back(); el != nil && i < 2*sh.lru.Len()+1; i++ {
-		e := el.Value.(*entry)
-		prev := el.Prev()
+	for i, e := 0, sh.cold; e != nil && i < 2*len(sh.entries)+1; i++ {
+		colder := e.prev
 		if e.refs.Load() > 0 || e.touched {
 			e.touched = false
-			sh.lru.MoveToFront(el)
-			el = prev
+			sh.unlink(e)
+			sh.pushHot(e)
+			e = colder
 			continue
 		}
 		// refs == 0 under the shard mutex means every materialized handle
@@ -338,7 +380,7 @@ func (sh *shard) evictColdest() {
 		// fail; a failure would be a manager bug and the entry is dropped
 		// either way (its arena is unreachable).
 		_ = e.pool.closeIdle()
-		sh.lru.Remove(el)
+		sh.unlink(e)
 		delete(sh.entries, e.name)
 		sh.c.evictions.Add(1)
 		sh.c.resident.Add(-1)
@@ -374,7 +416,7 @@ func (l Lease) Name() string { return l.e.name }
 // performs zero heap allocations.
 func (m *Manager) AcquireLeaseCtx(ctx context.Context, name string) (Lease, error) {
 	start := time.Now()
-	e, h, err := m.checkout(ctx, name, true)
+	e, h, err := m.checkout(ctx, name)
 	if err != nil {
 		return Lease{}, err
 	}
@@ -429,18 +471,20 @@ func (m *Manager) tryAcquire(name string, countTry bool) (Lease, bool, error) {
 	if countTry {
 		sh.c.tryAcquires.Add(1)
 	}
-	sh.mu.Lock()
-	e, ok := sh.entries[name]
-	held := ok && e.held.Load() > 0
-	sh.mu.Unlock()
-	if held {
-		return fail()
-	}
-	e, h, err := m.checkout(context.Background(), name, false)
+	e, err := m.pin(sh, name, true)
 	if err != nil {
 		return Lease{}, false, err
 	}
+	if e == nil { // held
+		return fail()
+	}
+	h, err := e.pool.tryLease()
+	if err != nil {
+		e.refs.Add(-1)
+		return Lease{}, false, err
+	}
 	if h == nil { // pool exhausted
+		e.refs.Add(-1)
 		return fail()
 	}
 	// Re-check now that the lease is in hand — cheaper than burning the
@@ -579,7 +623,7 @@ func (m *Manager) Close() error {
 				sh.mu.Unlock()
 				return err
 			}
-			sh.lru.Remove(e.elem)
+			sh.unlink(e)
 			delete(sh.entries, name)
 			sh.c.resident.Add(-1)
 		}

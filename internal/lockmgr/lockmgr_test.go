@@ -124,25 +124,28 @@ func TestMutualExclusionAcrossClients(t *testing.T) {
 // every slot leased out, a blocking lease waits for a release.
 func TestLeaseWaited(t *testing.T) {
 	created := 0
-	p := newLeasePool(1, func() (procHandle, error) {
+	p := &leasePool{capacity: 1, newHandle: func() (procHandle, error) {
 		created++
 		return stubHandle{}, nil
-	})
-	h, ok, waited, err := p.lease(context.Background(), true)
-	if err != nil || !ok || waited {
-		t.Fatalf("first lease: ok=%v waited=%v err=%v", ok, waited, err)
+	}}
+	h, waited, err := p.lease(context.Background())
+	if err != nil || h == nil || waited {
+		t.Fatalf("first lease: h=%v waited=%v err=%v", h, waited, err)
 	}
-	if _, ok, _, err := p.lease(context.Background(), false); ok || err != nil {
-		t.Fatalf("non-blocking lease of exhausted pool: ok=%v err=%v", ok, err)
+	if h, err := p.tryLease(); h != nil || err != nil {
+		t.Fatalf("non-blocking lease of exhausted pool: h=%v err=%v", h, err)
+	}
+	if p.wake != nil {
+		t.Error("the wake channel exists before anyone queued")
 	}
 	done := make(chan struct{})
 	ready := make(chan struct{})
 	go func() {
 		defer close(done)
 		close(ready) // about to queue on the exhausted pool
-		h2, ok, waited, err := p.lease(context.Background(), true)
-		if err != nil || !ok || !waited {
-			t.Errorf("queued lease: ok=%v waited=%v err=%v", ok, waited, err)
+		h2, waited, err := p.lease(context.Background())
+		if err != nil || h2 == nil || !waited {
+			t.Errorf("queued lease: h=%v waited=%v err=%v", h2, waited, err)
 			return
 		}
 		p.release(h2)
@@ -183,10 +186,10 @@ func TestPoolOneKeyStress(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		const handles = 8
 		var created atomic.Int32
-		p := newLeasePool(handles, func() (procHandle, error) {
+		p := &leasePool{capacity: handles, newHandle: func() (procHandle, error) {
 			created.Add(1)
 			return &countingHandle{}, nil
-		})
+		}}
 		stop := time.Now().Add(500 * time.Millisecond)
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -204,7 +207,7 @@ func TestPoolOneKeyStress(t *testing.T) {
 				defer wg.Done()
 				n, bad := int64(0), int64(0)
 				for ; n&1023 != 0 || time.Now().Before(stop); n++ {
-					h, _, _, err := p.lease(context.Background(), true)
+					h, _, err := p.lease(context.Background())
 					if err != nil {
 						t.Error(err)
 						break
@@ -402,6 +405,72 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if got := m.Counters().LockCreates; got != 6 {
 		t.Errorf("lock creates = %d, want 6 (5 cold names + 1 re-materialization)", got)
+	}
+}
+
+// TestEvictionOrder pins the second-chance scan over the entries' own
+// prev/next links: a touched entry at the cold end is promoted, the
+// coldest untouched one goes, and the list stays the table's mirror —
+// the same names, the same order in both directions — through
+// promotions, evictions and Close.
+func TestEvictionOrder(t *testing.T) {
+	m, err := New(Config{Shards: 1, MaxLocksPerShard: 3, HandlesPerLock: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := m.shards[0]
+	order := func() string {
+		t.Helper()
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		var fwd, back []string
+		for e := sh.hot; e != nil; e = e.next {
+			fwd = append(fwd, e.name)
+		}
+		for e := sh.cold; e != nil; e = e.prev {
+			back = append([]string{e.name}, back...)
+		}
+		if len(fwd) != len(sh.entries) || strings.Join(fwd, " ") != strings.Join(back, " ") {
+			t.Fatalf("recency list %v (hot to cold) / %v (walked back) does not mirror a table of %d", fwd, back, len(sh.entries))
+		}
+		return strings.Join(fwd, " ")
+	}
+	cycle := func(name string) {
+		t.Helper()
+		g, err := m.AcquireLeaseCtx(context.Background(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Release(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		cycle(name)
+	}
+	if got := order(); got != "c b a" {
+		t.Fatalf("after three creates the list reads %q, want %q", got, "c b a")
+	}
+	cycle("a") // a hit only sets the touch bit
+	if got := order(); got != "c b a" {
+		t.Fatalf("a hit reordered the list to %q", got)
+	}
+	cycle("d") // the scan promotes touched a, evicts b
+	if got := order(); got != "d a c" {
+		t.Fatalf("after the eviction the list reads %q, want %q", got, "d a c")
+	}
+	cycle("e") // nothing touched: c, the coldest, goes
+	if got := order(); got != "e d a" {
+		t.Fatalf("after the second eviction the list reads %q, want %q", got, "e d a")
+	}
+	if c := m.Counters(); c.Evictions != 2 || c.LockCreates != 5 || c.Hits != 1 {
+		t.Errorf("counters = %+v, want 2 evictions, 5 creates, 1 hit", c)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := order(); got != "" {
+		t.Errorf("after Close the list still reads %q", got)
 	}
 }
 

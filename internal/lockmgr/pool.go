@@ -36,29 +36,29 @@ type procHandle interface {
 // looking full (TestPoolOneKeyStress drives that schedule on one core).
 // Double releases are caught by the entry's held 0→1→0 cross-check, not
 // here.
+//
+// A pool is embedded in its entry and is ready once newHandle and
+// capacity are set.
 type leasePool struct {
 	newHandle func() (procHandle, error)
+	capacity  int
 
-	mu       sync.Mutex
-	idle     []procHandle // parked handles, most recently parked last
-	created  int          // materialized handles, parked or leased
-	capacity int
+	mu sync.Mutex
+	// idle holds the parked handles, most recently parked last. It grows
+	// by append to the number of handles the name's clients ever had out
+	// at once — one, for most names — and never shrinks, so the steady
+	// cycle does not allocate.
+	idle    []procHandle
+	created int // materialized handles, parked or leased
 
 	// waiters counts callers blocked for a handle; wake carries one
 	// signal per release that observed a waiter. A waiter that consumes a
 	// signal re-polls the parked set, so a stolen handle only costs a
-	// spurious wakeup, never a lost one.
+	// spurious wakeup, never a lost one. The channel is made, under mu,
+	// by the first caller that has to queue: a name that never has more
+	// than n clients at once never has one.
 	waiters atomic.Int64
 	wake    chan struct{}
-}
-
-func newLeasePool(capacity int, newHandle func() (procHandle, error)) *leasePool {
-	return &leasePool{
-		newHandle: newHandle,
-		idle:      make([]procHandle, 0, capacity),
-		capacity:  capacity,
-		wake:      make(chan struct{}, capacity),
-	}
 }
 
 // tryLease checks out a handle without waiting: a parked one if
@@ -92,27 +92,34 @@ func (p *leasePool) tryLease() (procHandle, error) {
 }
 
 // lease checks out a handle: a parked one if available, a freshly
-// materialized one while slots remain, and otherwise — if block is set —
-// the next handle released by another client. waited reports whether the
-// caller had to queue. With block unset, exhaustion returns ok=false.
-// A queued caller whose ctx ends gives up with ctx's error.
-func (p *leasePool) lease(ctx context.Context, block bool) (h procHandle, ok, waited bool, err error) {
-	if h, err = p.tryLease(); h != nil || err != nil || !block {
-		return h, h != nil, false, err
+// materialized one while slots remain, and otherwise the next handle
+// released by another client. waited reports whether the caller had to
+// queue. A queued caller whose ctx ends gives up with ctx's error.
+func (p *leasePool) lease(ctx context.Context) (h procHandle, waited bool, err error) {
+	if h, err = p.tryLease(); h != nil || err != nil {
+		return h, false, err
 	}
 	// All n handles exist and are leased out: queue. The re-poll after
 	// registering closes the race with a release that loaded the waiter
 	// count just before we registered.
+	p.mu.Lock()
+	if p.wake == nil {
+		// One slot per handle: release never blocks on a full buffer,
+		// and a full buffer already forces a re-poll per handle.
+		p.wake = make(chan struct{}, p.capacity)
+	}
+	wake := p.wake
+	p.mu.Unlock()
 	p.waiters.Add(1)
 	defer p.waiters.Add(-1)
 	for {
 		if h, err = p.tryLease(); h != nil || err != nil {
-			return h, h != nil, true, err
+			return h, true, err
 		}
 		select {
-		case <-p.wake:
+		case <-wake:
 		case <-ctx.Done():
-			return nil, false, true, ctx.Err()
+			return nil, true, ctx.Err()
 		}
 	}
 }
@@ -121,14 +128,17 @@ func (p *leasePool) lease(ctx context.Context, block bool) (h procHandle, ok, wa
 // any is registered. The signal is posted after the handle is parked, so
 // the woken waiter's re-poll finds it (or finds it already taken by a
 // fast-path lease, which is just as good: the handle is in use, and its
-// own release will signal again).
+// own release will signal again). A release that parks before the first
+// waiter made the channel has nobody to wake: that waiter's re-poll comes
+// after its registration, and so after this park.
 func (p *leasePool) release(h procHandle) {
 	p.mu.Lock()
 	p.idle = append(p.idle, h)
+	wake := p.wake
 	p.mu.Unlock()
-	if p.waiters.Load() > 0 {
+	if wake != nil && p.waiters.Load() > 0 {
 		select {
-		case p.wake <- struct{}{}:
+		case wake <- struct{}{}:
 		default:
 			// The buffer already carries one pending signal per possible
 			// handle; further signals are redundant — every pending one

@@ -24,7 +24,7 @@ type RMWLock struct {
 	n, m int
 	cfg  config
 	mem  *amem.Memory
-	gen  *id.Generator
+	gen  id.Generator // zero value: sequential identities
 
 	mu     sync.Mutex
 	issued int
@@ -50,7 +50,7 @@ func NewRMWLock(n int, opts ...Option) (*RMWLock, error) {
 	if err := mset.ValidateRMW(n, m); err != nil {
 		return nil, fmt.Errorf("anonmutex: %w", err)
 	}
-	return &RMWLock{n: n, m: m, cfg: cfg, mem: amem.New(m), gen: id.NewGenerator()}, nil
+	return &RMWLock{n: n, m: m, cfg: cfg, mem: amem.New(m)}, nil
 }
 
 // N returns the configured number of processes.

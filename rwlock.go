@@ -25,7 +25,7 @@ type RWLock struct {
 	n, m int
 	cfg  config
 	mem  *amem.Memory
-	gen  *id.Generator
+	gen  id.Generator // zero value: sequential identities
 
 	mu     sync.Mutex
 	issued int
@@ -51,7 +51,7 @@ func NewRWLock(n int, opts ...Option) (*RWLock, error) {
 	if err := mset.ValidateRW(n, m); err != nil {
 		return nil, fmt.Errorf("anonmutex: %w", err)
 	}
-	return &RWLock{n: n, m: m, cfg: cfg, mem: amem.New(m), gen: id.NewGenerator()}, nil
+	return &RWLock{n: n, m: m, cfg: cfg, mem: amem.New(m)}, nil
 }
 
 // N returns the configured number of processes.
