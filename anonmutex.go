@@ -15,19 +15,20 @@
 //	M(n) = { m : ∀ ℓ, 1 < ℓ ≤ n : gcd(ℓ, m) = 1 }.
 //
 // The paper proves this set tightly characterizes the solvable memory
-// sizes, and this package implements both optimal algorithms:
+// sizes, and this package implements both optimal algorithms behind one
+// Lock type; an Algorithm value given to NewLock picks the machine:
 //
-//   - RWLock (the paper's Algorithm 1) uses read/write registers only and
-//     works for every m ∈ M(n) with m ≥ n. A process enters the critical
-//     section only after observing a snapshot in which it owns all m
-//     registers.
-//   - RMWLock (Algorithm 2) additionally uses compare&swap and works for
-//     every m ∈ M(n), including the degenerate m = 1. A process enters
-//     after owning a strict majority of the registers.
+//   - RW (the paper's Algorithm 1, NewRWLock) uses read/write registers
+//     only and works for every m ∈ M(n) with m ≥ n. A process enters the
+//     critical section only after observing a snapshot in which it owns
+//     all m registers.
+//   - RMW (Algorithm 2, NewRMWLock) additionally uses compare&swap and
+//     works for every m ∈ M(n), including the degenerate m = 1. A process
+//     enters after owning a strict majority of the registers.
 //
 // # Usage
 //
-//	lock, err := anonmutex.NewRWLock(4) // 4 processes, m = 5 registers
+//	lock, err := anonmutex.NewRWLock(4) // NewLock(anonmutex.RW, 4): 4 processes, m = 5 registers
 //	if err != nil { ... }
 //	p, err := lock.NewProcess() // one handle per participating goroutine
 //	if err != nil { ... }
@@ -123,17 +124,20 @@ func (m PermutationMode) String() string {
 	}
 }
 
-// config carries the shared options of both lock types.
+// config carries a lock's options and, beside them, its algorithm.
 type config struct {
 	m            int // 0: derive from n
 	seed         uint64
 	mode         PermutationMode
 	rotationStep int
-	firstBottom  bool // RWLock: deterministic hole choice instead of random
-	noFastPath   bool // RMWLock: disable the solo fast path
+	firstBottom  bool // RW: deterministic hole choice instead of random
+	noFastPath   bool // RMW: disable the solo fast path
+	// alg is NewLock's argument, kept in the padding after the two bools: a
+	// field of Lock's own would push it out of the 144-byte size class.
+	alg Algorithm
 }
 
-// Option configures NewRWLock and NewRMWLock.
+// Option configures NewLock (and so NewRWLock and NewRMWLock).
 type Option func(*config) error
 
 // WithRegisters sets the anonymous memory size m explicitly. The
@@ -174,10 +178,10 @@ func WithPermutations(mode PermutationMode, step int) Option {
 	}
 }
 
-// WithDeterministicClaims makes RWLock processes claim the lowest-indexed
+// WithDeterministicClaims makes RW processes claim the lowest-indexed
 // free register (the paper's "any ⊥ register" resolved deterministically)
 // instead of a seeded random one. Mainly useful for reproducible traces;
-// random claims collide less under contention.
+// random claims collide less under contention. An RMW lock ignores it.
 func WithDeterministicClaims() Option {
 	return func(c *config) error {
 		c.firstBottom = true
@@ -186,13 +190,13 @@ func WithDeterministicClaims() Option {
 }
 
 // WithoutSoloFastPath disables the uncontended fast path. By default an
-// RMWLock process whose line 2 sweep wins every compare&swap enters the
+// RMW process whose line 2 sweep wins every compare&swap enters the
 // critical section directly, skipping the read-back sweep — m operations
 // instead of 2m, exhaustively verified safe by the model checker
 // (internal/explore). Disable it for step-count comparisons against the
 // line-faithful simulator, which runs the paper's algorithm verbatim.
 //
-// RWLock ignores this option: the analogous read/write-model shortcut
+// An RW lock ignores this option: the analogous read/write-model shortcut
 // (batch-claiming an all-⊥ snapshot) is provably unsafe — the model
 // checker exhibits a two-processes-in-CS execution — so the RW lock
 // always runs the paper's one-claim-per-snapshot protocol. See DESIGN.md

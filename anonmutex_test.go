@@ -42,6 +42,19 @@ func TestNewRWLockValidation(t *testing.T) {
 	if _, err := NewRWLock(2, WithRegisters(9)); err != nil {
 		t.Errorf("m=9 ∈ M(2) rejected: %v", err)
 	}
+	for _, a := range []Algorithm{RW, RMW} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.String(), got, err)
+		}
+	}
+	for _, a := range []Algorithm{0, RMW + 1} {
+		if _, err := NewLock(a, 2); err == nil {
+			t.Errorf("NewLock accepted algorithm %v", a)
+		}
+		if _, err := ParseAlgorithm(a.String()); err == nil {
+			t.Errorf("ParseAlgorithm accepted %q", a.String())
+		}
+	}
 }
 
 func TestNewRMWLockValidation(t *testing.T) {
@@ -101,13 +114,25 @@ func TestLifecycleMisuse(t *testing.T) {
 	}
 }
 
-// tortureTest exercises a lock with n goroutines incrementing a counter.
-type lockProc interface {
-	Lock() error
-	Unlock() error
+// newProcs makes an n-process lock running alg and all n of its handles.
+func newProcs(t *testing.T, alg Algorithm, n int, opts ...Option) []*Process {
+	t.Helper()
+	l, err := NewLock(alg, n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := make([]*Process, n)
+	for i := range procs {
+		if procs[i], err = l.NewProcess(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return procs
 }
 
-func torture(t *testing.T, procs []lockProc, iters int) {
+// torture exercises a lock with one goroutine per handle incrementing a
+// counter only the lock protects.
+func torture(t *testing.T, procs []*Process, iters int) {
 	t.Helper()
 	counter := 0
 	var wg sync.WaitGroup
@@ -135,71 +160,13 @@ func torture(t *testing.T, procs []lockProc, iters int) {
 	}
 }
 
-func TestRWLockMutualExclusion(t *testing.T) {
-	const n, iters = 3, 150
-	l, err := NewRWLock(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := make([]lockProc, n)
-	for i := range procs {
-		p, err := l.NewProcess()
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = p
-	}
-	torture(t, procs, iters)
-}
-
-func TestRMWLockMutualExclusion(t *testing.T) {
-	const n, iters = 4, 400
-	l, err := NewRMWLock(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := make([]lockProc, n)
-	for i := range procs {
-		p, err := l.NewProcess()
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = p
-	}
-	torture(t, procs, iters)
-}
-
-func TestRMWLockSingleRegister(t *testing.T) {
-	l, err := NewRMWLock(3, WithRegisters(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := make([]lockProc, 3)
-	for i := range procs {
-		p, err := l.NewProcess()
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = p
-	}
-	torture(t, procs, 500)
-}
+func TestRWLockMutualExclusion(t *testing.T)  { torture(t, newProcs(t, RW, 3), 150) }
+func TestRMWLockMutualExclusion(t *testing.T) { torture(t, newProcs(t, RMW, 4), 400) }
+func TestRMWLockSingleRegister(t *testing.T)  { torture(t, newProcs(t, RMW, 3, WithRegisters(1)), 500) }
 
 func TestPermutationModes(t *testing.T) {
 	for _, mode := range []PermutationMode{PermRandom, PermIdentity, PermRotation} {
-		l, err := NewRWLock(2, WithPermutations(mode, 1), WithSeed(7))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		procs := make([]lockProc, 2)
-		for i := range procs {
-			p, err := l.NewProcess()
-			if err != nil {
-				t.Fatal(err)
-			}
-			procs[i] = p
-		}
-		torture(t, procs, 100)
+		torture(t, newProcs(t, RW, 2, WithPermutations(mode, 1), WithSeed(7)), 100)
 	}
 }
 
@@ -257,6 +224,9 @@ func TestRMWEntryCostIsMajority(t *testing.T) {
 	if 2*got <= 5 {
 		t.Errorf("OwnedAtEntry = %d, not a majority of 5", got)
 	}
+	if calls, collects := p.SnapshotStats(); calls != 0 || collects != 0 {
+		t.Errorf("snapshot stats calls=%d collects=%d, want 0, 0: Algorithm 2 takes no snapshot", calls, collects)
+	}
 	if err := p.Unlock(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,31 +269,13 @@ func TestPermutationModeStrings(t *testing.T) {
 }
 
 // TestLockCycleAllocatesNothing pins what the lazily made buffers must
-// not cost: an RWLock handle makes its snapshot and double-scan buffers
-// on its first Lock (AllocsPerRun's warm-up call here), an RMWLock handle
-// never has any, and from then on a Lock/Unlock cycle of either stays off
-// the heap.
+// not cost: an RW handle makes its snapshot and double-scan buffers on
+// its first Lock (AllocsPerRun's warm-up call here), an RMW handle never
+// has any, and from then on a Lock/Unlock cycle of either stays off the
+// heap.
 func TestLockCycleAllocatesNothing(t *testing.T) {
-	rw, err := NewRWLock(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmw, err := NewRMWLock(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rwp, err := rw.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmwp, err := rmw.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range map[string]interface {
-		Lock() error
-		Unlock() error
-	}{"RWLock": rwp, "RMWLock": rmwp} {
+	for _, alg := range []Algorithm{RW, RMW} {
+		p := newProcs(t, alg, 8)[0]
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := p.Lock(); err != nil {
 				t.Fatal(err)
@@ -333,7 +285,7 @@ func TestLockCycleAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %.1f allocations per Lock/Unlock cycle, want 0", name, allocs)
+			t.Errorf("%v: %.1f allocations per Lock/Unlock cycle, want 0", alg, allocs)
 		}
 	}
 }

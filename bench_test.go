@@ -88,6 +88,8 @@ func benchLockSolo(b *testing.B, newProcs func(n int) ([]benchProc, error)) {
 	}
 }
 
+// benchProc is an interface because BenchmarkThroughput_Locks also runs
+// the internal/baseline locks through it.
 type benchProc interface {
 	Lock() error
 	Unlock() error
@@ -122,27 +124,12 @@ func benchLockContended(b *testing.B, n int, newProcs func(n int) ([]benchProc, 
 	wg.Wait()
 }
 
-// newRWProcs creates a fresh RWLock for count processes and allocates all
+// anonymousProcs returns a newProcs for benchLockSolo/Contended: every
+// call creates a fresh n-process lock running alg and allocates count of
 // its handles.
-func newRWProcs(n int, opts ...anonmutex.Option) func(count int) ([]benchProc, error) {
+func anonymousProcs(alg anonmutex.Algorithm, n int, opts ...anonmutex.Option) func(count int) ([]benchProc, error) {
 	return func(count int) ([]benchProc, error) {
-		l, err := anonmutex.NewRWLock(n, opts...)
-		if err != nil {
-			return nil, err
-		}
-		procs := make([]benchProc, count)
-		for i := range procs {
-			if procs[i], err = l.NewProcess(); err != nil {
-				return nil, err
-			}
-		}
-		return procs, nil
-	}
-}
-
-func newRMWProcs(n int, opts ...anonmutex.Option) func(count int) ([]benchProc, error) {
-	return func(count int) ([]benchProc, error) {
-		l, err := anonmutex.NewRMWLock(n, opts...)
+		l, err := anonmutex.NewLock(alg, n, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -159,12 +146,12 @@ func newRMWProcs(n int, opts ...anonmutex.Option) func(count int) ([]benchProc, 
 func BenchmarkFigure1_RWLock(b *testing.B) {
 	for _, n := range []int{2, 4} {
 		b.Run(fmt.Sprintf("solo/n=%d/m=%d", n, anonmutex.MinRegistersRW(n)), func(b *testing.B) {
-			benchLockSolo(b, newRWProcs(n))
+			benchLockSolo(b, anonymousProcs(anonmutex.RW, n))
 		})
 	}
 	for _, n := range []int{2, 3} {
 		b.Run(fmt.Sprintf("contended/n=%d/m=%d", n, anonmutex.MinRegistersRW(n)), func(b *testing.B) {
-			benchLockContended(b, n, newRWProcs(n))
+			benchLockContended(b, n, anonymousProcs(anonmutex.RW, n))
 		})
 	}
 }
@@ -172,15 +159,15 @@ func BenchmarkFigure1_RWLock(b *testing.B) {
 func BenchmarkFigure2_RMWLock(b *testing.B) {
 	for _, n := range []int{2, 4} {
 		b.Run(fmt.Sprintf("solo/n=%d/m=%d", n, anonmutex.MinRegistersRMW(n)), func(b *testing.B) {
-			benchLockSolo(b, newRMWProcs(n))
+			benchLockSolo(b, anonymousProcs(anonmutex.RMW, n))
 		})
 	}
 	b.Run("solo/n=2/m=1", func(b *testing.B) {
-		benchLockSolo(b, newRMWProcs(2, anonmutex.WithRegisters(1)))
+		benchLockSolo(b, anonymousProcs(anonmutex.RMW, 2, anonmutex.WithRegisters(1)))
 	})
 	for _, n := range []int{2, 4} {
 		b.Run(fmt.Sprintf("contended/n=%d/m=%d", n, anonmutex.MinRegistersRMW(n)), func(b *testing.B) {
-			benchLockContended(b, n, newRMWProcs(n))
+			benchLockContended(b, n, anonymousProcs(anonmutex.RMW, n))
 		})
 	}
 }
@@ -294,9 +281,9 @@ func BenchmarkThroughput_Locks(b *testing.B) {
 		name string
 		mk   func(count int) ([]benchProc, error)
 	}{
-		{"anonymous-rw-m3", newRWProcs(n)},
-		{"anonymous-rmw-m3", newRMWProcs(n)},
-		{"anonymous-rmw-m1", newRMWProcs(n, anonmutex.WithRegisters(1))},
+		{"anonymous-rw-m3", anonymousProcs(anonmutex.RW, n)},
+		{"anonymous-rmw-m3", anonymousProcs(anonmutex.RMW, n)},
+		{"anonymous-rmw-m1", anonymousProcs(anonmutex.RMW, n, anonmutex.WithRegisters(1))},
 		{"bakery", mkBaseline(func() (baseline.Lock, error) { return baseline.NewBakery(n) })},
 		{"peterson-tree", mkBaseline(func() (baseline.Lock, error) { return baseline.NewPeterson(n) })},
 		{"ticket", mkBaseline(func() (baseline.Lock, error) { return baseline.NewTicket(), nil })},

@@ -1,55 +1,24 @@
 package anonmutex
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// handle is the shared surface of RWProcess and RMWProcess the lifecycle
-// tests exercise.
-type handle interface {
-	Lock() error
-	Unlock() error
-	Close() error
-}
-
-// lifecycleLock abstracts the two lock types for the shared test bodies.
-type lifecycleLock interface {
-	newHandle() (handle, error)
-	observeValues() []string
-}
-
-type rwLifecycle struct{ l *RWLock }
-
-func (w rwLifecycle) newHandle() (handle, error) { return w.l.NewProcess() }
-func (w rwLifecycle) observeValues() []string    { return observedStrings(w.l.mem.ObserveValues()) }
-
-type rmwLifecycle struct{ l *RMWLock }
-
-func (w rmwLifecycle) newHandle() (handle, error) { return w.l.NewProcess() }
-func (w rmwLifecycle) observeValues() []string    { return observedStrings(w.l.mem.ObserveValues()) }
-
-func observedStrings[T fmt.Stringer](vals []T) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = v.String()
-	}
-	return out
-}
-
-func lifecycleLocks(t *testing.T, n int) map[string]lifecycleLock {
+// lifecycleLocks makes one n-process lock per algorithm, keyed by the
+// algorithm's name.
+func lifecycleLocks(t *testing.T, n int) map[string]*Lock {
 	t.Helper()
-	rw, err := NewRWLock(n)
-	if err != nil {
-		t.Fatal(err)
+	locks := make(map[string]*Lock)
+	for _, alg := range []Algorithm{RW, RMW} {
+		l, err := NewLock(alg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locks[alg.String()] = l
 	}
-	rmw, err := NewRMWLock(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]lifecycleLock{"rw": rwLifecycle{rw}, "rmw": rmwLifecycle{rmw}}
+	return locks
 }
 
 // TestCloseReLease proves the satellite claim directly: a released slot
@@ -57,19 +26,19 @@ func lifecycleLocks(t *testing.T, n int) map[string]lifecycleLock {
 func TestCloseReLease(t *testing.T) {
 	for name, l := range lifecycleLocks(t, 2) {
 		t.Run(name, func(t *testing.T) {
-			a, err := l.newHandle()
+			a, err := l.NewProcess()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := l.newHandle()
+			b, err := l.NewProcess()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l.newHandle(); err == nil {
+			if _, err := l.NewProcess(); err == nil {
 				t.Fatal("NewProcess beyond n succeeded with no released handles")
 			}
 			// Use both handles, then close one and re-lease the slot.
-			for _, h := range []handle{a, b} {
+			for _, h := range []*Process{a, b} {
 				if err := h.Lock(); err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +49,7 @@ func TestCloseReLease(t *testing.T) {
 			if err := a.Close(); err != nil {
 				t.Fatalf("Close of idle handle: %v", err)
 			}
-			c, err := l.newHandle()
+			c, err := l.NewProcess()
 			if err != nil {
 				t.Fatalf("NewProcess after Close: %v", err)
 			}
@@ -88,9 +57,9 @@ func TestCloseReLease(t *testing.T) {
 			var inCS atomic.Int32
 			var wg sync.WaitGroup
 			var violations atomic.Int32
-			for _, h := range []handle{b, c} {
+			for _, h := range []*Process{b, c} {
 				wg.Add(1)
-				go func(h handle) {
+				go func(h *Process) {
 					defer wg.Done()
 					for s := 0; s < 50; s++ {
 						if err := h.Lock(); err != nil {
@@ -123,7 +92,7 @@ func TestCloseLeavesNoResidue(t *testing.T) {
 	for name, l := range lifecycleLocks(t, 3) {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 3; i++ {
-				h, err := l.newHandle()
+				h, err := l.NewProcess()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,8 +106,8 @@ func TestCloseLeavesNoResidue(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for x, v := range l.observeValues() {
-				if v != "⊥" {
+			for x, v := range l.mem.ObserveValues() {
+				if !v.IsNone() {
 					t.Errorf("register %d holds %s after every handle closed, want ⊥", x, v)
 				}
 			}
@@ -150,7 +119,7 @@ func TestCloseLeavesNoResidue(t *testing.T) {
 func TestCloseMisuse(t *testing.T) {
 	for name, l := range lifecycleLocks(t, 2) {
 		t.Run(name, func(t *testing.T) {
-			h, err := l.newHandle()
+			h, err := l.NewProcess()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,10 +164,10 @@ func TestCloseChurn(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for s := 0; s < cyclesPerClient; s++ {
-						var h handle
+						var h *Process
 						for {
 							var err error
-							if h, err = l.newHandle(); err == nil {
+							if h, err = l.NewProcess(); err == nil {
 								break
 							}
 						}

@@ -43,6 +43,7 @@ import (
 	"os"
 	"strings"
 
+	"anonmutex"
 	"anonmutex/internal/lease"
 	"anonmutex/internal/loadgen"
 	"anonmutex/internal/lockmgr"
@@ -83,7 +84,7 @@ func run(args []string) error {
 	heartbeat := fs.Duration("heartbeat", 0, "background heartbeat interval per client session — keep under the backend's lease TTL (0: no heartbeats)")
 	tolerateLoss := fs.Bool("tolerate-grant-loss", false, "net mode: count grants lost to fencing or node failure instead of failing the run (cluster failover workloads; exclusion is judged by the servers' counters)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "inproc mode: run grants under a lease manager with this TTL, enabling crash ops and fencing (0: leases off; net mode takes the TTL from the server)")
-	alg := fs.String("alg", "rmw", "per-name lock algorithm (inproc mode): rw or rmw")
+	algName := fs.String("alg", "rmw", "per-name lock algorithm (inproc mode): rw or rmw")
 	handles := fs.Int("handles", 8, "process handles per named lock (inproc mode)")
 	shards := fs.Int("shards", 16, "lock-manager shards (inproc mode)")
 	maxLocks := fs.Int("max-locks", 1024, "resident locks per shard (inproc mode)")
@@ -131,9 +132,13 @@ func run(args []string) error {
 	)
 	switch *mode {
 	case "inproc":
+		alg, err := anonmutex.ParseAlgorithm(*algName)
+		if err != nil {
+			return err
+		}
 		mgr, err := lockmgr.New(lockmgr.Config{
 			Shards:           *shards,
-			Algorithm:        *alg,
+			Algorithm:        alg,
 			HandlesPerLock:   *handles,
 			MaxLocksPerShard: *maxLocks,
 			Seed:             *seed,

@@ -45,6 +45,7 @@ import (
 	"syscall"
 	"time"
 
+	"anonmutex"
 	"anonmutex/internal/cluster"
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
@@ -63,7 +64,7 @@ func main() {
 func run(args []string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("anonlockd", flag.ContinueOnError)
 	addr := fs.String("addr", ":7117", "listen address")
-	alg := fs.String("alg", "rmw", "per-name lock algorithm: rw or rmw")
+	algName := fs.String("alg", "rmw", "per-name lock algorithm: rw or rmw")
 	handles := fs.Int("handles", 8, "process handles per named lock (max concurrent competitors)")
 	registers := fs.Int("registers", 0, "anonymous registers per lock (0: smallest legal size)")
 	shards := fs.Int("shards", 16, "lock-manager shards")
@@ -102,9 +103,13 @@ func run(args []string, stop <-chan struct{}) error {
 		return fmt.Errorf("-data-dir needs -lease-ttl: the journal records lease transitions")
 	}
 
+	alg, err := anonmutex.ParseAlgorithm(*algName)
+	if err != nil {
+		return err
+	}
 	mgr, err := lockmgr.New(lockmgr.Config{
 		Shards:           *shards,
-		Algorithm:        *alg,
+		Algorithm:        alg,
 		HandlesPerLock:   *handles,
 		Registers:        *registers,
 		MaxLocksPerShard: *maxLocks,
@@ -118,7 +123,7 @@ func run(args []string, stop <-chan struct{}) error {
 		return err
 	}
 	fmt.Printf("anonlockd: serving on %s (alg=%s handles=%d shards=%d)\n",
-		ln.Addr(), *alg, *handles, *shards)
+		ln.Addr(), alg, *handles, *shards)
 
 	srv := lockd.NewServer(mgr)
 	srv.MaxWait = *maxWait

@@ -143,28 +143,9 @@ func TestRealLockUnderStalls(t *testing.T) {
 // permutations on a divisible... here legal m) cannot break the real
 // locks: the Go scheduler's asynchrony breaks lock-step symmetry.
 func TestRotationRingOnRealHardware(t *testing.T) {
-	for _, mk := range []func() ([]proc, error){
-		func() ([]proc, error) {
-			l, err := anonmutex.NewRWLock(2, anonmutex.WithRegisters(3),
-				anonmutex.WithPermutations(anonmutex.PermRotation, 1))
-			if err != nil {
-				return nil, err
-			}
-			return procs2(l.NewProcess)
-		},
-		func() ([]proc, error) {
-			l, err := anonmutex.NewRMWLock(2, anonmutex.WithRegisters(3),
-				anonmutex.WithPermutations(anonmutex.PermRotation, 1))
-			if err != nil {
-				return nil, err
-			}
-			return procs2(l.NewProcess)
-		},
-	} {
-		ps, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, alg := range []anonmutex.Algorithm{anonmutex.RW, anonmutex.RMW} {
+		ps := newProcs(t, alg, 2, anonmutex.WithRegisters(3),
+			anonmutex.WithPermutations(anonmutex.PermRotation, 1))
 		counter := 0
 		var wg sync.WaitGroup
 		for _, p := range ps {
@@ -190,23 +171,6 @@ func TestRotationRingOnRealHardware(t *testing.T) {
 			t.Fatalf("counter = %d, want 400", counter)
 		}
 	}
-}
-
-type proc interface {
-	Lock() error
-	Unlock() error
-}
-
-func procs2[T proc](mk func() (T, error)) ([]proc, error) {
-	a, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	b, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	return []proc{a, b}, nil
 }
 
 // TestIndependentLocksDoNotInterfere: two separate anonymous memories

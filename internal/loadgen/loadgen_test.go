@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"anonmutex"
 	"anonmutex/internal/lockmgr"
-	"anonmutex/internal/scenario"
 	"anonmutex/internal/workload"
 )
 
@@ -28,14 +28,14 @@ func managerConfig(t *testing.T, mcfg lockmgr.Config, cfg Config) (Config, *lock
 func TestRunCyclesProfiles(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
-		alg              string
+		alg              anonmutex.Algorithm
 		clients, handles int
 		spec             workload.Spec
 	}{
-		{"uniform", scenario.AlgRMW, 4, 2, workload.Spec{}},
-		{"bursty", scenario.AlgRMW, 4, 2, workload.Spec{Profile: "bursty"}},
-		{"skewed", scenario.AlgRMW, 4, 2, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
-		{"alg1-8-on-3", scenario.AlgRW, 8, 3, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
+		{"uniform", anonmutex.RMW, 4, 2, workload.Spec{}},
+		{"bursty", anonmutex.RMW, 4, 2, workload.Spec{Profile: "bursty"}},
+		{"skewed", anonmutex.RMW, 4, 2, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
+		{"alg1-8-on-3", anonmutex.RW, 8, 3, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, mgr := managerConfig(t,

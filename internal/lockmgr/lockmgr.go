@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"anonmutex"
-	"anonmutex/internal/scenario"
 	"anonmutex/internal/stats"
 )
 
@@ -55,9 +54,9 @@ import (
 type Config struct {
 	// Shards is the number of independent shards K (default 16).
 	Shards int
-	// Algorithm selects the per-name lock: scenario.AlgRW or
-	// scenario.AlgRMW (default rmw — the cheaper majority entry cost).
-	Algorithm string
+	// Algorithm selects the per-name lock: anonmutex.RW or anonmutex.RMW
+	// (default RMW — the cheaper majority entry cost).
+	Algorithm anonmutex.Algorithm
 	// HandlesPerLock is each named lock's fixed process count n ≥ 2
 	// (default 8): the maximum number of clients simultaneously competing
 	// for one name; further clients queue in the lease pool.
@@ -80,12 +79,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards < 1 {
 		return c, fmt.Errorf("lockmgr: need Shards >= 1, got %d", c.Shards)
 	}
-	if c.Algorithm == "" {
-		c.Algorithm = scenario.AlgRMW
+	if c.Algorithm == 0 {
+		c.Algorithm = anonmutex.RMW
 	}
-	if c.Algorithm != scenario.AlgRW && c.Algorithm != scenario.AlgRMW {
-		return c, fmt.Errorf("lockmgr: unknown algorithm %q (want %s or %s)",
-			c.Algorithm, scenario.AlgRW, scenario.AlgRMW)
+	if c.Algorithm != anonmutex.RW && c.Algorithm != anonmutex.RMW {
+		return c, fmt.Errorf("lockmgr: unknown algorithm %v", c.Algorithm)
 	}
 	if c.HandlesPerLock == 0 {
 		c.HandlesPerLock = 8
@@ -281,20 +279,11 @@ func (m *Manager) newLock(name string) (func() (procHandle, error), error) {
 	if m.cfg.Registers > 0 {
 		opts = append(opts, anonmutex.WithRegisters(m.cfg.Registers))
 	}
-	switch m.cfg.Algorithm {
-	case scenario.AlgRW:
-		l, err := anonmutex.NewRWLock(m.cfg.HandlesPerLock, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func() (procHandle, error) { return l.NewProcess() }, nil
-	default:
-		l, err := anonmutex.NewRMWLock(m.cfg.HandlesPerLock, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func() (procHandle, error) { return l.NewProcess() }, nil
+	l, err := anonmutex.NewLock(m.cfg.Algorithm, m.cfg.HandlesPerLock, opts...)
+	if err != nil {
+		return nil, err
 	}
+	return func() (procHandle, error) { return l.NewProcess() }, nil
 }
 
 // pin finds the entry for name in its shard sh (creating it, and evicting

@@ -10,12 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"anonmutex/internal/scenario"
+	"anonmutex"
 )
 
 func TestAcquireRelease(t *testing.T) {
-	for _, alg := range []string{scenario.AlgRW, scenario.AlgRMW} {
-		t.Run(alg, func(t *testing.T) {
+	for _, alg := range []anonmutex.Algorithm{anonmutex.RW, anonmutex.RMW} {
+		t.Run(alg.String(), func(t *testing.T) {
 			m, err := New(Config{Algorithm: alg, HandlesPerLock: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -44,12 +44,11 @@ func TestAcquireRelease(t *testing.T) {
 func TestConfigErrors(t *testing.T) {
 	cases := []Config{
 		{Shards: -1},
-		{Algorithm: "greedy"},
-		{Algorithm: "spin"},
+		{Algorithm: anonmutex.RMW + 1},
 		{HandlesPerLock: 1},
 		{Registers: -3},
 		{MaxLocksPerShard: -1},
-		{Algorithm: scenario.AlgRW, Registers: 4, HandlesPerLock: 2}, // 4 ∉ M(2): surfaces on first acquire
+		{Algorithm: anonmutex.RW, Registers: 4, HandlesPerLock: 2}, // 4 ∉ M(2): surfaces on first acquire
 	}
 	for i, cfg := range cases[:len(cases)-1] {
 		if _, err := New(cfg); err == nil {
@@ -190,23 +189,31 @@ func TestPoolOneKeyStress(t *testing.T) {
 			created.Add(1)
 			return &countingHandle{}, nil
 		}}
-		stop := time.Now().Add(500 * time.Millisecond)
-		var wg sync.WaitGroup
-		wg.Add(1)
+		const cycles = 12500 // 200k in all, as in the manager subtest
+		// The stop-the-world goroutine runs for as long as the clients do,
+		// however slow the machine: no wall-clock floor to miss.
+		done := make(chan struct{})
+		stopped := make(chan struct{})
 		go func() {
-			defer wg.Done()
+			defer close(stopped)
 			var ms runtime.MemStats
-			for time.Now().Before(stop) {
-				runtime.ReadMemStats(&ms) // stops the world
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					runtime.ReadMemStats(&ms) // stops the world
+				}
 			}
 		}()
-		var cycles, shared atomic.Int64
+		var shared atomic.Int64
+		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n, bad := int64(0), int64(0)
-				for ; n&1023 != 0 || time.Now().Before(stop); n++ {
+				bad := int64(0)
+				for n := 0; n < cycles; n++ {
 					h, _, err := p.lease(context.Background())
 					if err != nil {
 						t.Error(err)
@@ -221,19 +228,17 @@ func TestPoolOneKeyStress(t *testing.T) {
 					ch.users--
 					p.release(h)
 				}
-				cycles.Add(n)
 				shared.Add(bad)
 			}()
 		}
 		wg.Wait()
+		close(done)
+		<-stopped
 		if n := shared.Load(); n != 0 {
 			t.Errorf("a handle was leased to two clients at once %d times", n)
 		}
 		if n := created.Load(); n > handles {
 			t.Errorf("created %d handles, want <= %d", n, handles)
-		}
-		if n := cycles.Load(); n < 200000 {
-			t.Errorf("only %d cycles ran", n)
 		}
 		if err := p.closeIdle(); err != nil {
 			t.Error(err)
@@ -290,7 +295,6 @@ type countingHandle struct {
 
 type stubHandle struct{}
 
-func (stubHandle) Lock() error                       { return nil }
 func (stubHandle) LockCtx(ctx context.Context) error { return ctx.Err() }
 func (stubHandle) TryLock() (bool, error)            { return true, nil }
 func (stubHandle) Unlock() error                     { return nil }

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// procHandle is the root-package process-handle surface the manager
-// needs: both *anonmutex.RWProcess and *anonmutex.RMWProcess satisfy it.
+// procHandle is what the manager calls on a leased *anonmutex.Process.
+// It is an interface for one reason: TestPoolOneKeyStress hands the pool
+// stub handles, so that its clients' loop is all pool code.
 type procHandle interface {
-	Lock() error
 	LockCtx(ctx context.Context) error
 	TryLock() (bool, error)
 	Unlock() error

@@ -30,16 +30,8 @@ type RealResult struct {
 	PerProc []RealProcStats
 }
 
-// lockHandle abstracts the two root lock types for the real runner.
-type lockHandle interface {
-	Lock() error
-	Unlock() error
-	LockSteps() int
-	OwnedAtEntry() int
-}
-
 // RunReal executes the scenario on the real substrate: one goroutine per
-// process over an RWLock or RMWLock, with critical-section and remainder
+// process over an anonmutex.Lock, with critical-section and remainder
 // work drawn from the scenario's workload profile. The schedule is
 // whatever the Go runtime does — only aggregate guarantees (mutual
 // exclusion, completion) are deterministic.
@@ -82,27 +74,19 @@ func RunReal(s Spec) (*RealResult, error) {
 		opts = append(opts, anonmutex.WithDeterministicClaims())
 	}
 
-	handles := make([]lockHandle, s.N)
-	switch s.Algorithm {
-	case AlgRW:
-		lock, err := anonmutex.NewRWLock(s.N, opts...)
-		if err != nil {
+	// AlgRW and AlgRMW are the names anonmutex.ParseAlgorithm speaks.
+	alg, err := anonmutex.ParseAlgorithm(s.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	lock, err := anonmutex.NewLock(alg, s.N, opts...)
+	if err != nil {
+		return nil, err
+	}
+	handles := make([]*anonmutex.Process, s.N)
+	for i := range handles {
+		if handles[i], err = lock.NewProcess(); err != nil {
 			return nil, err
-		}
-		for i := range handles {
-			if handles[i], err = lock.NewProcess(); err != nil {
-				return nil, err
-			}
-		}
-	case AlgRMW:
-		lock, err := anonmutex.NewRMWLock(s.N, opts...)
-		if err != nil {
-			return nil, err
-		}
-		for i := range handles {
-			if handles[i], err = lock.NewProcess(); err != nil {
-				return nil, err
-			}
 		}
 	}
 

@@ -14,58 +14,14 @@ import (
 	"time"
 )
 
-// ctxLocker is the surface these tests need from both process types.
-type ctxLocker interface {
-	Lock() error
-	LockCtx(ctx context.Context) error
-	TryLockFor(d time.Duration) (bool, error)
-	Unlock() error
-	Aborts() uint64
-}
-
-// newHandles builds n handles of the requested lock kind.
-func newHandles(t *testing.T, kind string, n int) []ctxLocker {
-	t.Helper()
-	hs := make([]ctxLocker, n)
-	switch kind {
-	case "rw":
-		l, err := NewRWLock(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range hs {
-			p, err := l.NewProcess()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs[i] = p
-		}
-	case "rmw":
-		l, err := NewRMWLock(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range hs {
-			p, err := l.NewProcess()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs[i] = p
-		}
-	default:
-		t.Fatalf("unknown lock kind %q", kind)
-	}
-	return hs
-}
-
 // TestTryLockForExpiresWhileHeld pins the deterministic abort: with the
 // lock held, a bounded attempt must come back (false, nil) within its
 // deadline's order of magnitude, withdraw cleanly, and succeed once the
 // holder leaves.
 func TestTryLockForExpiresWhileHeld(t *testing.T) {
-	for _, kind := range []string{"rw", "rmw"} {
-		t.Run(kind, func(t *testing.T) {
-			hs := newHandles(t, kind, 2)
+	for _, alg := range []Algorithm{RW, RMW} {
+		t.Run(alg.String(), func(t *testing.T) {
+			hs := newProcs(t, alg, 2)
 			if err := hs[0].Lock(); err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +51,7 @@ func TestTryLockForExpiresWhileHeld(t *testing.T) {
 
 // TestLockCtxCancelledBeforeStart must not touch the machine at all.
 func TestLockCtxCancelledBeforeStart(t *testing.T) {
-	hs := newHandles(t, "rmw", 2)
+	hs := newProcs(t, RMW, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := hs[0].LockCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -121,9 +77,9 @@ func TestLockCtxRace(t *testing.T) {
 		n      = 4
 		cycles = 60
 	)
-	for _, kind := range []string{"rw", "rmw"} {
-		t.Run(kind, func(t *testing.T) {
-			hs := newHandles(t, kind, n)
+	for _, alg := range []Algorithm{RW, RMW} {
+		t.Run(alg.String(), func(t *testing.T) {
+			hs := newProcs(t, alg, n)
 			var (
 				counter  int64 // lock-protected; not atomic on purpose
 				held     atomic.Int32
@@ -185,7 +141,7 @@ func TestLockCtxRace(t *testing.T) {
 			if counter != entries.Load() {
 				t.Fatalf("counter %d != entries %d: critical section corrupted", counter, entries.Load())
 			}
-			t.Logf("%s: %d entries, %d deadline aborts", kind, entries.Load(), aborted.Load())
+			t.Logf("%v: %d entries, %d deadline aborts", alg, entries.Load(), aborted.Load())
 		})
 	}
 }

@@ -440,22 +440,17 @@ func (c *Conn) PauseHeartbeat() { c.hbPaused.Store(true) }
 // ResumeHeartbeat re-enables a paused auto-heartbeat ticker.
 func (c *Conn) ResumeHeartbeat() { c.hbPaused.Store(false) }
 
-// StopHeartbeat stops the auto-heartbeat ticker, if one is running.
-func (c *Conn) StopHeartbeat() {
-	c.hbMu.Lock()
-	if c.hbStop != nil {
-		close(c.hbStop)
-		c.hbStop = nil
-	}
-	c.hbMu.Unlock()
-}
-
 // Close ends the session; the server releases any locks it still holds
 // and reaps any acquire still in flight. On a mux stream it retires just
 // this stream (waiting for the server's ack) and leaves the shared
 // socket up; do not issue or pipeline requests concurrently with Close.
 func (c *Conn) Close() error {
-	c.StopHeartbeat()
+	c.hbMu.Lock()
+	if c.hbStop != nil { // stop the auto-heartbeat ticker
+		close(c.hbStop)
+		c.hbStop = nil
+	}
+	c.hbMu.Unlock()
 	if c.mux != nil {
 		return c.mux.closeStream(c)
 	}

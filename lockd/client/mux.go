@@ -227,32 +227,23 @@ func (m *Mux) fail(err error) {
 	}
 }
 
-// MuxPool opens logical sessions packed onto as few sockets as the
-// conns-per-socket budget allows: the loadgen backend for N workers over
-// N/perSocket connections.
-type MuxPool struct {
+// muxPool opens logical sessions packed onto as few sockets as the
+// conns-per-socket budget allows: a poolClient's transport to one address
+// under ProtoBinary.
+type muxPool struct {
 	addr      string
-	perSocket int
+	perSocket int // Options.ConnsPerSocket: ≥ 1 once withDefaults has run
 
 	mu    sync.Mutex
 	muxes []*Mux
 	open  int // streams opened on the newest mux
 }
 
-// NewMuxPool makes a pool dialing addr, packing up to perSocket logical
-// sessions per socket (min 1).
-func NewMuxPool(addr string, perSocket int) *MuxPool {
-	if perSocket < 1 {
-		perSocket = 1
-	}
-	return &MuxPool{addr: addr, perSocket: perSocket}
-}
-
 // Open returns a new logical session, dialing a fresh socket only when
 // the newest one is full. A newest socket that broke (the server
 // restarted, a failover killed the connection) does not wedge the pool:
 // Open retires it and dials a replacement.
-func (p *MuxPool) Open() (*Conn, error) {
+func (p *muxPool) Open() (*Conn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for try := 0; ; try++ {
@@ -281,15 +272,8 @@ func (p *MuxPool) Open() (*Conn, error) {
 	}
 }
 
-// Sockets reports how many physical connections the pool has dialed.
-func (p *MuxPool) Sockets() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.muxes)
-}
-
 // Close tears down every socket in the pool.
-func (p *MuxPool) Close() error {
+func (p *muxPool) Close() error {
 	p.mu.Lock()
 	muxes := p.muxes
 	p.muxes = nil

@@ -143,7 +143,7 @@ type poolClient struct {
 	cache ownerCache
 
 	mu        sync.Mutex
-	pools     map[string]*MuxPool // ProtoBinary: one socket pool per address
+	pools     map[string]*muxPool // ProtoBinary: one socket pool per address
 	down      map[string]time.Time
 	sessions  map[*routedSession]struct{}
 	statsSubs map[string]*Conn // cached per-address stats sub-sessions
@@ -154,7 +154,7 @@ type poolClient struct {
 func newPoolClient(opts Options) *poolClient {
 	return &poolClient{
 		opts:      opts,
-		pools:     make(map[string]*MuxPool),
+		pools:     make(map[string]*muxPool),
 		down:      make(map[string]time.Time),
 		sessions:  make(map[*routedSession]struct{}),
 		statsSubs: make(map[string]*Conn),
@@ -189,7 +189,7 @@ func (cl *poolClient) openConn(addr string) (*Conn, error) {
 		}
 		p := cl.pools[addr]
 		if p == nil {
-			p = NewMuxPool(addr, cl.opts.ConnsPerSocket)
+			p = &muxPool{addr: addr, perSocket: cl.opts.ConnsPerSocket}
 			cl.pools[addr] = p
 		}
 		cl.mu.Unlock()
@@ -359,9 +359,6 @@ func (cl *poolClient) crash(name string) (bool, error) {
 				cl.cache.learn(redir.Name, redir.Owner, redir.Epoch)
 				addr = redir.Owner
 				continue
-			}
-			if errors.Is(err, ErrAborted) {
-				return false, nil
 			}
 			return false, fmt.Errorf("client: crash %s: %w", name, err)
 		}

@@ -14,14 +14,26 @@ import (
 	"anonmutex"
 )
 
-type tryLocker interface {
-	Lock() error
-	TryLock() (bool, error)
-	Unlock() error
+// newProcs makes an n-process lock running alg and all n of its handles.
+func newProcs(t *testing.T, alg anonmutex.Algorithm, n int, opts ...anonmutex.Option) []*anonmutex.Process {
+	t.Helper()
+	lock, err := anonmutex.NewLock(alg, n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := make([]*anonmutex.Process, n)
+	for i := range procs {
+		if procs[i], err = lock.NewProcess(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return procs
 }
 
-func checkTryLockBounded(t *testing.T, a, b tryLocker) {
+func checkTryLockBounded(t *testing.T, alg anonmutex.Algorithm, opts ...anonmutex.Option) {
 	t.Helper()
+	procs := newProcs(t, alg, 2, opts...)
+	a, b := procs[0], procs[1]
 	if err := a.Lock(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,70 +73,20 @@ func checkTryLockBounded(t *testing.T, a, b tryLocker) {
 	}
 }
 
-func TestTryLockBoundedRMW(t *testing.T) {
-	lock, err := anonmutex.NewRMWLock(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTryLockBounded(t, a, b)
-}
+func TestTryLockBoundedRMW(t *testing.T) { checkTryLockBounded(t, anonmutex.RMW) }
 
 func TestTryLockBoundedRMWNoFastPath(t *testing.T) {
-	lock, err := anonmutex.NewRMWLock(2, anonmutex.WithoutSoloFastPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTryLockBounded(t, a, b)
+	checkTryLockBounded(t, anonmutex.RMW, anonmutex.WithoutSoloFastPath())
 }
 
-func TestTryLockBoundedRW(t *testing.T) {
-	lock, err := anonmutex.NewRWLock(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTryLockBounded(t, a, b)
-}
+func TestTryLockBoundedRW(t *testing.T) { checkTryLockBounded(t, anonmutex.RW) }
 
 // TestTryLockLeavesNoResidue: after a failed TryLock the prober must be
 // invisible (its withdraw erased its identity), so the holder's release
 // and a fresh acquisition proceed normally.
 func TestTryLockLeavesNoResidue(t *testing.T) {
-	lock, err := anonmutex.NewRMWLock(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lock.NewProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
+	procs := newProcs(t, anonmutex.RMW, 2)
+	a, b := procs[0], procs[1]
 	for i := 0; i < 50; i++ {
 		if err := a.Lock(); err != nil {
 			t.Fatal(err)
