@@ -8,8 +8,12 @@
 // and which exists so that nc, a script, or a debugger can talk to a
 // node. Both formats, and the Request/Response/Stats shapes they carry,
 // are defined in lockd/wire and nowhere else; this package only moves
-// their bytes. Either way, every grant a logical session holds is
-// released automatically when the session ends.
+// their bytes, and moves them through one connection loop
+// (transport.go) of which each format is a framing: the connection's
+// reader executes every op that cannot block, and a logical session owns
+// a goroutine only while it is owed the answer to one that can. Either
+// way, every grant a logical session holds is released automatically
+// when the session ends.
 //
 // The protocol is deliberately minimal. Each request is a wire.Request;
 // each response is a wire.Response, and responses are written in request

@@ -4,61 +4,94 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"anonmutex/lockd/wire"
 )
 
 // TestOpQueueStress holds opQueue to the invariant written at its
-// declaration: one producer pushing and then closing, one consumer
-// mixing tryPop and pop, every item out exactly once and in order, and
-// done reported only after the drain. Queues are opened and closed at
-// random lengths until 1e5 items have gone through. The first subtest
-// runs both sides on one scheduler thread; the second adds a thread that
-// stops the world in a loop, so the two are preempted at arbitrary
-// instructions inside the queue (the schedule TestPoolOneKeyStress in
-// internal/lockmgr uses).
+// declaration. One producer pushes 1e5 items, yielding at random so that
+// consumers catch up, and starts a consumer goroutine exactly when push
+// reports the 0 → 1 transition; a consumer pops, settles in batches of a
+// random size, and exits exactly when settle tells it the debt is back
+// to zero — so consumers are spawned and retired thousands of times.
+// Every item must come out exactly once and in order, no two consumers
+// may be alive at once, a consumer must never find the queue empty while
+// it has nothing to settle, and whenever the producer sees the queue
+// idle everything it pushed must already have been consumed. next, the
+// consumers' cursor, is deliberately a plain variable: under -race it is
+// the queue's mutex alone that orders one consumer's last write before
+// the next consumer's (and the producer's) read. The first subtest runs
+// everything on one scheduler thread; the second adds a thread that
+// stops the world in a loop, so producer and consumer are preempted at
+// arbitrary instructions inside the queue (the schedule
+// TestPoolOneKeyStress in internal/lockmgr uses).
 func TestOpQueueStress(t *testing.T) {
 	const total = 100000
 	run := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
-		for sent := 0; sent < total; {
-			n, yield := rng.Intn(2000), 1+rng.Intn(64)
-			q := newOpQueue[int]()
-			go func() {
-				for i := 0; i < n; i++ {
-					q.push(sent + i)
-					if i%yield == 0 {
-						runtime.Gosched() // let the consumer see the queue part full
+		var q opQueue
+		var wg sync.WaitGroup
+		var alive atomic.Int32
+		next, spawns := 0, 0
+		consume := func(batch int) {
+			defer wg.Done()
+			if n := alive.Add(1); n != 1 {
+				t.Errorf("%d consumers alive at once", n)
+				return
+			}
+			unsettled := 0
+			for {
+				req, ok := q.tryPop()
+				if ok {
+					if int(req.TimeoutMS) != next {
+						t.Errorf("popped %d, want %d", req.TimeoutMS, next)
+						return
 					}
-				}
-				q.close()
-			}()
-			next := sent
-			for i := 0; ; i++ {
-				v, ok := q.tryPop()
-				if !ok && i%3 != 0 {
-					continue // spin on tryPop two turns in three, park on the third
-				}
-				if !ok {
-					if v, ok = q.pop(); !ok {
-						break
+					next++
+					unsettled++
+					if unsettled < batch {
+						continue
 					}
+				} else if unsettled == 0 {
+					t.Error("a live consumer found nothing queued and nothing to settle")
+					return
 				}
-				if v != next {
-					t.Fatalf("popped %d, want %d", v, next)
+				alive.Add(-1)
+				if q.settle(unsettled) {
+					return
 				}
-				next++
+				alive.Add(1)
+				unsettled = 0
 			}
-			if next != sent+n {
-				t.Fatalf("queue reported done after %d of %d items", next-sent, n)
-			}
-			if _, ok := q.tryPop(); ok {
-				t.Fatal("tryPop found an item after pop reported done")
-			}
-			if _, ok := q.pop(); ok {
-				t.Fatal("pop found an item after it reported done")
-			}
-			sent += n
 		}
+		yield := 1 + rng.Intn(64)
+		for sent := 0; sent < total; sent++ {
+			if q.idle() && next != sent {
+				t.Fatalf("queue idle with %d of %d pushed items consumed", next, sent)
+			}
+			if q.push(wire.Request{TimeoutMS: int64(sent)}) {
+				spawns++
+				wg.Add(1)
+				go consume(1 + rng.Intn(8))
+			}
+			if sent%yield == 0 {
+				runtime.Gosched() // let the consumer catch up, or not quite
+				yield = 1 + rng.Intn(64)
+			}
+		}
+		wg.Wait()
+		if next != total || !q.idle() {
+			t.Fatalf("after the last consumer exited: %d of %d items consumed, idle = %v", next, total, q.idle())
+		}
+		if _, ok := q.tryPop(); ok {
+			t.Fatal("tryPop found an item in an idle queue")
+		}
+		if spawns < 100 {
+			t.Fatalf("only %d consumers were ever started; the test means to retire them by the thousand", spawns)
+		}
+		t.Logf("%d consumers started and retired", spawns)
 	}
 	t.Run("one thread", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

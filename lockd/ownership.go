@@ -206,7 +206,7 @@ func (s *Server) commitAcquire(sess *session, name string, l lockmgr.Lease) wire
 }
 
 // handleAcquire is handle's acquire and try case. With block=true it
-// always answers (done=true). With block=false — the binary frame
+// always answers (done=true). With block=false — the connection
 // reader's mode (handleInline) — it answers only when neither of the
 // two waits on this path would be needed, and done=false means it
 // stopped short of one: before forwarding a key another node owns (an

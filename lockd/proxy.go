@@ -284,10 +284,10 @@ func (s *Server) heartbeatRemotes(sess *session, fenced *bool, min *time.Duratio
 }
 
 // closeRemotes retires the session's forwarded streams so their owners
-// release the proxied grants now instead of at lease expiry. Both
-// transports' teardowns call it. Retirement waits — for the session's
+// release the proxied grants now instead of at lease expiry; part of a
+// stream's retirement (conn.retire). Ending them waits — for the session's
 // forwarded cancels to be written first (cancelRemote), then for the
-// owner's ack — and the teardown must not, so it runs on goroutines that
+// owner's ack — and retirement must not, so it runs on goroutines that
 // end with that ack or with the socket: the peer pool's Close at the
 // latest, which releases the same grants by connection teardown. Under
 // Kill it does nothing: a simulated crash must leave remote grants to

@@ -57,19 +57,19 @@ type Durability struct {
 	CompactBytes int64
 }
 
-// Server serves the lock protocol over a listener, one session per
-// connection. Create with NewServer, start with Serve, stop with
-// Shutdown.
+// Server serves the lock protocol over a listener. Create with
+// NewServer, start with Serve, stop with Shutdown.
 //
-// On a binary connection the per-request path is allocation-free at
-// steady state: ops are decoded and responses encoded in place by the
-// wire package's binary codec, lock names are interned per connection,
-// the connection's frame reader executes every op that cannot block and
-// its answers leave through a per-connection buffered writer in one
-// write per read, and an uncontended acquire takes the lock manager's
-// context-free fast path (lockmgr.AcquireFast) — a stream goroutine, the
-// context and the cancellation machinery are paid only when the lock is
-// actually contended.
+// Every connection, binary or JSON, costs one goroutine — its reader —
+// which executes every op that cannot block; its answers leave through a
+// per-connection buffered writer in one write per read. A stream's
+// goroutine, the context and the cancellation machinery are paid only
+// while an op that can block (a contended acquire, above all) is owed
+// its answer: an uncontended acquire takes the lock manager's
+// context-free fast path (lockmgr.AcquireFast). On a binary connection
+// the per-request path is also allocation-free at steady state: ops are
+// decoded and responses encoded in place by the wire package's binary
+// codec, and lock names are interned per connection.
 type Server struct {
 	mgr *lockmgr.Manager
 
@@ -148,8 +148,8 @@ type Server struct {
 	// recovery to find, in memory and in the journal alike.
 	killed atomic.Bool
 
-	// liveStreams counts live logical sessions: one per JSON connection,
-	// one per open stream of a binary connection.
+	// liveStreams counts live logical sessions: one per open stream of a
+	// binary connection, one per JSON connection that has sent a line.
 	liveStreams atomic.Int64
 
 	// peers is the inter-node forwarding pool; non-nil iff Proxy was set

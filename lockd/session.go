@@ -1,10 +1,9 @@
 package lockd
 
-// One logical session's state and the grant lifecycle around it. Both
-// transports — the whole-connection JSON session and each stream of a
-// binary connection — share this layer: the same session struct, the
-// same out-of-band cancellation protocol, and the same single
-// releaseGrant codepath.
+// One logical session's state — a stream of a binary connection, or the
+// whole of a JSON one — and the grant lifecycle around it: the
+// out-of-band cancellation protocol, the single releaseGrant codepath,
+// and the queue between a connection's reader and a stream's goroutine.
 
 import (
 	"context"
@@ -22,8 +21,9 @@ type grant struct {
 	token uint64
 }
 
-// session is one connection's state. The request-processing loop owns
-// grants; mu guards only the fields the reader goroutine touches to
+// session is one stream's state. Whoever executes the stream's ops — its
+// goroutine while it has one, the connection's reader otherwise — owns
+// grants; mu guards only the fields the reader touches at any time to
 // implement out-of-band cancellation.
 type session struct {
 	grants map[string]grant
@@ -37,8 +37,7 @@ type session struct {
 	// remotes are this session's forwarded streams in proxy mode, one
 	// per owner address; remoteGrants maps each proxied grant's name to
 	// the owner address whose stream holds it. Both nil until the first
-	// forward, so non-proxied sessions pay nothing. Owned by the
-	// processing loop, like grants.
+	// forward, so non-proxied sessions pay nothing. Owned like grants.
 	remotes      map[string]*client.Conn
 	remoteGrants map[string]string
 
@@ -89,9 +88,9 @@ func (s *Server) grantResponse(g grant) wire.Response {
 // releaseGrant gives one grant back through whichever authority owns
 // it: the lease manager's token arbitration when leases run — so a
 // session teardown racing a TTL expiry resolves to exactly one release
-// — or the lock manager directly otherwise. The release op, the binary
-// end_stream ack, and both transports' teardown paths all route here;
-// there is exactly one release codepath.
+// — or the lock manager directly otherwise. The release op and a
+// stream's retirement (conn.retire) both route here; there is exactly
+// one release codepath.
 func (s *Server) releaseGrant(g grant) error {
 	if s.killed.Load() {
 		// A killed server releases nothing: the simulated crash must
@@ -216,9 +215,9 @@ func (sess *session) endRemote() {
 
 // abortRemote aborts a forwarded acquire blocked at another node — the
 // remote analogue of the connection-context cancellation that reaps
-// local acquires when a client disconnects. Called from transport
-// teardown; the aborted response unblocks the processing loop so the
-// session can drain.
+// local acquires when a client disconnects. Called from connection
+// teardown; the aborted response unblocks the stream's goroutine so it
+// can settle and exit.
 func (sess *session) abortRemote() {
 	sess.mu.Lock()
 	if sess.remoteInflight != nil {
@@ -245,99 +244,80 @@ func (sess *session) cancelRemote(name string) {
 	}()
 }
 
-// opQueue is the unbounded handoff between a session's reader and its
-// processing loop: of request lines on the JSON path, and on a binary
-// stream of the ops queued from the first one that can block until the
-// stream goroutine has answered them all (the frame reader executes the
-// rest itself, see handleInline). It must be unbounded: the reader can
-// never be allowed to block on a full buffer, or a client that pipelines
-// requests behind a blocked acquire and then drops its connection would
-// park the reader mid-handoff — it would never return to Read, never
-// observe the EOF, and the dead session's acquire would compete on as a
-// ghost. Memory is bounded by what the client actually sends; the
-// backing array is reused (a head cursor instead of re-slicing), so a
-// steady-state session allocates nothing per item.
+// opQueue is the unbounded hand-off from a connection's reader to one
+// stream's goroutine, together with the count of what that goroutine
+// still owes: owed is the ops pushed whose answers have not yet reached
+// the connection's writer — queued, mid-handle, or batched unflushed. It
+// must be unbounded: were the reader ever to block on a full buffer, a
+// client that pipelines requests behind a blocked acquire and then drops
+// its connection would park it mid-handoff — it would never return to
+// Read, never observe the EOF, and the dead session's acquire would
+// compete on as a ghost. Memory is bounded by what the client actually
+// sends; the backing array is reused (a head cursor instead of
+// re-slicing), so a steady-state session allocates nothing per item.
 //
-// The invariant (TestOpQueueStress holds the queue to it):
+// owed lives under the queue's own mutex, so "raise and push" and
+// "settle, and am I idle" are each one critical section. The invariant
+// (TestOpQueueStress holds the queue to it):
 //
-//   - one producer, the connection's reader, which alone calls push and
-//     close, and close after its last push; one consumer, the session's
-//     processing goroutine, which alone calls pop and tryPop;
+//   - one producer, the reader, which alone calls push and idle; at most
+//     one consumer at a time, which alone calls tryPop and settle;
 //   - push never blocks, and items come out in the order they went in,
 //     each exactly once;
-//   - after close, pop hands out what is still queued and only then
-//     reports done; it never blocks again;
-//   - on a binary stream, binStream.inflight is raised before the push
-//     and lowered only after the op's answer has reached the shared
-//     writer, so inflight == 0 implies the queue is empty and the
-//     consumer is parked in pop (or about to be) with nothing owed.
-type opQueue[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []T
-	head   int
-	closed bool
+//   - a consumer exists exactly while owed > 0: the producer starts one
+//     when push reports the 0 → 1 transition, and a consumer that settle
+//     tells it has returned owed to 0 exits without touching the queue,
+//     or the session, again. So whoever reads owed == 0 finds the queue
+//     empty and everything the last consumer did already done, and a
+//     consumer with nothing unsettled finds an item queued: it never
+//     waits;
+//   - a consumer that exits with owed > 0 (a retired stream, a failed
+//     writer) is the stream's last: later pushes are never read.
+type opQueue struct {
+	mu    sync.Mutex
+	items []wire.Request
+	head  int
+	owed  int
 }
 
-func newOpQueue[T any]() *opQueue[T] {
-	q := &opQueue[T]{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push appends an item. Never blocks.
-func (q *opQueue[T]) push(in T) {
-	q.mu.Lock()
-	q.items = append(q.items, in)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// pop removes the oldest item, blocking while the queue is empty and the
-// stream still open. ok is false once the queue is drained and closed.
-func (q *opQueue[T]) pop() (in T, ok bool) {
+// push appends an op and raises owed. Never blocks. It reports the 0 → 1
+// transition: the caller must then start the consumer.
+func (q *opQueue) push(req wire.Request) (start bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
-		q.cond.Wait()
-	}
-	return q.popLocked()
+	q.items = append(q.items, req)
+	q.owed++
+	return q.owed == 1
 }
 
-// tryPop is pop without the blocking: ok is false whenever no item is
-// ready right now (drained-and-closed included). The processing loop
-// uses it to detect "no more pipelined work" and flush the write buffer
-// before parking.
-func (q *opQueue[T]) tryPop() (in T, ok bool) {
+// tryPop removes the oldest op; ok is false when none is queued right
+// now, which is the consumer's cue to flush what it has batched and
+// settle.
+func (q *opQueue) tryPop() (req wire.Request, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.head == len(q.items) {
-		var zero T
-		return zero, false
+		return wire.Request{}, false
 	}
-	return q.popLocked()
-}
-
-func (q *opQueue[T]) popLocked() (in T, ok bool) {
-	var zero T
-	if q.head == len(q.items) {
-		return zero, false
-	}
-	in = q.items[q.head]
-	q.items[q.head] = zero
+	req = q.items[q.head]
+	q.items[q.head] = wire.Request{}
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	return in, true
+	return req, true
 }
 
-// close marks the stream ended; pop drains the remainder then reports
-// done.
-func (q *opQueue[T]) close() {
+// settle lowers owed by the n ops whose answers have reached the writer
+// and reports whether that returned it to zero: the consumer must exit.
+func (q *opQueue) settle(n int) (idle bool) {
 	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
+	defer q.mu.Unlock()
+	q.owed -= n
+	return q.owed == 0
 }
+
+// idle reports owed == 0: the producer's license to act in the
+// consumer's place.
+func (q *opQueue) idle() bool { return q.settle(0) }
