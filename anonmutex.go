@@ -66,11 +66,12 @@
 // Executions are described declaratively by scenarios
 // (internal/scenario): one JSON-encodable spec — algorithm, sizes,
 // anonymity adversary, schedule, workload profile, seeds — runs on
-// either substrate, from the sim package (RunScenario), the anonsim
-// command (-scenario, -substrate), or the experiment suite (anonbench,
-// which sweeps the whole registry and can run experiments on a worker
-// pool with -parallel and emit JSON with -json). DESIGN.md has the layer
-// diagram and the experiment catalog.
+// either substrate or under the model checker, from the anonsim command
+// (-scenario, -substrate, -check) or the experiment suite (anonbench,
+// which sweeps the whole registry and emits JSON with -json). The
+// Algorithm type names the scenarios' protocols too, including the
+// Greedy strawman no Lock runs. DESIGN.md has the layer diagram and the
+// experiment catalog.
 //
 // Above the locks sits a service layer: internal/lockmgr shards a
 // namespace of named locks (each lazily backed by its own
@@ -79,10 +80,7 @@
 // over TCP (cmd/anonlockd), and cmd/anonload generates client load
 // against either. DESIGN.md documents the whole stack.
 //
-// The companion packages anonmutex/mnum (the M(n) number theory) and
-// anonmutex/sim (deterministic simulation, model checking, scenarios,
-// and the Theorem 5 lower-bound constructions) expose the research
-// tooling.
+// The companion package anonmutex/mnum exposes the M(n) number theory.
 package anonmutex
 
 import (

@@ -42,18 +42,36 @@ func TestNewRWLockValidation(t *testing.T) {
 	if _, err := NewRWLock(2, WithRegisters(9)); err != nil {
 		t.Errorf("m=9 ∈ M(2) rejected: %v", err)
 	}
-	for _, a := range []Algorithm{RW, RMW} {
-		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.String(), got, err)
-		}
-	}
-	for _, a := range []Algorithm{0, RMW + 1} {
+	// Greedy is an algorithm the research harness runs, but no lock.
+	for _, a := range []Algorithm{0, Greedy, Greedy + 1} {
 		if _, err := NewLock(a, 2); err == nil {
 			t.Errorf("NewLock accepted algorithm %v", a)
 		}
+	}
+}
+
+// TestParseAlgorithm: the three algorithm names round-trip through
+// ParseAlgorithm and the text encoding; nothing else parses or encodes.
+func TestParseAlgorithm(t *testing.T) {
+	for _, a := range []Algorithm{RW, RMW, Greedy} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.String(), got, err)
+		}
+		var back Algorithm
+		if text, err := a.MarshalText(); err != nil || back.UnmarshalText(text) != nil || back != a {
+			t.Errorf("%v does not round-trip as text: %q, %v, %v", a, text, err, back)
+		}
+	}
+	for _, a := range []Algorithm{0, Greedy + 1} {
 		if _, err := ParseAlgorithm(a.String()); err == nil {
 			t.Errorf("ParseAlgorithm accepted %q", a.String())
 		}
+		if _, err := a.MarshalText(); err == nil {
+			t.Errorf("MarshalText encoded %v", a)
+		}
+	}
+	if _, err := ParseAlgorithm("x"); err == nil {
+		t.Error("ParseAlgorithm accepted garbage")
 	}
 }
 

@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	anonbench                    # run everything, serially
-//	anonbench -parallel 0        # run everything on GOMAXPROCS workers
+//	anonbench                    # run everything
 //	anonbench -experiment T2     # one experiment
 //	anonbench -list              # list experiment ids
 //	anonbench -json              # JSON results (presentation order)
@@ -45,7 +44,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("anonbench", flag.ContinueOnError)
 	expID := fs.String("experiment", "", "run a single experiment by id (default: all)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	parallel := fs.Int("parallel", 1, "worker-pool size for running experiments concurrently (0: GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit results as JSON instead of text tables")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,65 +67,30 @@ func run(args []string) error {
 		toRun = experiments.All()
 	}
 
-	// Serial text mode streams each table as its experiment finishes (the
-	// historical behavior). Pooled and JSON runs collect first: JSON must
-	// be one valid document, and pooled completion order is not
-	// presentation order.
-	if !*jsonOut && *parallel == 1 {
-		for i, e := range toRun {
-			if i > 0 {
-				fmt.Println()
-			}
-			start := time.Now()
-			tbl, err := e.Run()
-			if err != nil {
-				return fmt.Errorf("experiment %s: %w", e.ID, err)
-			}
-			fmt.Printf("[%s] %s  (%.2fs)\n", e.ID, e.Title, time.Since(start).Seconds())
-			fmt.Print(tbl.String())
+	// Text streams each table as its experiment finishes; JSON collects
+	// them, since it must be one document.
+	var results []resultJSON
+	for i, e := range toRun {
+		start := time.Now()
+		tbl, err := e.Run()
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
-		return nil
-	}
-
-	outcomes := experiments.RunConcurrent(toRun, *parallel)
-
-	if *jsonOut {
-		for _, o := range outcomes {
-			if o.Err != nil {
-				return fmt.Errorf("experiment %s: %w", o.ID, o.Err)
-			}
+		elapsed := time.Since(start).Seconds()
+		if *jsonOut {
+			results = append(results, resultJSON{ID: e.ID, Title: e.Title, Seconds: elapsed, Table: tbl})
+			continue
 		}
-		results := make([]resultJSON, len(outcomes))
-		for i, o := range outcomes {
-			results[i] = resultJSON{
-				ID:      o.ID,
-				Title:   o.Title,
-				Seconds: o.Elapsed.Seconds(),
-				Table:   o.Table,
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(results)
-	}
-
-	// Pooled text mode: print every completed table in presentation order
-	// before reporting the first failure, so one broken experiment does
-	// not discard the rest of the run.
-	var firstErr error
-	for i, o := range outcomes {
 		if i > 0 {
 			fmt.Println()
 		}
-		if o.Err != nil {
-			fmt.Printf("[%s] %s  FAILED: %v\n", o.ID, o.Title, o.Err)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("experiment %s: %w", o.ID, o.Err)
-			}
-			continue
-		}
-		fmt.Printf("[%s] %s  (%.2fs)\n", o.ID, o.Title, o.Elapsed.Seconds())
-		fmt.Print(o.Table.String())
+		fmt.Printf("[%s] %s  (%.2fs)\n", e.ID, e.Title, elapsed)
+		fmt.Print(tbl.String())
 	}
-	return firstErr
+	if !*jsonOut {
+		return nil
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(results)
 }

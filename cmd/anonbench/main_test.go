@@ -20,12 +20,6 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
-func TestRunParallel(t *testing.T) {
-	if err := run([]string{"-experiment", "T1", "-parallel", "0"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // captureStdout runs f with os.Stdout redirected and returns what it
 // wrote.
 func captureStdout(t *testing.T, f func() error) []byte {

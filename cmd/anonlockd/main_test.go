@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +53,12 @@ func TestSessionAgainstDaemon(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-alg", "greedy"}, nil); err == nil {
+	// greedy parses as an anonmutex.Algorithm, but no lock runs it: the
+	// daemon refuses before it listens, with one message naming it.
+	if err := run([]string{"-alg", "greedy"}, nil); err == nil || strings.Count(err.Error(), "greedy") != 1 {
+		t.Errorf("run -alg greedy = %v, want one error naming the algorithm", err)
+	}
+	if err := run([]string{"-alg", "bogus"}, nil); err == nil {
 		t.Error("run with unknown algorithm succeeded")
 	}
 	if err := run([]string{"-addr", "256.256.256.256:1"}, nil); err == nil {

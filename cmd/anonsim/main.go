@@ -1,6 +1,7 @@
 // Command anonsim runs one execution of an anonymous-memory mutual
 // exclusion algorithm — described by flags, a named scenario, or a
-// scenario JSON file — on either substrate, and reports its outcome.
+// scenario JSON file — on either substrate, or model-checks it with
+// -check, and reports its outcome.
 //
 // Usage:
 //
@@ -14,6 +15,13 @@
 //	anonsim -scenario contended-rw -substrate real
 //	anonsim -scenario lockstep-livelock -dump-scenario > wedge.json
 //	anonsim -scenario-file wedge.json
+//	anonsim -check -alg rw -n 2 -m 3          # every interleaving: verify Algorithm 1
+//	anonsim -check -alg rmw -n 2 -m 2 -force  # find the Theorem 5 trap
+//	anonsim -check -alg greedy -n 2 -m 2      # watch a broken protocol fail
+//
+// A verdict against the algorithm — a mutual-exclusion violation, a
+// progress trap, or a check that did not finish — is printed and exits 2;
+// any other error exits 1.
 //
 // The scenario's traffic comes from the unified workload model:
 // -workload names a session profile (uniform, bursty, skewed) and
@@ -24,25 +32,34 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"anonmutex"
 	"anonmutex/internal/scenario"
 	"anonmutex/internal/workload"
-	"anonmutex/sim"
 )
+
+// errVerdict marks a run that finished and found the algorithm breaking
+// a property it must hold; the report is already printed.
+var errVerdict = errors.New("verdict")
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "anonsim:", err)
+		if errors.Is(err, errVerdict) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("anonsim", flag.ContinueOnError)
-	algName := fs.String("alg", "rw", "algorithm: rw, rmw, or greedy")
+	alg := anonmutex.RW
+	fs.TextVar(&alg, "alg", alg, "algorithm: rw, rmw, or greedy")
 	n := fs.Int("n", 2, "number of processes")
 	m := fs.Int("m", 3, "number of anonymous registers (0: smallest legal size)")
 	force := fs.Bool("force", false, "allow m outside M(n)")
@@ -58,19 +75,20 @@ func run(args []string) error {
 	workloadSeed := fs.Uint64("workload-seed", 0, "traffic-model seed")
 	workloadFile := fs.String("workload-file", "", "full traffic-model JSON file (internal/workload.Spec schema) attached to the scenario")
 	detect := fs.Bool("detect-cycles", false, "stop with a livelock verdict on a repeated state")
-	maxSteps := fs.Int("max-steps", 1_000_000, "step bound")
+	maxSteps := fs.Int("max-steps", 1_000_000, "step bound (with -check: state bound)")
 	traceCap := fs.Int("trace", 0, "print up to this many trace events")
 	scenarioName := fs.String("scenario", "", "run a registered scenario instead of building one from flags")
 	scenarioFile := fs.String("scenario-file", "", "run a scenario spec from a JSON file")
 	substrate := fs.String("substrate", "sim", "execution substrate: sim (deterministic scheduler) or real (goroutines over hardware-atomic memory)")
 	listScenarios := fs.Bool("list-scenarios", false, "list registered scenarios and exit")
 	dump := fs.Bool("dump-scenario", false, "print the scenario's JSON spec instead of running it")
+	check := fs.Bool("check", false, "explore every interleaving of the scenario (model check) instead of running one schedule")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *listScenarios {
-		for _, name := range sim.Scenarios() {
+		for _, name := range scenario.Names() {
 			spec, err := scenario.Lookup(name)
 			if err != nil {
 				return err
@@ -102,10 +120,10 @@ func run(args []string) error {
 		spec = s
 	default:
 		spec = scenario.Spec{
-			Algorithm:       *algName,
+			Algorithm:       alg,
 			N:               *n,
 			M:               *m,
-			Unchecked:       *force || *algName == scenario.AlgGreedy,
+			Unchecked:       *force || alg == anonmutex.Greedy,
 			Sessions:        *sessions,
 			CSTicks:         *csTicks,
 			Schedule:        *schedName,
@@ -165,10 +183,14 @@ func run(args []string) error {
 		return nil
 	}
 
-	switch *substrate {
-	case "sim":
+	switch {
+	case *check && *substrate != "sim":
+		return fmt.Errorf("-check explores the simulated substrate, not %q", *substrate)
+	case *check:
+		return runCheck(spec)
+	case *substrate == "sim":
 		return runSim(spec)
-	case "real":
+	case *substrate == "real":
 		return runReal(spec)
 	default:
 		return fmt.Errorf("unknown substrate %q (want sim or real)", *substrate)
@@ -176,7 +198,7 @@ func run(args []string) error {
 }
 
 func runSim(spec scenario.Spec) error {
-	res, err := sim.RunSpec(spec)
+	res, err := scenario.RunSim(spec)
 	if err != nil {
 		return err
 	}
@@ -186,8 +208,8 @@ func runSim(spec scenario.Spec) error {
 	if res.CycleDetected {
 		fmt.Printf("LIVELOCK: global state repeated (cycle entered at step %d) — no invocation will ever complete\n", res.CycleStart)
 	}
-	if res.MEViolations > 0 {
-		fmt.Printf("MUTUAL EXCLUSION VIOLATED %d time(s)\n", res.MEViolations)
+	if len(res.Violations) > 0 {
+		fmt.Printf("MUTUAL EXCLUSION VIOLATED %d time(s)\n", len(res.Violations))
 	}
 	fmt.Println()
 	fmt.Printf("%-5s %-9s %-8s %-9s %-9s %-10s %-10s\n", "proc", "sessions", "entries", "bypasses", "max-wait", "mean-wait", "owned@entry")
@@ -195,14 +217,14 @@ func runSim(spec scenario.Spec) error {
 		fmt.Printf("p%-4d %-9d %-8d %-9d %-9d %-10.1f %-10d\n",
 			i, ps.Sessions, ps.Entries, ps.Bypasses, ps.MaxWaitSteps, ps.MeanWait, ps.OwnedAtEntry)
 	}
-	if len(res.TraceLines) > 0 {
+	if res.Trace != nil && len(res.Trace.Events) > 0 {
 		fmt.Println("\ntrace:")
-		for _, line := range res.TraceLines {
-			fmt.Println(" ", line)
+		for _, e := range res.Trace.Events {
+			fmt.Println(" ", e)
 		}
 	}
-	if res.MEViolations > 0 {
-		os.Exit(2)
+	if len(res.Violations) > 0 {
+		return fmt.Errorf("%w: mutual exclusion violated %d time(s)", errVerdict, len(res.Violations))
 	}
 	return nil
 }
@@ -221,7 +243,34 @@ func runReal(spec scenario.Spec) error {
 		fmt.Printf("p%-4d %-9d %-12d %-10d\n", i, ps.Sessions, ps.OwnedAtEntry, ps.LockSteps)
 	}
 	if res.MEViolations > 0 {
-		os.Exit(2)
+		return fmt.Errorf("%w: mutual exclusion violated %d time(s)", errVerdict, res.MEViolations)
+	}
+	return nil
+}
+
+func runCheck(spec scenario.Spec) error {
+	res, err := scenario.Check(spec)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("configuration: %s, n=%d, m=%d, sessions=%d, permutations %s\n",
+		spec.Algorithm, spec.N, spec.M, spec.Sessions, spec.Perms)
+	fmt.Printf("states: %d   transitions: %d   complete: %v\n", res.States, res.Transitions, res.Complete)
+	fmt.Printf("critical-section entry edges: %d\n", res.Entries)
+	fmt.Println()
+	if res.MEViolations > 0 {
+		fmt.Printf("MUTUAL EXCLUSION VIOLATED in %d states\n  witness: %s\n", res.MEViolations, res.MEWitness)
+	} else {
+		fmt.Println("mutual exclusion: holds in every reachable state")
+	}
+	if res.Traps > 0 {
+		fmt.Printf("DEADLOCK-FREEDOM VIOLATED: %d trap states (pending work, no completion reachable)\n  witness: %s\n", res.Traps, res.TrapWitness)
+	} else {
+		fmt.Println("deadlock-freedom: every reachable state can still complete a lock/unlock")
+	}
+	if !res.OK() {
+		return fmt.Errorf("%w: %d mutual-exclusion states, %d trap states, complete %v",
+			errVerdict, res.MEViolations, res.Traps, res.Complete)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,6 +25,34 @@ func TestRunVariants(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
+// TestRunCheckLegal: under -check, every interleaving of a legal size
+// verifies.
+func TestRunCheckLegal(t *testing.T) {
+	for _, args := range [][]string{
+		{"-check", "-alg", "rw", "-n", "2", "-m", "3"},
+		{"-check", "-alg", "rmw", "-n", "2", "-m", "3"},
+		{"-check", "-alg", "rmw", "-n", "2", "-m", "1"},
+		{"-check", "-alg", "rmw", "-n", "2", "-m", "3", "-sessions", "2"},
+		{"-check", "-scenario", "smoke-rw"},
+	} {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
+func TestRunCheckErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-check", "-alg", "bogus"},
+		{"-check", "-alg", "rw", "-n", "2", "-m", "4"}, // illegal without -force
+		{"-check", "-scenario", "smoke-rw", "-substrate", "real"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
 }
@@ -95,5 +124,25 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunVerdicts: a run that finds the algorithm breaking a property
+// returns errVerdict (main exits 2 on it), not a plain error and not an
+// exit from inside run.
+func TestRunVerdicts(t *testing.T) {
+	for _, args := range [][]string{
+		// The greedy strawman on the Theorem 5 ring: all three enter.
+		{"-alg", "greedy", "-n", "3", "-m", "6", "-sched", "lockstep", "-perms", "rotation", "-rotation-step", "2"},
+		{"-check", "-alg", "greedy", "-n", "2", "-m", "2"},
+		// An illegal size: the model checker finds the trap.
+		{"-check", "-alg", "rmw", "-n", "2", "-m", "2", "-force"},
+	} {
+		if err := run(args); !errors.Is(err, errVerdict) {
+			t.Errorf("run(%v) = %v, want a verdict", args, err)
+		}
+	}
+	if err := run([]string{"-alg", "bogus"}); errors.Is(err, errVerdict) {
+		t.Errorf("a usage error reads as a verdict: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"anonmutex"
 	"anonmutex/mnum"
-	"anonmutex/sim"
 )
 
 // The basic usage pattern: one lock, one process handle per goroutine.
@@ -63,35 +62,4 @@ func ExampleNewRWLock_validation() {
 	// m=4 legal: false
 	// m=5 in M(2): true
 	// smallest legal m for n=6: 7
-}
-
-// Exhaustive verification of a small configuration through the public
-// simulation API.
-func ExampleCheck() {
-	res, err := sim.Check(sim.Config{Algorithm: sim.RMW, N: 2, M: 3})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("complete:", res.Complete)
-	fmt.Println("mutual exclusion violations:", res.MEViolations)
-	fmt.Println("progress traps:", res.Traps)
-	// Output:
-	// complete: true
-	// mutual exclusion violations: 0
-	// progress traps: 0
-}
-
-// The Theorem 5 construction, one call.
-func ExampleLowerBound() {
-	v, err := sim.LowerBound(sim.RMW, 2, 4, 0) // ℓ=2 divides m=4
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("outcome:", v.Outcome)
-	fmt.Println("symmetry held:", v.SymmetryHeld)
-	// Output:
-	// outcome: livelock
-	// symmetry held: true
 }

@@ -24,8 +24,9 @@ import (
 	"fmt"
 	"os"
 
+	"anonmutex"
+	"anonmutex/internal/lowerbound"
 	"anonmutex/mnum"
-	"anonmutex/sim"
 )
 
 func main() {
@@ -38,21 +39,21 @@ func main() {
 func run() error {
 	fmt.Println("--- Theorem 5: the two horns of the dichotomy ---")
 
-	v, err := sim.LowerBound(sim.RMW, 3, 6, 0)
+	v, err := lowerbound.Run(anonmutex.RMW, 3, 6, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Algorithm 2, ℓ=3 m=6 (3 | 6, step %d): %v after %d rounds; ring symmetry held: %v\n",
 		v.Step, v.Outcome, v.Rounds, v.SymmetryHeld)
 
-	g, err := sim.LowerBound(sim.Greedy, 3, 6, 0)
+	g, err := lowerbound.Run(anonmutex.Greedy, 3, 6, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("greedy strawman, ℓ=3 m=6:            %v — %d of %d processes in the CS at once\n",
 		g.Outcome, g.Entrants, g.L)
 
-	ok, err := sim.LowerBound(sim.RMW, 3, 7, 0)
+	ok, err := lowerbound.Run(anonmutex.RMW, 3, 7, 0)
 	if err != nil {
 		return err
 	}
@@ -62,14 +63,14 @@ func run() error {
 	fmt.Println()
 	fmt.Println("--- the boundary: lock-step verdict vs membership in M(n), n=3 ---")
 	fmt.Printf("%-4s %-8s %-9s %-20s %s\n", "m", "m∈M(3)", "ℓ used", "outcome", "rounds")
-	entries, err := sim.LowerBoundGrid(sim.RMW, 3, 1, 20, 0)
+	entries, err := lowerbound.Grid(anonmutex.RMW, 3, 1, 20, 0)
 	if err != nil {
 		return err
 	}
 	mismatches := 0
 	for _, e := range entries {
 		fmt.Printf("%-4d %-8v %-9d %-20v %d\n", e.M, e.InM, e.Witness, e.Verdict.Outcome, e.Verdict.Rounds)
-		livelocked := e.Verdict.Outcome == sim.Livelock
+		livelocked := e.Verdict.Outcome == lowerbound.OutcomeLivelock
 		if livelocked == e.InM {
 			mismatches++
 		}

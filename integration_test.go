@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"anonmutex"
-	"anonmutex/sim"
+	"anonmutex/internal/scenario"
 )
 
 // TestSubstrateAgreementSolo: a solo, deterministic acquisition must cost
@@ -40,7 +40,7 @@ func TestSubstrateAgreementSolo(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		simRes, err := sim.Run(sim.Config{Algorithm: sim.RW, N: 1, M: m, Unchecked: true})
+		simRes, err := scenario.RunSim(scenario.Spec{Algorithm: anonmutex.RW, N: 1, M: m, Unchecked: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,15 +256,15 @@ func TestManySessionsReuse(t *testing.T) {
 // detection and the model checker's trap detection both condemn m=4, n=2
 // for the RW algorithm.
 func TestSimLockStepWedgeMatchesModelCheckTrap(t *testing.T) {
-	wedge, err := sim.Run(sim.Config{
-		Algorithm: sim.RW, N: 2, M: 4, Unchecked: true,
-		Schedule: sim.LockStepSchedule, Perms: sim.RotationPerms, RotationStep: 2,
+	wedge, err := scenario.RunSim(scenario.Spec{
+		Algorithm: anonmutex.RW, N: 2, M: 4, Unchecked: true,
+		Schedule: scenario.SchedLockStep, Perms: scenario.PermsRotation, RotationStep: 2,
 		DetectCycles: true, MaxSteps: 100_000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := sim.Check(sim.Config{Algorithm: sim.RW, N: 2, M: 4, Unchecked: true})
+	checked, err := scenario.Check(scenario.Spec{Algorithm: anonmutex.RW, N: 2, M: 4, Unchecked: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,7 @@
 //	S1             — the scenario-registry sweep, on both substrates
 //
 // Everything except S1's real-substrate rows is deterministic: fixed
-// seeds, simulated schedules. Experiments are independent —
-// RunConcurrent executes them on a worker pool and reports results in
-// presentation order. What measures the lock service lives elsewhere:
+// seeds, simulated schedules. What measures the lock service lives elsewhere:
 // performance in bench/ (BENCHMARK.json), crash and failover behaviour
 // in internal/chaos; DESIGN.md's claim ledger says which test checks
 // what.
@@ -28,26 +26,18 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
+	"strings"
 
+	"anonmutex"
 	"anonmutex/internal/core"
-	"anonmutex/internal/explore"
-	"anonmutex/internal/id"
 	"anonmutex/internal/lowerbound"
 	"anonmutex/internal/mset"
 	"anonmutex/internal/perm"
 	"anonmutex/internal/scenario"
 	"anonmutex/internal/sched"
 	"anonmutex/internal/stats"
-	"anonmutex/sim"
 )
-
-// runScenarioSim bridges to the public sim API, which owns the
-// spec→Config translation for the simulated substrate.
-func runScenarioSim(spec scenario.Spec) (*sim.Result, error) { return sim.RunSpec(spec) }
 
 // Experiment is a runnable reproduction artifact.
 type Experiment struct {
@@ -120,17 +110,22 @@ func TableI() (*stats.Table, error) {
 	return t, nil
 }
 
-// figureRun is a shared behavioral battery for F1/F2.
-func figureRun(title string, alg func(n, m int) sched.MachineFactory, sizes []struct{ n, m int }, wantOwned func(n, m int) string) (*stats.Table, error) {
+// figureRun is a shared behavioral battery for F1/F2, closed by an
+// exhaustive check of the smallest instance.
+func figureRun(title string, alg anonmutex.Algorithm, sizes []struct{ n, m int }, wantOwned func(m int) string) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  title,
 		Header: []string{"n", "m", "sessions", "entries", "ME-violations", "owned@entry", "expected", "mean lock steps", "completed"},
 	}
 	const sessions = 3
 	for _, sz := range sizes {
+		factory, err := sched.Factory(alg, sz.n, sz.m, false)
+		if err != nil {
+			return nil, err
+		}
 		res, err := sched.Run(sched.Config{
 			N: sz.n, M: sz.m,
-			NewMachine: alg(sz.n, sz.m),
+			NewMachine: factory,
 			Policy:     sched.NewRandom(uint64(97 + sz.n*10 + sz.m)),
 			Sessions:   sessions,
 			Adversary:  perm.RandomAdversary{Seed: 11},
@@ -147,8 +142,15 @@ func figureRun(title string, alg func(n, m int) sched.MachineFactory, sizes []st
 		}
 		ownedStr := intSetString(owned)
 		t.AddRow(sz.n, sz.m, sessions, res.Entries, len(res.Violations), ownedStr,
-			wantOwned(sz.n, sz.m), steps.Mean(), res.Completed)
+			wantOwned(sz.m), steps.Mean(), res.Completed)
 	}
+	res, err := scenario.Check(scenario.Spec{Algorithm: alg, N: 2, M: 3})
+	if err != nil {
+		return nil, err
+	}
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"exhaustive model check n=2 m=3: %d states, %d transitions, ME violations %d, progress traps %d",
+		res.States, res.Transitions, res.MEViolations, res.Traps))
 	return t, nil
 }
 
@@ -172,58 +174,23 @@ func intSetString(set map[int]bool) string {
 // ME violations on random schedules, and the RW entry cost (a process
 // enters only when it owns all m registers).
 func Figure1() (*stats.Table, error) {
-	sizes := []struct{ n, m int }{{2, 3}, {3, 5}, {4, 5}, {6, 7}, {4, 25}}
-	t, err := figureRun(
+	return figureRun(
 		"Figure 1 — Algorithm 1 (anonymous RW, m ∈ M(n), m ≥ n)",
-		func(n, m int) sched.MachineFactory { return sched.Alg1Factory(n, m, core.Alg1Config{}) },
-		sizes,
-		func(_, m int) string { return fmt.Sprintf("=%d (all m)", m) },
+		anonmutex.RW,
+		[]struct{ n, m int }{{2, 3}, {3, 5}, {4, 5}, {6, 7}, {4, 25}},
+		func(m int) string { return fmt.Sprintf("=%d (all m)", m) },
 	)
-	if err != nil {
-		return nil, err
-	}
-	// Exhaustive verification of the smallest instance.
-	res, err := explore.Explore(explore.Config{
-		N: 2, M: 3,
-		Factory: func(_ int, me id.ID) (core.Machine, error) {
-			return core.NewAlg1(me, 2, 3, core.Alg1Config{})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"exhaustive model check n=2 m=3: %d states, %d transitions, ME violations %d, progress traps %d",
-		res.States, res.Transitions, res.MEViolations, res.Traps))
-	return t, nil
 }
 
 // Figure2 reproduces Algorithm 2's behavior, including the degenerate
 // m = 1 case and the majority entry cost.
 func Figure2() (*stats.Table, error) {
-	sizes := []struct{ n, m int }{{2, 1}, {2, 3}, {3, 5}, {6, 7}, {4, 25}}
-	t, err := figureRun(
+	return figureRun(
 		"Figure 2 — Algorithm 2 (anonymous RMW, m ∈ M(n))",
-		func(n, m int) sched.MachineFactory { return sched.Alg2Factory(n, m, core.Alg2Config{}) },
-		sizes,
-		func(_, m int) string { return fmt.Sprintf(">%d (majority)", m/2) },
+		anonmutex.RMW,
+		[]struct{ n, m int }{{2, 1}, {2, 3}, {3, 5}, {6, 7}, {4, 25}},
+		func(m int) string { return fmt.Sprintf(">%d (majority)", m/2) },
 	)
-	if err != nil {
-		return nil, err
-	}
-	res, err := explore.Explore(explore.Config{
-		N: 2, M: 3,
-		Factory: func(_ int, me id.ID) (core.Machine, error) {
-			return core.NewAlg2(me, 2, 3, core.Alg2Config{})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"exhaustive model check n=2 m=3: %d states, %d transitions, ME violations %d, progress traps %d",
-		res.States, res.Transitions, res.MEViolations, res.Traps))
-	return t, nil
 }
 
 // TableII reproduces the paper's Table II — the global picture — as
@@ -234,22 +201,16 @@ func TableII() (*stats.Table, error) {
 		Title:  "Table II — n-process anonymous mutex: conditions verified mechanically (n=2)",
 		Header: []string{"registers", "condition", "instance", "verdict", "evidence"},
 	}
-	type cell struct {
-		label   string
-		factory func(m int) func(int, id.ID) (core.Machine, error)
-		legal   int
-		illegal int
-	}
-	cells := []cell{
-		{"RW anonymous", func(m int) func(int, id.ID) (core.Machine, error) {
-			return func(_ int, me id.ID) (core.Machine, error) { return core.NewAlg1Unchecked(me, m, core.Alg1Config{}) }
-		}, 3, 4},
-		{"RMW anonymous", func(m int) func(int, id.ID) (core.Machine, error) {
-			return func(_ int, me id.ID) (core.Machine, error) { return core.NewAlg2Unchecked(me, m, core.Alg2Config{}) }
-		}, 3, 2},
+	cells := []struct {
+		label          string
+		alg            anonmutex.Algorithm
+		legal, illegal int
+	}{
+		{"RW anonymous", anonmutex.RW, 3, 4},
+		{"RMW anonymous", anonmutex.RMW, 3, 2},
 	}
 	for _, c := range cells {
-		legal, err := explore.Explore(explore.Config{N: 2, M: c.legal, Factory: c.factory(c.legal)})
+		legal, err := scenario.Check(scenario.Spec{Algorithm: c.alg, N: 2, M: c.legal})
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +221,7 @@ func TableII() (*stats.Table, error) {
 		t.AddRow(c.label, "sufficient (this paper)", fmt.Sprintf("m=%d ∈ M(2)", c.legal), verdict,
 			fmt.Sprintf("exhaustive: %d states, 0 ME, 0 traps", legal.States))
 
-		illegal, err := explore.Explore(explore.Config{N: 2, M: c.illegal, Factory: c.factory(c.illegal)})
+		illegal, err := scenario.Check(scenario.Spec{Algorithm: c.alg, N: 2, M: c.illegal, Unchecked: true})
 		if err != nil {
 			return nil, err
 		}
@@ -290,14 +251,14 @@ func Theorem5() (*stats.Table, error) {
 		Title:  fmt.Sprintf("Theorem 5 — lock-step ring executions (n=%d, Algorithm 2 and strawman)", n),
 		Header: []string{"m", "m∈M(n)", "ℓ", "step", "alg2 outcome", "rounds", "symmetry", "strawman outcome"},
 	}
-	grid, err := lowerbound.Grid(lowerbound.AlgRMW, n, 1, 24, 0)
+	grid, err := lowerbound.Grid(anonmutex.RMW, n, 1, 24, 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range grid {
 		straw := "-"
 		if !e.InM {
-			sv, err := lowerbound.Run(lowerbound.AlgGreedy, e.Witness, e.M, 0)
+			sv, err := lowerbound.Run(anonmutex.Greedy, e.Witness, e.M, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -322,14 +283,13 @@ func EntryCost() (*stats.Table, error) {
 	}
 	for _, n := range []int{2, 3, 4, 6} {
 		m := mset.MinRW(n)
-		for _, model := range []string{"RW", "RMW"} {
-			var factory sched.MachineFactory
-			var need string
-			if model == "RW" {
-				factory = sched.Alg1Factory(n, m, core.Alg1Config{})
-				need = fmt.Sprintf("=%d", m)
-			} else {
-				factory = sched.Alg2Factory(n, m, core.Alg2Config{})
+		for _, alg := range []anonmutex.Algorithm{anonmutex.RW, anonmutex.RMW} {
+			factory, err := sched.Factory(alg, n, m, false)
+			if err != nil {
+				return nil, err
+			}
+			need := fmt.Sprintf("=%d", m)
+			if alg == anonmutex.RMW {
 				need = fmt.Sprintf(">%d", m/2)
 			}
 			solo, err := sched.Run(sched.Config{
@@ -351,7 +311,7 @@ func EntryCost() (*stats.Table, error) {
 				steps.Add(float64(ps.LockSteps))
 				owned[ps.OwnedAtEntry] = true
 			}
-			t.AddRow(n, m, model, intSetString(owned), need,
+			t.AddRow(n, m, strings.ToUpper(alg.String()), intSetString(owned), need,
 				solo.PerProc[0].LockSteps, steps.Mean())
 		}
 	}
@@ -484,13 +444,11 @@ func Fairness() (*stats.Table, error) {
 		Title:  "E9 — fairness under contention (n=4, 10 sessions each)",
 		Header: []string{"model", "m", "proc", "entries", "bypasses", "max wait", "mean wait"},
 	}
-	for _, model := range []string{"RW", "RMW"} {
-		n, m := 4, 5
-		var factory sched.MachineFactory
-		if model == "RW" {
-			factory = sched.Alg1Factory(n, m, core.Alg1Config{})
-		} else {
-			factory = sched.Alg2Factory(n, m, core.Alg2Config{})
+	const n, m = 4, 5
+	for _, alg := range []anonmutex.Algorithm{anonmutex.RW, anonmutex.RMW} {
+		factory, err := sched.Factory(alg, n, m, false)
+		if err != nil {
+			return nil, err
 		}
 		res, err := sched.Run(sched.Config{
 			N: n, M: m, NewMachine: factory,
@@ -502,7 +460,7 @@ func Fairness() (*stats.Table, error) {
 			return nil, err
 		}
 		for i, ps := range res.PerProc {
-			t.AddRow(model, m, i, ps.Entries, ps.Bypasses, ps.MaxWaitSteps, ps.MeanWait)
+			t.AddRow(strings.ToUpper(alg.String()), m, i, ps.Entries, ps.Bypasses, ps.MaxWaitSteps, ps.MeanWait)
 		}
 	}
 	t.Notes = append(t.Notes, "bypasses > 0 demonstrate the deadlock-free ≠ starvation-free gap (§II-E)")
@@ -561,30 +519,21 @@ func ScenarioSuite() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		simRes, err := runScenarioSim(spec)
+		simRes, err := scenario.RunSim(spec)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s (sim): %w", name, err)
 		}
-		outcome := "completed"
-		switch {
-		case simRes.MEViolations > 0:
-			outcome = "ME VIOLATION"
-		case simRes.CycleDetected:
-			outcome = "LIVELOCK (cycle)"
-		case !simRes.Completed:
-			outcome = "step bound"
-		}
-		t.AddRow(name, "sim", spec.Algorithm, spec.N, spec.M, outcome,
-			simRes.Entries, simRes.MEViolations, simRes.Steps)
+		t.AddRow(name, "sim", spec.Algorithm, spec.N, spec.M, okOrViolation(simRes),
+			simRes.Entries, len(simRes.Violations), simRes.Steps)
 
-		if !realRunnable(spec) {
+		if spec.ValidateReal() != nil {
 			continue
 		}
 		realRes, err := scenario.RunReal(spec)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s (real): %w", name, err)
 		}
-		outcome = "completed"
+		outcome := "completed"
 		if realRes.MEViolations > 0 {
 			outcome = "ME VIOLATION"
 		}
@@ -595,51 +544,4 @@ func ScenarioSuite() (*stats.Table, error) {
 		"sim rows are fully deterministic; real rows are checked on aggregate guarantees (entries, mutual exclusion)",
 		"scenarios that need the simulated substrate (illegal sizes, cycle detection, the strawman) run there only")
 	return t, nil
-}
-
-// realRunnable reports whether the real substrate can express the spec
-// (mirrors scenario.RunReal's preconditions).
-func realRunnable(s scenario.Spec) bool {
-	return s.Algorithm != scenario.AlgGreedy && !s.Unchecked && !s.DetectCycles && s.N >= 2
-}
-
-// Outcome is one experiment's result from a RunConcurrent sweep.
-type Outcome struct {
-	Experiment
-	Table   *stats.Table
-	Err     error
-	Elapsed time.Duration
-}
-
-// RunConcurrent executes the experiments on a worker pool of up to
-// `parallel` goroutines (0 or negative: GOMAXPROCS) and returns their
-// outcomes in presentation order — the output is deterministic regardless
-// of completion order. Every experiment is self-contained (own memories,
-// machines, PRNGs), so concurrent execution cannot change any result.
-func RunConcurrent(list []Experiment, parallel int) []Outcome {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(list) {
-		parallel = len(list)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	out := make([]Outcome, len(list))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, e := range list {
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			tbl, err := e.Run()
-			out[i] = Outcome{Experiment: e, Table: tbl, Err: err, Elapsed: time.Since(start)}
-		}(i, e)
-	}
-	wg.Wait()
-	return out
 }

@@ -54,42 +54,6 @@ func TestScenarioSuite(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMatchesSerial(t *testing.T) {
-	// The three cheapest deterministic experiments, twice: once serially,
-	// once on a pool. Tables must match cell for cell, in presentation
-	// order.
-	var list []Experiment
-	for _, idStr := range []string{"T1", "E7", "E10"} {
-		e, err := ByID(idStr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		list = append(list, e)
-	}
-	serial := RunConcurrent(list, 1)
-	pooled := RunConcurrent(list, 3)
-	if len(serial) != len(list) || len(pooled) != len(list) {
-		t.Fatalf("outcome counts: serial %d, pooled %d", len(serial), len(pooled))
-	}
-	for i := range list {
-		if serial[i].Err != nil || pooled[i].Err != nil {
-			t.Fatalf("errors: serial %v, pooled %v", serial[i].Err, pooled[i].Err)
-		}
-		if serial[i].ID != list[i].ID || pooled[i].ID != list[i].ID {
-			t.Fatalf("presentation order broken: %s/%s at slot %s", serial[i].ID, pooled[i].ID, list[i].ID)
-		}
-		if serial[i].Table.String() != pooled[i].Table.String() {
-			t.Errorf("%s: concurrent run changed the table", list[i].ID)
-		}
-	}
-	// parallel <= 0 means GOMAXPROCS; must still work.
-	for _, o := range RunConcurrent(list[:1], 0) {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-	}
-}
-
 func TestByID(t *testing.T) {
 	e, err := ByID("T1")
 	if err != nil || e.ID != "T1" {

@@ -44,7 +44,8 @@ func TestAcquireRelease(t *testing.T) {
 func TestConfigErrors(t *testing.T) {
 	cases := []Config{
 		{Shards: -1},
-		{Algorithm: anonmutex.RMW + 1},
+		{Algorithm: anonmutex.Greedy},
+		{Algorithm: anonmutex.Greedy + 1},
 		{HandlesPerLock: 1},
 		{Registers: -3},
 		{MaxLocksPerShard: -1},

@@ -26,37 +26,14 @@ package lowerbound
 import (
 	"fmt"
 
+	"anonmutex"
 	"anonmutex/internal/core"
 	"anonmutex/internal/id"
 	"anonmutex/internal/mset"
 	"anonmutex/internal/perm"
-	"anonmutex/internal/strawman"
+	"anonmutex/internal/sched"
 	"anonmutex/internal/vmem"
 )
-
-// Algorithm selects the protocol to subject to the construction.
-type Algorithm uint8
-
-// Protocols runnable under the construction.
-const (
-	AlgRW     Algorithm = iota + 1 // Algorithm 1 (anonymous RW registers)
-	AlgRMW                         // Algorithm 2 (anonymous RMW registers)
-	AlgGreedy                      // broken strawman (ties admit entry)
-)
-
-// String returns the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgRW:
-		return "alg1-rw"
-	case AlgRMW:
-		return "alg2-rmw"
-	case AlgGreedy:
-		return "greedy-strawman"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", uint8(a))
-	}
-}
 
 // Outcome is the observed horn of the Theorem 5 dichotomy.
 type Outcome uint8
@@ -95,7 +72,7 @@ func (o Outcome) String() string {
 
 // Verdict reports one run of the construction.
 type Verdict struct {
-	Alg  Algorithm
+	Alg  anonmutex.Algorithm
 	L, M int
 	// Step is the ring distance between consecutive processes' initial
 	// registers: m/ℓ when ℓ | m (the theorem's placement), 1 otherwise.
@@ -115,7 +92,7 @@ type Verdict struct {
 
 // Run executes the construction for the given protocol with ℓ processes on
 // m registers, bounded by maxRounds lock-step rounds.
-func Run(alg Algorithm, l, m, maxRounds int) (Verdict, error) {
+func Run(alg anonmutex.Algorithm, l, m, maxRounds int) (Verdict, error) {
 	if l < 2 {
 		return Verdict{}, fmt.Errorf("lowerbound: need at least 2 processes, got %d", l)
 	}
@@ -124,6 +101,10 @@ func Run(alg Algorithm, l, m, maxRounds int) (Verdict, error) {
 	}
 	if maxRounds <= 0 {
 		maxRounds = 50_000
+	}
+	factory, err := sched.Factory(alg, l, m, true)
+	if err != nil {
+		return Verdict{}, err
 	}
 	v := Verdict{Alg: alg, L: l, M: m, Applicable: m%l == 0, SymmetryHeld: true}
 	if v.Applicable {
@@ -140,17 +121,7 @@ func Run(alg Algorithm, l, m, maxRounds int) (Verdict, error) {
 	snapBufs := make([][]id.ID, l)
 	for i := 0; i < l; i++ {
 		ids[i] = gen.MustNew()
-		var err error
-		switch alg {
-		case AlgRW:
-			machines[i], err = core.NewAlg1Unchecked(ids[i], m, core.Alg1Config{})
-		case AlgRMW:
-			machines[i], err = core.NewAlg2Unchecked(ids[i], m, core.Alg2Config{})
-		case AlgGreedy:
-			machines[i] = strawman.New(ids[i], m)
-		default:
-			return Verdict{}, fmt.Errorf("lowerbound: unknown algorithm %v", alg)
-		}
+		machines[i], err = factory(i, ids[i])
 		if err != nil {
 			return Verdict{}, fmt.Errorf("lowerbound: building machine %d: %w", i, err)
 		}
@@ -269,7 +240,7 @@ type GridEntry struct {
 // up to n processes, choosing ℓ as described on GridEntry. It reproduces
 // the paper's boundary: livelock (or simultaneous entry for broken
 // protocols) exactly when m ∉ M(n).
-func Grid(alg Algorithm, n, mLo, mHi, maxRounds int) ([]GridEntry, error) {
+func Grid(alg anonmutex.Algorithm, n, mLo, mHi, maxRounds int) ([]GridEntry, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("lowerbound: need n >= 2, got %d", n)
 	}

@@ -3,17 +3,18 @@ package lowerbound
 import (
 	"testing"
 
+	"anonmutex"
 	"anonmutex/internal/mset"
 )
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(AlgRW, 1, 4, 100); err == nil {
+	if _, err := Run(anonmutex.RW, 1, 4, 100); err == nil {
 		t.Error("l=1 accepted")
 	}
-	if _, err := Run(AlgRW, 2, 0, 100); err == nil {
+	if _, err := Run(anonmutex.RW, 2, 0, 100); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := Run(Algorithm(99), 2, 4, 100); err == nil {
+	if _, err := Run(anonmutex.Greedy+1, 2, 4, 100); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -26,7 +27,7 @@ func TestAlg1RingLivelock(t *testing.T) {
 		{2, 4}, {2, 6}, {2, 8}, {3, 6}, {3, 9}, {4, 8}, {2, 2}, {5, 10},
 	}
 	for _, tc := range cases {
-		v, err := Run(AlgRW, tc.l, tc.m, 0)
+		v, err := Run(anonmutex.RW, tc.l, tc.m, 0)
 		if err != nil {
 			t.Fatalf("l=%d m=%d: %v", tc.l, tc.m, err)
 		}
@@ -52,7 +53,7 @@ func TestAlg2RingLivelock(t *testing.T) {
 		{2, 2}, {2, 4}, {2, 6}, {3, 3}, {3, 6}, {3, 9}, {4, 8}, {6, 12},
 	}
 	for _, tc := range cases {
-		v, err := Run(AlgRMW, tc.l, tc.m, 0)
+		v, err := Run(anonmutex.RMW, tc.l, tc.m, 0)
 		if err != nil {
 			t.Fatalf("l=%d m=%d: %v", tc.l, tc.m, err)
 		}
@@ -73,7 +74,7 @@ func TestGreedyRingSimultaneousEntry(t *testing.T) {
 		{2, 2}, {2, 4}, {3, 6}, {4, 8}, {5, 10},
 	}
 	for _, tc := range cases {
-		v, err := Run(AlgGreedy, tc.l, tc.m, 0)
+		v, err := Run(anonmutex.Greedy, tc.l, tc.m, 0)
 		if err != nil {
 			t.Fatalf("l=%d m=%d: %v", tc.l, tc.m, err)
 		}
@@ -94,11 +95,11 @@ func TestGreedyRingSimultaneousEntry(t *testing.T) {
 // symmetry breaks and somebody enters.
 func TestLegalSizesProgress(t *testing.T) {
 	cases := []struct {
-		alg  Algorithm
+		alg  anonmutex.Algorithm
 		l, m int
 	}{
-		{AlgRW, 2, 3}, {AlgRW, 2, 5}, {AlgRW, 3, 5}, {AlgRW, 4, 7},
-		{AlgRMW, 2, 3}, {AlgRMW, 3, 5}, {AlgRMW, 2, 1}, {AlgRMW, 4, 7},
+		{anonmutex.RW, 2, 3}, {anonmutex.RW, 2, 5}, {anonmutex.RW, 3, 5}, {anonmutex.RW, 4, 7},
+		{anonmutex.RMW, 2, 3}, {anonmutex.RMW, 3, 5}, {anonmutex.RMW, 2, 1}, {anonmutex.RMW, 4, 7},
 	}
 	for _, tc := range cases {
 		v, err := Run(tc.alg, tc.l, tc.m, 200_000)
@@ -126,7 +127,7 @@ func TestLegalSizesProgress(t *testing.T) {
 // for every m in range, the construction livelocks exactly when m ∉ M(n).
 func TestGridBoundary(t *testing.T) {
 	const n = 4
-	entries, err := Grid(AlgRMW, n, 1, 30, 0)
+	entries, err := Grid(anonmutex.RMW, n, 1, 30, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestGridBoundary(t *testing.T) {
 
 func TestGridAlg1Boundary(t *testing.T) {
 	const n = 3
-	entries, err := Grid(AlgRW, n, 4, 20, 0)
+	entries, err := Grid(anonmutex.RW, n, 4, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +175,12 @@ func TestGridAlg1Boundary(t *testing.T) {
 }
 
 func TestGridValidation(t *testing.T) {
-	if _, err := Grid(AlgRW, 1, 1, 5, 0); err == nil {
+	if _, err := Grid(anonmutex.RW, 1, 1, 5, 0); err == nil {
 		t.Error("n=1 accepted")
 	}
 }
 
 func TestStringers(t *testing.T) {
-	for _, a := range []Algorithm{AlgRW, AlgRMW, AlgGreedy, Algorithm(99)} {
-		if a.String() == "" {
-			t.Errorf("empty algorithm name for %d", a)
-		}
-	}
 	for _, o := range []Outcome{OutcomeLivelock, OutcomeSimultaneousEntry, OutcomeEntry, OutcomeUndecided, Outcome(99)} {
 		if o.String() == "" {
 			t.Errorf("empty outcome name for %d", o)

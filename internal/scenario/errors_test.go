@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anonmutex"
 	"anonmutex/internal/workload"
 )
 
@@ -16,39 +17,39 @@ func TestNormalizeErrorsAreDescriptive(t *testing.T) {
 		spec Spec
 		want []string
 	}{
-		{"unknown algorithm", Spec{Algorithm: "quantum", N: 2},
-			[]string{"unknown algorithm", "quantum"}},
+		{"unknown algorithm", Spec{Algorithm: anonmutex.Greedy + 1, N: 2},
+			[]string{"unknown algorithm", "Algorithm(4)"}},
 		{"missing algorithm", Spec{N: 2},
 			[]string{"algorithm is required", "rw", "rmw", "greedy"}},
-		{"unknown schedule", Spec{Algorithm: AlgRW, N: 2, M: 3, Schedule: "fifo"},
+		{"unknown schedule", Spec{Algorithm: anonmutex.RW, N: 2, M: 3, Schedule: "fifo"},
 			[]string{"unknown schedule", "fifo"}},
-		{"unknown perms", Spec{Algorithm: AlgRW, N: 2, M: 3, Perms: "transposition"},
+		{"unknown perms", Spec{Algorithm: anonmutex.RW, N: 2, M: 3, Perms: "transposition"},
 			[]string{"unknown perms", "transposition"}},
-		{"unknown workload", Spec{Algorithm: AlgRW, N: 2, M: 3, Workload: "spiky"},
+		{"unknown workload", Spec{Algorithm: anonmutex.RW, N: 2, M: 3, Workload: "spiky"},
 			[]string{"unknown workload", "spiky"}},
-		{"unknown traffic profile", Spec{Algorithm: AlgRW, N: 2, M: 3,
+		{"unknown traffic profile", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
 			Traffic: workload.Spec{Profile: "spiky"}},
 			[]string{"traffic model", "spiky"}},
-		{"unknown traffic key dist", Spec{Algorithm: AlgRW, N: 2, M: 3,
+		{"unknown traffic key dist", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
 			Traffic: workload.Spec{Keys: workload.KeySpec{Dist: "pareto"}}},
 			[]string{"traffic model", "pareto"}},
-		{"workload vs traffic conflict", Spec{Algorithm: AlgRW, N: 2, M: 3,
+		{"workload vs traffic conflict", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
 			Workload: "uniform", Traffic: workload.Spec{Profile: "bursty"}},
 			[]string{"conflicts", "bursty"}},
-		{"seed conflict", Spec{Algorithm: AlgRW, N: 2, M: 3,
+		{"seed conflict", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
 			WorkloadSeed: 3, Traffic: workload.Spec{Seed: 4}},
 			[]string{"workload_seed", "conflicts"}},
-		{"illegal rw size", Spec{Algorithm: AlgRW, N: 2, M: 4},
+		{"illegal rw size", Spec{Algorithm: anonmutex.RW, N: 2, M: 4},
 			[]string{"unchecked"}}, // must point at the escape hatch
-		{"rw size below n", Spec{Algorithm: AlgRW, N: 4, M: 3},
+		{"rw size below n", Spec{Algorithm: anonmutex.RW, N: 4, M: 3},
 			[]string{"unchecked"}},
-		{"illegal rmw size", Spec{Algorithm: AlgRMW, N: 2, M: 4},
+		{"illegal rmw size", Spec{Algorithm: anonmutex.RMW, N: 2, M: 4},
 			[]string{"unchecked"}},
-		{"no processes", Spec{Algorithm: AlgRW, N: 0},
+		{"no processes", Spec{Algorithm: anonmutex.RW, N: 0},
 			[]string{"n >= 1", "0"}},
-		{"negative m", Spec{Algorithm: AlgRW, N: 2, M: -5},
+		{"negative m", Spec{Algorithm: anonmutex.RW, N: 2, M: -5},
 			[]string{"m >= 1", "-5"}},
-		{"greedy without m", Spec{Algorithm: AlgGreedy, N: 2},
+		{"greedy without m", Spec{Algorithm: anonmutex.Greedy, N: 2},
 			[]string{"greedy", "explicit m"}},
 	}
 	for _, tc := range cases {
@@ -78,7 +79,7 @@ func TestNormalizeErrorsAreDescriptive(t *testing.T) {
 // small grid: with Unchecked unset, Normalize must reject each one
 // descriptively, and with Unchecked set it must accept the same pair.
 func TestIllegalSizesNeedUnchecked(t *testing.T) {
-	for _, alg := range []string{AlgRW, AlgRMW} {
+	for _, alg := range []anonmutex.Algorithm{anonmutex.RW, anonmutex.RMW} {
 		for n := 2; n <= 4; n++ {
 			for m := 1; m <= 8; m++ {
 				spec := Spec{Algorithm: alg, N: n, M: m}

@@ -30,35 +30,41 @@ type RealResult struct {
 	PerProc []RealProcStats
 }
 
+// ValidateReal reports why a normalized spec cannot run on the real
+// substrate, or nil if it can. Simulation-only specs are the greedy
+// strawman and unchecked sizes (the real locks validate m ∈ M(n), and an
+// illegal size would livelock forever), cycle detection, and n < 2.
+// HonestSnapshots is accepted and trivially satisfied — the hardware
+// substrate's double-scan snapshot is always honest. Schedule, Seed,
+// CSTicks, MaxSteps, and TraceCap describe the simulated scheduler and
+// are ignored there.
+func (s Spec) ValidateReal() error {
+	switch {
+	case s.Algorithm == anonmutex.Greedy:
+		return fmt.Errorf("scenario: the greedy strawman has no real-substrate lock")
+	case s.Unchecked:
+		return fmt.Errorf("scenario: unchecked sizes cannot run on the real substrate (they may livelock)")
+	case s.DetectCycles:
+		return fmt.Errorf("scenario: cycle detection requires the simulated substrate")
+	case s.N < 2:
+		return fmt.Errorf("scenario: the real locks need n >= 2, got %d", s.N)
+	}
+	return nil
+}
+
 // RunReal executes the scenario on the real substrate: one goroutine per
 // process over an anonmutex.Lock, with critical-section and remainder
 // work drawn from the scenario's workload profile. The schedule is
 // whatever the Go runtime does — only aggregate guarantees (mutual
-// exclusion, completion) are deterministic.
-//
-// Scenarios that only make sense on the simulated substrate are rejected:
-// the greedy strawman and unchecked sizes (the real locks validate
-// m ∈ M(n), and an illegal size would livelock forever), and cycle
-// detection. HonestSnapshots is accepted and trivially satisfied — the
-// hardware substrate's double-scan snapshot is always honest. Schedule,
-// Seed, CSTicks, MaxSteps, and TraceCap describe the simulated scheduler
-// and are ignored here.
+// exclusion, completion) are deterministic. Specs that ValidateReal
+// rejects are rejected here too.
 func RunReal(s Spec) (*RealResult, error) {
 	s, err := s.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if s.Algorithm == AlgGreedy {
-		return nil, fmt.Errorf("scenario: the greedy strawman has no real-substrate lock")
-	}
-	if s.Unchecked {
-		return nil, fmt.Errorf("scenario: unchecked sizes cannot run on the real substrate (they may livelock)")
-	}
-	if s.DetectCycles {
-		return nil, fmt.Errorf("scenario: cycle detection requires the simulated substrate")
-	}
-	if s.N < 2 {
-		return nil, fmt.Errorf("scenario: the real locks need n >= 2, got %d", s.N)
+	if err := s.ValidateReal(); err != nil {
+		return nil, err
 	}
 
 	opts := []anonmutex.Option{anonmutex.WithRegisters(s.M), anonmutex.WithSeed(s.PermSeed + 1)}
@@ -74,12 +80,7 @@ func RunReal(s Spec) (*RealResult, error) {
 		opts = append(opts, anonmutex.WithDeterministicClaims())
 	}
 
-	// AlgRW and AlgRMW are the names anonmutex.ParseAlgorithm speaks.
-	alg, err := anonmutex.ParseAlgorithm(s.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	lock, err := anonmutex.NewLock(alg, s.N, opts...)
+	lock, err := anonmutex.NewLock(s.Algorithm, s.N, opts...)
 	if err != nil {
 		return nil, err
 	}

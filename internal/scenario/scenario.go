@@ -7,10 +7,12 @@
 //
 // Specs are plain data with a canonical JSON encoding, so scenarios can be
 // stored in files, passed between tools, and diffed across runs. A named
-// registry ships the built-in scenarios; cmd/anonsim runs any spec from a
-// name or a JSON file, the sim package exposes RunScenario for the public
-// API, and the experiment suite (internal/experiments, via cmd/anonbench)
-// sweeps the whole registry.
+// registry ships the built-in scenarios. A spec runs three ways: RunSim
+// (one schedule on the simulated scheduler), Check (every interleaving,
+// model-checked) and RunReal (goroutines over the real locks).
+// cmd/anonsim runs any spec from a name or a JSON file, and the
+// experiment suite (internal/experiments, via cmd/anonbench) sweeps the
+// whole registry.
 package scenario
 
 import (
@@ -20,17 +22,14 @@ import (
 	"sort"
 	"sync"
 
+	"anonmutex"
 	"anonmutex/internal/mset"
 	"anonmutex/internal/workload"
 )
 
-// Algorithm, schedule, permutation, and workload names used in specs. The
-// string forms are the canonical JSON vocabulary.
+// Schedule and permutation names used in specs. The string forms are the
+// canonical JSON vocabulary.
 const (
-	AlgRW     = "rw"     // the paper's Algorithm 1 (read/write registers)
-	AlgRMW    = "rmw"    // the paper's Algorithm 2 (read/modify/write)
-	AlgGreedy = "greedy" // the deliberately broken strawman
-
 	SchedRoundRobin = "rr"       // fair cyclic schedule
 	SchedRandom     = "random"   // seeded uniform schedule
 	SchedLockStep   = "lockstep" // the Theorem 5 adversary
@@ -57,8 +56,8 @@ type Spec struct {
 	// Doc is a one-line description for listings.
 	Doc string `json:"doc,omitempty"`
 
-	// Algorithm is rw, rmw, or greedy.
-	Algorithm string `json:"algorithm"`
+	// Algorithm is rw, rmw, or greedy (its JSON form is the name).
+	Algorithm anonmutex.Algorithm `json:"algorithm"`
 	// N is the number of processes; M the number of anonymous registers
 	// (0: the smallest legal size for the algorithm).
 	N int `json:"n"`
@@ -122,20 +121,20 @@ type Spec struct {
 // completed copy. The receiver is not modified.
 func (s Spec) Normalize() (Spec, error) {
 	switch s.Algorithm {
-	case AlgRW, AlgRMW, AlgGreedy:
-	case "":
+	case anonmutex.RW, anonmutex.RMW, anonmutex.Greedy:
+	case 0:
 		return s, fmt.Errorf("scenario: algorithm is required (rw, rmw, or greedy)")
 	default:
-		return s, fmt.Errorf("scenario: unknown algorithm %q", s.Algorithm)
+		return s, fmt.Errorf("scenario: unknown algorithm %v", s.Algorithm)
 	}
 	if s.N < 1 {
 		return s, fmt.Errorf("scenario: need n >= 1, got %d", s.N)
 	}
 	if s.M == 0 {
 		switch s.Algorithm {
-		case AlgRW:
+		case anonmutex.RW:
 			s.M = mset.MinRW(s.N)
-		case AlgRMW:
+		case anonmutex.RMW:
 			s.M = mset.MinRMWAbove(s.N)
 		default:
 			return s, fmt.Errorf("scenario: %s needs an explicit m", s.Algorithm)
@@ -144,9 +143,9 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.M < 1 {
 		return s, fmt.Errorf("scenario: need m >= 1, got %d", s.M)
 	}
-	if !s.Unchecked && s.Algorithm != AlgGreedy {
+	if !s.Unchecked && s.Algorithm != anonmutex.Greedy {
 		var err error
-		if s.Algorithm == AlgRW {
+		if s.Algorithm == anonmutex.RW {
 			err = mset.ValidateRW(s.N, s.M)
 		} else {
 			err = mset.ValidateRMW(s.N, s.M)
@@ -303,48 +302,48 @@ func mustRegister(s Spec) {
 func init() {
 	mustRegister(Spec{
 		Name: "smoke-rw", Doc: "smallest legal Algorithm 1 instance, fair schedule",
-		Algorithm: AlgRW, N: 2, M: 3, Sessions: 2,
+		Algorithm: anonmutex.RW, N: 2, M: 3, Sessions: 2,
 	})
 	mustRegister(Spec{
 		Name: "smoke-rmw", Doc: "degenerate single-register Algorithm 2 instance",
-		Algorithm: AlgRMW, N: 2, M: 1, Sessions: 2,
+		Algorithm: anonmutex.RMW, N: 2, M: 1, Sessions: 2,
 	})
 	mustRegister(Spec{
 		Name: "contended-rw", Doc: "4 processes hammering Algorithm 1 under a random schedule and random anonymity",
-		Algorithm: AlgRW, N: 4, Sessions: 3,
+		Algorithm: anonmutex.RW, N: 4, Sessions: 3,
 		Schedule: SchedRandom, Seed: 97,
 		Perms: PermsRandom, PermSeed: 11,
 		MaxSteps: 20_000_000,
 	})
 	mustRegister(Spec{
 		Name: "contended-rmw", Doc: "4 processes hammering Algorithm 2 under a random schedule and random anonymity",
-		Algorithm: AlgRMW, N: 4, Sessions: 3,
+		Algorithm: anonmutex.RMW, N: 4, Sessions: 3,
 		Schedule: SchedRandom, Seed: 97,
 		Perms: PermsRandom, PermSeed: 11,
 		MaxSteps: 20_000_000,
 	})
 	mustRegister(Spec{
 		Name: "rotation-adversary", Doc: "Algorithm 1 against the Theorem 5 ring adversary on a legal size",
-		Algorithm: AlgRW, N: 3, M: 5, Sessions: 3,
+		Algorithm: anonmutex.RW, N: 3, M: 5, Sessions: 3,
 		Perms: PermsRotation, RotationStep: 1,
 	})
 	mustRegister(Spec{
 		Name: "lockstep-livelock", Doc: "the Theorem 5 wedge: illegal size, lock-step schedule, rotation anonymity",
-		Algorithm: AlgRMW, N: 2, M: 2, Unchecked: true,
+		Algorithm: anonmutex.RMW, N: 2, M: 2, Unchecked: true,
 		Schedule: SchedLockStep,
 		Perms:    PermsRotation, RotationStep: 1,
 		DetectCycles: true,
 	})
 	mustRegister(Spec{
 		Name: "honest-snapshots", Doc: "Algorithm 1 with every double-scan read scheduled separately",
-		Algorithm: AlgRW, N: 3, M: 5, Sessions: 2,
+		Algorithm: anonmutex.RW, N: 3, M: 5, Sessions: 2,
 		Schedule: SchedRandom, Seed: 5,
 		HonestSnapshots: true,
 		MaxSteps:        20_000_000,
 	})
 	mustRegister(Spec{
 		Name: "bursty-rmw", Doc: "Algorithm 2 under a bursty traffic model (jittered per-session CS ticks on both substrates)",
-		Algorithm: AlgRMW, N: 4, Sessions: 4,
+		Algorithm: anonmutex.RMW, N: 4, Sessions: 4,
 		Schedule: SchedRandom, Seed: 19,
 		Traffic:  workload.Spec{Profile: WorkloadBursty, Seed: 3},
 		CSTicks:  2,
@@ -352,7 +351,7 @@ func init() {
 	})
 	mustRegister(Spec{
 		Name: "heavy-hitter-rw", Doc: "Algorithm 1 with one hammering process (skewed traffic model, shorthand form)",
-		Algorithm: AlgRW, N: 3, M: 5, Sessions: 3,
+		Algorithm: anonmutex.RW, N: 3, M: 5, Sessions: 3,
 		Schedule: SchedRandom, Seed: 29,
 		Workload: WorkloadSkewed, WorkloadSeed: 7,
 		CSTicks:  1,
@@ -360,7 +359,7 @@ func init() {
 	})
 	mustRegister(Spec{
 		Name: "equivalence", Doc: "the cross-substrate determinism configuration: identity perms, deterministic claims",
-		Algorithm: AlgRW, N: 3, M: 5, Sessions: 2,
+		Algorithm: anonmutex.RW, N: 3, M: 5, Sessions: 2,
 		Perms:               PermsIdentity,
 		DeterministicClaims: true,
 	})

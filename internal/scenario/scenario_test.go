@@ -4,11 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"anonmutex"
 	"anonmutex/internal/workload"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
-	s, err := Spec{Algorithm: AlgRW, N: 3}.Normalize()
+	s, err := Spec{Algorithm: anonmutex.RW, N: 3}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Errorf("defaults not filled: %+v", s)
 	}
 
-	s2, err := Spec{Algorithm: AlgRMW, N: 4}.Normalize()
+	s2, err := Spec{Algorithm: anonmutex.RMW, N: 4}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,17 +32,17 @@ func TestNormalizeDefaults(t *testing.T) {
 
 func TestNormalizeRejects(t *testing.T) {
 	cases := []Spec{
-		{},                             // no algorithm
-		{Algorithm: "quantum", N: 2},   // unknown algorithm
-		{Algorithm: AlgRW, N: 0},       // no processes
-		{Algorithm: AlgRW, N: 2, M: 4}, // illegal size (4 ∉ M(2))
-		{Algorithm: AlgGreedy, N: 2},   // greedy needs explicit m
-		{Algorithm: AlgRW, N: 2, M: 3, Schedule: "fifo"},
-		{Algorithm: AlgRW, N: 2, M: 3, Perms: "transposition"},
-		{Algorithm: AlgRW, N: 2, M: 3, Workload: "spiky"},
-		{Algorithm: AlgRW, N: 2, M: 3, Sessions: -1},
-		{Algorithm: AlgRW, N: 2, M: 3, CSTicks: -1},
-		{Algorithm: AlgRW, N: 2, M: 3, MaxSteps: -1},
+		{},                                      // no algorithm
+		{Algorithm: anonmutex.Greedy + 1, N: 2}, // unknown algorithm
+		{Algorithm: anonmutex.RW, N: 0},         // no processes
+		{Algorithm: anonmutex.RW, N: 2, M: 4},   // illegal size (4 ∉ M(2))
+		{Algorithm: anonmutex.Greedy, N: 2},     // greedy needs explicit m
+		{Algorithm: anonmutex.RW, N: 2, M: 3, Schedule: "fifo"},
+		{Algorithm: anonmutex.RW, N: 2, M: 3, Perms: "transposition"},
+		{Algorithm: anonmutex.RW, N: 2, M: 3, Workload: "spiky"},
+		{Algorithm: anonmutex.RW, N: 2, M: 3, Sessions: -1},
+		{Algorithm: anonmutex.RW, N: 2, M: 3, CSTicks: -1},
+		{Algorithm: anonmutex.RW, N: 2, M: 3, MaxSteps: -1},
 	}
 	for i, c := range cases {
 		if _, err := c.Normalize(); err == nil {
@@ -49,7 +50,7 @@ func TestNormalizeRejects(t *testing.T) {
 		}
 	}
 	// The same illegal size passes with Unchecked.
-	if _, err := (Spec{Algorithm: AlgRW, N: 2, M: 4, Unchecked: true}).Normalize(); err != nil {
+	if _, err := (Spec{Algorithm: anonmutex.RW, N: 2, M: 4, Unchecked: true}).Normalize(); err != nil {
 		t.Errorf("unchecked illegal size rejected: %v", err)
 	}
 }
@@ -112,13 +113,13 @@ func TestRegistry(t *testing.T) {
 	if _, err := Lookup("no-such-scenario"); err == nil {
 		t.Error("unknown name looked up successfully")
 	}
-	if err := Register(Spec{Algorithm: AlgRW, N: 2, M: 3}); err == nil {
+	if err := Register(Spec{Algorithm: anonmutex.RW, N: 2, M: 3}); err == nil {
 		t.Error("nameless registration accepted")
 	}
-	if err := Register(Spec{Name: "smoke-rw", Algorithm: AlgRW, N: 2, M: 3}); err == nil {
+	if err := Register(Spec{Name: "smoke-rw", Algorithm: anonmutex.RW, N: 2, M: 3}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := Register(Spec{Name: "broken", Algorithm: "nope", N: 2}); err == nil {
+	if err := Register(Spec{Name: "broken", Algorithm: anonmutex.Greedy + 1, N: 2}); err == nil {
 		t.Error("invalid registration accepted")
 	}
 }
@@ -150,9 +151,9 @@ func TestRunRealSmoke(t *testing.T) {
 
 func TestRunRealRejectsSimOnly(t *testing.T) {
 	cases := []Spec{
-		{Algorithm: AlgGreedy, N: 2, M: 3},
-		{Algorithm: AlgRMW, N: 2, M: 2, Unchecked: true},
-		{Algorithm: AlgRW, N: 2, M: 3, DetectCycles: true},
+		{Algorithm: anonmutex.Greedy, N: 2, M: 3},
+		{Algorithm: anonmutex.RMW, N: 2, M: 2, Unchecked: true},
+		{Algorithm: anonmutex.RW, N: 2, M: 3, DetectCycles: true},
 	}
 	for i, c := range cases {
 		if _, err := RunReal(c); err == nil {
@@ -164,7 +165,7 @@ func TestRunRealRejectsSimOnly(t *testing.T) {
 func TestRunRealWorkloadProfiles(t *testing.T) {
 	for _, w := range []string{WorkloadUniform, WorkloadBursty, WorkloadSkewed} {
 		spec := Spec{
-			Algorithm: AlgRMW, N: 3, Sessions: 2,
+			Algorithm: anonmutex.RMW, N: 3, Sessions: 2,
 			Workload: w, WorkloadSeed: 7,
 		}
 		res, err := RunReal(spec)
@@ -181,7 +182,7 @@ func TestRunRealWorkloadProfiles(t *testing.T) {
 // and the embedded traffic model must end up in sync, with the
 // historical real-substrate scales as defaults.
 func TestNormalizeMaterializesTraffic(t *testing.T) {
-	s, err := Spec{Algorithm: AlgRMW, N: 3, Workload: WorkloadBursty, WorkloadSeed: 9}.Normalize()
+	s, err := Spec{Algorithm: anonmutex.RMW, N: 3, Workload: WorkloadBursty, WorkloadSeed: 9}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestNormalizeMaterializesTraffic(t *testing.T) {
 	}
 	// And the reverse direction: an explicit traffic spec fills the
 	// shorthand fields.
-	s, err = Spec{Algorithm: AlgRMW, N: 3, Traffic: workload.Spec{Profile: WorkloadSkewed, Seed: 4}}.Normalize()
+	s, err = Spec{Algorithm: anonmutex.RMW, N: 3, Traffic: workload.Spec{Profile: WorkloadSkewed, Seed: 4}}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestNormalizeMaterializesTraffic(t *testing.T) {
 // process i replays workload stream i.
 func TestRunRealUsesUnifiedPlan(t *testing.T) {
 	spec, err := (Spec{
-		Algorithm: AlgRMW, N: 2, M: 3, Sessions: 3,
+		Algorithm: anonmutex.RMW, N: 2, M: 3, Sessions: 3,
 		Traffic: workload.Spec{Profile: WorkloadBursty, Seed: 21},
 	}).Normalize()
 	if err != nil {

@@ -20,10 +20,12 @@ package sched
 import (
 	"fmt"
 
+	"anonmutex"
 	"anonmutex/internal/core"
 	"anonmutex/internal/engine"
 	"anonmutex/internal/id"
 	"anonmutex/internal/perm"
+	"anonmutex/internal/strawman"
 	"anonmutex/internal/trace"
 	"anonmutex/internal/vmem"
 )
@@ -406,6 +408,32 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return r.Run()
+}
+
+// Factory returns the MachineFactory that builds alg's machines, in the
+// paper's configuration, for n processes over m registers: the one place
+// an anonmutex.Algorithm becomes a core.Machine. unchecked skips the
+// m ∈ M(n) validation the lower-bound experiments need; the greedy
+// strawman is never validated.
+func Factory(alg anonmutex.Algorithm, n, m int, unchecked bool) (MachineFactory, error) {
+	switch alg {
+	case anonmutex.RW:
+		if unchecked {
+			return Alg1UncheckedFactory(m, core.Alg1Config{}), nil
+		}
+		return Alg1Factory(n, m, core.Alg1Config{}), nil
+	case anonmutex.RMW:
+		if unchecked {
+			return Alg2UncheckedFactory(m, core.Alg2Config{}), nil
+		}
+		return Alg2Factory(n, m, core.Alg2Config{}), nil
+	case anonmutex.Greedy:
+		return func(_ int, me id.ID) (core.Machine, error) {
+			return strawman.New(me, m), nil
+		}, nil
+	default:
+		return nil, fmt.Errorf("sched: unknown algorithm %v", alg)
+	}
 }
 
 // Alg1Factory returns a MachineFactory building paper-configured

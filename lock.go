@@ -14,8 +14,9 @@ import (
 	"anonmutex/internal/mset"
 )
 
-// Algorithm selects which of the paper's two algorithms a Lock runs. The
-// zero value is not an algorithm: NewLock rejects it.
+// Algorithm names a mutual exclusion protocol: one of the paper's two
+// algorithms, which a Lock runs, or the strawman the research harness
+// breaks on purpose. The zero value is not an algorithm.
 type Algorithm uint8
 
 const (
@@ -25,15 +26,23 @@ const (
 	// RMW is the paper's Algorithm 2: read, write and compare&swap, any
 	// m ∈ M(n) including m = 1; a process enters on a strict majority.
 	RMW
+	// Greedy is a deliberately broken strawman (internal/strawman) that
+	// enters on a tie. It exists so the model checker and the Theorem 5
+	// construction can show a mutual-exclusion violation; NewLock rejects
+	// it.
+	Greedy
 )
 
-// String returns the name the command-line tools use: "rw" or "rmw".
+// String returns the name the command-line tools and scenario files use:
+// "rw", "rmw" or "greedy".
 func (a Algorithm) String() string {
 	switch a {
 	case RW:
 		return "rw"
 	case RMW:
 		return "rmw"
+	case Greedy:
+		return "greedy"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", uint8(a))
 	}
@@ -41,12 +50,26 @@ func (a Algorithm) String() string {
 
 // ParseAlgorithm is the inverse of String.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range []Algorithm{RW, RMW} {
+	for _, a := range []Algorithm{RW, RMW, Greedy} {
 		if s == a.String() {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("anonmutex: unknown algorithm %q (want %v or %v)", s, RW, RMW)
+	return 0, fmt.Errorf("anonmutex: unknown algorithm %q (want %v, %v or %v)", s, RW, RMW, Greedy)
+}
+
+// MarshalText encodes a as its String name.
+func (a Algorithm) MarshalText() ([]byte, error) {
+	if a < RW || a > Greedy {
+		return nil, fmt.Errorf("anonmutex: cannot encode %v", a)
+	}
+	return []byte(a.String()), nil
+}
+
+// UnmarshalText decodes a name ParseAlgorithm accepts.
+func (a *Algorithm) UnmarshalText(text []byte) (err error) {
+	*a, err = ParseAlgorithm(string(text))
+	return err
 }
 
 // Lock is an n-process symmetric deadlock-free mutual exclusion lock over
@@ -104,7 +127,7 @@ func NewLock(alg Algorithm, n int, opts ...Option) (*Lock, error) {
 		}
 		err = mset.ValidateRMW(n, m)
 	default:
-		err = fmt.Errorf("unknown algorithm %v (want RW or RMW)", alg)
+		err = fmt.Errorf("no lock runs algorithm %v (want RW or RMW)", alg)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("anonmutex: %w", err)
