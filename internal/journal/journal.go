@@ -198,6 +198,11 @@ type State struct {
 const (
 	frameHeader    = 8 // len u32 + crc u32
 	maxRecordBytes = 1 << 20
+	// maxBufferedBytes bounds the write buffer: Append writes it out once
+	// it passes this size rather than holding up to a SyncEvery of records
+	// for the background flush, so the buffer's size does not grow with
+	// the append rate.
+	maxBufferedBytes = 64 << 10
 
 	walName      = "wal.log"
 	snapName     = "snapshot"
@@ -483,8 +488,9 @@ func (w *Log) apply(rec Record) {
 }
 
 // Append adds one record to the log and returns its LSN for Commit.
-// It never blocks on I/O: the frame goes to the journal's write
-// buffer, ordered by the append lock; durability is Commit's job.
+// It never waits for the disk: the frame goes to the journal's write
+// buffer, ordered by the append lock, and the buffer goes to the OS
+// once it passes maxBufferedBytes; durability is Commit's job.
 // Append after Close is a harmless no-op (LSN 0): late records from
 // lease teardown lose nothing that matters — the process is exiting.
 func (w *Log) Append(rec Record) uint64 {
@@ -509,6 +515,9 @@ func (w *Log) Append(rec Record) uint64 {
 	w.apply(rec)
 	if w.walBytes >= w.opts.CompactBytes && w.appendErr == nil {
 		w.compactLocked()
+	}
+	if len(w.wbuf) >= maxBufferedBytes {
+		w.flushLocked()
 	}
 	w.mu.Unlock()
 	return lsn

@@ -3,6 +3,7 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -341,6 +342,33 @@ func TestAbandonLosesBufferedOnly(t *testing.T) {
 	}
 	if _, ok := m["lost"]; ok {
 		t.Fatalf("uncommitted buffered record survived Abandon")
+	}
+}
+
+// TestAppendBoundsWriteBuffer: with no Commit, no background flush in
+// reach and no compaction, Append alone keeps the write buffer within
+// maxBufferedBytes, so its size does not follow the append rate; what
+// left the buffer is in the file.
+func TestAppendBoundsWriteBuffer(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := openT(t, dir, Options{Sync: SyncOff, SyncEvery: time.Hour, CompactBytes: 1 << 40})
+	defer w.Close()
+	name := strings.Repeat("n", 64)
+	appended, peak := 0, 0
+	for tok := uint64(1); appended < 4<<20; tok++ {
+		for _, op := range []Op{OpGrant, OpRelease} {
+			w.Append(Record{Op: op, Name: name, Token: tok, Deadline: time.Now().UnixNano()})
+			w.mu.Lock()
+			appended = int(w.walBytes)
+			peak = max(peak, len(w.wbuf))
+			w.mu.Unlock()
+		}
+	}
+	if peak > maxBufferedBytes {
+		t.Errorf("write buffer peaked at %d bytes over %d appended, bound is %d", peak, appended, maxBufferedBytes)
+	}
+	if onDisk := w.SizeOnDisk(); onDisk < int64(appended-maxBufferedBytes) {
+		t.Errorf("%d of %d appended bytes reached the file, want all but the last %d at most", onDisk, appended, maxBufferedBytes)
 	}
 }
 

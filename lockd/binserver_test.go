@@ -13,6 +13,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -368,9 +369,10 @@ func TestMuxMutualExclusion(t *testing.T) {
 // TestMuxNoAckKeepsFIFO stresses the one thing the mux does for an op
 // the server never answers. The invariant: an OpReleaseNoAck takes a
 // place in its stream's wire order and none in its waiter FIFO, and its
-// send flushes like any other when it is the last writer of a convoy. A
-// waiter wrongly registered for it would swallow the next response and
-// show here as a wrong holds answer or a hang; a skipped flush would
+// frame is written like any other — by its own send, or by the sender
+// that owns the write side. A waiter
+// wrongly registered for it would swallow the next response and show
+// here as a wrong holds answer or a hang; a frame nobody writes would
 // leave the final release of a stream that then goes quiet stuck in the
 // write buffer, and its key never comes back.
 func TestMuxNoAckKeepsFIFO(t *testing.T) {
@@ -431,6 +433,60 @@ func TestMuxNoAckKeepsFIFO(t *testing.T) {
 	}
 	if v := mgr.Violations(); v != 0 {
 		t.Fatalf("%d manager-observed violations", v)
+	}
+}
+
+// TestMuxReaderNeverWaitsOnPeer runs 64 streams through 2 000
+// acquire/release cycles each over an unbuffered net.Pipe, where a write
+// returns only once the peer has read all of it. The server's reader
+// writes its answers before each read with no deadline, so the client's
+// reader must never write: one that wrote the requests its dispatch woke
+// before reading again, as the server's does, would end up blocked
+// writing to a server reader blocked writing back, and neither would
+// read again.
+func TestMuxReaderNeverWaitsOnPeer(t *testing.T) {
+	mgr, ln := startPipeServer(t)
+	c, _ := ln.dial(t)
+	m := client.NewMux(c, 0)
+	defer m.Close()
+	const streams, cycles = 64, 2000
+	errs := make(chan error, streams)
+	var wg sync.WaitGroup
+	for i := 0; i < streams; i++ {
+		st := openStream(t, m)
+		key := "peer-" + strconv.Itoa(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < cycles; n++ {
+				if err := st.Acquire(key); err != nil {
+					errs <- err
+					return
+				}
+				if err := st.Release(key); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	start := time.Now()
+	select {
+	case <-done:
+		t.Logf("%d streams × %d cycles in %v", streams, cycles, time.Since(start).Round(time.Millisecond))
+	case <-time.After(20 * time.Second):
+		m.Close() // unwind the streams before failing
+		<-done
+		t.Fatal("client and server wedged: each reader blocked writing to the other")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if v := mgr.Violations(); v != 0 {
+		t.Fatalf("%d violations", v)
 	}
 }
 

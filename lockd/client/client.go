@@ -14,8 +14,13 @@
 // protocol) requests are encoded into a per-connection buffer, responses
 // are decoded in place, and the per-request bookkeeping (the waiter slot
 // a response is matched to) is pooled — a steady-state AcquireFor/Release
-// cycle performs no heap allocations on the client. A dialed JSON Conn
-// goes through encoding/json and allocates accordingly.
+// cycle performs no heap allocations on the client. Writes follow the
+// server's rule too: one write carries every request that is ready. The
+// sender that takes the mux's write side yields once, so the streams
+// woken with it — by one socket read's responses, or by the caller's own
+// events — append their requests first, and then writes them all; the
+// mux's reader never writes. A dialed JSON Conn goes through
+// encoding/json and allocates accordingly.
 //
 // The package has a second caller besides client programs: a proxy-mode
 // lockd node forwards foreign-key ops to their owners over a Mux of its
@@ -253,13 +258,19 @@ func (c *Conn) do(req wire.Request) (wire.Response, error) {
 	return resp, fmt.Errorf("client: %s: %s", req.Op, resp.Err)
 }
 
-// noteToken records the fencing token of a fresh grant on name.
+// noteToken records the fencing token of a fresh grant on name. A grant
+// without a lease carries token 0, which Token reports for a name with
+// no entry, so a lease-free session keeps no map at all.
 func (c *Conn) noteToken(name string, token uint64) {
 	c.tokMu.Lock()
-	if c.tokens == nil {
-		c.tokens = make(map[string]uint64)
+	if token == 0 {
+		delete(c.tokens, name)
+	} else {
+		if c.tokens == nil {
+			c.tokens = make(map[string]uint64)
+		}
+		c.tokens[name] = token
 	}
-	c.tokens[name] = token
 	c.tokMu.Unlock()
 }
 
@@ -340,9 +351,10 @@ func (c *Conn) Release(name string) error {
 
 // ReleaseNoAck gives a held lock back without waiting to hear so: the
 // server performs the release and answers nothing, so no waiter is
-// registered and the call returns once the request is written — an
-// ordinary send, flushed by the last writer of its convoy. The release
-// is ordered before every later op on the session. A release the server
+// registered and the call returns once the request is handed to the
+// connection — an ordinary send, which on a mux another sender may
+// write for it. The release is ordered before every later op on the
+// session. A release the server
 // would have rejected (not held, fenced) is dropped silently; the error
 // reports only a session that was already broken.
 func (c *Conn) ReleaseNoAck(name string) error {

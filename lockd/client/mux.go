@@ -4,18 +4,28 @@ package client
 // binary framed protocol: each Open() returns a *Conn that behaves
 // exactly like a dialed connection — same methods, same pipelining, same
 // Cancel semantics — but shares the underlying TCP connection with its
-// siblings. Frames from concurrent streams coalesce into single writes
-// (the last writer in a convoy pays the flush), and one reader goroutine
-// demultiplexes response frames back to per-stream FIFO queues, so a
-// cancelled or blocked stream never desyncs its siblings.
+// siblings. One reader goroutine demultiplexes response frames back to
+// per-stream FIFO queues, so a cancelled or blocked stream never desyncs
+// its siblings.
+//
+// Writes follow the server's rule: one write carries every request that
+// is ready. A sender appends its frame to the write buffer; if no
+// goroutine owns the write side, it takes it, yields once so the
+// goroutines woken with it — by one socket read's dispatch, or by
+// whatever woke this sender — can append theirs, and then writes
+// everything buffered in one syscall. A double buffer gives the write
+// side one owner, which writes until the buffer is empty; sendMu is
+// never held across a socket write. The reader never writes, so it never
+// waits on the peer: a reader blocked writing to a server whose reader is
+// blocked writing back would wedge both sides.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"anonmutex/lockd/wire"
 )
@@ -35,17 +45,19 @@ var batchPool = sync.Pool{
 // Create with DialMux or NewMux, open sessions with Open, tear the whole
 // socket down with Close.
 type Mux struct {
-	c  net.Conn
-	bw *bufio.Writer
+	c net.Conn
 
-	// waiters counts senders en route to sendMu; a sender flushes only
-	// when it is the last one, so a burst of concurrent requests across
-	// streams costs one syscall.
-	waiters atomic.Int32
-	// sendMu serializes frame writes and queue pushes (order on the wire
-	// must match each stream's queue order) and guards wbuf.
+	// sendMu serializes frame appends and queue pushes (order on the wire
+	// must match each stream's queue order) and guards out, spare and
+	// writing. It is never held across a socket write.
 	sendMu sync.Mutex
-	wbuf   []byte
+	// out holds the frames no write has taken yet; spare is the other half
+	// of the double buffer, nil while a write has it in flight.
+	out, spare []byte
+	// writing is set while one goroutine owns the socket's write side. The
+	// owner writes until out is empty, so a sender that finds it set only
+	// appends.
+	writing bool
 
 	mu      sync.Mutex
 	streams map[uint32]*Conn
@@ -70,9 +82,8 @@ func DialMux(addr string) (*Mux, error) {
 // preamble's flag byte, fixed by who is calling: 0 from a client,
 // wire.HelloForwarded from a proxy-mode server's inter-node link.
 func NewMux(c net.Conn, hello byte) *Mux {
-	m := &Mux{c: c, bw: bufio.NewWriter(c), streams: make(map[uint32]*Conn)}
 	preamble := wire.Preamble(hello)
-	m.bw.Write(preamble[:])
+	m := &Mux{c: c, out: preamble[:], streams: make(map[uint32]*Conn)}
 	go m.readLoop()
 	return m
 }
@@ -99,48 +110,55 @@ func (m *Mux) Close() error {
 }
 
 // send is Conn.send on a mux stream: reqs go out as one frame on st's
-// stream, with registration and the frame write atomic under sendMu so
-// the stream's FIFO matches the wire order.
+// stream, with registration and the frame's append atomic under sendMu
+// so the stream's FIFO matches the wire order. The frame is written by
+// the goroutine that owns the write side, or else by this call, which
+// takes the write side, yields once so the goroutines runnable beside it
+// can append their frames, and writes until the buffer is empty. A
+// failed write closes the connection — the reader then fails every
+// waiter, this one's included — and drops what is buffered.
 func (m *Mux) send(st *Conn, reqs []wire.Request, ch chan result) error {
-	m.waiters.Add(1)
 	m.sendMu.Lock()
-	m.waiters.Add(-1)
-	m.wbuf = wire.BeginFrame(m.wbuf[:0], st.stream)
+	start := len(m.out)
+	m.out = wire.BeginFrame(m.out, st.stream)
 	var err error
 	for i := range reqs {
-		if m.wbuf, err = wire.AppendRequestBin(m.wbuf, &reqs[i]); err != nil {
-			m.flushIfLast()
-			m.sendMu.Unlock()
-			return err
+		if m.out, err = wire.AppendRequestBin(m.out, &reqs[i]); err != nil {
+			break
 		}
 	}
-	m.wbuf = wire.EndFrame(m.wbuf, 0)
-	if err = st.enqueue(reqs, ch); err != nil {
-		m.flushIfLast()
+	if err == nil {
+		err = st.enqueue(reqs, ch)
+	}
+	if err != nil {
+		m.out = m.out[:start]
 		m.sendMu.Unlock()
 		return err
 	}
-	_, werr := m.bw.Write(m.wbuf)
-	if werr == nil && m.waiters.Load() == 0 {
-		werr = m.bw.Flush()
+	m.out = wire.EndFrame(m.out, start)
+	if m.writing {
+		m.sendMu.Unlock()
+		return nil
 	}
+	m.writing = true
 	m.sendMu.Unlock()
-	if werr != nil {
-		// The reader will observe the broken connection and deliver the
-		// failure to every queued waiter, including this one.
-		m.c.Close()
+	runtime.Gosched()
+	m.sendMu.Lock()
+	for len(m.out) > 0 {
+		buf := m.out
+		m.out, m.spare = m.spare[:0], nil
+		m.sendMu.Unlock()
+		_, werr := m.c.Write(buf)
+		m.sendMu.Lock()
+		m.spare = buf[:0]
+		if werr != nil {
+			m.out = m.out[:0]
+			m.c.Close()
+		}
 	}
+	m.writing = false
+	m.sendMu.Unlock()
 	return nil
-}
-
-// flushIfLast keeps the last-writer-flushes invariant on paths that bail
-// out without writing: a sender that skipped its flush because we were
-// queued behind it must not be left with its frame stuck in the buffer.
-// Callers hold sendMu.
-func (m *Mux) flushIfLast() {
-	if m.bw.Buffered() > 0 && m.waiters.Load() == 0 {
-		m.bw.Flush()
-	}
 }
 
 // closeStream retires one logical session: the server acks after

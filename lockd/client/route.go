@@ -115,8 +115,11 @@ func (oc *ownerCache) Epoch() uint64 {
 // when the cache has nothing: highest rendezvous score wins, skipping
 // addresses reported unusable (unless that empties the candidate set).
 // The guess only has to be stable, not right — a wrong guess costs one
-// redirect.
+// redirect. A single address is the guess whatever skip says.
 func fallbackAddr(addrs []string, name string, skip func(string) bool) string {
+	if len(addrs) == 1 {
+		return addrs[0]
+	}
 	best := ""
 	var bestScore uint64
 	for pass := 0; pass < 2 && best == ""; pass++ {

@@ -118,6 +118,10 @@ func TestFallbackAddrDeterministic(t *testing.T) {
 	if got := fallbackAddr(addrs, "alpha", func(string) bool { return true }); got != fallbackAddr(addrs, "alpha", nil) {
 		t.Errorf("all-skipped fallback = %q, want the unskipped choice", got)
 	}
+	// A lone address is the guess, skipped or not.
+	if got := fallbackAddr(addrs[:1], "alpha", func(string) bool { return true }); got != addrs[0] {
+		t.Errorf("one-address fallback = %q, want %q", got, addrs[0])
+	}
 }
 
 func TestDialOptionDefaults(t *testing.T) {
