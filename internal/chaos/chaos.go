@@ -128,7 +128,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "kill-node-mid-failover",
-			Doc:  "a three-node cluster under open-loop zipf load has one member — an owner of live keys — killed outright; the handoff must stay violation-free, every moved key re-acquirable within the failure detector's budget, and every post-failover token strictly above its pre-kill grant",
+			Doc:  "a three-node cluster under open-loop zipf load with a crash fraction has one member — an owner of live keys — killed outright; the handoff must stay violation-free, every moved key re-acquirable within the failure detector's budget, and every post-failover token strictly above its pre-kill grant",
 			Run:  runKillNodeFailover,
 		},
 		{

@@ -25,7 +25,8 @@ import (
 
 // The failover scenario's shape: three nodes (one dies, two survive to
 // agree on the handoff) under the crash-under-load scenario's load —
-// eight keys, eight open-loop clients, 500 arrivals a second.
+// eight keys, eight open-loop clients, 500 arrivals a second, a tenth of
+// them crash ops, as in CI's cluster smokes.
 const (
 	clusterNodes      = 3
 	clusterKeys       = 8
@@ -207,8 +208,8 @@ func (h *clusterHarness) stop() error {
 }
 
 // runClusterFailover is the kill-a-node scenario body: open-loop zipf
-// load through the cluster-routed client, one member (an owner of
-// probed keys) killed at half duration, and after the load drains a
+// load with a crash fraction through the cluster-routed client, one
+// member (an owner of probed keys) killed at half duration, and after the load drains a
 // full-keyspace probe that measures recovery and checks per-key token
 // monotonicity across the handoff.
 func runClusterFailover(ccfg clusterConfig) (*Report, error) {
@@ -221,7 +222,8 @@ func runClusterFailover(ccfg clusterConfig) (*Report, error) {
 		return nil, err
 	}
 	r := &Report{}
-	cl, err := client.Dial(client.Options{Addrs: h.addrs(), Heartbeat: ccfg.Heartbeat})
+	bound := 2*ccfg.TTL + recoverySlack
+	cl, err := client.Dial(client.Options{Addrs: h.addrs(), Heartbeat: ccfg.Heartbeat, CrashTimeout: bound})
 	if err != nil {
 		h.stop()
 		return nil, err
@@ -267,6 +269,7 @@ func runClusterFailover(ccfg clusterConfig) (*Report, error) {
 		Seed:    ccfg.Seed,
 		Keys:    workload.KeySpec{Dist: workload.KeyZipf},
 		Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerSec: clusterRatePerSec},
+		Ops:     workload.OpMix{Lock: 0.9, Crash: 0.1},
 	}
 	killed := make(chan struct{})
 	go func() {
@@ -290,12 +293,13 @@ func runClusterFailover(ccfg clusterConfig) (*Report, error) {
 		return nil, err
 	}
 	r.Cycles = res.Cycles
+	r.Crashes = res.Crashes
 	r.Violations = uint64(res.Violations)
 
 	// Recovery probe: every key — the moved ones included — must be
 	// acquirable within the failure detector's budget (DeadAfter = 2×TTL)
-	// plus slack, under a token strictly above its pre-kill grant.
-	bound := 2*ccfg.TTL + recoverySlack
+	// plus slack, under a token strictly above its pre-kill grant. A key
+	// a corpse holds frees on the same budget: its lease expires.
 	for i, key := range keys {
 		start := time.Now()
 		ok, err := probe.AcquireFor(key, bound)

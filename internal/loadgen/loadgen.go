@@ -373,6 +373,9 @@ func (c *client) runCycle(k int, kind workload.OpKind, sess workload.Session, la
 		// subsystem's job.
 		crashed, err := c.crasher.Crash(name)
 		if err != nil {
+			if st.cfg.TolerateGrantLoss && grantLost(err) {
+				return cycleAbort // the key's owner was mid-failover
+			}
 			st.fail(fmt.Errorf("loadgen: client %d crashing on %s: %w", c.me, name, err))
 			return cycleFailed
 		}

@@ -47,28 +47,142 @@ func openStream(t *testing.T, m *client.Mux) *client.Conn {
 
 // TestMuxRoundTripZeroAllocs holds the whole binary round trip — client
 // encode, server pipeline, client decode — to the zero-allocation budget
-// alloc_test.go holds the server's half to. The client's Conn methods
-// serve the JSON transport too, so anything on the JSON branch that lets
-// a request escape to the heap is paid for here as well.
+// alloc_test.go holds the server's half to, for a blocking and a bounded
+// acquire, over loopback TCP and over net.Pipe. The client's one engine
+// serves the JSON framing too, so anything on the JSON branch that lets
+// a request escape to the heap, or a framing that boxes, is paid for
+// here as well.
 func TestMuxRoundTripZeroAllocs(t *testing.T) {
-	_, _, addr := startServer(t, lockmgr.Config{})
-	c := openStream(t, dialMux(t, addr))
-	cycle := func() {
-		if err := c.Acquire("hot-key"); err != nil {
-			t.Fatal(err)
+	for _, transport := range []string{"tcp", "pipe"} {
+		t.Run(transport, func(t *testing.T) {
+			var c *client.Conn
+			if transport == "tcp" {
+				_, _, addr := startServer(t, lockmgr.Config{})
+				c = openStream(t, dialMux(t, addr))
+			} else {
+				c = pipeStream(t)
+			}
+			cycles := map[string]func(){
+				"acquire-release": func() {
+					if err := c.Acquire("hot-key"); err != nil {
+						t.Fatal(err)
+					}
+					if err := c.Release("hot-key"); err != nil {
+						t.Fatal(err)
+					}
+				},
+				"acquirefor-release": func() {
+					if ok, err := c.AcquireFor("hot-key", time.Second); err != nil || !ok {
+						t.Fatalf("uncontended AcquireFor: ok=%v err=%v", ok, err)
+					}
+					if err := c.Release("hot-key"); err != nil {
+						t.Fatal(err)
+					}
+				},
+			}
+			for name, cycle := range cycles {
+				for i := 0; i < 3; i++ {
+					cycle() // materialize the lock, the stream, the pooled channels
+				}
+				if raceEnabled {
+					t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled waiter channel is reallocated at random")
+				}
+				if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+					t.Errorf("%s: %.1f allocs per cycle over the mux, budget is 0", name, allocs)
+				}
+			}
+		})
+	}
+}
+
+// pipeStream returns one stream of a binary mux over net.Pipe, against an
+// in-process server: no kernel socket anywhere on the path.
+func pipeStream(t *testing.T) *client.Conn {
+	t.Helper()
+	mgr, err := lockmgr.New(lockmgr.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := lockd.NewServer(mgr)
+	ln := newPipeListener()
+	go srv.Serve(ln)
+	cs, ss := net.Pipe()
+	ln.conns <- ss
+	m := client.NewMux(cs, 0)
+	t.Cleanup(func() {
+		m.Close()
+		ctx, cancel := benchCtx()
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return openStream(t, m)
+}
+
+// TestPooledSocketsRetireWithLastStream: the client's socket pool closes
+// a socket whose last stream ends, so sessions that come and go leave no
+// sockets behind — 200 sessions opened, pinged and closed one after
+// another, four to a binary socket or one to a JSON one, end with at most
+// one live server connection. Sessions opened with no close in between
+// still pack: six sessions and the stats stream at four to a socket use
+// two sockets.
+func TestPooledSocketsRetireWithLastStream(t *testing.T) {
+	for _, opts := range []client.Options{{Proto: client.ProtoBinary, ConnsPerSocket: 4}, {Proto: client.ProtoJSON}} {
+		t.Run(opts.Proto, func(t *testing.T) {
+			srv, _, addr := startServer(t, lockmgr.Config{})
+			opts.Addrs = []string{addr}
+			cl, err := client.Dial(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for i := 0; i < 200; i++ {
+				s, err := cl.Open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Ping(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitConns(t, srv, func(n int) bool { return n <= 1 }, "at most 1")
+			if opts.Proto != client.ProtoBinary {
+				return
+			}
+			var live []client.Session
+			for i := 0; i < 6; i++ {
+				s, err := cl.Open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Ping(); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, s)
+			}
+			if _, err := cl.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			waitConns(t, srv, func(n int) bool { return n == 2 }, "exactly 2")
+			for _, s := range live {
+				s.Close()
+			}
+		})
+	}
+}
+
+// waitConns waits for the server's live connection count to satisfy ok:
+// a connection the client closed is torn down asynchronously.
+func waitConns(t *testing.T, srv *lockd.Server, ok func(int) bool, want string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok(srv.Sessions()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d live server connections, want %s", srv.Sessions(), want)
 		}
-		if err := c.Release("hot-key"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		cycle() // materialize the lock, the stream, the pooled channels
-	}
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled waiter channel is reallocated at random")
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("%.1f allocs per acquire+release over the mux, budget is 0", allocs)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

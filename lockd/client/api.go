@@ -41,7 +41,7 @@ func (e *RedirectError) Error() string {
 
 // Session is one logical lock-holding session: the capability surface
 // the load generator, the chaos harness, and the experiments all drive.
-// Every constructor shape — direct connection, multiplexed stream,
+// Every constructor shape — JSON session, multiplexed binary stream,
 // routed cluster session — returns one. A Session belongs to one
 // goroutine of workload, but its methods are individually safe for
 // concurrent use (pipelined on the shared transport).

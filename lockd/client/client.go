@@ -3,24 +3,19 @@
 // lockd/wire — the only repository package this one imports, so a client
 // binary links none of the server.
 //
-// Requests are pipelined: any goroutine may issue a request while others
-// are waiting for responses, and a dedicated reader matches the server's
-// in-order responses to their callers. That is what makes Cancel useful —
-// it can chase an Acquire that is blocked on the same session — and what
-// lets one connection carry overlapping traffic. Locks held by the
-// session are released by the server when the connection closes.
-//
-// The hot path mirrors the server's: on a mux stream (the binary
-// protocol) requests are encoded into a per-connection buffer, responses
-// are decoded in place, and the per-request bookkeeping (the waiter slot
-// a response is matched to) is pooled — a steady-state AcquireFor/Release
-// cycle performs no heap allocations on the client. Writes follow the
-// server's rule too: one write carries every request that is ready. The
-// sender that takes the mux's write side yields once, so the streams
-// woken with it — by one socket read's responses, or by the caller's own
-// events — append their requests first, and then writes them all; the
-// mux's reader never writes. A dialed JSON Conn goes through
-// encoding/json and allocates accordingly.
+// Every Conn is a stream of a Mux, the package's one I/O engine (mux.go):
+// a binary socket carries many streams, a newline-JSON socket exactly one
+// (DialConn/NewConn). Requests are pipelined: any goroutine may issue a
+// request while others are waiting for responses, and the socket's one
+// reader matches the server's in-order responses to their callers. That
+// is what makes Cancel useful — it can chase an Acquire that is blocked
+// on the same session — and what lets one socket carry overlapping
+// traffic. Locks held by the session are released by the server when the
+// stream or its socket closes. On a binary stream the per-request
+// bookkeeping (the waiter slot a response is matched to) is pooled and
+// responses are decoded in place, so a steady-state AcquireFor/Release
+// cycle performs no heap allocations on the client; the JSON framing goes
+// through encoding/json and allocates accordingly.
 //
 // The package has a second caller besides client programs: a proxy-mode
 // lockd node forwards foreign-key ops to their owners over a Mux of its
@@ -31,7 +26,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -69,28 +63,18 @@ var waiterPool = sync.Pool{
 	New: func() any { return make(chan result, 1) },
 }
 
-// Conn is one client session. Methods are safe for concurrent use and
-// pipeline over the single connection. A Conn is either a whole dialed
-// connection speaking newline-JSON (Dial/NewConn) or one logical stream
-// of a multiplexed binary connection (Mux.Open) — the API is identical.
+// Conn is one client session: one stream of a Mux. Methods are safe for
+// concurrent use and pipeline over the socket. Mux.Open returns a stream
+// of a binary socket; DialConn and NewConn return the one stream of a
+// newline-JSON socket. The API is identical.
 type Conn struct {
-	c net.Conn
-
-	// mux and stream identify a logical session multiplexed on a shared
-	// socket; c is nil then, and all I/O goes through the mux.
 	mux    *Mux
 	stream uint32
-
-	// sendMu serializes writes and queue pushes, so the response queue
-	// order always matches the request order on the wire. It also guards
-	// wbuf, the reused encode buffer.
-	sendMu sync.Mutex
-	wbuf   []byte
 
 	mu     sync.Mutex
 	queue  []chan result // FIFO of callers awaiting responses
 	qhead  int           // first live entry; backing array is reused
-	broken error         // set once the reader stops
+	broken error         // set once the stream or its socket stops
 
 	// tokMu guards tokens, the fencing token of the session's most
 	// recent grant per name — the client-side view the cluster failover
@@ -110,60 +94,29 @@ type Conn struct {
 // For the address-list front door (routing, redirects, crash ops behind
 // one interface) use Dial.
 func DialConn(addr string) (*Conn, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("client: dialing lockd at %s: %w: %w", addr, ErrUnavailable, err)
+		return nil, err
 	}
 	return NewConn(c), nil
 }
 
 // NewConn wraps an already-established connection — a TCP or unix socket
 // the caller dialed itself, or one end of a net.Pipe for in-process use —
-// as a client session. The Conn takes ownership of c.
+// as a newline-JSON session: the one stream of a JSON-framed Mux. The
+// Conn takes ownership of c, and its Close closes it.
 func NewConn(c net.Conn) *Conn {
-	conn := &Conn{c: c}
-	go conn.readLoop()
-	return conn
-}
-
-// readLoop owns the inbound half: it reads response lines and hands each
-// to the oldest waiting caller. Any read or decode failure breaks the
-// session: every waiter (and every later request) gets the error.
-func (c *Conn) readLoop() {
-	br := bufio.NewReader(c.c)
-	var scratch []byte
-	for {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			// A long response (an error echoing a long name): accumulate.
-			scratch = append(scratch[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = br.ReadSlice('\n')
-				scratch = append(scratch, line...)
-			}
-			line = scratch
-		}
-		if err != nil {
-			c.fail(fmt.Errorf("client: session broken: %w", err))
-			return
-		}
-		var res result
-		if derr := wire.DecodeResponse(line[:len(line)-1], &res.resp); derr != nil {
-			c.fail(fmt.Errorf("client: bad response: %w", derr))
-			return
-		}
-		if !c.deliver(res) {
-			c.fail(fmt.Errorf("client: response with no request in flight"))
-			return
-		}
-	}
+	m := newMux(c, true, 0)
+	st, _ := m.open(1) // a fresh socket is neither broken nor full
+	go m.readLoop()
+	return st
 }
 
 // enqueue registers ch as the waiter of every request in reqs that the
 // server answers — all but OpReleaseNoAck, for which a registration
 // would never be matched and would desync the FIFO behind it. The caller
-// holds the lock that orders its write (sendMu, or the mux's), so queue
-// order is wire order.
+// holds the mux's sendMu, which orders its write, so queue order is wire
+// order.
 func (c *Conn) enqueue(reqs []wire.Request, ch chan result) error {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -181,7 +134,7 @@ func (c *Conn) enqueue(reqs []wire.Request, ch chan result) error {
 }
 
 // deliver hands res to the oldest waiter; false means no request was in
-// flight, which breaks the session (the readers' call). Waiter channels
+// flight, which breaks the socket (the reader's call). Waiter channels
 // are buffered for every registration they carry, so this never blocks.
 func (c *Conn) deliver(res result) bool {
 	c.mu.Lock()
@@ -228,7 +181,7 @@ func (c *Conn) fail(err error) {
 func (c *Conn) Exchange(req wire.Request) (wire.Response, error) {
 	ch := waiterPool.Get().(chan result)
 	reqs := [1]wire.Request{req}
-	if err := c.send(reqs[:], ch); err != nil {
+	if err := c.mux.send(c, reqs[:], ch); err != nil {
 		waiterPool.Put(ch)
 		return wire.Response{}, fmt.Errorf("client: %s: %w", req.Op, err)
 	}
@@ -352,14 +305,13 @@ func (c *Conn) Release(name string) error {
 // ReleaseNoAck gives a held lock back without waiting to hear so: the
 // server performs the release and answers nothing, so no waiter is
 // registered and the call returns once the request is handed to the
-// connection — an ordinary send, which on a mux another sender may
-// write for it. The release is ordered before every later op on the
-// session. A release the server
-// would have rejected (not held, fenced) is dropped silently; the error
-// reports only a session that was already broken.
+// connection — an ordinary send, which another sender may write for it.
+// The release is ordered before every later op on the session. A release
+// the server would have rejected (not held, fenced) is dropped silently;
+// the error reports only a session that was already broken.
 func (c *Conn) ReleaseNoAck(name string) error {
 	reqs := [1]wire.Request{{Op: wire.OpReleaseNoAck, Name: name}}
-	if err := c.send(reqs[:], nil); err != nil {
+	if err := c.mux.send(c, reqs[:], nil); err != nil {
 		return fmt.Errorf("client: %s: %w", wire.OpReleaseNoAck, err)
 	}
 	return nil
@@ -453,9 +405,10 @@ func (c *Conn) PauseHeartbeat() { c.hbPaused.Store(true) }
 func (c *Conn) ResumeHeartbeat() { c.hbPaused.Store(false) }
 
 // Close ends the session; the server releases any locks it still holds
-// and reaps any acquire still in flight. On a mux stream it retires just
-// this stream (waiting for the server's ack) and leaves the shared
-// socket up; do not issue or pipeline requests concurrently with Close.
+// and reaps any acquire still in flight. On a binary socket it retires
+// just this stream (waiting for the server's ack) and leaves the shared
+// socket up for its siblings; a JSON session's socket closes with it. Do
+// not issue or pipeline requests concurrently with Close.
 func (c *Conn) Close() error {
 	c.hbMu.Lock()
 	if c.hbStop != nil { // stop the auto-heartbeat ticker
@@ -463,14 +416,11 @@ func (c *Conn) Close() error {
 		c.hbStop = nil
 	}
 	c.hbMu.Unlock()
-	if c.mux != nil {
-		return c.mux.closeStream(c)
-	}
-	return c.c.Close()
+	return c.mux.closeStream(c)
 }
 
 // Batch executes len(reqs) requests as one coalesced write — one frame
-// on a mux stream, one buffer of lines on a direct connection — and
+// on a binary stream, one buffer of lines on a JSON one — and
 // fills resps (which must be the same length) with the matched
 // responses, in order. It returns only transport errors: per-request
 // failures are left in each Response for the caller to inspect. A
@@ -489,7 +439,7 @@ func (c *Conn) Batch(reqs []wire.Request, resps []wire.Response) error {
 	} else {
 		ch = make(chan result, len(reqs))
 	}
-	if err := c.send(reqs, ch); err != nil {
+	if err := c.mux.send(c, reqs, ch); err != nil {
 		if pooled {
 			batchPool.Put(ch)
 		}
@@ -508,34 +458,6 @@ func (c *Conn) Batch(reqs []wire.Request, resps []wire.Response) error {
 	}
 	if firstErr != nil {
 		return fmt.Errorf("client: batch: %w", firstErr)
-	}
-	return nil
-}
-
-// send writes reqs as one coalesced write — one frame on a mux stream,
-// one buffer of lines on a direct connection — after registering ch for
-// their responses (enqueue). It never partially registers: on an error
-// nothing was queued and nothing was written. A write failure is not
-// reported here: the connection is closed, and the reader delivers the
-// failure to every queued waiter, this call's included.
-func (c *Conn) send(reqs []wire.Request, ch chan result) error {
-	if c.mux != nil {
-		return c.mux.send(c, reqs, ch)
-	}
-	c.sendMu.Lock()
-	if err := c.enqueue(reqs, ch); err != nil {
-		c.sendMu.Unlock()
-		return err
-	}
-	c.wbuf = c.wbuf[:0]
-	for i := range reqs {
-		c.wbuf = wire.AppendRequest(c.wbuf, &reqs[i])
-		c.wbuf = append(c.wbuf, '\n')
-	}
-	_, werr := c.c.Write(c.wbuf)
-	c.sendMu.Unlock()
-	if werr != nil {
-		c.c.Close()
 	}
 	return nil
 }

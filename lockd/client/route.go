@@ -139,28 +139,43 @@ func fallbackAddr(addrs []string, name string, skip func(string) bool) string {
 	return best
 }
 
-// poolClient is the Client behind Dial: per-address transports, the
-// shared ownership cache, the crash-corpse parking lot.
+// poolClient is the Client behind Dial: per-address socket pools, the
+// shared ownership cache, the session Stats runs on, and the crash
+// corpses.
 type poolClient struct {
 	opts  Options
 	cache ownerCache
 
-	mu        sync.Mutex
-	pools     map[string]*muxPool // ProtoBinary: one socket pool per address
-	down      map[string]time.Time
-	sessions  map[*routedSession]struct{}
-	statsSubs map[string]*Conn // cached per-address stats sub-sessions
-	corpses   []*Conn
-	closed    bool
+	mu       sync.Mutex
+	pools    map[string]*muxPool // one socket pool per address
+	down     map[string]time.Time
+	sessions map[*routedSession]struct{} // the stats session included
+	stats    *routedSession
+	corpses  []*routedSession
+	closed   bool
 }
 
 func newPoolClient(opts Options) *poolClient {
-	return &poolClient{
-		opts:      opts,
-		pools:     make(map[string]*muxPool),
-		down:      make(map[string]time.Time),
-		sessions:  make(map[*routedSession]struct{}),
-		statsSubs: make(map[string]*Conn),
+	cl := &poolClient{
+		opts:     opts,
+		pools:    make(map[string]*muxPool),
+		down:     make(map[string]time.Time),
+		sessions: make(map[*routedSession]struct{}),
+	}
+	cl.stats = cl.newSession(cl.pools, 0)
+	cl.sessions[cl.stats] = struct{}{}
+	return cl
+}
+
+// newSession makes a routed session whose sub-sessions open on pools.
+func (cl *poolClient) newSession(pools map[string]*muxPool, hbEvery time.Duration) *routedSession {
+	return &routedSession{
+		cl:      cl,
+		pools:   pools,
+		subs:    make(map[string]*Conn),
+		grants:  make(map[string]string),
+		granted: make(map[string]*Conn),
+		hbEvery: hbEvery,
 	}
 }
 
@@ -171,38 +186,27 @@ func (cl *poolClient) Open() (Session, error) {
 	if cl.closed {
 		return nil, errClientClosed
 	}
-	s := &routedSession{
-		cl:      cl,
-		subs:    make(map[string]*Conn),
-		grants:  make(map[string]string),
-		granted: make(map[string]*Conn),
-		hbEvery: cl.opts.Heartbeat,
-	}
+	s := cl.newSession(cl.pools, cl.opts.Heartbeat)
 	cl.sessions[s] = struct{}{}
 	return s, nil
 }
 
-// openConn dials (or multiplexes) one sub-session to addr.
-func (cl *poolClient) openConn(addr string) (*Conn, error) {
-	if cl.opts.Proto == ProtoBinary {
-		cl.mu.Lock()
-		if cl.closed {
-			cl.mu.Unlock()
-			return nil, errClientClosed
-		}
-		p := cl.pools[addr]
-		if p == nil {
-			p = &muxPool{addr: addr, perSocket: cl.opts.ConnsPerSocket}
-			cl.pools[addr] = p
-		}
+// openConn opens one sub-session to addr on the socket pool pools keeps
+// for it (guarded by cl.mu): a stream of a binary socket, or a JSON
+// socket of its own.
+func (cl *poolClient) openConn(pools map[string]*muxPool, addr string) (*Conn, error) {
+	cl.mu.Lock()
+	if cl.closed {
 		cl.mu.Unlock()
-		c, err := p.Open()
-		if err != nil {
-			cl.markDown(addr)
-		}
-		return c, err
+		return nil, errClientClosed
 	}
-	c, err := DialConn(addr)
+	p := pools[addr]
+	if p == nil {
+		p = &muxPool{addr: addr, json: cl.opts.Proto == ProtoJSON, perSocket: max(cl.opts.ConnsPerSocket, 1)}
+		pools[addr] = p
+	}
+	cl.mu.Unlock()
+	c, err := p.Open()
 	if err != nil {
 		cl.markDown(addr)
 	}
@@ -255,66 +259,25 @@ func (cl *poolClient) route(name string) string {
 	return fallbackAddr(cl.opts.Addrs, name, cl.isDown)
 }
 
-// statsConn returns the cached stats sub-session for addr, opening one
-// over the client's configured transport on first use — under
-// ProtoBinary that is a stream on the pooled socket, not a new dial.
-func (cl *poolClient) statsConn(addr string) (*Conn, error) {
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, errClientClosed
-	}
-	if c := cl.statsSubs[addr]; c != nil {
-		cl.mu.Unlock()
-		return c, nil
-	}
-	cl.mu.Unlock()
-	c, err := cl.openConn(addr)
-	if err != nil {
-		return nil, err
-	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		c.Close()
-		return nil, errClientClosed
-	}
-	if prior := cl.statsSubs[addr]; prior != nil {
-		cl.mu.Unlock()
-		c.Close()
-		return prior, nil
-	}
-	cl.statsSubs[addr] = c
-	cl.mu.Unlock()
-	return c, nil
-}
-
-// dropStatsConn retires a stats sub-session whose transport broke.
-func (cl *poolClient) dropStatsConn(addr string, c *Conn) {
-	cl.mu.Lock()
-	if cl.statsSubs[addr] == c {
-		delete(cl.statsSubs, addr)
-	}
-	cl.mu.Unlock()
-	c.Close()
-}
-
-// Stats sums counter snapshots across every reachable address, over the
-// client's existing per-address transports (a cached sub-session each —
-// no throwaway dial per call); it fails only when no address answers.
+// Stats sums counter snapshots across every reachable address, on the
+// client's own session — a sub-session per address over the client's
+// pooled transports, kept between calls; it fails only when no address
+// answers.
 func (cl *poolClient) Stats() (wire.Stats, error) {
 	var sum wire.Stats
 	var lastErr error
 	reached := 0
 	for _, addr := range cl.opts.Addrs {
-		c, err := cl.statsConn(addr)
+		c, err := cl.stats.sub(addr)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		st, err := c.Stats()
 		if err != nil {
-			cl.dropStatsConn(addr, c)
+			if errors.Is(err, ErrUnavailable) {
+				cl.stats.dropSub(addr, c)
+			}
 			lastErr = err
 			continue
 		}
@@ -342,50 +305,30 @@ func (cl *poolClient) Stats() (wire.Stats, error) {
 	return sum, nil
 }
 
-// crash acquires name on a throwaway direct connection to its owner and
-// parks the corpse: the socket stays open and silent, exactly the
-// orphan-holder footprint lease recovery is tested against. Crash
-// corpses always get their own socket — even under ProtoBinary — so a
-// corpse never shares fate with live streams.
+// crash acquires name on a corpse and parks it: a session whose sockets
+// are its own, so it never shares fate with a live session, and which
+// goes silent holding name — the orphan-holder footprint lease recovery
+// is tested against. The acquire routes like any other: it follows
+// redirects and retries past members that stopped answering.
 func (cl *poolClient) crash(name string) (bool, error) {
-	addr := cl.route(name)
-	for hop := 0; ; hop++ {
-		c, err := DialConn(addr)
+	corpse := cl.newSession(make(map[string]*muxPool), 0)
+	ok, err := corpse.AcquireFor(name, cl.opts.CrashTimeout)
+	if err != nil || !ok {
+		corpse.closeSubs()
 		if err != nil {
 			return false, fmt.Errorf("client: crash %s: %w", name, err)
 		}
-		ok, err := c.AcquireFor(name, cl.opts.CrashTimeout)
-		if err != nil {
-			c.Close()
-			var redir *RedirectError
-			if errors.As(err, &redir) && hop < maxRedirects {
-				cl.cache.learn(redir.Name, redir.Owner, redir.Epoch)
-				addr = redir.Owner
-				continue
-			}
-			return false, fmt.Errorf("client: crash %s: %w", name, err)
-		}
-		if !ok {
-			c.Close()
-			return false, nil // died while still waiting: abort, not failure
-		}
-		cl.mu.Lock()
-		if cl.closed {
-			cl.mu.Unlock()
-			c.Close()
-			return false, errClientClosed
-		}
-		cl.corpses = append(cl.corpses, c)
-		cl.mu.Unlock()
-		return true, nil
+		return false, nil // died while still waiting: abort, not failure
 	}
-}
-
-// Crashed reports how many crash corpses the client is holding open.
-func (cl *poolClient) Crashed() int {
 	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return len(cl.corpses)
+	if cl.closed {
+		cl.mu.Unlock()
+		corpse.closeSubs()
+		return false, errClientClosed
+	}
+	cl.corpses = append(cl.corpses, corpse)
+	cl.mu.Unlock()
+	return true, nil
 }
 
 // forget unregisters a closed session.
@@ -395,8 +338,8 @@ func (cl *poolClient) forget(s *routedSession) {
 	cl.mu.Unlock()
 }
 
-// Close tears down everything the client owns: open sessions, crash
-// corpses, pooled sockets.
+// Close tears down everything the client owns: open sessions and crash
+// corpses, and with their last streams the pooled sockets.
 func (cl *poolClient) Close() error {
 	cl.mu.Lock()
 	if cl.closed {
@@ -409,27 +352,12 @@ func (cl *poolClient) Close() error {
 		sessions = append(sessions, s)
 	}
 	cl.sessions = nil
-	corpses := cl.corpses
+	sessions = append(sessions, cl.corpses...)
 	cl.corpses = nil
-	pools := cl.pools
-	cl.pools = nil
-	statsSubs := cl.statsSubs
-	cl.statsSubs = nil
 	cl.mu.Unlock()
 	var first error
 	for _, s := range sessions {
 		if err := s.closeSubs(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, c := range statsSubs {
-		c.Close()
-	}
-	for _, c := range corpses {
-		c.Close()
-	}
-	for _, p := range pools {
-		if err := p.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -440,6 +368,9 @@ func (cl *poolClient) Close() error {
 // address, grants pinned to the address that issued them.
 type routedSession struct {
 	cl *poolClient
+	// pools is where sub opens its streams: the client's shared pools,
+	// or a corpse's own.
+	pools map[string]*muxPool
 
 	mu      sync.Mutex
 	subs    map[string]*Conn
@@ -462,7 +393,7 @@ func (s *routedSession) sub(addr string) (*Conn, error) {
 		return c, nil
 	}
 	s.mu.Unlock()
-	c, err := s.cl.openConn(addr)
+	c, err := s.cl.openConn(s.pools, addr)
 	if err != nil {
 		return nil, err
 	}

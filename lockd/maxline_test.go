@@ -16,6 +16,7 @@ import (
 
 	"anonmutex/internal/lockmgr"
 	"anonmutex/lockd"
+	"anonmutex/lockd/client"
 	"anonmutex/lockd/wire"
 )
 
@@ -114,5 +115,29 @@ func TestOverlongLineProtocolError(t *testing.T) {
 	// The server hangs up after the error.
 	if _, err := br.ReadByte(); err == nil {
 		t.Error("connection still open after a protocol error")
+	}
+}
+
+// TestClientReadsLongResponseLine: the client's JSON reader accumulates
+// a response line longer than its 4 KiB read buffer. A second acquire of
+// a 10 000-byte name draws an error that echoes the name; it must arrive
+// intact, and the session must go on answering.
+func TestClientReadsLongResponseLine(t *testing.T) {
+	_, _, addr := startServer(t, lockmgr.Config{})
+	c, err := client.DialConn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	name := strings.Repeat("n", 10_000)
+	if err := c.Acquire(name); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Acquire(name)
+	if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+		t.Fatalf("second acquire of a held 10 000-byte name: want an error echoing the name, got %.200v", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after the long response: %v", err)
 	}
 }

@@ -51,8 +51,10 @@ func TestDependencyPins(t *testing.T) {
 }
 
 // TestLockdCallSitePins: one binary frame reader on each side of the
-// wire, and one connection loop — the only file that decodes JSON request
-// lines and runs ops inline, and one that starts no anonymous goroutine.
+// wire; one connection loop — the only file that decodes JSON request
+// lines and runs ops inline, and one that starts no anonymous goroutine;
+// and one client engine — the only file that decodes responses, in
+// either framing.
 func TestLockdCallSitePins(t *testing.T) {
 	calls := map[string][]string{} // callee → files calling it
 	goFuncLit := map[string]bool{}
@@ -85,9 +87,11 @@ func TestLockdCallSitePins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for fn, want := range map[string][]string{
-		"wire.ReadFrame":     {"lockd/binproto.go", "lockd/client/mux.go"},
-		"wire.DecodeRequest": {"lockd/transport.go"},
-		"handleInline":       {"lockd/transport.go"},
+		"wire.ReadFrame":         {"lockd/binproto.go", "lockd/client/mux.go"},
+		"wire.DecodeRequest":     {"lockd/transport.go"},
+		"wire.DecodeResponse":    {"lockd/client/mux.go"},
+		"wire.DecodeResponseBin": {"lockd/client/mux.go"},
+		"handleInline":           {"lockd/transport.go"},
 	} {
 		got := slices.Sorted(slices.Values(calls[fn]))
 		if !slices.Equal(got, want) {
