@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// TestRunInproc runs anonload against its in-process lockd: every case
+// dials the loopback server through the same client path an -addr run
+// takes.
 func TestRunInproc(t *testing.T) {
 	cases := [][]string{
 		{"-clients", "4", "-keys", "4", "-cycles", "80"},
@@ -16,6 +19,11 @@ func TestRunInproc(t *testing.T) {
 			"-workload", `{"keys":{"dist":"zipf","zipf_s":1.2}}`},
 		{"-clients", "2", "-keys", "4", "-cycles", "60", "-json",
 			"-workload", `{"keys":{"dist":"hotset"},"arrival":{"process":"poisson","rate_per_sec":20000},"ops":{"timed":1,"timeout_ms":50}}`},
+		{"-clients", "4", "-keys", "4", "-cycles", "80", "-proto", "binary", "-mux", "2"},
+		// Leased: crash orphans hold their keys until TTL expiry, and the
+		// survivors' heartbeats keep their own grants alive.
+		{"-clients", "4", "-keys", "16", "-cycles", "80", "-lease-ttl", "200ms", "-heartbeat", "50ms",
+			"-workload", `{"ops":{"lock":0.9,"crash":0.1}}`},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -42,14 +50,14 @@ func TestRunWorkloadFile(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{"-mode", "quantum"},
-		{"-workload", `{"keys":{"dist":"pareto"}}`, "-cycles", "10"}, // unknown key distribution
+		{"-workload", `{"ops":{"lock":0.5,"crash":0.5}}`, "-clients", "2", "-keys", "2", "-cycles", "20"}, // crash mix without -lease-ttl
+		{"-workload", `{"keys":{"dist":"pareto"}}`, "-cycles", "10"},                                      // unknown key distribution
 		{"-alg", "greedy", "-cycles", "10"},
 		{"-clients", "-1", "-cycles", "10"},
-		{"-mode", "net", "-addr", "127.0.0.1:1", "-clients", "1", "-cycles", "1"}, // nothing listening
-		{"-workload", `{"profile":"pareto"}`, "-cycles", "10"},                    // unknown profile fails loudly
-		{"-workload", `{"keyz":{}}`, "-cycles", "10"},                             // unknown field fails loudly
-		{"-workload", `{}`, "-workload-file", "x.json"},                           // mutually exclusive
+		{"-addr", "127.0.0.1:1", "-clients", "1", "-cycles", "1"}, // nothing listening
+		{"-workload", `{"profile":"pareto"}`, "-cycles", "10"},    // unknown profile fails loudly
+		{"-workload", `{"keyz":{}}`, "-cycles", "10"},             // unknown field fails loudly
+		{"-workload", `{}`, "-workload-file", "x.json"},           // mutually exclusive
 		{"-workload-file", "/no/such/spec.json", "-cycles", "10"},
 	}
 	for _, args := range cases {

@@ -164,13 +164,20 @@ type harness struct {
 	serveErr chan error
 }
 
-func startHarness(cfg Config) (*harness, error) {
+// startHarness starts a scenario's server. A non-empty dir makes it
+// durable: it journals every grant under dir with fsync "always" — the
+// restart scenario's whole point is that what was acknowledged survives
+// the crash.
+func startHarness(cfg Config, dir string) (*harness, error) {
 	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 8})
 	if err != nil {
 		return nil, err
 	}
 	srv := lockd.NewServer(mgr)
 	srv.LeaseTTL = cfg.TTL
+	if dir != "" {
+		srv.Durability = lockd.Durability{Dir: dir, Fsync: "always"}
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		mgr.Close()

@@ -13,36 +13,12 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
 
-	"anonmutex/internal/lockmgr"
-	"anonmutex/lockd"
 	"anonmutex/lockd/client"
 )
-
-// startDurableHarness is startHarness with a journal under dir. Every
-// restart run uses fsync "always": the scenario's whole point is that
-// what was acknowledged survives the crash.
-func startDurableHarness(cfg Config, dir string) (*harness, error) {
-	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 8})
-	if err != nil {
-		return nil, err
-	}
-	srv := lockd.NewServer(mgr)
-	srv.LeaseTTL = cfg.TTL
-	srv.Durability = lockd.Durability{Dir: dir, Fsync: "always"}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		mgr.Close()
-		return nil, err
-	}
-	h := &harness{mgr: mgr, srv: srv, addr: ln.Addr().String(), serveErr: make(chan error, 1)}
-	go func() { h.serveErr <- srv.Serve(ln) }()
-	return h, nil
-}
 
 // waitDialable blocks until addr answers a ping — the restarted server
 // recovers its journal before accepting, so this also bounds recovery
@@ -90,7 +66,7 @@ func runRestartUnderLoad(cfg Config) (*Report, error) {
 	defer os.RemoveAll(dir)
 
 	r := &Report{}
-	hA, err := startDurableHarness(cfg, dir)
+	hA, err := startHarness(cfg, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +153,7 @@ func runRestartUnderLoad(cfg Config) (*Report, error) {
 	}
 	r.Violations += hA.mgr.Violations()
 
-	hB, err := startDurableHarness(cfg, dir)
+	hB, err := startHarness(cfg, dir)
 	if err != nil {
 		return r, err
 	}

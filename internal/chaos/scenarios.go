@@ -29,7 +29,7 @@ func runKillHolder(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := startHarness(cfg)
+	h, err := startHarness(cfg, "")
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func runStopHeartbeat(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := startHarness(cfg)
+	h, err := startHarness(cfg, "")
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func runDropMidPipeline(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := startHarness(cfg)
+	h, err := startHarness(cfg, "")
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func runCrashUnderLoad(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := startHarness(cfg)
+	h, err := startHarness(cfg, "")
 	if err != nil {
 		return nil, err
 	}

@@ -91,9 +91,9 @@ func TestRecoveryEquivalence(t *testing.T) {
 				g, isHeld := held[name]
 				switch {
 				case !isHeld:
-					ng, ok, err := mA.TryAcquire(name)
+					ng, ok, err := mA.tryAcquire(name)
 					if err != nil || !ok {
-						t.Fatalf("op %d: TryAcquire(%s) = %v, %v", i, name, ok, err)
+						t.Fatalf("op %d: tryAcquire(%s) = %v, %v", i, name, ok, err)
 					}
 					held[name] = ng
 					if ng.Token <= maxToken {
@@ -153,7 +153,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 
 			// Restart monotonicity: the next token exceeds every token
 			// the first incarnation issued (band argument).
-			ng, ok, err := mB.TryAcquire("fresh-after-restart")
+			ng, ok, err := mB.tryAcquire("fresh-after-restart")
 			if err != nil || !ok {
 				t.Fatalf("post-restart acquire: %v, %v", ok, err)
 			}
@@ -172,7 +172,7 @@ func TestRecoveryRemainingTime(t *testing.T) {
 	_, mA, jnA := newJournaled(t, dir,
 		Config{TTL: 250 * time.Millisecond, Grace: 50 * time.Millisecond},
 		journal.Options{Sync: journal.SyncAlways})
-	g, ok, err := mA.TryAcquire("short")
+	g, ok, err := mA.tryAcquire("short")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRecoveryRemainingTime(t *testing.T) {
 func TestRecoveryPastDeadline(t *testing.T) {
 	dir := t.TempDir()
 	_, mA, jnA := newJournaled(t, dir, Config{TTL: 50 * time.Millisecond}, journal.Options{Sync: journal.SyncAlways})
-	if _, ok, err := mA.TryAcquire("stale"); err != nil || !ok {
+	if _, ok, err := mA.tryAcquire("stale"); err != nil || !ok {
 		t.Fatal(err)
 	}
 	mA.Abandon()
@@ -255,13 +255,13 @@ func TestRecoveryPastDeadline(t *testing.T) {
 func TestBandFloorComposition(t *testing.T) {
 	dir := t.TempDir()
 	_, m, jn := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{Sync: journal.SyncAlways, BandSize: 100})
-	g1, _, err := m.TryAcquire("a")
+	g1, _, err := m.tryAcquire("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	floor := uint64(3) << 32
 	m.EnsureTokenFloor(floor)
-	g2, _, err := m.TryAcquire("b")
+	g2, _, err := m.tryAcquire("b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestBandFloorComposition(t *testing.T) {
 
 	_, m2, jn2 := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{BandSize: 100})
 	defer func() { m2.Close(); jn2.Close() }()
-	g3, _, err := m2.TryAcquire("c")
+	g3, _, err := m2.tryAcquire("c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func BenchmarkLeaseCycleJournaled(b *testing.B) {
 	}()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, ok, err := m.TryAcquire("bench-key")
+		g, ok, err := m.tryAcquire("bench-key")
 		if err != nil || !ok {
 			b.Fatalf("try: ok=%v err=%v", ok, err)
 		}
@@ -324,7 +324,7 @@ func BenchmarkLeaseCycleJournaled(b *testing.B) {
 func TestCloseDoesNotJournalRevocations(t *testing.T) {
 	dir := t.TempDir()
 	_, m, jn := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{Sync: journal.SyncAlways})
-	g, _, err := m.TryAcquire("orphan")
+	g, _, err := m.tryAcquire("orphan")
 	if err != nil {
 		t.Fatal(err)
 	}

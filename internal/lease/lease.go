@@ -368,20 +368,6 @@ func (m *Manager) AcquireCtx(ctx context.Context, name string) (Grant, error) {
 	return Grant{Name: name, Token: tok}, nil
 }
 
-// TryAcquire acquires the named lock only if immediately available,
-// leasing it on success.
-func (m *Manager) TryAcquire(name string) (Grant, bool, error) {
-	l, ok, err := m.lm.TryAcquireLease(name)
-	if !ok || err != nil {
-		return Grant{}, false, err
-	}
-	tok, err := m.Attach(l)
-	if err != nil {
-		return Grant{}, false, err
-	}
-	return Grant{Name: name, Token: tok}, true, nil
-}
-
 // Heartbeat renews the lease behind token, pushing its expiry out by
 // one TTL, and returns the new remaining TTL. A stale token — the
 // lease expired, was revoked, or was already released — is rejected

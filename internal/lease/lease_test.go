@@ -11,6 +11,20 @@ import (
 	"anonmutex/internal/xrand"
 )
 
+// tryAcquire is the lock service's try path: a bounded probe on the
+// lock manager, then Attach.
+func (m *Manager) tryAcquire(name string) (Grant, bool, error) {
+	l, ok, err := m.lm.TryAcquireLease(name)
+	if !ok || err != nil {
+		return Grant{}, false, err
+	}
+	tok, err := m.Attach(l)
+	if err != nil {
+		return Grant{}, false, err
+	}
+	return Grant{Name: name, Token: tok}, true, nil
+}
+
 func newManagers(t *testing.T, cfg Config) (*lockmgr.Manager, *Manager) {
 	t.Helper()
 	lm, err := lockmgr.New(lockmgr.Config{})
@@ -220,7 +234,7 @@ func TestQuarantineThenForget(t *testing.T) {
 }
 
 // TestRevokeFreesTheLock: an explicit revocation releases the lock on
-// the orphan's behalf — the next TryAcquire succeeds immediately.
+// the orphan's behalf — the next try succeeds immediately.
 func TestRevokeFreesTheLock(t *testing.T) {
 	lm, m := newManagers(t, Config{TTL: time.Minute})
 	g, err := m.AcquireCtx(t.Context(), "seized")
@@ -230,7 +244,7 @@ func TestRevokeFreesTheLock(t *testing.T) {
 	if err := m.Revoke("seized", g.Token); err != nil {
 		t.Fatal(err)
 	}
-	g2, ok, err := m.TryAcquire("seized")
+	g2, ok, err := m.tryAcquire("seized")
 	if err != nil || !ok {
 		t.Fatalf("try after revoke: ok=%v err=%v", ok, err)
 	}
@@ -283,7 +297,7 @@ func BenchmarkLeaseCycle(b *testing.B) {
 	}()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, ok, err := m.TryAcquire("bench-key")
+		g, ok, err := m.tryAcquire("bench-key")
 		if err != nil || !ok {
 			b.Fatalf("try: ok=%v err=%v", ok, err)
 		}

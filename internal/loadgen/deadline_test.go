@@ -1,10 +1,11 @@
 package loadgen
 
 // Per-op deadline tests. The two extremes are deterministic: a deadline
-// that is already over when the acquire starts aborts every attempt, and
-// a generous one aborts none.
+// on keys another session holds throughout aborts every attempt, and a
+// generous one on free keys aborts none.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,18 +19,29 @@ func timedOps(d time.Duration) *workload.Spec {
 }
 
 func TestOpTimeoutAbortsEveryAttempt(t *testing.T) {
-	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 2})
+	const attempts, keys = 40, 2
+	mgr, cl := startServer(t, lockmgr.Config{HandlesPerLock: 2})
+	// The wire rounds a sub-millisecond deadline up to 1ms, so a tiny
+	// deadline alone could still win a free key: hold every key from a
+	// session of its own, and every timed attempt must withdraw.
+	holder, err := cl.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
-	const attempts = 40
+	for i := 0; i < keys; i++ {
+		if err := holder.Acquire(fmt.Sprintf("key-%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	res, err := Run(Config{
-		Clients: 4, Keys: 2, Cycles: attempts,
-		Workload:  timedOps(time.Nanosecond), // over before any acquire can start
-		NewLocker: func(int) (Locker, error) { return NewManagerLocker(mgr), nil },
+		Clients: 4, Keys: keys, Cycles: attempts,
+		Workload:  timedOps(time.Nanosecond),
+		NewLocker: func(int) (Locker, error) { return cl.Open() },
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles != 0 {
@@ -41,22 +53,15 @@ func TestOpTimeoutAbortsEveryAttempt(t *testing.T) {
 	if res.AbortRate != 1 {
 		t.Errorf("abort rate = %v, want 1", res.AbortRate)
 	}
-	if res.Violations != 0 {
-		t.Errorf("violations = %d", res.Violations)
+	if res.Violations != 0 || mgr.Violations() != 0 {
+		t.Errorf("violations = %d/%d", res.Violations, mgr.Violations())
 	}
 }
 
 func TestOpTimeoutGenerousAbortsNothing(t *testing.T) {
-	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	res, err := Run(Config{
-		Clients: 4, Keys: 2, Cycles: 40,
-		Workload:  timedOps(time.Minute),
-		NewLocker: func(int) (Locker, error) { return NewManagerLocker(mgr), nil },
-	})
+	cfg, mgr := serverConfig(t, lockmgr.Config{HandlesPerLock: 2},
+		Config{Clients: 4, Keys: 2, Cycles: 40, Workload: timedOps(time.Minute)})
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,23 +75,3 @@ func TestOpTimeoutGenerousAbortsNothing(t *testing.T) {
 		t.Errorf("violations = %d/%d", res.Violations, mgr.Violations())
 	}
 }
-
-// TestOpTimeoutNeedsDeadlineBackend: timed ops over a backend without
-// AcquireFor must fail loudly, not silently fall back to unbounded.
-func TestOpTimeoutNeedsDeadlineBackend(t *testing.T) {
-	_, err := Run(Config{
-		Clients: 1, Keys: 1, Cycles: 1,
-		Workload:  timedOps(time.Millisecond),
-		NewLocker: func(int) (Locker, error) { return plainLocker{}, nil },
-	})
-	if err == nil {
-		t.Fatal("timed ops over a deadline-less backend succeeded")
-	}
-}
-
-// plainLocker is a Locker with no AcquireFor.
-type plainLocker struct{}
-
-func (plainLocker) Acquire(string) error { return nil }
-func (plainLocker) Release(string) error { return nil }
-func (plainLocker) Close() error         { return nil }

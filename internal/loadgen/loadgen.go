@@ -1,88 +1,72 @@
-// Package loadgen drives named-lock backends under configurable load: a
-// population of client goroutines acquires and releases keys drawn from
-// the repository's unified traffic model (internal/workload), measures
-// per-acquire latency and end-to-end throughput, and verifies mutual
-// exclusion with a per-key owner token checked inside every critical
+// Package loadgen drives a lock service under configurable load: a
+// population of client goroutines, each on its own service session,
+// acquires and releases keys drawn from the repository's unified
+// traffic model (internal/workload), measures per-acquire latency and
+// end-to-end throughput, and verifies mutual exclusion with a per-key
+// owner token and the service's own holds check inside every critical
 // section.
 //
 // One workload.Spec describes the whole run: the key-popularity
 // distribution (uniform, zipf, hotset, shifting-hotset), the arrival
 // process, the op mix (blocking lock, bounded trylock, deadline-bounded
 // acquire — expired attempts withdraw cleanly and are reported as an
-// abort count and rate), and the session-length profile. Closed-loop
-// specs behave like a classic benchmark: each client thinks between its
-// own cycles, so the load adapts to the backend's speed. Open-loop specs
+// abort count and rate — and crash, a holder that dies inside its
+// critical section), and the session-length profile. Closed-loop specs
+// behave like a classic benchmark: each client thinks between its own
+// cycles, so the load adapts to the backend's speed. Open-loop specs
 // (Poisson or bursty arrivals at an offered rate) decouple demand from
 // capacity — the generator reports offered versus achieved throughput,
 // shed arrivals, and the abort rate, which is what an abortable lock
 // service's SLA behavior under overload actually looks like.
 //
-// The backend is anything that can acquire and release named locks — the
-// in-process lockmgr.Manager (via ManagerLocker) or a lockd server over
-// TCP (via the lockd/client package); cmd/anonload exposes both.
+// The backend is one surface, Locker, which a lockd/client.Session
+// satisfies as is: every run goes through the lock service's client,
+// whether the server is a remote cluster or an in-process lockd on
+// loopback (cmd/anonload runs both).
 package loadgen
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"anonmutex/internal/lease"
-	"anonmutex/internal/lockmgr"
 	"anonmutex/internal/stats"
 	"anonmutex/internal/workload"
 	lockclient "anonmutex/lockd/client"
 )
 
-// Locker is one client's session on a named-lock backend. A Locker
+// Locker is one client's session on the lock service: exactly the ops
+// the generator issues. A lockd/client.Session satisfies it. A Locker
 // belongs to one client goroutine.
 type Locker interface {
+	// Acquire blocks until the session holds name.
 	Acquire(name string) error
-	Release(name string) error
-	Close() error
-}
-
-// HoldsChecker is the optional owner-check surface: a Locker that can
-// report, from the backend's own bookkeeping, whether this session holds
-// a name. When available, the generator issues the check inside every
-// critical section and counts failures as violations.
-type HoldsChecker interface {
-	Holds(name string) (bool, error)
-}
-
-// DeadlineLocker is the optional deadline surface: a Locker whose
-// acquires can be bounded. AcquireFor reports whether the lock is now
-// held; giving up at the deadline is not an error — the waiter withdraws
-// cleanly and the generator counts an abort. A spec with timed ops
-// requires the backend to offer this interface.
-type DeadlineLocker interface {
+	// AcquireFor bounds the attempt: giving up at the deadline is not an
+	// error — the waiter withdraws cleanly, it reports (false, nil), and
+	// the generator counts an abort.
 	AcquireFor(name string, d time.Duration) (bool, error)
-}
-
-// TryLocker is the optional trylock surface: a bounded probe that never
-// waits out a holder's critical section. A miss reports (false, nil) and
-// the generator counts it. A spec with try ops requires this interface.
-type TryLocker interface {
+	// TryAcquire is a bounded probe that never waits out a holder's
+	// critical section; a miss reports (false, nil) and is counted.
 	TryAcquire(name string) (bool, error)
-}
-
-// Crasher is the optional crash surface: acquire name on a session of
-// its own and then go dark holding it — no release, no heartbeat — so
-// the key stays stuck until the backend's lease TTL recovers it. A
-// spec with crash ops requires this interface. The generator never
-// touches the owner token for a crashed hold: the dead holder can't
-// clear it, and the token protocol is exactly what the successor's
-// fencing is judged against.
-type Crasher interface {
-	// Crash reports false when the acquire could not be granted in
-	// time — the victim "died" while still waiting, which the generator
-	// counts as an abort, not a run failure: on a crash-heavy hot key
-	// the queue drains at one expiry per TTL, so bounded-patience
-	// crashers are expected to give up sometimes.
+	// Release gives a held name back.
+	Release(name string) error
+	// Holds reports, from the backend's own bookkeeping, whether this
+	// session holds name: the generator asks inside every critical
+	// section and counts a false answer as a violation.
+	Holds(name string) (bool, error)
+	// Crash acquires name on a session of its own and then goes dark
+	// holding it — no release, no heartbeat — so the key stays stuck
+	// until the backend's lease TTL recovers it. It reports false when
+	// the acquire could not be granted in time: the victim "died" while
+	// still waiting, which the generator counts as an abort. The
+	// generator never touches the owner token for a crashed hold: the
+	// dead holder can't clear it, and the token protocol is exactly what
+	// the successor's fencing is judged against.
 	Crash(name string) (bool, error)
+	// Close ends the session; the backend releases what it still holds.
+	Close() error
 }
 
 // Config parameterizes a run.
@@ -103,10 +87,6 @@ type Config struct {
 	Workload *workload.Spec
 	// Seed drives the traffic model when the spec's own seed is unset.
 	Seed uint64
-	// ConnsPerSocket, when nonzero, overrides the spec's
-	// conns_per_socket knob — the CLI's -mux flag. The generator itself
-	// only records it; NewLocker decides what it means.
-	ConnsPerSocket int
 	// TolerateGrantLoss makes grant loss a counted outcome instead of a
 	// run failure: ops rejected because the grant was fenced away or its
 	// node became unreachable count as Lost (acquire-side losses count
@@ -152,9 +132,6 @@ func (c Config) withDefaults() (Config, workload.Spec, error) {
 	}
 	if spec.Seed == 0 {
 		spec.Seed = c.Seed
-	}
-	if c.ConnsPerSocket != 0 {
-		spec.ConnsPerSocket = c.ConnsPerSocket
 	}
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -231,7 +208,7 @@ func (r *Result) Table() *stats.Table {
 		r.Violations, r.Aborts, r.AbortRate, r.TryMisses,
 		r.LatencyP50, r.LatencyP90, r.LatencyP99, r.LatencyMax)
 	t.Notes = append(t.Notes,
-		"every critical section runs an owner check: a per-key token (CAS in, CAS out) plus the backend's holds op when offered")
+		"every critical section runs an owner check: a per-key token (CAS in, CAS out) plus the backend's holds op")
 	if r.OpTimeoutMS > 0 {
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("per-op deadline %.3gms: aborted acquires withdraw cleanly and do not enter the latency percentiles", r.OpTimeoutMS))
@@ -288,52 +265,24 @@ func (st *runState) fail(err error) {
 
 // client is one goroutine's session plus its traffic stream.
 type client struct {
-	st      *runState
-	me      int
-	lk      Locker
-	checker HoldsChecker
-	bounded DeadlineLocker
-	trier   TryLocker
-	crasher Crasher
-	src     *workload.Source
-	token   int64
+	st    *runState
+	me    int
+	lk    Locker
+	src   *workload.Source
+	token int64
 }
 
-// newClient opens session me and checks that the backend offers every
-// surface the op mix needs.
+// newClient opens session me.
 func (st *runState) newClient(me int) (*client, error) {
 	lk, err := st.cfg.NewLocker(me)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: client %d: %w", me, err)
 	}
-	c := &client{
+	return &client{
 		st: st, me: me, lk: lk,
 		src:   workload.NewSource(st.spec, uint64(me)),
 		token: int64(me + 1),
-	}
-	c.checker, _ = lk.(HoldsChecker)
-	if st.spec.Ops.Timed > 0 {
-		var ok bool
-		if c.bounded, ok = lk.(DeadlineLocker); !ok {
-			lk.Close()
-			return nil, fmt.Errorf("loadgen: client %d: the op mix has timed acquires but the backend session (%T) offers no AcquireFor", me, lk)
-		}
-	}
-	if st.spec.Ops.Try > 0 {
-		var ok bool
-		if c.trier, ok = lk.(TryLocker); !ok {
-			lk.Close()
-			return nil, fmt.Errorf("loadgen: client %d: the op mix has try acquires but the backend session (%T) offers no TryAcquire", me, lk)
-		}
-	}
-	if st.spec.Ops.Crash > 0 {
-		var ok bool
-		if c.crasher, ok = lk.(Crasher); !ok {
-			lk.Close()
-			return nil, fmt.Errorf("loadgen: client %d: the op mix has crash ops but the backend session (%T) offers no Crash", me, lk)
-		}
-	}
-	return c, nil
+	}, nil
 }
 
 // Cycle outcomes.
@@ -354,7 +303,6 @@ func grantLost(err error) bool {
 	var redir *lockclient.RedirectError
 	return errors.Is(err, lockclient.ErrFenced) ||
 		errors.Is(err, lockclient.ErrUnavailable) ||
-		errors.Is(err, lease.ErrFenced) ||
 		errors.As(err, &redir)
 }
 
@@ -365,56 +313,41 @@ func grantLost(err error) bool {
 func (c *client) runCycle(k int, kind workload.OpKind, sess workload.Session, latFrom time.Time, timeout time.Duration) int {
 	st := c.st
 	name := st.keys[k]
+	var (
+		ok   bool
+		err  error
+		verb = "acquiring"
+	)
 	switch kind {
 	case workload.OpCrash:
 		// Die holding the key: no latency sample, no owner-token traffic
 		// (a dead holder can't clear the token, and a false violation is
 		// worse than no check), no release. Recovery is the lease
 		// subsystem's job.
-		crashed, err := c.crasher.Crash(name)
-		if err != nil {
-			if st.cfg.TolerateGrantLoss && grantLost(err) {
-				return cycleAbort // the key's owner was mid-failover
-			}
-			st.fail(fmt.Errorf("loadgen: client %d crashing on %s: %w", c.me, name, err))
-			return cycleFailed
-		}
-		if !crashed {
-			return cycleAbort // died waiting, never held the key
-		}
-		return cycleCrash
+		verb = "crashing on"
+		ok, err = c.lk.Crash(name)
 	case workload.OpTry:
-		ok, err := c.trier.TryAcquire(name)
-		if err != nil {
-			if st.cfg.TolerateGrantLoss && grantLost(err) {
-				return cycleAbort // the key's owner was mid-failover
-			}
-			st.fail(fmt.Errorf("loadgen: client %d try-acquiring %s: %w", c.me, name, err))
-			return cycleFailed
-		}
-		if !ok {
-			return cycleMiss
-		}
+		verb = "try-acquiring"
+		ok, err = c.lk.TryAcquire(name)
 	case workload.OpTimed:
-		ok, err := c.bounded.AcquireFor(name, timeout)
-		if err != nil {
-			if st.cfg.TolerateGrantLoss && grantLost(err) {
-				return cycleAbort
-			}
-			st.fail(fmt.Errorf("loadgen: client %d acquiring %s: %w", c.me, name, err))
-			return cycleFailed
-		}
-		if !ok {
-			return cycleAbort
-		}
+		ok, err = c.lk.AcquireFor(name, timeout)
 	default:
-		if err := c.lk.Acquire(name); err != nil {
-			if st.cfg.TolerateGrantLoss && grantLost(err) {
-				return cycleAbort
-			}
-			st.fail(fmt.Errorf("loadgen: client %d acquiring %s: %w", c.me, name, err))
-			return cycleFailed
+		ok, err = true, c.lk.Acquire(name)
+	}
+	if err != nil {
+		if st.cfg.TolerateGrantLoss && grantLost(err) {
+			return cycleAbort // the key's owner was mid-failover
 		}
+		st.fail(fmt.Errorf("loadgen: client %d %s %s: %w", c.me, verb, name, err))
+		return cycleFailed
+	}
+	switch {
+	case kind == workload.OpCrash && ok:
+		return cycleCrash
+	case kind == workload.OpTry && !ok:
+		return cycleMiss
+	case !ok:
+		return cycleAbort // timed out, or a crasher died waiting
 	}
 	lat := float64(time.Since(latFrom).Microseconds())
 	// Critical section: owner checks, then the payload work. In a
@@ -426,23 +359,21 @@ func (c *client) runCycle(k int, kind workload.OpKind, sess workload.Session, la
 	if tokenCheck && !st.owners[k].CompareAndSwap(0, c.token) {
 		st.violations.Add(1)
 	}
-	if c.checker != nil {
-		held, err := c.checker.Holds(name)
-		if err != nil {
-			if st.cfg.TolerateGrantLoss && grantLost(err) {
-				return cycleLost
-			}
-			// A transport/backend failure is a run error, not evidence
-			// the lock misbehaved.
-			st.fail(fmt.Errorf("loadgen: client %d holds check on %s: %w", c.me, name, err))
-			return cycleFailed
+	held, err := c.lk.Holds(name)
+	if err != nil {
+		if st.cfg.TolerateGrantLoss && grantLost(err) {
+			return cycleLost
 		}
-		if !held {
-			if st.cfg.TolerateGrantLoss {
-				return cycleLost // fenced away between grant and check
-			}
-			st.violations.Add(1)
+		// A transport/backend failure is a run error, not evidence the
+		// lock misbehaved.
+		st.fail(fmt.Errorf("loadgen: client %d holds check on %s: %w", c.me, name, err))
+		return cycleFailed
+	}
+	if !held {
+		if st.cfg.TolerateGrantLoss {
+			return cycleLost // fenced away between grant and check
 		}
+		st.violations.Add(1)
 	}
 	workload.Spin(sess.CSWork)
 	if tokenCheck && !st.owners[k].CompareAndSwap(c.token, 0) {
@@ -457,6 +388,24 @@ func (c *client) runCycle(k int, kind workload.OpKind, sess workload.Session, la
 	}
 	st.latencies[c.me] = append(st.latencies[c.me], lat)
 	return cycleDone
+}
+
+// tally counts one cycle's outcome and reports whether the client
+// should go on (false once the run has failed).
+func (st *runState) tally(outcome int) bool {
+	switch outcome {
+	case cycleFailed:
+		return false
+	case cycleAbort:
+		st.aborts.Add(1)
+	case cycleMiss:
+		st.tryMisses.Add(1)
+	case cycleCrash:
+		st.crashes.Add(1)
+	case cycleLost:
+		st.lost.Add(1)
+	}
+	return true
 }
 
 // closedLoop is one client's classic benchmark loop: draw, acquire, run
@@ -479,17 +428,8 @@ func (st *runState) closedLoop(me int) {
 		k := c.src.PickKey(st.cfg.Keys)
 		kind := c.src.NextOp()
 		sess := c.src.NextSession()
-		switch c.runCycle(k, kind, sess, time.Now(), timeout) {
-		case cycleFailed:
+		if !st.tally(c.runCycle(k, kind, sess, time.Now(), timeout)) {
 			return
-		case cycleAbort:
-			st.aborts.Add(1)
-		case cycleMiss:
-			st.tryMisses.Add(1)
-		case cycleCrash:
-			st.crashes.Add(1)
-		case cycleLost:
-			st.lost.Add(1)
 		}
 		workload.Spin(sess.RemainderWork)
 	}
@@ -592,93 +532,4 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// ManagerLocker adapts one client's view of an in-process
-// lockmgr.Manager to the Locker interface, with session bookkeeping so
-// Holds serves as the backend owner check. It drives the manager's
-// allocation-free Lease API, so the measured hot loop stays off the
-// heap. One ManagerLocker per client goroutine.
-type ManagerLocker struct {
-	mgr    *lockmgr.Manager
-	leases map[string]lockmgr.Lease
-}
-
-// NewManagerLocker opens a session on mgr.
-func NewManagerLocker(mgr *lockmgr.Manager) *ManagerLocker {
-	return &ManagerLocker{mgr: mgr, leases: make(map[string]lockmgr.Lease)}
-}
-
-// Acquire blocks until this session holds name.
-func (l *ManagerLocker) Acquire(name string) error {
-	if _, held := l.leases[name]; held {
-		return fmt.Errorf("loadgen: session already holds %q", name)
-	}
-	lease, err := l.mgr.AcquireLeaseCtx(context.Background(), name)
-	if err != nil {
-		return err
-	}
-	l.leases[name] = lease
-	return nil
-}
-
-// AcquireFor implements DeadlineLocker over the manager's deadline-
-// bounded acquire: an attempt that cannot complete within d withdraws
-// cleanly and reports (false, nil).
-func (l *ManagerLocker) AcquireFor(name string, d time.Duration) (bool, error) {
-	if _, held := l.leases[name]; held {
-		return false, fmt.Errorf("loadgen: session already holds %q", name)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	lease, err := l.mgr.AcquireLeaseCtx(ctx, name)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return false, nil
-		}
-		return false, err
-	}
-	l.leases[name] = lease
-	return true, nil
-}
-
-// TryAcquire implements TryLocker over the manager's bounded probe: a
-// lost race reports (false, nil) without waiting out the holder.
-func (l *ManagerLocker) TryAcquire(name string) (bool, error) {
-	if _, held := l.leases[name]; held {
-		return false, fmt.Errorf("loadgen: session already holds %q", name)
-	}
-	lease, ok, err := l.mgr.TryAcquireLease(name)
-	if err != nil || !ok {
-		return false, err
-	}
-	l.leases[name] = lease
-	return true, nil
-}
-
-// Release gives a held name back.
-func (l *ManagerLocker) Release(name string) error {
-	lease, held := l.leases[name]
-	if !held {
-		return fmt.Errorf("loadgen: session does not hold %q", name)
-	}
-	delete(l.leases, name)
-	return l.mgr.Release(lease)
-}
-
-// Holds implements HoldsChecker from the session's bookkeeping.
-func (l *ManagerLocker) Holds(name string) (bool, error) {
-	_, held := l.leases[name]
-	return held, nil
-}
-
-// Close releases anything the session still holds.
-func (l *ManagerLocker) Close() error {
-	for name, lease := range l.leases {
-		delete(l.leases, name)
-		if err := l.mgr.Release(lease); err != nil {
-			return err
-		}
-	}
-	return nil
 }

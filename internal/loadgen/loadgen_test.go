@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"context"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -8,16 +10,55 @@ import (
 	"anonmutex"
 	"anonmutex/internal/lockmgr"
 	"anonmutex/internal/workload"
+	"anonmutex/lockd"
+	lockclient "anonmutex/lockd/client"
 )
 
-func managerConfig(t *testing.T, mcfg lockmgr.Config, cfg Config) (Config, *lockmgr.Manager) {
+// serverConfig runs a lockd over a fresh lock manager on a loopback
+// listener and points cfg's sessions at it. Teardown shuts the server
+// down and closes the manager; a close error means a grant leaked.
+func serverConfig(t *testing.T, mcfg lockmgr.Config, cfg Config) (Config, *lockmgr.Manager) {
+	t.Helper()
+	mgr, cl := startServer(t, mcfg)
+	cfg.NewLocker = func(int) (Locker, error) { return cl.Open() }
+	return cfg, mgr
+}
+
+// startServer runs a lease-free lockd over a fresh lock manager on a
+// loopback listener and dials a client on it, both torn down with the
+// test.
+func startServer(t *testing.T, mcfg lockmgr.Config) (*lockmgr.Manager, lockclient.Client) {
 	t.Helper()
 	mgr, err := lockmgr.New(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NewLocker = func(int) (Locker, error) { return NewManagerLocker(mgr), nil }
-	return cfg, mgr
+	srv := lockd.NewServer(mgr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	cl, err := lockclient.Dial(lockclient.Options{Addrs: []string{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cl.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Errorf("manager close: %v", err)
+		}
+	})
+	return mgr, cl
 }
 
 // TestRunCyclesProfiles runs the closed loop over the stock traffic
@@ -38,7 +79,7 @@ func TestRunCyclesProfiles(t *testing.T) {
 		{"alg1-8-on-3", anonmutex.RW, 8, 3, workload.Spec{Keys: workload.KeySpec{Dist: workload.KeyHotset, HotKeys: 1, HotFrac: 0.8}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, mgr := managerConfig(t,
+			cfg, mgr := serverConfig(t,
 				lockmgr.Config{Shards: 2, Algorithm: tc.alg, HandlesPerLock: tc.handles},
 				Config{Clients: tc.clients, Keys: 4, Cycles: 120, Workload: &tc.spec, Seed: 7})
 			res, err := Run(cfg)
@@ -63,9 +104,6 @@ func TestRunCyclesProfiles(t *testing.T) {
 			if res.Arrival != workload.ArrivalClosed {
 				t.Errorf("%s resolved to arrival %q", tc.name, res.Arrival)
 			}
-			if err := mgr.Close(); err != nil {
-				t.Errorf("manager close: %v", err)
-			}
 		})
 	}
 }
@@ -77,14 +115,13 @@ func TestRunWorkloadSpec(t *testing.T) {
 		Keys: workload.KeySpec{Dist: workload.KeyZipf, ZipfS: 1.2},
 		Ops:  workload.OpMix{Lock: 0.6, Try: 0.2, Timed: 0.2, TimeoutMS: 50},
 	}
-	cfg, mgr := managerConfig(t,
+	cfg, mgr := serverConfig(t,
 		lockmgr.Config{Shards: 2, HandlesPerLock: 2},
 		Config{Clients: 4, Keys: 8, Cycles: 200, Workload: &spec})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	if res.Violations != 0 || mgr.Violations() != 0 {
 		t.Errorf("violations = %d/%d", res.Violations, mgr.Violations())
 	}
@@ -99,7 +136,7 @@ func TestRunWorkloadSpec(t *testing.T) {
 }
 
 func TestRunDuration(t *testing.T) {
-	cfg, _ := managerConfig(t,
+	cfg, _ := serverConfig(t,
 		lockmgr.Config{HandlesPerLock: 2},
 		Config{Clients: 2, Keys: 2, Duration: 50 * time.Millisecond})
 	res, err := Run(cfg)
@@ -129,7 +166,7 @@ func TestResultTable(t *testing.T) {
 func TestConfigErrors(t *testing.T) {
 	lockerless := func(c Config) Config { return c }
 	withLocker := func(c Config) Config {
-		c.NewLocker = func(int) (Locker, error) { return NewManagerLocker(nil), nil }
+		c.NewLocker = func(int) (Locker, error) { return &recordingLocker{}, nil }
 		return c
 	}
 	cases := []Config{
@@ -146,53 +183,5 @@ func TestConfigErrors(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("Run(case %d) succeeded", i)
 		}
-	}
-}
-
-// TestOpMixNeedsCapableBackend: a spec with try ops over a backend
-// without TryAcquire must fail loudly.
-func TestOpMixNeedsCapableBackend(t *testing.T) {
-	_, err := Run(Config{
-		Clients: 1, Keys: 1, Cycles: 1,
-		Workload:  &workload.Spec{Ops: workload.OpMix{Try: 1}},
-		NewLocker: func(int) (Locker, error) { return plainLocker{}, nil },
-	})
-	if err == nil || !strings.Contains(err.Error(), "TryAcquire") {
-		t.Fatalf("try mix over a try-less backend: err = %v", err)
-	}
-}
-
-func TestManagerLockerSessionErrors(t *testing.T) {
-	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk := NewManagerLocker(mgr)
-	if err := lk.Acquire("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := lk.Acquire("k"); err == nil {
-		t.Error("re-acquire in one session succeeded")
-	}
-	if held, _ := lk.Holds("k"); !held {
-		t.Error("Holds = false for a held name")
-	}
-	if _, err := lk.TryAcquire("k"); err == nil {
-		t.Error("try re-acquire in one session succeeded")
-	}
-	if err := lk.Release("nope"); err == nil {
-		t.Error("release of unheld name succeeded")
-	}
-	// A try probe on a busy lock misses without error.
-	other := NewManagerLocker(mgr)
-	if ok, err := other.TryAcquire("k"); err != nil || ok {
-		t.Errorf("TryAcquire on a held lock = (%v, %v), want (false, nil)", ok, err)
-	}
-	// Close releases the leftover grant, so the manager can shut down.
-	if err := lk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -94,17 +94,8 @@ func (st *runState) openLoop(me int, arrivals <-chan time.Time) {
 				continue
 			}
 		}
-		switch c.runCycle(k, kind, sess, stamp, opTimeout) {
-		case cycleFailed:
+		if !st.tally(c.runCycle(k, kind, sess, stamp, opTimeout)) {
 			return
-		case cycleAbort:
-			st.aborts.Add(1)
-		case cycleMiss:
-			st.tryMisses.Add(1)
-		case cycleCrash:
-			st.crashes.Add(1)
-		case cycleLost:
-			st.lost.Add(1)
 		}
 		// No remainder think time: in an open loop the arrival process,
 		// not the client, owns the pacing.

@@ -17,14 +17,13 @@ func TestOpenLoopArrivalAccounting(t *testing.T) {
 		Seed:    3,
 		Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerSec: 50_000, MaxBacklog: 1024},
 	}
-	cfg, mgr := managerConfig(t,
+	cfg, mgr := serverConfig(t,
 		lockmgr.Config{Shards: 2, HandlesPerLock: 4},
 		Config{Clients: 4, Keys: 4, Cycles: 300, Workload: &spec})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	if res.Arrivals != 300 {
 		t.Errorf("arrivals = %d, want 300", res.Arrivals)
 	}
@@ -53,14 +52,13 @@ func TestOpenLoopOverloadAbortsNotViolations(t *testing.T) {
 		Arrival: workload.ArrivalSpec{Process: workload.ArrivalBursty, RatePerSec: 500_000, BurstSize: 16, MaxBacklog: 32},
 		Ops:     workload.OpMix{Timed: 1, TimeoutMS: 0.5},
 	}
-	cfg, mgr := managerConfig(t,
+	cfg, mgr := serverConfig(t,
 		lockmgr.Config{Shards: 2, HandlesPerLock: 2},
 		Config{Clients: 4, Keys: 2, Cycles: 2000, Workload: &spec})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	if res.Violations != 0 || mgr.Violations() != 0 {
 		t.Fatalf("violations = %d/%d under overload", res.Violations, mgr.Violations())
 	}
@@ -81,14 +79,13 @@ func TestOpenLoopDurationBound(t *testing.T) {
 		Seed:    11,
 		Arrival: workload.ArrivalSpec{Process: workload.ArrivalPoisson, RatePerSec: 20_000},
 	}
-	cfg, mgr := managerConfig(t,
+	cfg, _ := serverConfig(t,
 		lockmgr.Config{HandlesPerLock: 2},
 		Config{Clients: 2, Keys: 2, Duration: 50 * time.Millisecond, Workload: &spec})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	if res.Cycles == 0 {
 		t.Error("no cycles completed in a 50ms open-loop run")
 	}

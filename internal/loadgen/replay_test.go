@@ -9,11 +9,13 @@ package loadgen
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"anonmutex/internal/workload"
 )
 
-// recordingLocker records the acquire order of one client.
+// recordingLocker is a fake backend that grants everything at once and
+// records one client's acquire order.
 type recordingLocker struct {
 	names []string
 }
@@ -22,8 +24,14 @@ func (r *recordingLocker) Acquire(name string) error {
 	r.names = append(r.names, name)
 	return nil
 }
-func (r *recordingLocker) Release(string) error { return nil }
-func (r *recordingLocker) Close() error         { return nil }
+func (r *recordingLocker) AcquireFor(name string, _ time.Duration) (bool, error) {
+	return true, r.Acquire(name)
+}
+func (r *recordingLocker) TryAcquire(name string) (bool, error) { return true, r.Acquire(name) }
+func (r *recordingLocker) Release(string) error                 { return nil }
+func (r *recordingLocker) Holds(string) (bool, error)           { return true, nil }
+func (r *recordingLocker) Crash(string) (bool, error)           { return true, nil }
+func (r *recordingLocker) Close() error                         { return nil }
 
 func TestReplayLoadgenMatchesTrace(t *testing.T) {
 	spec := workload.Spec{

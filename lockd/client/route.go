@@ -309,7 +309,10 @@ func (cl *poolClient) Stats() (wire.Stats, error) {
 // are its own, so it never shares fate with a live session, and which
 // goes silent holding name — the orphan-holder footprint lease recovery
 // is tested against. The acquire routes like any other: it follows
-// redirects and retries past members that stopped answering.
+// redirects and retries past members that stopped answering. A grant
+// without a fencing token comes from a lease-free server, where nothing
+// but this client's Close would ever free the orphan: the corpse gives
+// the key back and the crash fails.
 func (cl *poolClient) crash(name string) (bool, error) {
 	corpse := cl.newSession(make(map[string]*muxPool), 0)
 	ok, err := corpse.AcquireFor(name, cl.opts.CrashTimeout)
@@ -319,6 +322,11 @@ func (cl *poolClient) crash(name string) (bool, error) {
 			return false, fmt.Errorf("client: crash %s: %w", name, err)
 		}
 		return false, nil // died while still waiting: abort, not failure
+	}
+	if corpse.Token(name) == 0 {
+		err := corpse.Release(name)
+		corpse.closeSubs()
+		return false, errors.Join(fmt.Errorf("client: crash %s: the server runs no leases, so nothing would recover the orphan", name), err)
 	}
 	cl.mu.Lock()
 	if cl.closed {

@@ -69,6 +69,9 @@ func TestSessionLifecycle(t *testing.T) {
 	if err := c.Acquire("k"); err == nil {
 		t.Error("re-acquiring a held name in one session succeeded")
 	}
+	if _, err := c.TryAcquire("k"); err == nil {
+		t.Error("try-acquiring a held name in one session succeeded")
+	}
 	if err := c.Release("k"); err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +114,38 @@ func TestTryAcquireAcrossSessions(t *testing.T) {
 	}
 	if err := b.Release("k"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrashNeedsLeases: on a lease-free server nothing but the client's
+// Close would free a crash orphan, so Crash refuses — it gives the grant
+// back and errors — and another session can take the key at once.
+func TestCrashNeedsLeases(t *testing.T) {
+	_, mgr, addr := startServer(t, lockmgr.Config{HandlesPerLock: 2})
+	cl, err := client.Dial(client.Options{Addrs: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	a, err := cl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := a.Crash("k"); err == nil {
+		t.Fatalf("Crash on a lease-free server = (%v, nil), want an error", ok)
+	}
+	b, err := cl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := b.TryAcquire("k"); err != nil || !ok {
+		t.Fatalf("try after a refused crash: ok=%v err=%v", ok, err)
+	}
+	if err := b.Release("k"); err != nil {
+		t.Fatal(err)
+	}
+	if v := mgr.Violations(); v != 0 {
+		t.Errorf("violations = %d", v)
 	}
 }
 

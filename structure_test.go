@@ -20,9 +20,11 @@ import (
 	"testing"
 )
 
-// TestDependencyPins: the client library never links the server, and the
+// TestDependencyPins: the client library never links the server; the
 // daemon links none of the research harness — the algorithm it serves is
-// an anonmutex.Algorithm, even though that type also names the strawman.
+// an anonmutex.Algorithm, even though that type also names the strawman;
+// and the load generator drives only lock-service sessions, so it links
+// neither the lock manager nor the lease layer behind the server.
 func TestDependencyPins(t *testing.T) {
 	for _, pin := range []struct {
 		pkg       string
@@ -33,6 +35,7 @@ func TestDependencyPins(t *testing.T) {
 			"anonmutex/internal/scenario", "anonmutex/internal/workload", "anonmutex/internal/sched",
 			"anonmutex/internal/explore", "anonmutex/internal/lowerbound", "anonmutex/internal/strawman",
 		}},
+		{"./internal/loadgen", []string{"anonmutex/internal/lockmgr", "anonmutex/internal/lease"}},
 	} {
 		cmd := exec.Command("go", "list", "-deps", pin.pkg)
 		var stderr strings.Builder
