@@ -19,6 +19,7 @@ package amem
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"anonmutex/internal/id"
@@ -102,9 +103,9 @@ func (mem *Memory) ObserveValues() []id.ID {
 
 // NewView creates the anonymous view of this memory for process me, using
 // the permutation p assigned by the adversary. The permutation maps local
-// register names (0-based) to physical indices. The view keeps p itself,
-// not a copy: the caller hands over the permutation it just built and
-// must not modify it afterwards.
+// register names (0-based) to physical indices. The view keeps a compact
+// copy of p, two bytes an entry, so a memory of more than 65 536
+// registers has no views.
 func (mem *Memory) NewView(me id.ID, p perm.Perm) (*View, error) {
 	if me.IsNone() {
 		return nil, fmt.Errorf("amem: a view requires a process identity, got ⊥")
@@ -112,10 +113,17 @@ func (mem *Memory) NewView(me id.ID, p perm.Perm) (*View, error) {
 	if len(p) != len(mem.regs) {
 		return nil, fmt.Errorf("amem: permutation size %d does not match memory size %d", len(p), len(mem.regs))
 	}
+	if len(p) > math.MaxUint16+1 {
+		return nil, fmt.Errorf("amem: a view indexes at most %d registers, got %d", math.MaxUint16+1, len(p))
+	}
 	if !p.Valid() {
 		return nil, fmt.Errorf("amem: invalid permutation %v", p)
 	}
-	return &View{regs: mem.regs, perm: p, me: me}, nil
+	compact := make([]uint16, len(p))
+	for x, phys := range p {
+		compact[x] = uint16(phys)
+	}
+	return &View{regs: mem.regs, perm: compact, me: me}, nil
 }
 
 // View is process pi's anonymous handle on the shared memory: every access
@@ -128,7 +136,7 @@ func (mem *Memory) NewView(me id.ID, p perm.Perm) (*View, error) {
 // permutation and the block and nothing in between.
 type View struct {
 	regs []register.Atomic // the Memory's block, physical order
-	perm perm.Perm
+	perm []uint16          // local index → physical index
 	me   id.ID
 	seq  uint32 // sni: per-process write sequence number
 
@@ -236,4 +244,10 @@ func (v *View) SnapshotStats() (calls, collects uint64) {
 
 // Perm returns a copy of this view's permutation. For diagnostics and
 // experiment reporting only: a real process never knows its permutation.
-func (v *View) Perm() perm.Perm { return v.perm.Clone() }
+func (v *View) Perm() perm.Perm {
+	p := make(perm.Perm, len(v.perm))
+	for x, phys := range v.perm {
+		p[x] = int(phys)
+	}
+	return p
+}

@@ -1,6 +1,7 @@
 package amem
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"unsafe"
@@ -111,6 +112,23 @@ func TestViewValidation(t *testing.T) {
 	}
 	if _, err := mem.NewView(me, perm.Identity(3)); err != nil {
 		t.Errorf("valid view rejected: %v", err)
+	}
+}
+
+// TestViewKeepsPermCopy pins the compact permutation: the view copies
+// what it is given, and Perm hands back an equal copy of its own.
+func TestViewKeepsPermCopy(t *testing.T) {
+	p := perm.Rotation(5, 2)
+	v := newTestView(t, New(5), id.NewGenerator().MustNew(), p)
+	want := p.Clone()
+	p[0], p[1] = p[1], p[0]
+	got := v.Perm()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Perm() = %v after the caller's slice changed, want %v", got, want)
+	}
+	got[0], got[1] = got[1], got[0]
+	if fmt.Sprint(v.Perm()) != fmt.Sprint(want) {
+		t.Fatalf("changing Perm()'s result changed the view: %v", v.Perm())
 	}
 }
 

@@ -80,7 +80,9 @@ func (b *Backoff) normalize() {
 type Driver struct {
 	machine core.Machine
 	exec    Executor
-	backoff Backoff
+	// backoff is read, never written: NewDriver's drivers all share
+	// defaultBackoff.
+	backoff *Backoff
 	// snapBuf is made by the first snapshot the machine requests (Exec
 	// grows it) and reused from then on; a driver of Algorithm 2, which
 	// never snapshots, never has one.
@@ -103,13 +105,22 @@ type Driver struct {
 // NewDriver builds a driver for machine over exec with the default
 // backoff. Steady-state driving performs zero allocations per operation.
 func NewDriver(machine core.Machine, exec Executor) *Driver {
-	return NewDriverBackoff(machine, exec, DefaultBackoff())
+	return &Driver{machine: machine, exec: exec, backoff: defaultBackoff}
 }
 
-// NewDriverBackoff builds a driver with an explicit backoff policy.
+// defaultBackoff is the normalized DefaultBackoff every NewDriver points
+// at, so a process handle does not carry a copy of the policy.
+var defaultBackoff = func() *Backoff {
+	b := DefaultBackoff()
+	b.normalize()
+	return &b
+}()
+
+// NewDriverBackoff builds a driver with an explicit backoff policy, of
+// which it keeps its own copy.
 func NewDriverBackoff(machine core.Machine, exec Executor, b Backoff) *Driver {
 	b.normalize()
-	return &Driver{machine: machine, exec: exec, backoff: b}
+	return &Driver{machine: machine, exec: exec, backoff: &b}
 }
 
 // Machine returns the driven machine.

@@ -130,6 +130,43 @@ func BenchmarkAcquireRelease_Contended(b *testing.B) {
 	}
 }
 
+// BenchmarkAcquireRelease_Evicting cycles through twice the default
+// resident cap (16 shards of 1 024) in order, so every acquire misses a
+// full shard and evicts its coldest name: the path a key space larger
+// than the table takes.
+func BenchmarkAcquireRelease_Evicting(b *testing.B) {
+	mgr := benchManager(b)
+	names := make([]string, 2*16*1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("evict-%05d", i)
+	}
+	ctx := context.Background()
+	cycle := func(name string) {
+		l, err := mgr.AcquireLeaseCtx(ctx, name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mgr.Release(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		cycle(name)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(names[i%len(names)])
+	}
+	b.StopTimer()
+	if c := mgr.Counters(); c.Evictions < uint64(b.N) {
+		b.Fatalf("%d evictions over %d cycles: the table did not stay full", c.Evictions, b.N)
+	}
+	if v := mgr.Violations(); v != 0 {
+		b.Fatalf("violations = %d", v)
+	}
+}
+
 // BenchmarkStats measures the counter snapshot path (satellite: it must
 // not serialize against the shards' acquire traffic).
 func BenchmarkStats(b *testing.B) {

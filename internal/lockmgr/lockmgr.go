@@ -9,12 +9,15 @@
 //   - Sharding. Lock names hash (FNV-1a) to one of K independent shards,
 //     so unrelated names never contend on manager bookkeeping.
 //   - Lazy, bounded materialization. Each shard keeps an LRU-bounded
-//     table of named locks; a lock's anonymous-register arena exists only
-//     while the name is hot, and cold arenas are evicted (their handles
-//     closed) once the table fills. Recency is tracked CLOCK-style: a hit
-//     only sets a touch bit, and promotion happens in batches at eviction
-//     time, so the hit path's critical section is a map lookup and two
-//     stores.
+//     table of named locks; a name has an anonymous-register arena only
+//     while it is hot. Once the table fills, the coldest idle lock is
+//     re-keyed to the next name — its registers are all ⊥ and its parked
+//     handle owns none, so it is as good as new — and only a lock that
+//     materialized more than one handle is torn down (its handles
+//     closed). A full table's eviction therefore allocates nothing.
+//     Recency is tracked CLOCK-style: a hit only sets a touch bit, and
+//     promotion happens in batches at eviction time, so the hit path's
+//     critical section is a map lookup and two stores.
 //   - Lease pooling. Every named lock is a fixed-n anonmutex lock; a
 //     lease pool multiplexes arbitrarily many clients onto those n
 //     process handles through a mutex-guarded slice of parked handles,
@@ -65,10 +68,14 @@ type Config struct {
 	// smallest legal size for the algorithm and n).
 	Registers int
 	// MaxLocksPerShard bounds each shard's resident lock table (default
-	// 1024). Beyond it, the least-recently-used idle lock is evicted.
+	// 1024). Beyond it, the least-recently-used idle lock is evicted (and
+	// re-keyed to the new name when it has at most one handle).
 	MaxLocksPerShard int
-	// Seed drives each lock's anonymity adversary; per-name seeds are
-	// derived from it so distinct names get distinct permutations.
+	// Seed drives each lock's anonymity adversary. A lock's permutations
+	// are drawn, from Seed and the name it serves first, when it is first
+	// materialized: a lock the full table re-keys to another name keeps
+	// them. The paper's adversary may assign any permutations, so
+	// correctness does not depend on which.
 	Seed uint64
 }
 
@@ -161,6 +168,9 @@ type shard struct {
 // entry is one resident named lock: table slot, recency-list node and
 // lease pool in one object.
 type entry struct {
+	// name changes only under the shard mutex, while refs is 0 (a full
+	// table re-keys the entry), so whoever holds a pin reads it freely;
+	// after unpinning, it may name another lock.
 	name string
 	sh   *shard
 	// prev points toward the hot end, next toward the cold end; both are
@@ -223,7 +233,8 @@ type Counters struct {
 	// withdrawn process's identity.
 	LeaseTimeouts, Aborts uint64
 	// LockCreates and Hits split name lookups into cold and warm;
-	// Evictions counts LRU teardowns.
+	// Evictions counts names the full table dropped. A cold name that
+	// takes over an evicted lock counts one of each.
 	LockCreates, Hits, Evictions uint64
 	// ResidentLocks is the current table population.
 	ResidentLocks int
@@ -304,15 +315,19 @@ func (m *Manager) pin(sh *shard, name string, unlessHeld bool) (*entry, error) {
 		sh.c.hits.Add(1)
 		return e, nil
 	}
+	var e *entry
 	if len(sh.entries) >= m.cfg.MaxLocksPerShard {
-		sh.evictColdest()
+		e = sh.evictColdest()
 	}
-	newHandle, err := m.newLock(name)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
+	if e == nil {
+		newHandle, err := m.newLock(name)
+		if err != nil {
+			sh.mu.Unlock()
+			return nil, err
+		}
+		e = &entry{sh: sh, pool: leasePool{capacity: m.cfg.HandlesPerLock, newHandle: newHandle}}
 	}
-	e := &entry{name: name, sh: sh, pool: leasePool{capacity: m.cfg.HandlesPerLock, newHandle: newHandle}}
+	e.name = name
 	e.refs.Store(1)
 	sh.pushHot(e)
 	sh.entries[name] = e
@@ -343,15 +358,28 @@ func (m *Manager) checkout(ctx context.Context, name string) (*entry, procHandle
 	return e, h, nil
 }
 
-// evictColdest removes the least-recently-used idle entry, closing its
-// pooled handles. Called with the shard lock held. The scan is the CLOCK
-// second-chance pass: walking from the cold end, every pinned or touched
-// entry is promoted to the front (its touch bit cleared — this is where
-// the hit path's deferred move-to-hot-end work happens, in one batch), and
-// the first cold unpinned entry is evicted. A shard whose every entry is
+// evictColdest removes the least-recently-used idle entry from the table
+// and, when it can serve another name, hands it back for pin to re-key.
+// Called with the shard lock held. The scan is the CLOCK second-chance
+// pass: walking from the cold end, every pinned or touched entry is
+// promoted to the front (its touch bit cleared — this is where the hit
+// path's deferred move-to-hot-end work happens, in one batch), and the
+// first cold unpinned entry is evicted. A shard whose every entry is
 // pinned or perpetually touched simply overflows its bound until one
-// goes idle.
-func (sh *shard) evictColdest() {
+// goes idle, and evictColdest returns nil.
+//
+// The victim is idle: refs == 0 under the shard mutex means every
+// materialized handle is parked (pins only rise under this mutex), its
+// owner has left the critical section or backed out, and so every
+// register holds ⊥ and no parked handle owns one — the state a fresh lock
+// starts in, and the one Process.Close's re-lease relies on. So a victim
+// keeps its lock, registers and parked handle for the next name. One
+// that materialized more than one handle is closed and dropped instead
+// (nil is returned), so a name once contended cannot keep n handles in
+// the table. Closing only the extra handles would not do: Process.Close
+// parks a handle on its lock's free list for re-lease, so only dropping
+// the lock frees them.
+func (sh *shard) evictColdest() *entry {
 	// Two passes over the list suffice: the first pass clears every touch
 	// bit it meets, so the second finds a victim unless everything is
 	// pinned.
@@ -364,17 +392,20 @@ func (sh *shard) evictColdest() {
 			e = colder
 			continue
 		}
-		// refs == 0 under the shard mutex means every materialized handle
-		// is parked (pins only rise under this mutex), so closeIdle cannot
-		// fail; a failure would be a manager bug and the entry is dropped
-		// either way (its arena is unreachable).
-		_ = e.pool.closeIdle()
 		sh.unlink(e)
 		delete(sh.entries, e.name)
 		sh.c.evictions.Add(1)
 		sh.c.resident.Add(-1)
-		return
+		if e.pool.handles() <= 1 {
+			return e
+		}
+		// closeIdle cannot fail on an idle entry; a failure would be a
+		// manager bug and the entry is dropped either way (its arena is
+		// unreachable).
+		_ = e.pool.closeIdle()
+		return nil
 	}
+	return nil
 }
 
 // Lease is a held named lock, as returned by AcquireLeaseCtx,
@@ -389,7 +420,9 @@ type Lease struct {
 // Valid reports whether the lease holds a lock.
 func (l Lease) Valid() bool { return l.e != nil }
 
-// Name returns the held lock's name.
+// Name returns the held lock's name. It is valid only while the lease is
+// held: once released (or revoked by the lease layer) the lock no longer
+// pins its entry, which a full table may re-key to another name.
 func (l Lease) Name() string { return l.e.name }
 
 // AcquireLeaseCtx blocks until the caller holds the named lock,

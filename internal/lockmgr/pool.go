@@ -27,8 +27,10 @@ type procHandle interface {
 // after parking its handle — a timed-out waiter simply stops receiving,
 // so it leaves the queue without holding, leaking, or reordering any
 // handle. The pool never discards a handle while the entry lives — the
-// root package's Close/re-lease cycle is exercised at eviction time,
-// when closeIdle returns every slot to the lock.
+// root package's Close/re-lease cycle is exercised when an evicted entry
+// with more than one handle is dropped, as closeIdle returns every slot
+// to the lock; an evicted entry with one keeps it parked for the name
+// the entry is re-keyed to.
 //
 // A mutex rather than a lock-free ring on purpose: interleaved runs of
 // the solo acquire/release benchmark could not separate the two, and a
@@ -145,6 +147,13 @@ func (p *leasePool) release(h procHandle) {
 			// forces a re-poll that happens after this handle was parked.
 		}
 	}
+}
+
+// handles reports how many handles the pool has materialized.
+func (p *leasePool) handles() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.created
 }
 
 // closeIdle closes every materialized handle. Callable only when no

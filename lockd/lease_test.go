@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +29,13 @@ import (
 // tokens and expire after ttl without a heartbeat.
 func startLeaseServer(t *testing.T, ttl time.Duration) (*lockd.Server, *lockmgr.Manager, string) {
 	t.Helper()
-	mgr, err := lockmgr.New(lockmgr.Config{HandlesPerLock: 4})
+	return startLeaseServerCfg(t, lockmgr.Config{HandlesPerLock: 4}, ttl)
+}
+
+// startLeaseServerCfg is startLeaseServer over a manager built from cfg.
+func startLeaseServerCfg(t *testing.T, cfg lockmgr.Config, ttl time.Duration) (*lockd.Server, *lockmgr.Manager, string) {
+	t.Helper()
+	mgr, err := lockmgr.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +351,91 @@ func TestEndStreamSharesRevocationPath(t *testing.T) {
 	}
 	if err := b.Release("kb"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpiredGrantOnRecycledLock: a grant the TTL revoked no longer pins
+// its lock, so on a full table the lock is re-keyed to other names while
+// the expired holder's session still lists the grant. The holder's
+// release, and its session's teardown, must name the key the session
+// holds — never read the recycled lock's name, which another session's
+// acquire rewrites concurrently (run under -race). The release is
+// fenced on the holder's own key, and every name stays usable.
+func TestExpiredGrantOnRecycledLock(t *testing.T) {
+	const ttl = 20 * time.Millisecond
+	_, mgr, addr := startLeaseServerCfg(t, lockmgr.Config{Shards: 1, MaxLocksPerShard: 1, HandlesPerLock: 2}, ttl)
+	holder, err := client.DialConn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Acquire("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Acquire("a2"); err != nil {
+		t.Fatal(err)
+	}
+	// The holder goes silent. Once both grants expire, their locks are
+	// idle and the one-slot table re-keys them to the cycler's names.
+	cycler, err := client.DialConn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cycler.Close()
+	waitFor(t, 2*time.Second, "both grants expired", func() bool {
+		st, err := cycler.Stats()
+		return err == nil && st.Expired >= 2
+	})
+	cycle := func(i int) error {
+		name := fmt.Sprintf("b%d", i)
+		if err := cycler.Acquire(name); err != nil {
+			return err
+		}
+		return cycler.Release(name)
+	}
+	evicted := mgr.Counters().Evictions
+	for i := 0; mgr.Counters().Evictions == evicted; i++ {
+		if err := cycle(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Keep re-keying while the holder releases one grant and drops the
+	// other with its session.
+	stop := make(chan struct{})
+	cycled := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				cycled <- nil
+				return
+			default:
+			}
+			if err := cycle(i); err != nil {
+				cycled <- err
+				return
+			}
+		}
+	}()
+	// "a" expired first, so its lock is the one re-keyed to a b name.
+	if err := holder.Release("a"); !errors.Is(err, client.ErrFenced) || !strings.Contains(err.Error(), `"a"`) {
+		t.Errorf("release of an expired grant: %v, want a fenced error on \"a\"", err)
+	}
+	holder.Close()
+	time.Sleep(10 * time.Millisecond)
+	close(stop)
+	if err := <-cycled; err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "a2", "b0"} {
+		ok, err := cycler.AcquireFor(name, time.Second)
+		if err != nil || !ok {
+			t.Fatalf("acquire of %s after the recycling: ok=%v err=%v", name, ok, err)
+		}
+		if err := cycler.Release(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := mgr.Violations(); v != 0 {
+		t.Fatalf("%d violations", v)
 	}
 }

@@ -313,7 +313,7 @@ func (s *Server) handle(connCtx context.Context, sess *session, req wire.Request
 			return wire.Response{Err: fmt.Sprintf("lockd: session does not hold %q", req.Name)}
 		}
 		delete(sess.grants, req.Name)
-		if err := s.releaseGrant(g); err != nil {
+		if err := s.releaseGrant(req.Name, g); err != nil {
 			if errors.Is(err, lease.ErrFenced) {
 				return wire.Response{Err: err.Error(), Fenced: true}
 			}

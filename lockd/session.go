@@ -90,8 +90,11 @@ func (s *Server) grantResponse(g grant) wire.Response {
 // session teardown racing a TTL expiry resolves to exactly one release
 // — or the lock manager directly otherwise. The release op and a
 // stream's retirement (conn.retire) both route here; there is exactly
-// one release codepath.
-func (s *Server) releaseGrant(g grant) error {
+// one release codepath. name is the key the session holds g under: a
+// grant the lease manager has already revoked no longer pins its lock,
+// which a full table may meanwhile have re-keyed to another name, so
+// g.l.Name() is not read here.
+func (s *Server) releaseGrant(name string, g grant) error {
 	if s.killed.Load() {
 		// A killed server releases nothing: the simulated crash must
 		// leave every grant active — in memory and in the journal — for
@@ -99,7 +102,7 @@ func (s *Server) releaseGrant(g grant) error {
 		return nil
 	}
 	if s.leases != nil {
-		return s.leases.Release(g.l.Name(), g.token)
+		return s.leases.Release(name, g.token)
 	}
 	return s.mgr.Release(g.l)
 }

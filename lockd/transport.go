@@ -361,8 +361,8 @@ func (c *conn) stream(id uint32) *stream {
 // way, by ending the forwarded streams.
 func (c *conn) retire(st *stream) {
 	c.srv.closeRemotes(st.sess)
-	for _, g := range st.sess.grants {
-		c.srv.releaseGrant(g)
+	for name, g := range st.sess.grants {
+		c.srv.releaseGrant(name, g)
 	}
 	c.srv.liveStreams.Add(-1)
 }
