@@ -53,15 +53,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], nil); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "anonlockd:", err)
 		os.Exit(1)
 	}
 }
 
-// run serves until stop fires (tests) or a termination signal arrives
-// (stop == nil).
-func run(args []string, stop <-chan struct{}) error {
+// run serves until SIGINT or SIGTERM, then drains.
+func run(args []string) error {
 	fs := flag.NewFlagSet("anonlockd", flag.ContinueOnError)
 	addr := fs.String("addr", ":7117", "listen address")
 	algName := fs.String("alg", "rmw", "per-name lock algorithm: rw or rmw")
@@ -118,6 +117,11 @@ func run(args []string, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
+	// Catch the signals before announcing the address: a supervisor may
+	// send SIGTERM as soon as it reads the serving line.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -195,22 +199,11 @@ func run(args []string, stop <-chan struct{}) error {
 		}()
 	}
 
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		select {
-		case err := <-serveErr:
-			return err
-		case s := <-sig:
-			fmt.Printf("anonlockd: %v, draining\n", s)
-		}
-	} else {
-		select {
-		case err := <-serveErr:
-			return err
-		case <-stop:
-		}
+	select {
+	case err := <-serveErr:
+		return err
+	case s := <-sig:
+		fmt.Printf("anonlockd: %v, draining\n", s)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)

@@ -9,8 +9,8 @@
 // the dead holder rejected through its fencing token.
 //
 // Scenarios are pure in-process harnesses (no exec, no external
-// daemons), so they run as ordinary tests and under -race; the CI
-// chaos smoke additionally exercises the same failures against the
+// daemons), so they run as ordinary tests and under -race;
+// cmd/anonlockd's TestProcess exercises the same failures against the
 // real anonlockd binary with kill -9.
 package chaos
 

@@ -26,7 +26,7 @@ import (
 // The failover scenario's shape: three nodes (one dies, two survive to
 // agree on the handoff) under the crash-under-load scenario's load —
 // eight keys, eight open-loop clients, 500 arrivals a second, a tenth of
-// them crash ops, as in CI's cluster smokes.
+// them crash ops, as in cmd/anonlockd's TestProcess/failover cases.
 const (
 	clusterNodes      = 3
 	clusterKeys       = 8

@@ -121,17 +121,47 @@ func callee(call *ast.CallExpr) string {
 	return ""
 }
 
+func workflowFiles(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(".github", "workflows", "*.y*ml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no workflow files (%v)", err)
+	}
+	return files
+}
+
+// TestWorkflowIsGoTest: every CI check is a go test a developer can run
+// as it is, so a workflow carries no inline scripts that need a
+// language of their own, no sleeps standing in for readiness, and no
+// fixed ports — servers bind :0 and tests read the address back.
+func TestWorkflowIsGoTest(t *testing.T) {
+	banned := map[string]*regexp.Regexp{
+		"python3":    regexp.MustCompile(`python3`),
+		"sleep":      regexp.MustCompile(`\bsleep\b`),
+		"fixed port": regexp.MustCompile(`127\.0\.0\.1:(?:[1-9]|0\d)`),
+	}
+	for _, path := range workflowFiles(t) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for line, text := range strings.Split(string(b), "\n") {
+			for what, re := range banned {
+				if re.MatchString(text) {
+					t.Errorf("%s:%d: %s: %s", path, line+1, what, strings.TrimSpace(text))
+				}
+			}
+		}
+	}
+}
+
 // TestWorkflowStepNamesQuoted: a plain YAML scalar cannot contain ": ",
 // so a step name with one makes the whole workflow unparseable and CI
 // silently stops running. The standard library has no YAML parser; this
 // is the one rule that has broken the workflow here.
 func TestWorkflowStepNamesQuoted(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join(".github", "workflows", "*.y*ml"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no workflow files (%v)", err)
-	}
 	name := regexp.MustCompile(`^\s*(?:-\s+)?name:\s+(.*)$`)
-	for _, path := range files {
+	for _, path := range workflowFiles(t) {
 		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
