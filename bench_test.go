@@ -149,7 +149,9 @@ func BenchmarkFigure1_RWLock(b *testing.B) {
 }
 
 func BenchmarkFigure2_RMWLock(b *testing.B) {
-	for _, n := range []int{2, 4} {
+	// n = 8 is the service configuration: lockmgr's default handle count
+	// and the ladder's core rung.
+	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("solo/n=%d/m=%d", n, anonmutex.MinRegistersRMW(n)), func(b *testing.B) {
 			benchLockSolo(b, anonymousProcs(anonmutex.RMW, n))
 		})
@@ -157,7 +159,7 @@ func BenchmarkFigure2_RMWLock(b *testing.B) {
 	b.Run("solo/n=2/m=1", func(b *testing.B) {
 		benchLockSolo(b, anonymousProcs(anonmutex.RMW, 2, anonmutex.WithRegisters(1)))
 	})
-	for _, n := range []int{2, 4} {
+	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("contended/n=%d/m=%d", n, anonmutex.MinRegistersRMW(n)), func(b *testing.B) {
 			benchLockContended(b, n, anonymousProcs(anonmutex.RMW, n))
 		})

@@ -31,12 +31,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net"
 	"sort"
 	"sync"
 	"time"
+
+	"anonmutex/internal/xrand"
 )
 
 // State is one member's liveness as seen by this node.
@@ -161,13 +162,23 @@ func (v View) Owner(key string) (Member, bool) {
 }
 
 // rendezvousHash scores one (member, key) pair: FNV-1a over the member
-// id, a separator that cannot appear inside it, then the key.
+// id, a separator that cannot appear inside it, then the key, run through
+// the SplitMix64 finalizer. FNV-1a alone is not a rendezvous score: ids
+// that differ in one late byte (p0, p1, p2) leave sums that differ only
+// in how the key bytes multiply a near-equal state, and one member wins
+// nearly every key. The finalizer spreads every input bit over the word.
 func rendezvousHash(id, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	h *= 1099511628211 // the separator: h ^= 0 leaves h as it is
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return xrand.Mix64(h)
 }
 
 // TokenFloor is the fencing-token floor a node seeds its lease counter

@@ -180,6 +180,40 @@ func TestRendezvousDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
+// TestRendezvousBalancesNearIdenticalIDs pins the ownership skew that
+// plain FNV-1a scores had: ids differing in one character gave all 512
+// keys to p0 among p0,p1,p2 and split n0,n1,n2 400/112/0. Each member of
+// three must own a third of the keys, within 15 %.
+func TestRendezvousBalancesNearIdenticalIDs(t *testing.T) {
+	const keys = 512
+	for _, ids := range [][]string{{"p0", "p1", "p2"}, {"n0", "n1", "n2"}} {
+		v := View{}
+		for _, id := range ids {
+			v.Members = append(v.Members, Member{ID: id, State: StateAlive})
+		}
+		counts := map[string]int{}
+		for i := 0; i < keys; i++ {
+			o, ok := v.Owner(fmt.Sprintf("key-%04d", i))
+			if !ok {
+				t.Fatal("no owner")
+			}
+			counts[o.ID]++
+		}
+		for _, id := range ids {
+			if c := float64(counts[id]); c < keys/3.0*0.85 || c > keys/3.0*1.15 {
+				t.Errorf("members %v: %s owns %d of %d keys, want %d ± 15 %%: %v",
+					ids, id, counts[id], keys, keys/3, counts)
+			}
+		}
+	}
+}
+
+func TestRendezvousHashAllocatesNothing(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { rendezvousHash("n0", "key-0001") }); a != 0 {
+		t.Fatalf("rendezvousHash: %.1f allocs per call, want 0", a)
+	}
+}
+
 func TestTokenFloorOrdersEpochs(t *testing.T) {
 	if TokenFloor(1) <= TokenFloor(0) || TokenFloor(7) <= TokenFloor(6) {
 		t.Fatal("token floors not strictly increasing in epoch")

@@ -233,6 +233,10 @@ func (a *Alg1Machine) PendingOp() Op {
 	}
 }
 
+// SweepCAS implements Machine: Algorithm 1 runs in the read/write model
+// and never requests a compare&swap.
+func (a *Alg1Machine) SweepCAS(CASMemory, int) (int, bool) { return 0, false }
+
 // Advance implements Machine.
 func (a *Alg1Machine) Advance(res OpResult) Status {
 	if a.status != StatusRunning {

@@ -233,6 +233,28 @@ func (a *Alg2Machine) Advance(res OpResult) Status {
 	return a.status
 }
 
+// SweepCAS implements Machine for the three compare&swap sweeps: line 2's
+// claim, line 13's erase and the withdraw. Within a sweep PendingOp's
+// operands stay fixed and only X (the cursor) moves, and each result goes
+// through Advance, so the sweep issues the same operations, in the same
+// order, with the same operands and the same state changes as op-by-op
+// driving. It stops at the sweep's end (where line 3's read sweep, the
+// critical section or Idle begins) or after max ops.
+func (a *Alg2Machine) SweepCAS(mem CASMemory, max int) (ops int, swapped bool) {
+	op := a.PendingOp()
+	if op.Kind != OpCAS {
+		return 0, false
+	}
+	phase := a.phase
+	for ops < max && a.phase == phase {
+		ok := mem.CompareAndSwap(a.cursor, op.Old, op.New)
+		swapped = swapped || ok
+		ops++
+		a.Advance(OpResult{Swapped: ok})
+	}
+	return ops, swapped
+}
+
 // afterCollect runs lines 4–6 and 11–12 after a complete line 3 sweep.
 func (a *Alg2Machine) afterCollect() {
 	a.most = mostPresent(a.view)       // line 4

@@ -78,6 +78,13 @@ type Op struct {
 	New  id.ID // CAS replacement
 }
 
+// CASMemory is the one operation a compare&swap sweep needs from the
+// memory, in the process's local register names; every executor of the
+// engine package provides it.
+type CASMemory interface {
+	CompareAndSwap(x int, old, newVal id.ID) bool
+}
+
 // OpResult carries the outcome of an executed Op back into the machine.
 type OpResult struct {
 	Val     id.ID   // Read: the value read
@@ -141,6 +148,15 @@ type Machine interface {
 	// Advance feeds the result of the pending op and returns the new
 	// status. It panics unless Status is Running.
 	Advance(OpResult) Status
+	// SweepCAS runs the rest of the compare&swap sweep the pending op
+	// belongs to, at most max ops: it issues each pending compare&swap
+	// against mem and feeds the outcome to Advance before issuing the
+	// next, exactly as a caller alternating PendingOp and Advance would.
+	// It returns how many ops it executed and whether any of them
+	// swapped. It returns 0 when the pending op opens no such sweep (a
+	// machine may always answer 0); the caller then executes that op
+	// through PendingOp.
+	SweepCAS(mem CASMemory, max int) (ops int, swapped bool)
 	// Line reports the paper line number the machine is about to execute,
 	// for traces and experiments (0 when idle).
 	Line() int

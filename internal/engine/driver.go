@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -23,7 +24,8 @@ import (
 //     a long wait (another process holds the lock, or many competitors)
 //     should not burn a core.
 //
-// Any progress resets the policy to phase 1.
+// Any progress resets the policy to phase 1. A compare&swap sweep is one
+// step of the Driver: each of its ops counts, and it waits at most once.
 type Backoff struct {
 	// SpinOps is the number of non-progressing ops executed back-to-back
 	// before the driver starts yielding (default 64).
@@ -77,6 +79,19 @@ func (b *Backoff) normalize() {
 // shared drive loop behind both real locks (and any other blocking use of
 // the machines). A Driver belongs to one process; it is not safe for
 // concurrent use.
+//
+// The Driver's unit of work is a step: one op, or — when the pending op
+// is a compare&swap that opens one of Algorithm 2's sweeps (line 2's
+// claim, line 13's erase, the withdraw) — the rest of that sweep, which
+// the machine issues back to back through Machine.SweepCAS. The ops and
+// their order are those of op-by-op driving; only the Driver's own
+// bookkeeping moves to step boundaries. Cancellation is polled, and the
+// backoff applied, once per step: at most m ops late during a sweep, and
+// a sweep that swapped nowhere adds all its ops to the no-progress streak
+// but waits at most once, after it ends. The read sweeps and every
+// Algorithm 1 op stay one op a step, so waiting processes poll at the
+// same cadence. TryDriveBounded caps a sweep at its remaining budget, so
+// its bound stays exact.
 type Driver struct {
 	machine core.Machine
 	exec    Executor
@@ -135,12 +150,12 @@ func (d *Driver) Drive() error {
 	return err
 }
 
-// drive is the loop shared by Drive and DriveContext: execute ops with
+// drive is the loop shared by Drive and DriveContext: execute steps with
 // the adaptive backoff until the invocation completes or done (when
-// non-nil) fires at an op boundary, reported as cancelled=true with the
+// non-nil) fires at a step boundary, reported as cancelled=true with the
 // machine still Running. The nil-done case — every plain Lock/Unlock,
 // including the whole uncontended fast path — runs a dedicated tight
-// loop with no cancellation poll on the op boundary.
+// loop with no cancellation poll on the step boundary.
 func (d *Driver) drive(done <-chan struct{}) (cancelled bool, err error) {
 	d.streak = 0
 	if done == nil {
@@ -164,25 +179,43 @@ func (d *Driver) drive(done <-chan struct{}) (cancelled bool, err error) {
 	return false, nil
 }
 
-// execOne executes the machine's pending op, feeds the result back, and
-// applies the adaptive backoff when the op made no progress.
-func (d *Driver) execOne() error {
+// step executes the machine's pending op and feeds the result back — or,
+// when that op opens a compare&swap sweep, lets the machine run the sweep
+// (at most budget ops) in one call. It reports how many ops ran and
+// whether any changed the shared memory (a write, or a CAS that swapped).
+func (d *Driver) step(budget int) (n int, progress bool, err error) {
 	op := d.machine.PendingOp()
+	if op.Kind == core.OpCAS {
+		if n, progress = d.machine.SweepCAS(d.exec, budget); n > 0 {
+			d.ops += uint64(n)
+			return n, progress, nil
+		}
+	}
 	res, buf, err := Exec(d.exec, op, d.snapBuf)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	d.snapBuf = buf
 	d.machine.Advance(res)
 	d.ops++
+	return 1, op.Kind == core.OpWrite || (op.Kind == core.OpCAS && res.Swapped), nil
+}
 
-	if op.Kind == core.OpWrite || (op.Kind == core.OpCAS && res.Swapped) {
+// execOne executes one step and applies the adaptive backoff when it made
+// no progress; a sweep's ops all count towards the streak, but it waits
+// at most once, after the sweep.
+func (d *Driver) execOne() error {
+	n, progress, err := d.step(math.MaxInt)
+	if err != nil {
+		return err
+	}
+	if progress {
 		// The shared memory changed: the protocol is moving. Restart
 		// the escalation from the spin phase.
 		d.streak = 0
 		return nil
 	}
-	d.streak++
+	d.streak += n
 	if d.machine.Status() != core.StatusRunning {
 		// The invocation just completed; don't wait on its last op.
 		return nil
@@ -219,7 +252,8 @@ func (d *Driver) execOne() error {
 // lock even if ctx expired in the same instant.
 //
 // The waiting policy matches Drive: spin, then yield, then escalating
-// sleeps, with the cancellation checked at every op boundary (sleeps are
+// sleeps, with the cancellation checked at every step boundary — every
+// op, except inside a compare&swap sweep of at most m ops (sleeps are
 // bounded by SleepMax, so cancellation latency is at most one sleep).
 func (d *Driver) DriveContext(ctx context.Context) error {
 	done := ctx.Done()
@@ -250,15 +284,12 @@ func (d *Driver) DriveContext(ctx context.Context) error {
 // waiting out a competitor's critical section.
 func (d *Driver) TryDriveBounded(maxOps int) (acquired bool, err error) {
 	d.streak = 0
-	for i := 0; i < maxOps && d.machine.Status() == core.StatusRunning; i++ {
-		op := d.machine.PendingOp()
-		res, buf, err := Exec(d.exec, op, d.snapBuf)
+	for budget := maxOps; budget > 0 && d.machine.Status() == core.StatusRunning; {
+		n, _, err := d.step(budget)
 		if err != nil {
 			return false, err
 		}
-		d.snapBuf = buf
-		d.machine.Advance(res)
-		d.ops++
+		budget -= n
 	}
 	if d.machine.Status() != core.StatusRunning {
 		return true, nil
@@ -266,14 +297,8 @@ func (d *Driver) TryDriveBounded(maxOps int) (acquired bool, err error) {
 	if err := d.machine.StartAbort(); err != nil {
 		return false, err
 	}
-	for d.machine.Status() == core.StatusRunning {
-		res, buf, err := Exec(d.exec, d.machine.PendingOp(), d.snapBuf)
-		if err != nil {
-			return false, err
-		}
-		d.snapBuf = buf
-		d.machine.Advance(res)
-		d.ops++
+	if err := d.finish(); err != nil {
+		return false, err
 	}
 	d.aborts++
 	return false, nil
@@ -289,20 +314,25 @@ func (d *Driver) TryDriveBounded(maxOps int) (acquired bool, err error) {
 // nobody will ever erase.
 func (d *Driver) withdraw(cause error) error {
 	aborting := d.machine.StartAbort() == nil
-	for d.machine.Status() == core.StatusRunning {
-		res, buf, err := Exec(d.exec, d.machine.PendingOp(), d.snapBuf)
-		if err != nil {
-			return err
-		}
-		d.snapBuf = buf
-		d.machine.Advance(res)
-		d.ops++
+	if err := d.finish(); err != nil {
+		return err
 	}
 	if !aborting {
 		return nil
 	}
 	d.aborts++
 	return cause
+}
+
+// finish runs the invocation to completion with neither backoff nor
+// budget: only for the wait-free back-out and erase sweeps.
+func (d *Driver) finish() error {
+	for d.machine.Status() == core.StatusRunning {
+		if _, _, err := d.step(math.MaxInt); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats reports the driver's lifetime counters: shared-memory ops

@@ -16,7 +16,8 @@
 // Exec dispatches a single pending op against either substrate; Driver
 // runs a machine's whole invocation to completion with an adaptive
 // spin/backoff policy tuned for the real locks' wait loops (pure spin,
-// then runtime.Gosched, then exponentially escalating sleeps). Both paths
+// then runtime.Gosched, then exponentially escalating sleeps), handing
+// each compare&swap sweep to the machine whole. Both paths
 // are allocation-free per operation: snapshot buffers are owned by the
 // Driver (or caller) and reused, and Exec returns results by value.
 // DriveContext adds deadline-bounded, abortable acquisition: a context

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -199,6 +200,56 @@ func TestDriverZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// The service configuration through the service's two entry paths:
+	// TryLock's bounded attempt and a cancellable LockCtx, each followed
+	// by the unlock's Drive.
+	const sn, sm = 8, 11
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entries := []struct {
+		name  string
+		enter func(d *Driver) error
+	}{
+		{"TryDriveBounded", func(d *Driver) error {
+			if ok, err := d.TryDriveBounded(2*sm + 2); err != nil || !ok {
+				return fmt.Errorf("solo TryDriveBounded = %v, %v", ok, err)
+			}
+			return nil
+		}},
+		{"DriveContext", func(d *Driver) error { return d.DriveContext(ctx) }},
+	}
+	for _, e := range entries {
+		t.Run(fmt.Sprintf("alg2-n=%d-m=%d/%s", sn, sm, e.name), func(t *testing.T) {
+			mem := amem.New(sm)
+			v, err := mem.NewView(me, perm.Identity(sm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := core.NewAlg2(me, sn, sm, core.Alg2Config{SoloFastPath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewDriver(a, Hardware(v))
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := a.StartLock(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.enter(d); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.StartUnlock(); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Drive(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%.1f allocs per lock/unlock session, want 0", allocs)
+			}
+		})
+	}
 }
 
 // spinMachine is a fake machine that requests `total` reads of register 0
@@ -228,7 +279,8 @@ func (s *spinMachine) StartAbort() error {
 	s.abort = true
 	return nil
 }
-func (s *spinMachine) PendingOp() core.Op { return core.Op{Kind: core.OpRead, X: 0} }
+func (s *spinMachine) PendingOp() core.Op                       { return core.Op{Kind: core.OpRead, X: 0} }
+func (s *spinMachine) SweepCAS(core.CASMemory, int) (int, bool) { return 0, false }
 func (s *spinMachine) Advance(core.OpResult) core.Status {
 	s.left--
 	if s.left <= 0 {

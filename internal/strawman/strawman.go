@@ -112,6 +112,10 @@ func (g *Greedy) PendingOp() core.Op {
 	}
 }
 
+// SweepCAS implements core.Machine: the broken protocol's sweeps are
+// driven op by op.
+func (g *Greedy) SweepCAS(core.CASMemory, int) (int, bool) { return 0, false }
+
 // Advance implements core.Machine.
 func (g *Greedy) Advance(res core.OpResult) core.Status {
 	if g.status != core.StatusRunning {

@@ -1,6 +1,6 @@
 package anonmutex
 
-// LockCtx / TryLockFor tests on the hardware substrate: deadline-bounded
+// LockCtx / TryLockFor / TryLock tests on the hardware substrate: bounded
 // acquisition under real concurrency. The -race runs of these tests are
 // the amem half of the cancellation acceptance check (the vmem half is
 // internal/engine's boundary-exhaustive test).
@@ -144,4 +144,66 @@ func TestLockCtxRace(t *testing.T) {
 			t.Logf("%v: %d entries, %d deadline aborts", alg, entries.Load(), aborted.Load())
 		})
 	}
+}
+
+// TestTryLockOpBoundUnderContention pins TryLock's hard bound at the
+// service configuration, n = 8 and m = 11, while seven other handles
+// cycle the lock: before its withdraw an attempt runs at most 2m+2
+// shared-memory ops, compare&swap sweeps included, and the withdraw is
+// one m-op sweep.
+func TestTryLockOpBoundUnderContention(t *testing.T) {
+	const n = 8
+	hs := newProcs(t, RMW, n)
+	m := hs[0].lock.m
+	if m != 11 {
+		t.Fatalf("m = %d, want 11", m)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for _, h := range hs[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := h.Lock(); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := h.Unlock(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	p := hs[0]
+	failed := 0
+	for i := 0; i < 2000; i++ {
+		ops0, _, _ := p.driver.Stats()
+		aborts0 := p.Aborts()
+		ok, err := p.TryLock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops1, _, _ := p.driver.Stats()
+		attempt := int(ops1 - ops0)
+		if !ok {
+			failed++
+			if p.Aborts() != aborts0+1 {
+				t.Fatalf("try %d: failed without one withdraw", i)
+			}
+			attempt -= m // the withdraw sweep
+		}
+		if attempt > 2*m+2 || attempt < 1 {
+			t.Fatalf("try %d: %d ops before the withdraw, want 1..%d", i, attempt, 2*m+2)
+		}
+		if ok {
+			if err := p.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	t.Logf("%d of 2000 attempts withdrew", failed)
 }
