@@ -72,7 +72,6 @@ func run(args []string) error {
 	maxWait := fs.Duration("max-wait", 0, "server-side cap on any acquire wait; longer waits abort cleanly (0: unlimited)")
 	maxFrame := fs.Int("max-frame", 0, "byte cap on one binary frame; an oversized frame is a protocol error (0: the built-in default)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "run grants under leases: acquires carry fencing tokens and holders that stop heartbeating for this long are forcibly revoked (0: leases off)")
-	leaseGrace := fs.Duration("lease-grace", 0, "post-expiry quarantine during which a revoked grant's stale token still answers with a fenced rejection (0: the lease TTL)")
 	dataDir := fs.String("data-dir", "", "directory for the durable lease journal: grants survive kill -9 and the next start on the same directory recovers them (needs -lease-ttl)")
 	fsyncPolicy := fs.String("fsync", "always", "journal fsync policy: always (commit before every ack), interval (background fsync every -fsync-interval), off (OS page cache only)")
 	fsyncEvery := fs.Duration("fsync-interval", 0, "background fsync period under -fsync interval (0: the journal default)")
@@ -133,7 +132,6 @@ func run(args []string) error {
 	srv.MaxWait = *maxWait
 	srv.MaxFrameBytes = *maxFrame
 	srv.LeaseTTL = *leaseTTL
-	srv.LeaseGrace = *leaseGrace
 	if *leaseTTL > 0 {
 		fmt.Printf("anonlockd: leases on (ttl=%v)\n", *leaseTTL)
 	}

@@ -305,8 +305,11 @@ type Log struct {
 	walBytes  int64
 	active    map[string]activeLease
 	tokenHigh uint64
-	appendErr error // sticky: first write/compaction failure
 	closed    bool
+	// appendErr is sticky: the first write or compaction failure. It is
+	// set under mu but read without it, so a Commit that does not sync
+	// takes no lock.
+	appendErr atomic.Pointer[error]
 
 	// Group commit for SyncAlways: one committer becomes the leader,
 	// flushes and fsyncs everything appended so far, and wakes the
@@ -513,7 +516,7 @@ func (w *Log) Append(rec Record) uint64 {
 	w.wbuf = append(w.wbuf, w.frame...)
 	w.walBytes += int64(len(w.frame))
 	w.apply(rec)
-	if w.walBytes >= w.opts.CompactBytes && w.appendErr == nil {
+	if w.walBytes >= w.opts.CompactBytes && w.appendErr.Load() == nil {
 		w.compactLocked()
 	}
 	if len(w.wbuf) >= maxBufferedBytes {
@@ -525,17 +528,28 @@ func (w *Log) Append(rec Record) uint64 {
 
 // flushLocked writes the buffered frames to the file. Caller holds mu.
 func (w *Log) flushLocked() error {
-	if w.appendErr != nil {
-		return w.appendErr
+	if err := w.stickyErr(); err != nil {
+		return err
 	}
 	if len(w.wbuf) == 0 {
 		return nil
 	}
 	if _, err := w.f.Write(w.wbuf); err != nil {
-		w.appendErr = err
+		w.fail(err)
 		return err
 	}
 	w.wbuf = w.wbuf[:0]
+	return nil
+}
+
+// fail records err as the sticky append error. Caller holds mu.
+func (w *Log) fail(err error) { w.appendErr.Store(&err) }
+
+// stickyErr returns the sticky append error, if any.
+func (w *Log) stickyErr() error {
+	if p := w.appendErr.Load(); p != nil {
+		return *p
+	}
 	return nil
 }
 
@@ -557,10 +571,7 @@ func (w *Log) flush() (uint64, error) {
 // other policies it only surfaces a sticky write error, if any.
 func (w *Log) Commit(lsn uint64) error {
 	if w.opts.Sync != SyncAlways {
-		w.mu.Lock()
-		err := w.appendErr
-		w.mu.Unlock()
-		return err
+		return w.stickyErr()
 	}
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -663,12 +674,12 @@ func (w *Log) compactLocked() {
 	}
 	tmp := filepath.Join(w.dir, snapTempName)
 	if err := writeFileSync(tmp, buf); err != nil {
-		w.appendErr = fmt.Errorf("journal: snapshot: %w", err)
+		w.fail(fmt.Errorf("journal: snapshot: %w", err))
 		return
 	}
 	crash(crashCompactBeforeRename)
 	if err := os.Rename(tmp, filepath.Join(w.dir, snapName)); err != nil {
-		w.appendErr = fmt.Errorf("journal: snapshot rename: %w", err)
+		w.fail(fmt.Errorf("journal: snapshot rename: %w", err))
 		return
 	}
 	syncDir(w.dir)
@@ -678,11 +689,11 @@ func (w *Log) compactLocked() {
 	// snapshot; drop it all.
 	w.wbuf = w.wbuf[:0]
 	if err := w.f.Truncate(0); err != nil {
-		w.appendErr = fmt.Errorf("journal: wal truncate: %w", err)
+		w.fail(fmt.Errorf("journal: wal truncate: %w", err))
 		return
 	}
 	if _, err := w.f.Seek(0, 0); err != nil {
-		w.appendErr = fmt.Errorf("journal: %w", err)
+		w.fail(fmt.Errorf("journal: %w", err))
 		return
 	}
 	w.walBytes = 0

@@ -372,6 +372,29 @@ func TestAppendBoundsWriteBuffer(t *testing.T) {
 	}
 }
 
+// TestCommitReportsStickyAppendError: under the policies whose Commit
+// does not sync, Commit still reports a write that failed, and keeps
+// reporting it.
+func TestCommitReportsStickyAppendError(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncOff, SyncInterval} {
+		w, _ := openT(t, t.TempDir(), Options{Sync: pol, SyncEvery: time.Hour, CompactBytes: 1 << 40})
+		w.mu.Lock()
+		w.f.Close() // every later write fails
+		w.mu.Unlock()
+		name := strings.Repeat("n", 64)
+		var lsn uint64
+		for i := 0; i < 2*maxBufferedBytes/len(name); i++ {
+			lsn = w.Append(Record{Op: OpGrant, Name: name, Token: uint64(i + 1)})
+		}
+		for i := 0; i < 2; i++ {
+			if err := w.Commit(lsn); err == nil {
+				t.Errorf("%v: Commit %d after a failed write returned nil", pol, i)
+			}
+		}
+		w.Close() // fails too: the file is already closed
+	}
+}
+
 // TestSyncIntervalDurability: under the interval policy, records become
 // durable within ~SyncEvery without any Commit blocking.
 func TestSyncIntervalDurability(t *testing.T) {

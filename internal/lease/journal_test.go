@@ -42,9 +42,7 @@ func liveState(m *Manager) map[string]LeaseState {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for name, st := range sh.keys {
-			if st.active {
-				out[name] = LeaseState{Name: name, Token: st.token, Deadline: st.deadline}
-			}
+			out[name] = LeaseState{Name: name, Token: st.token, Deadline: st.deadline}
 		}
 		sh.mu.Unlock()
 	}
@@ -170,7 +168,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 func TestRecoveryRemainingTime(t *testing.T) {
 	dir := t.TempDir()
 	_, mA, jnA := newJournaled(t, dir,
-		Config{TTL: 250 * time.Millisecond, Grace: 50 * time.Millisecond},
+		Config{TTL: 250 * time.Millisecond},
 		journal.Options{Sync: journal.SyncAlways})
 	g, ok, err := mA.tryAcquire("short")
 	if err != nil || !ok {
@@ -184,7 +182,7 @@ func TestRecoveryRemainingTime(t *testing.T) {
 	// Recover with most of the TTL already burned.
 	time.Sleep(150 * time.Millisecond)
 	lmB, mB, jnB := newJournaled(t, dir,
-		Config{TTL: 250 * time.Millisecond, Grace: 50 * time.Millisecond},
+		Config{TTL: 250 * time.Millisecond},
 		journal.Options{})
 	defer func() { mB.Close(); jnB.Close() }()
 	if mB.Recovered() != 1 {
@@ -284,37 +282,88 @@ func TestBandFloorComposition(t *testing.T) {
 	}
 }
 
+// newOffJournaled is a manager journaled under the fsync-off policy,
+// as the benchmark's inproc workload runs it.
+func newOffJournaled(tb testing.TB) *Manager {
+	tb.Helper()
+	jn, st, err := journal.Open(tb.TempDir(), journal.Options{Sync: journal.SyncOff})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lm, err := lockmgr.New(lockmgr.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := New(lm, Config{TTL: time.Minute, Journal: jn, Recovered: &st})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		m.Close()
+		jn.Close()
+		lm.Close()
+	})
+	return m
+}
+
+// leaseCycle is one try-acquire and release of name.
+func leaseCycle(tb testing.TB, m *Manager, name string) {
+	g, ok, err := m.tryAcquire(name)
+	if err != nil || !ok {
+		tb.Fatalf("try %s: ok=%v err=%v", name, ok, err)
+	}
+	if err := m.Release(name, g.Token); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func keyNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("key-%05d", i)
+	}
+	return names
+}
+
 // BenchmarkLeaseCycleJournaled is BenchmarkLeaseCycle with the journal
 // wired in under the fsync-off policy: the durability tax the hot path
 // pays when persistence is on but syncing is deferred — two record
 // appends (grant + release) per cycle, no I/O waits.
 func BenchmarkLeaseCycleJournaled(b *testing.B) {
-	jn, st, err := journal.Open(b.TempDir(), journal.Options{Sync: journal.SyncOff})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lm, err := lockmgr.New(lockmgr.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := New(lm, Config{TTL: time.Minute, Journal: jn, Recovered: &st})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		m.Close()
-		jn.Close()
-		lm.Close()
-	}()
+	m := newOffJournaled(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, ok, err := m.tryAcquire("bench-key")
-		if err != nil || !ok {
-			b.Fatalf("try: ok=%v err=%v", ok, err)
-		}
-		if err := m.Release("bench-key", g.Token); err != nil {
-			b.Fatal(err)
-		}
+		leaseCycle(b, m, "bench-key")
+	}
+}
+
+// BenchmarkLeaseCycleManyKeys is BenchmarkLeaseCycleJournaled over
+// 20480 rotating keys, as the benchmark's inproc workload draws them:
+// a single key cannot see how large the lease table grows.
+func BenchmarkLeaseCycleManyKeys(b *testing.B) {
+	m := newOffJournaled(b)
+	names := keyNames(20480)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		leaseCycle(b, m, names[i%len(names)])
+	}
+}
+
+// TestLeaseCycleAllocatesNothing pins the free list: once every key has
+// been granted once, a journaled grant and release over 4096 rotating
+// keys reuses an ended lease's record and allocates nothing.
+func TestLeaseCycleAllocatesNothing(t *testing.T) {
+	m := newOffJournaled(t)
+	names := keyNames(4096)
+	for _, name := range names {
+		leaseCycle(t, m, name)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(names), func() {
+		leaseCycle(t, m, names[i%len(names)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("%v allocations per lease cycle, want 0", allocs)
 	}
 }
 

@@ -25,16 +25,18 @@
 //     uses), then the handle returns to the lease pool for reuse.
 //     Waiters that die are not this package's problem: a dead waiter's
 //     context cancellation already withdraws it from the competition.
-//   - Quarantine. A revoked or released key's state (with its last
-//     token) is retained for a grace window, so a stale holder's late
-//     ops in that window are rejected with a specific fencing error and
-//     counted, before the state is garbage-collected.
+//   - State lives exactly as long as a lease. Release, revocation and
+//     expiry take the key's record out of its shard's table and heap
+//     and park it on the shard's free list for the next grant, so the
+//     table holds the live leases and nothing else. A stale holder's
+//     late ops find no live lease under their token and are rejected
+//     (ErrFenced) and counted all the same.
 //
 // Exactly one lifecycle operation wins a given token: Release, Revoke,
-// and expiry all arbitrate under the shard mutex on (active, token), so
-// a connection teardown racing TTL expiry resolves to one release of
-// the underlying lock — the loser observes ErrFenced and touches
-// nothing.
+// and expiry all arbitrate under the shard mutex on the (name, token)
+// of a lease in the shard's table, so a connection teardown racing TTL
+// expiry resolves to one release of the underlying lock — the loser
+// observes ErrFenced and touches nothing.
 package lease
 
 import (
@@ -60,10 +62,6 @@ type Config struct {
 	// TTL is how long a grant lives without a heartbeat before it is
 	// forcibly revoked. Required (> 0).
 	TTL time.Duration
-	// Grace is the quarantine window after a lease ends during which its
-	// key state (and last token) is retained so a stale holder's late
-	// ops get a specific fencing rejection. Default: TTL.
-	Grace time.Duration
 	// Shards is the number of independent expiry shards, each with its
 	// own deadline heap and expiry goroutine (default 8).
 	Shards int
@@ -107,24 +105,31 @@ type Counters struct {
 	Active int
 }
 
-// keyState is one key's lease bookkeeping: resident from the first
-// grant until a grace window after the last lease ends.
+// keyState is one live lease's bookkeeping: in its shard's table and
+// deadline heap from the grant until the lease ends, then on the
+// shard's free list until the next grant reuses it.
 type keyState struct {
 	name     string
-	token    uint64        // latest issued token for this key
-	active   bool          // the lease behind token currently holds the lock
-	l        lockmgr.Lease // the held lock; valid only while active
-	deadline time.Time     // active: expiry time; inactive: quarantine GC time
-	idx      int           // position in the shard's deadline heap (-1: not queued)
+	token    uint64        // the lease's fencing token
+	l        lockmgr.Lease // the held lock
+	deadline time.Time     // expiry time
+	idx      int           // position in the shard's deadline heap
 }
 
-// shard is one partition of the key space: a state table plus the
-// deadline min-heap its expiry goroutine drains.
+// shard is one partition of the key space: the live leases by name,
+// the deadline min-heap its expiry goroutine drains, and the records
+// of ended leases. A key is in keys exactly while its lease is live,
+// so a lookup that finds the token is the one arbitration point.
 type shard struct {
 	mu   sync.Mutex
 	keys map[string]*keyState
 	heap []*keyState
-	wake chan struct{} // signaled when a new earliest deadline appears
+	free []*keyState // ended leases' records, reused by the next grant
+	// armed is when the expiry goroutine next wakes by itself; a grant
+	// wakes it only for a deadline before that, and lowers armed.
+	armed  time.Time
+	wake   chan struct{}
+	passes int // expiry-loop passes, for tests
 }
 
 // Manager runs the lease lifecycle over a lock manager. Safe for
@@ -134,7 +139,6 @@ type shard struct {
 type Manager struct {
 	lm     *lockmgr.Manager
 	ttl    time.Duration
-	grace  time.Duration
 	shards []*shard
 
 	// tokens is the manager-wide issue counter: strictly increasing
@@ -163,12 +167,6 @@ func New(lm *lockmgr.Manager, cfg Config) (*Manager, error) {
 	if cfg.TTL <= 0 {
 		return nil, fmt.Errorf("lease: need TTL > 0, got %v", cfg.TTL)
 	}
-	if cfg.Grace < 0 {
-		return nil, fmt.Errorf("lease: need Grace >= 0, got %v", cfg.Grace)
-	}
-	if cfg.Grace == 0 {
-		cfg.Grace = cfg.TTL
-	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 8
 	}
@@ -178,7 +176,6 @@ func New(lm *lockmgr.Manager, cfg Config) (*Manager, error) {
 	m := &Manager{
 		lm:     lm,
 		ttl:    cfg.TTL,
-		grace:  cfg.Grace,
 		shards: make([]*shard, cfg.Shards),
 		jn:     cfg.Journal,
 		stop:   make(chan struct{}),
@@ -226,16 +223,7 @@ func (m *Manager) recover(st *journal.State) {
 		}
 		sh := m.shard(ls.Name)
 		sh.mu.Lock()
-		ks := &keyState{
-			name:     ls.Name,
-			token:    ls.Token,
-			active:   true,
-			l:        l,
-			deadline: time.Unix(0, ls.Deadline),
-			idx:      -1,
-		}
-		sh.keys[ls.Name] = ks
-		sh.heapPush(ks)
+		sh.add(ls.Name, ls.Token, l, time.Unix(0, ls.Deadline))
 		sh.mu.Unlock()
 		m.recovered.Add(1)
 	}
@@ -307,24 +295,19 @@ func (m *Manager) Attach(l lockmgr.Lease) (uint64, error) {
 	deadline := time.Now().Add(m.ttl)
 	sh := m.shard(name)
 	sh.mu.Lock()
-	st := sh.keys[name]
-	if st == nil {
-		st = &keyState{name: name, idx: -1}
-		sh.keys[name] = st
-	}
 	// Mutual exclusion is the invariant that makes this a plain store:
 	// a new grant on this name can only exist after the previous lease
-	// was released or revoked, so st is never active here.
-	st.token = tok
-	st.active = true
-	st.l = l
-	st.deadline = deadline
-	if st.idx < 0 {
-		sh.heapPush(st)
-	} else {
-		sh.heapFix(st.idx)
+	// ended, which took its state out of the table.
+	sh.add(name, tok, l, deadline)
+	if deadline.Before(sh.armed) {
+		// The expiry loop sleeps past this deadline. Waking it here, not
+		// after the commit below, keeps armed true if the commit fails.
+		sh.armed = deadline
+		select {
+		case sh.wake <- struct{}{}:
+		default:
+		}
 	}
-	earliest := sh.heap[0] == st
 	var lsn uint64
 	if m.jn != nil {
 		// Appended under the shard mutex so the journal's record order
@@ -344,13 +327,6 @@ func (m *Manager) Attach(l lockmgr.Lease) (uint64, error) {
 		}
 	}
 	m.granted.Add(1)
-	if earliest {
-		// The expiry loop may be parked on a later (or absent) deadline.
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
-	}
 	return tok, nil
 }
 
@@ -376,7 +352,7 @@ func (m *Manager) Heartbeat(name string, token uint64) (time.Duration, error) {
 	sh := m.shard(name)
 	sh.mu.Lock()
 	st := sh.keys[name]
-	if st == nil || !st.active || st.token != token {
+	if st == nil || st.token != token {
 		sh.mu.Unlock()
 		m.fenced.Add(1)
 		return 0, fmt.Errorf("lease: heartbeat on %q token %d: %w", name, token, ErrFenced)
@@ -408,7 +384,7 @@ func (m *Manager) Remaining(name string, token uint64) (time.Duration, bool) {
 	sh := m.shard(name)
 	sh.mu.Lock()
 	st := sh.keys[name]
-	if st == nil || !st.active || st.token != token {
+	if st == nil || st.token != token {
 		sh.mu.Unlock()
 		return 0, false
 	}
@@ -445,13 +421,12 @@ func (m *Manager) Revoke(name string, token uint64) error {
 	return m.lm.Revoke(l)
 }
 
-// detach atomically claims the active lease behind (name, token),
-// marking the state inactive and quarantined. Exactly one caller wins
-// a given token; every other gets ErrFenced. The winner's ending op is
-// journaled in transition order but never waited for: losing an ending
-// record to a crash only means the key is recovered as held and
-// expires by TTL — a liveness delay, never a safety violation — so
-// release paths pay no sync.
+// detach atomically claims the active lease behind (name, token) and
+// ends its state. Exactly one caller wins a given token; every other
+// gets ErrFenced. The winner's ending op is journaled in transition
+// order but never waited for: losing an ending record to a crash only
+// means the key is recovered as held and expires by TTL — a liveness
+// delay, never a safety violation — so release paths pay no sync.
 func (m *Manager) detach(name string, token uint64) (lockmgr.Lease, error) {
 	return m.detachOp(name, token, journal.OpRelease)
 }
@@ -460,19 +435,15 @@ func (m *Manager) detachOp(name string, token uint64, op journal.Op) (lockmgr.Le
 	sh := m.shard(name)
 	sh.mu.Lock()
 	st := sh.keys[name]
-	if st == nil || !st.active || st.token != token {
+	if st == nil || st.token != token {
 		sh.mu.Unlock()
 		m.fenced.Add(1)
 		return lockmgr.Lease{}, fmt.Errorf("lease: release of %q token %d: %w", name, token, ErrFenced)
 	}
-	l := st.l
-	st.active = false
-	st.l = lockmgr.Lease{}
-	st.deadline = time.Now().Add(m.grace)
-	sh.heapFix(st.idx)
 	if m.jn != nil {
 		m.jn.Append(journal.Record{Op: op, Name: name, Token: token})
 	}
+	l := sh.end(st)
 	sh.mu.Unlock()
 	return l, nil
 }
@@ -510,7 +481,7 @@ func (m *Manager) RevokeIf(pred func(name string) bool) int {
 		sh.mu.Lock()
 		var targets []target
 		for name, st := range sh.keys {
-			if st.active && pred(name) {
+			if pred(name) {
 				targets = append(targets, target{name: name, token: st.token})
 			}
 		}
@@ -528,45 +499,37 @@ func (m *Manager) RevokeIf(pred func(name string) bool) int {
 }
 
 // runShard is one shard's expiry goroutine: it sleeps until the
-// earliest deadline (or a wake for a newly earliest one), expires due
-// leases, and garbage-collects quarantined states whose grace window
-// has passed. Revocations run outside the shard mutex: the key cannot
+// deadline it armed for (or a wake for an earlier one) and expires due
+// leases. Revocations run outside the shard mutex: the key cannot
 // be re-granted until the underlying lock is actually released, so
 // nothing can race the state while the lock is still held.
+//
+// An empty shard arms one TTL ahead: every grant made after that pass
+// has a later deadline, so grants on a shard whose leases end before
+// they expire never wake the loop. The price is one idle pass per TTL.
 func (m *Manager) runShard(sh *shard) {
 	defer m.wg.Done()
-	const idle = time.Hour
-	timer := time.NewTimer(idle)
+	timer := time.NewTimer(m.ttl)
 	defer timer.Stop()
 	var due []lockmgr.Lease
 	for {
 		sh.mu.Lock()
+		sh.passes++
 		now := time.Now()
 		due = due[:0]
 		for len(sh.heap) > 0 && !sh.heap[0].deadline.After(now) {
+			// TTL expiry: claim the lease exactly as detach would.
 			st := sh.heap[0]
-			if st.active {
-				// TTL expiry: claim the lease exactly as detach would.
-				st.active = false
-				due = append(due, st.l)
-				st.l = lockmgr.Lease{}
-				st.deadline = now.Add(m.grace)
-				sh.heapFix(0)
-				if m.jn != nil {
-					m.jn.Append(journal.Record{Op: journal.OpExpire, Name: st.name, Token: st.token})
-				}
-			} else {
-				// Quarantine over: forget the key.
-				sh.heapPop()
-				delete(sh.keys, st.name)
+			if m.jn != nil {
+				m.jn.Append(journal.Record{Op: journal.OpExpire, Name: st.name, Token: st.token})
 			}
+			due = append(due, sh.end(st))
 		}
-		wait := idle
+		wait := m.ttl
 		if len(sh.heap) > 0 {
-			if wait = time.Until(sh.heap[0].deadline); wait < 0 {
-				wait = 0
-			}
+			wait = sh.heap[0].deadline.Sub(now)
 		}
+		sh.armed = now.Add(wait)
 		sh.mu.Unlock()
 		for _, l := range due {
 			m.expired.Add(1)
@@ -599,11 +562,7 @@ func (m *Manager) Counters() Counters {
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, st := range sh.keys {
-			if st.active {
-				c.Active++
-			}
-		}
+		c.Active += len(sh.keys)
 		sh.mu.Unlock()
 	}
 	return c
@@ -640,11 +599,7 @@ func (m *Manager) Close() {
 		sh.mu.Lock()
 		var orphans []lockmgr.Lease
 		for _, st := range sh.keys {
-			if st.active {
-				orphans = append(orphans, st.l)
-				st.active = false
-				st.l = lockmgr.Lease{}
-			}
+			orphans = append(orphans, sh.end(st))
 		}
 		sh.mu.Unlock()
 		for _, l := range orphans {
@@ -654,8 +609,35 @@ func (m *Manager) Close() {
 	}
 }
 
+// add makes a lease live: a record from the free list (or a new one)
+// goes into the table and the deadline heap. Caller holds mu.
+func (sh *shard) add(name string, token uint64, l lockmgr.Lease, deadline time.Time) {
+	var st *keyState
+	if n := len(sh.free); n > 0 {
+		st, sh.free = sh.free[n-1], sh.free[:n-1]
+	} else {
+		st = new(keyState)
+	}
+	*st = keyState{name: name, token: token, l: l, deadline: deadline}
+	sh.keys[name] = st
+	sh.heapPush(st)
+}
+
+// end takes a live lease out of the table and the deadline heap, parks
+// its record on the free list, and returns the lock it held. Caller
+// holds mu.
+func (sh *shard) end(st *keyState) lockmgr.Lease {
+	l := st.l
+	sh.heapRemove(st.idx)
+	delete(sh.keys, st.name)
+	*st = keyState{}
+	sh.free = append(sh.free, st)
+	return l
+}
+
 // Min-heap of keyStates by deadline, with index maintenance so
-// heartbeats can fix an entry in place.
+// heartbeats can fix an entry in place and an ended lease can leave
+// from anywhere.
 
 func (sh *shard) heapPush(st *keyState) {
 	st.idx = len(sh.heap)
@@ -663,19 +645,17 @@ func (sh *shard) heapPush(st *keyState) {
 	sh.heapUp(st.idx)
 }
 
-// heapPop removes and returns the earliest entry.
-func (sh *shard) heapPop() *keyState {
-	st := sh.heap[0]
+// heapRemove takes the entry at i out of the heap.
+func (sh *shard) heapRemove(i int) {
 	last := len(sh.heap) - 1
-	sh.heap[0] = sh.heap[last]
-	sh.heap[0].idx = 0
+	if i != last {
+		sh.heapSwap(i, last)
+	}
 	sh.heap[last] = nil
 	sh.heap = sh.heap[:last]
-	if last > 0 {
-		sh.heapDown(0)
+	if i != last {
+		sh.heapFix(i)
 	}
-	st.idx = -1
-	return st
 }
 
 // heapFix restores heap order for the entry at i after its deadline

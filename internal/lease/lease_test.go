@@ -1,9 +1,12 @@
 package lease
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,9 +56,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(lm, Config{}); err == nil {
 		t.Fatal("zero TTL accepted")
 	}
-	if _, err := New(lm, Config{TTL: time.Second, Grace: -1}); err == nil {
-		t.Fatal("negative grace accepted")
-	}
 	if _, err := New(lm, Config{TTL: time.Second, Shards: -1}); err == nil {
 		t.Fatal("negative shards accepted")
 	}
@@ -68,7 +68,7 @@ func TestConfigValidation(t *testing.T) {
 // must be strictly increasing. One global issue counter makes this
 // hold across keys too, but per-key is the property fencing needs.
 func TestTokenMonotonicityPerKey(t *testing.T) {
-	_, m := newManagers(t, Config{TTL: 20 * time.Millisecond, Grace: 5 * time.Millisecond, Shards: 2})
+	_, m := newManagers(t, Config{TTL: 20 * time.Millisecond, Shards: 2})
 	const keys = 5
 	last := make(map[string]uint64, keys)
 	r := xrand.New(7)
@@ -208,28 +208,266 @@ func TestReleaseRaceExpiry(t *testing.T) {
 	}
 }
 
-// TestQuarantineThenForget: after a release, the key's state answers
-// the stale token with ErrFenced through the grace window, and the
-// token stays fenced after GC too (the state is simply gone).
-func TestQuarantineThenForget(t *testing.T) {
+// holds reports whether name's shard has anything for it in its table
+// or its deadline heap.
+func (m *Manager) holds(name string) bool {
+	sh := m.shard(name)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.keys[name] != nil {
+		return true
+	}
+	for _, st := range sh.heap {
+		if st.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// waitFor polls cond until it holds or a second has passed.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEndedLeaseIsForgotten: each way a lease ends — release, revoke,
+// TTL expiry — takes the key out of its shard's table and deadline heap
+// at once, and the stale token is still fenced and counted.
+func TestEndedLeaseIsForgotten(t *testing.T) {
 	const ttl = 20 * time.Millisecond
-	_, m := newManagers(t, Config{TTL: ttl, Grace: ttl})
-	g, err := m.AcquireCtx(t.Context(), "quarantined")
-	if err != nil {
+	_, m := newManagers(t, Config{TTL: ttl})
+	for _, tc := range []struct {
+		name string
+		end  func(g Grant) error
+	}{
+		{"released", func(g Grant) error { return m.Release(g.Name, g.Token) }},
+		{"revoked", func(g Grant) error { return m.Revoke(g.Name, g.Token) }},
+		{"expired", func(g Grant) error {
+			waitFor(t, "expiry", func() bool { return m.Counters().Expired == 1 })
+			return nil
+		}},
+	} {
+		g, err := m.AcquireCtx(t.Context(), tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.holds(tc.name) {
+			t.Fatalf("%s: live lease not in its shard", tc.name)
+		}
+		if err := tc.end(g); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if m.holds(tc.name) {
+			t.Errorf("%s: the shard still holds the ended lease", tc.name)
+		}
+		before := m.Counters().FencedRejects
+		if err := m.Release(g.Name, g.Token); !errors.Is(err, ErrFenced) {
+			t.Errorf("%s: release of the stale token: %v, want ErrFenced", tc.name, err)
+		}
+		if _, err := m.Heartbeat(g.Name, g.Token); !errors.Is(err, ErrFenced) {
+			t.Errorf("%s: heartbeat of the stale token: %v, want ErrFenced", tc.name, err)
+		}
+		if got := m.Counters().FencedRejects - before; got != 2 {
+			t.Errorf("%s: %d fenced rejects counted, want 2", tc.name, got)
+		}
+	}
+}
+
+// TestLeaseRecycleStress ends leases every way at once while their
+// records are recycled: 8 goroutines on 4 keys of one shard, a TTL of a
+// few ms, and each grant released, revoked, heartbeat then released, or
+// left to expire, some after holding past the TTL. Each holder puts its
+// token in a per-key owner word for its window. A window must be
+// exclusive only if the lease is proven live at its end (its ending op
+// won, or Remaining still finds it): an expired holder overlapping its
+// successor is what fencing is for. Across proven windows, each key's
+// tokens must rise. At quiescence the tables and heaps are empty, every
+// grant ended exactly once, and the lock manager saw no violation.
+func TestLeaseRecycleStress(t *testing.T) {
+	const (
+		goroutines = 8
+		ops        = 150
+		ttl        = 3 * time.Millisecond
+	)
+	lm, m := newManagers(t, Config{TTL: ttl, Shards: 1})
+	names := []string{"r0", "r1", "r2", "r3"}
+	owners := make([]atomic.Uint64, len(names))
+	high := make([]atomic.Uint64, len(names))
+	var overlaps, reorders, released atomic.Int64
+	var wg sync.WaitGroup
+	for g := 1; g <= goroutines; g++ {
+		wg.Add(1)
+		go func(r *xrand.Rand) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				k := r.Intn(len(names))
+				name := names[k]
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				gr, err := m.AcquireCtx(ctx, name)
+				cancel()
+				if err != nil {
+					t.Errorf("acquire %s: %v", name, err)
+					return
+				}
+				tok := gr.Token
+				// A holder that finds a later token in the word is stale
+				// and leaves it be.
+				entered := false
+				for cur := owners[k].Load(); cur < tok && !entered; cur = owners[k].Load() {
+					entered = owners[k].CompareAndSwap(cur, tok)
+				}
+				prev := high[k].Swap(tok)
+				how := r.Intn(4)
+				if how == 2 {
+					if _, err := m.Heartbeat(name, tok); err != nil && !errors.Is(err, ErrFenced) {
+						t.Errorf("heartbeat %s: %v", name, err)
+					}
+				}
+				switch r.Intn(16) {
+				case 0:
+					time.Sleep(ttl) // outlive the lease: its end races expiry
+				case 1, 2, 3:
+					runtime.Gosched()
+				}
+				overlapped := !entered || !owners[k].CompareAndSwap(tok, 0)
+				var live bool
+				switch how {
+				case 0, 2:
+					err = m.Release(name, tok)
+					if live = err == nil; live {
+						released.Add(1)
+					}
+				case 1:
+					err = m.Revoke(name, tok)
+					live = err == nil
+				default:
+					_, live = m.Remaining(name, tok)
+				}
+				if err != nil && !errors.Is(err, ErrFenced) {
+					t.Errorf("ending %s: %v", name, err)
+				}
+				if live && overlapped {
+					overlaps.Add(1)
+				}
+				if live && prev >= tok {
+					reorders.Add(1)
+				}
+			}
+		}(xrand.New(uint64(g)))
+	}
+	wg.Wait()
+	// The expiry loop counts an expiry just after the lease leaves the
+	// table, so the counts settle a moment after the table empties.
+	var c Counters
+	var ended uint64
+	settled := func() bool {
+		c = m.Counters()
+		ended = uint64(released.Load()) + c.Revoked + c.Expired
+		return c.Active == 0 && ended == c.Granted
+	}
+	for deadline := time.Now().Add(time.Second); !settled() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if c.Active != 0 || ended != c.Granted {
+		t.Fatalf("%d leases active; %d grants but %d ends (%d released, %d revoked, %d expired)",
+			c.Active, c.Granted, ended, released.Load(), c.Revoked, c.Expired)
+	}
+	t.Logf("%+v", c)
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d owner-word gate failures: two live leases on one key", n)
+	}
+	if n := reorders.Load(); n != 0 {
+		t.Errorf("%d tokens not above their key's previous one", n)
+	}
+	sh := m.shards[0]
+	sh.mu.Lock()
+	keys, heap := len(sh.keys), len(sh.heap)
+	sh.mu.Unlock()
+	if keys != 0 || heap != 0 {
+		t.Errorf("quiescent shard holds %d keys and %d heap entries, want 0 and 0", keys, heap)
+	}
+	if c.Expired == 0 || c.Revoked == 0 {
+		t.Errorf("not every way to end a lease ran: %+v", c)
+	}
+	if v := lm.Violations(); v != 0 {
+		t.Errorf("lock manager violations = %d, want 0", v)
+	}
+}
+
+// TestGrantsDoNotWakeExpiry: the expiry loop sleeps until the time it
+// armed for, and a grant wakes it only for a deadline before that. With
+// a fixed TTL no grant's deadline is, so grants and releases cost the
+// loop nothing. Waking whenever the new lease is the heap's earliest
+// would wake it on nearly every grant: a table of only live leases is
+// nearly always empty.
+func TestGrantsDoNotWakeExpiry(t *testing.T) {
+	_, m := newManagers(t, Config{TTL: time.Minute, Shards: 4})
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+	}
+	for i := 0; i < 10000; i++ {
+		name := names[i%len(names)]
+		g, ok, err := m.tryAcquire(name)
+		if err != nil || !ok {
+			t.Fatalf("try %s: ok=%v err=%v", name, ok, err)
+		}
+		if err := m.Release(name, g.Token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, sh := range m.shards {
+		sh.mu.Lock()
+		passes := sh.passes
+		sh.mu.Unlock()
+		if passes > 2 {
+			t.Errorf("shard %d: %d expiry passes over 10000 grants, want <= 2", i, passes)
+		}
+	}
+}
+
+// TestExpiryAfterStaleArm: a grant whose deadline is after the expiry
+// loop's armed time sends no wake, so the loop wakes at its stale arm
+// and must re-arm for the lease rather than sleep past it.
+func TestExpiryAfterStaleArm(t *testing.T) {
+	const ttl = 30 * time.Millisecond
+	_, m := newManagers(t, Config{TTL: ttl, Shards: 1})
+	sh := m.shards[0]
+	waitFor(t, "the first expiry pass", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.passes > 0
+	})
+	a, ok, err := m.tryAcquire("a")
+	if err != nil || !ok {
+		t.Fatalf("try a: ok=%v err=%v", ok, err)
+	}
+	if err := m.Release("a", a.Token); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release("quarantined", g.Token); err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	b, ok, err := m.tryAcquire("b")
+	if err != nil || !ok {
+		t.Fatalf("try b: ok=%v err=%v", ok, err)
 	}
-	// In quarantine: specific fencing rejection.
-	if err := m.Release("quarantined", g.Token); !errors.Is(err, ErrFenced) {
-		t.Fatalf("release in quarantine: %v, want ErrFenced", err)
+	sh.mu.Lock()
+	stale := sh.armed.Before(sh.keys["b"].deadline)
+	sh.mu.Unlock()
+	if !stale {
+		t.Fatal("grant b lowered the arm: the loop was not armed before b's deadline")
 	}
-	// After the grace window the state is garbage-collected; the stale
-	// token is still fenced (now as an unknown key).
-	time.Sleep(3 * ttl)
-	if err := m.Release("quarantined", g.Token); !errors.Is(err, ErrFenced) {
-		t.Fatalf("release after GC: %v, want ErrFenced", err)
+	waitFor(t, "b to expire", func() bool { return m.Counters().Expired == 1 })
+	if took := time.Since(start); took > 2*ttl {
+		t.Errorf("b expired after %v, want <= %v", took, 2*ttl)
+	}
+	if _, ok := m.Remaining("b", b.Token); ok {
+		t.Error("b still live after its expiry was counted")
 	}
 }
 

@@ -99,12 +99,6 @@ type Server struct {
 	// before Serve. Required (positive) when Cluster is set.
 	LeaseTTL time.Duration
 
-	// LeaseGrace overrides the post-expiry quarantine window during
-	// which a revoked grant's token still answers with a fenced
-	// rejection rather than an unknown-key error (default: LeaseTTL).
-	// Set before Serve.
-	LeaseGrace time.Duration
-
 	// Cluster, when non-nil, makes this server one node of a lock
 	// cluster: acquires for keys this node does not own are answered
 	// with a wrong_owner redirect naming the owner, and on every
@@ -222,7 +216,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.peers = &peerPool{muxes: make(map[string]*client.Mux)}
 	}
 	if s.leases == nil && s.LeaseTTL > 0 {
-		cfg := lease.Config{TTL: s.LeaseTTL, Grace: s.LeaseGrace}
+		cfg := lease.Config{TTL: s.LeaseTTL}
 		if s.Durability.Dir != "" && s.journal == nil {
 			pol, err := journal.ParseSync(s.Durability.Fsync)
 			if err != nil {
