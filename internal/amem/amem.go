@@ -43,7 +43,9 @@ const (
 //
 // The m registers are contiguous, 8 bytes apart, in one block that
 // starts on a cache line and is a whole number of lines long: 128 bytes
-// for the service's m = 11. One lock's registers share lines — a sweep
+// for the service's m = 11. The word after the last register is the park
+// word (park.go), so a block of m ≡ 0 (mod 8) takes one line more. One
+// lock's registers share lines — a sweep
 // of an uncontended lock touches 2 lines, not m — and two locks never
 // do, so traffic on one name cannot invalidate another's.
 //
@@ -56,7 +58,7 @@ const (
 // cost every resident lock 8× the register memory — 576 of the 2 094
 // bytes a named lock then took in the service.
 type Memory struct {
-	regs []register.Atomic
+	regs []register.Atomic // len m; cap m+1, the last word the park word
 }
 
 // New creates a memory of m registers, every one holding ⊥. It panics if
@@ -72,13 +74,13 @@ func New(m int) *Memory {
 	// what it promises, so check, and on a miss allocate one line more
 	// and start at the first boundary inside it.
 	intoLine := func(b []register.Atomic) uintptr { return uintptr(unsafe.Pointer(&b[0])) % lineBytes }
-	words := (m + regsPerLine - 1) / regsPerLine * regsPerLine
+	words := (m + regsPerLine) / regsPerLine * regsPerLine // m registers and the park word
 	block := make([]register.Atomic, words)
 	if intoLine(block) != 0 {
 		block = make([]register.Atomic, words+regsPerLine)
 		block = block[(lineBytes-intoLine(block))%lineBytes/regBytes:]
 	}
-	return &Memory{regs: block[:m:m]}
+	return &Memory{regs: block[: m : m+1]}
 }
 
 // Size returns m.

@@ -237,6 +237,18 @@ func (a *Alg1Machine) PendingOp() Op {
 // and never requests a compare&swap.
 func (a *Alg1Machine) SweepCAS(CASMemory, int) (int, bool) { return 0, false }
 
+// SweepRead implements Machine: Algorithm 1 waits on one snapshot a pass,
+// and its reads (shrink, withdraw) alternate with writes.
+func (a *Alg1Machine) SweepRead(ReadMemory, int) int { return 0 }
+
+// Absent implements Machine. After a step that changed nothing the
+// machine is about to snapshot again, and viewᵢ is the snapshot that step
+// took, unless the step ended a withdrawal shrink (then viewᵢ still holds
+// idᵢ). Without idᵢ and not all ⊥, that snapshot is the line 4 wait.
+func (a *Alg1Machine) Absent() bool {
+	return a.phase == a1Snapshot && !allBottom(a.view) && countOwned(a.view, a.me) == 0
+}
+
 // Advance implements Machine.
 func (a *Alg1Machine) Advance(res OpResult) Status {
 	if a.status != StatusRunning {

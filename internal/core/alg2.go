@@ -255,6 +255,30 @@ func (a *Alg2Machine) SweepCAS(mem CASMemory, max int) (ops int, swapped bool) {
 	return ops, swapped
 }
 
+// SweepRead implements Machine for line 3's collect and one pass of lines
+// 8–10: the reads go through Advance one by one, as with SweepCAS, and
+// the sweep stops where the collect ends (lines 4–12 decide what
+// follows), where the pass ends (cursor back at 0, or the wait over), or
+// after max ops.
+func (a *Alg2Machine) SweepRead(mem ReadMemory, max int) (ops int) {
+	phase := a.phase
+	if phase != a2Collect && phase != a2WaitRead {
+		return 0
+	}
+	for ops < max {
+		ops++
+		a.Advance(OpResult{Val: mem.Read(a.cursor)})
+		if a.phase != phase || a.cursor == 0 {
+			break
+		}
+	}
+	return ops
+}
+
+// Absent implements Machine: a process waits absent exactly in lines
+// 8–10, after line 7 erased every register it owned.
+func (a *Alg2Machine) Absent() bool { return a.phase == a2WaitRead }
+
 // afterCollect runs lines 4–6 and 11–12 after a complete line 3 sweep.
 func (a *Alg2Machine) afterCollect() {
 	a.most = mostPresent(a.view)       // line 4

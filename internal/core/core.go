@@ -85,6 +85,13 @@ type CASMemory interface {
 	CompareAndSwap(x int, old, newVal id.ID) bool
 }
 
+// ReadMemory is the one operation a read sweep needs from the memory, in
+// the process's local register names; every executor of the engine
+// package provides it.
+type ReadMemory interface {
+	Read(x int) id.ID
+}
+
 // OpResult carries the outcome of an executed Op back into the machine.
 type OpResult struct {
 	Val     id.ID   // Read: the value read
@@ -157,6 +164,19 @@ type Machine interface {
 	// machine may always answer 0); the caller then executes that op
 	// through PendingOp.
 	SweepCAS(mem CASMemory, max int) (ops int, swapped bool)
+	// SweepRead is SweepCAS for a read sweep: it runs the rest of the
+	// collect or wait pass the pending read belongs to, at most max ops,
+	// feeding each value to Advance before issuing the next read. It
+	// returns how many reads it executed, or 0 when the pending op opens
+	// no such sweep.
+	SweepRead(mem ReadMemory, max int) (ops int)
+	// Absent reports, after a step that changed no register, whether the
+	// process waits holding no register, so that only an empty memory can
+	// let it in (Algorithm 2's lines 8–10, Algorithm 1's line 4 on a
+	// snapshot without idᵢ). A waiting process may park until a store
+	// wakes it: an absent one on an erase, any other on every store. A
+	// machine may always answer false.
+	Absent() bool
 	// Line reports the paper line number the machine is about to execute,
 	// for traces and experiments (0 when idle).
 	Line() int

@@ -4,53 +4,44 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"anonmutex/internal/core"
 	"anonmutex/internal/id"
 )
 
-// Backoff tunes the Driver's adaptive wait strategy. The zero value means
-// DefaultBackoff. The policy has three phases, escalating while the
-// machine burns operations without making progress (progress = a write,
-// or a successful CAS — the moves that change the shared memory):
+// Backoff tunes how the Driver waits. The zero value means
+// DefaultBackoff. A step makes progress when it changes the shared
+// memory (a write, or a compare&swap that swapped); while the machine
+// makes none the Driver
 //
-//  1. pure spin for the first SpinOps ops — the common uncontended case
-//     completes here without ever entering the scheduler;
-//  2. runtime.Gosched after each op for the next YieldOps ops — polite to
-//     sibling goroutines while the lock is briefly contended;
-//  3. sleeping, starting at SleepMin and doubling per op up to SleepMax —
-//     a long wait (another process holds the lock, or many competitors)
-//     should not burn a core.
+//  1. spins for the first SpinOps ops — the common uncontended case, and
+//     a short contended one, complete here without entering the
+//     scheduler;
+//  2. then parks after every step that makes no progress: it registers
+//     on the memory, re-runs one pass of its wait (a store it missed
+//     before registering is in that pass), and blocks until a store that
+//     can let it in wakes it, its context ends, or SleepMax passes.
 //
-// Any progress resets the policy to phase 1. A compare&swap sweep is one
-// step of the Driver: each of its ops counts, and it waits at most once.
+// Any progress restarts the spin. A sweep is one step: each of its ops
+// counts, and the Driver parks at most once, after it ends.
 type Backoff struct {
 	// SpinOps is the number of non-progressing ops executed back-to-back
-	// before the driver starts yielding (default 64).
+	// before the driver parks (default 64).
 	SpinOps int
-	// YieldOps is the number of non-progressing ops accompanied by a
-	// Gosched before the driver starts sleeping (default 64).
-	YieldOps int
-	// SleepMin and SleepMax bound the exponential sleep phase (defaults
-	// 1µs and 256µs).
-	SleepMin, SleepMax time.Duration
-
-	// yield and sleep are test seams; nil means runtime.Gosched and
-	// time.Sleep.
-	yield func()
-	sleep func(time.Duration)
+	// SleepMax caps one park (default 1ms): a waiter no store wakes
+	// re-reads the memory after this long, so liveness never rests on the
+	// wake. The cap is a backstop, not a poll: each expiry costs a
+	// goroutine wake and a pass, and at the 256µs the sleeps it replaced
+	// were capped at, expiries in waits of a few hundred µs (a contended
+	// service key) cost 10–15 % of the key's CPU. 1ms is about what one
+	// of those 256µs sleeps took on a 2-vCPU host.
+	SleepMax time.Duration
 }
 
 // DefaultBackoff returns the production backoff policy.
 func DefaultBackoff() Backoff {
-	return Backoff{
-		SpinOps:  64,
-		YieldOps: 64,
-		SleepMin: time.Microsecond,
-		SleepMax: 256 * time.Microsecond,
-	}
+	return Backoff{SpinOps: 64, SleepMax: time.Millisecond}
 }
 
 func (b *Backoff) normalize() {
@@ -58,20 +49,8 @@ func (b *Backoff) normalize() {
 	if b.SpinOps <= 0 {
 		b.SpinOps = d.SpinOps
 	}
-	if b.YieldOps <= 0 {
-		b.YieldOps = d.YieldOps
-	}
-	if b.SleepMin <= 0 {
-		b.SleepMin = d.SleepMin
-	}
-	if b.SleepMax < b.SleepMin {
-		b.SleepMax = b.SleepMin
-	}
-	if b.yield == nil {
-		b.yield = runtime.Gosched
-	}
-	if b.sleep == nil {
-		b.sleep = time.Sleep
+	if b.SleepMax <= 0 {
+		b.SleepMax = d.SleepMax
 	}
 }
 
@@ -81,17 +60,17 @@ func (b *Backoff) normalize() {
 // concurrent use.
 //
 // The Driver's unit of work is a step: one op, or — when the pending op
-// is a compare&swap that opens one of Algorithm 2's sweeps (line 2's
-// claim, line 13's erase, the withdraw) — the rest of that sweep, which
-// the machine issues back to back through Machine.SweepCAS. The ops and
-// their order are those of op-by-op driving; only the Driver's own
-// bookkeeping moves to step boundaries. Cancellation is polled, and the
-// backoff applied, once per step: at most m ops late during a sweep, and
-// a sweep that swapped nowhere adds all its ops to the no-progress streak
-// but waits at most once, after it ends. The read sweeps and every
-// Algorithm 1 op stay one op a step, so waiting processes poll at the
-// same cadence. TryDriveBounded caps a sweep at its remaining budget, so
-// its bound stays exact.
+// opens one of Algorithm 2's sweeps (line 2's claim, line 3's collect,
+// a pass of lines 8–10, line 13's erase, the withdraw) — the rest of that
+// sweep, which the machine issues back to back through Machine.SweepCAS
+// or Machine.SweepRead. The ops and their order are those of op-by-op
+// driving; only the Driver's own bookkeeping moves to step boundaries.
+// Cancellation is polled, the backoff applied and parked waiters
+// notified once per step: at most m ops late during a sweep. A step that
+// changed nothing adds all its ops to the no-progress streak. Algorithm 1
+// waits on one snapshot a pass, so it too parks at most once a pass.
+// TryDriveBounded caps a sweep at its remaining budget, so its bound
+// stays exact.
 type Driver struct {
 	machine core.Machine
 	exec    Executor
@@ -105,15 +84,17 @@ type Driver struct {
 
 	// streak counts consecutive ops without progress within the current
 	// invocation. It resets on every progress op and at the start of each
-	// Drive call: a contended Lock must not leave the driver in the sleep
-	// phase, or the following Unlock would sleep while holding the
-	// critical section.
+	// Drive call: a contended Lock must not leave the driver parking, or
+	// the following Unlock would park while holding the critical section.
 	streak int
+	// erasing is set by a step that erased and cleared by the Notify that
+	// follows the erase run's last step.
+	erasing bool
 
 	// Statistics.
 	ops    uint64 // total ops executed
-	yields uint64 // Gosched calls
-	sleeps uint64 // sleep calls
+	parks  uint64 // parks that blocked
+	wakes  uint64 // parks a store's wake ended
 	aborts uint64 // invocations withdrawn by DriveContext
 }
 
@@ -150,17 +131,18 @@ func (d *Driver) Drive() error {
 	return err
 }
 
-// drive is the loop shared by Drive and DriveContext: execute steps with
-// the adaptive backoff until the invocation completes or done (when
-// non-nil) fires at a step boundary, reported as cancelled=true with the
-// machine still Running. The nil-done case — every plain Lock/Unlock,
-// including the whole uncontended fast path — runs a dedicated tight
-// loop with no cancellation poll on the step boundary.
+// drive is the loop shared by Drive and DriveContext: execute steps,
+// parking while they make no progress, until the invocation completes or
+// done (when non-nil) fires at a step boundary or during a park, reported
+// as cancelled=true with the machine still Running. The nil-done case —
+// every plain Lock/Unlock, including the whole uncontended fast path —
+// runs a dedicated tight loop with no cancellation poll on the step
+// boundary.
 func (d *Driver) drive(done <-chan struct{}) (cancelled bool, err error) {
 	d.streak = 0
 	if done == nil {
 		for d.machine.Status() == core.StatusRunning {
-			if err := d.execOne(); err != nil {
+			if err := d.execOne(nil); err != nil {
 				return false, err
 			}
 		}
@@ -172,7 +154,7 @@ func (d *Driver) drive(done <-chan struct{}) (cancelled bool, err error) {
 			return true, nil
 		default:
 		}
-		if err := d.execOne(); err != nil {
+		if err := d.execOne(done); err != nil {
 			return false, err
 		}
 	}
@@ -180,62 +162,113 @@ func (d *Driver) drive(done <-chan struct{}) (cancelled bool, err error) {
 }
 
 // step executes the machine's pending op and feeds the result back — or,
-// when that op opens a compare&swap sweep, lets the machine run the sweep
-// (at most budget ops) in one call. It reports how many ops ran and
-// whether any changed the shared memory (a write, or a CAS that swapped).
+// when that op opens a sweep, lets the machine run the sweep (at most
+// budget ops) in one call. It reports how many ops ran and whether any
+// changed the shared memory (a write, or a CAS that swapped).
+//
+// A step that stored notifies the memory's parked waiters. An erase run
+// (line 13's sweep, the withdraw, a resign, a shrink) notifies once, at
+// the step that leaves its paper line: its last erase may be the one that
+// empties the memory. A write of idᵢ notifies at once; a compare&swap
+// claim does not, since the ⊥ it took was stored by a step that did.
 func (d *Driver) step(budget int) (n int, progress bool, err error) {
-	op := d.machine.PendingOp()
-	if op.Kind == core.OpCAS {
-		if n, progress = d.machine.SweepCAS(d.exec, budget); n > 0 {
-			d.ops += uint64(n)
-			return n, progress, nil
+	op, line := d.machine.PendingOp(), d.machine.Line()
+	switch op.Kind {
+	case core.OpCAS:
+		n, progress = d.machine.SweepCAS(d.exec, budget)
+	case core.OpRead:
+		n = d.machine.SweepRead(d.exec, budget)
+	}
+	if n == 0 {
+		res, buf, err := Exec(d.exec, op, d.snapBuf)
+		if err != nil {
+			return 0, false, err
 		}
+		d.snapBuf = buf
+		d.machine.Advance(res)
+		n, progress = 1, op.Kind == core.OpWrite || res.Swapped
 	}
-	res, buf, err := Exec(d.exec, op, d.snapBuf)
-	if err != nil {
-		return 0, false, err
+	d.ops += uint64(n)
+	switch {
+	case progress && op.Val.IsNone() && op.New.IsNone():
+		d.erasing = true
+	case op.Kind == core.OpWrite:
+		d.exec.Notify(false)
 	}
-	d.snapBuf = buf
-	d.machine.Advance(res)
-	d.ops++
-	return 1, op.Kind == core.OpWrite || (op.Kind == core.OpCAS && res.Swapped), nil
+	if d.erasing && (d.machine.Status() != core.StatusRunning || d.machine.Line() != line) {
+		d.erasing = false
+		d.exec.Notify(true)
+	}
+	return n, progress, nil
 }
 
-// execOne executes one step and applies the adaptive backoff when it made
-// no progress; a sweep's ops all count towards the streak, but it waits
-// at most once, after the sweep.
-func (d *Driver) execOne() error {
+// execOne executes one step and, once the no-progress streak has passed
+// the spin phase, parks after it.
+func (d *Driver) execOne(done <-chan struct{}) error {
 	n, progress, err := d.step(math.MaxInt)
 	if err != nil {
 		return err
 	}
 	if progress {
 		// The shared memory changed: the protocol is moving. Restart
-		// the escalation from the spin phase.
+		// from the spin phase.
 		d.streak = 0
 		return nil
 	}
 	d.streak += n
-	if d.machine.Status() != core.StatusRunning {
-		// The invocation just completed; don't wait on its last op.
+	if d.streak <= d.backoff.SpinOps || d.machine.Status() != core.StatusRunning {
+		// Spinning, or the invocation just completed: don't wait on its
+		// last op.
 		return nil
 	}
-	switch {
-	case d.streak <= d.backoff.SpinOps:
-		// Phase 1: spin.
-	case d.streak <= d.backoff.SpinOps+d.backoff.YieldOps:
-		d.yields++
-		d.backoff.yield()
-	default:
-		over := d.streak - d.backoff.SpinOps - d.backoff.YieldOps - 1
-		dur := d.backoff.SleepMin << min(over, 62)
-		if dur > d.backoff.SleepMax || dur <= 0 {
-			dur = d.backoff.SleepMax
-		}
-		d.sleeps++
-		d.backoff.sleep(dur)
+	return d.park(done)
+}
+
+// park registers the process on its memory, re-runs one pass of its wait
+// — one step if it waits absent (a read pass or a snapshot), two if it
+// may hold registers (Algorithm 2's claim sweep and collect) — and blocks
+// only if that pass brought the machine back to the paper line it
+// registered at: a pass that moved it on (the wait ended, or it must
+// resign) ends the park, and the next step without progress parks anew.
+// A park the cap ends stays registered, re-runs the pass and blocks
+// again; a wake or a cancellation returns to the drive loop. See amem's
+// park.go for why a store between the last step and the registration is
+// not lost.
+func (d *Driver) park(done <-chan struct{}) error {
+	absent, line := d.machine.Absent(), d.machine.Line()
+	p := d.exec.Park(!absent)
+	passes := 2
+	if absent {
+		passes = 1
 	}
-	return nil
+	for {
+		for k := passes; k > 0; k-- {
+			n, progress, err := d.step(math.MaxInt)
+			if err != nil || progress || d.machine.Status() != core.StatusRunning {
+				p.Cancel()
+				if progress {
+					d.streak = 0
+				}
+				return err
+			}
+			d.streak += n
+		}
+		if d.machine.Line() != line {
+			p.Cancel()
+			return nil
+		}
+		d.parks++
+		if p.Wait(done, d.backoff.SleepMax) {
+			d.wakes++
+			return nil
+		}
+		select {
+		case <-done:
+			p.Cancel()
+			return nil
+		default:
+		}
+	}
 }
 
 // DriveContext is Drive with cancellation: it executes the machine's
@@ -251,10 +284,10 @@ func (d *Driver) execOne() error {
 // observed completes normally and returns nil — the caller holds the
 // lock even if ctx expired in the same instant.
 //
-// The waiting policy matches Drive: spin, then yield, then escalating
-// sleeps, with the cancellation checked at every step boundary — every
-// op, except inside a compare&swap sweep of at most m ops (sleeps are
-// bounded by SleepMax, so cancellation latency is at most one sleep).
+// The waiting policy matches Drive: spin, then park, with the
+// cancellation checked at every step boundary — every op, except inside
+// a sweep of at most m ops — and by the park itself, which a cancelled
+// waiter leaves at once.
 func (d *Driver) DriveContext(ctx context.Context) error {
 	done := ctx.Done()
 	if done == nil {
@@ -277,7 +310,7 @@ func (d *Driver) DriveContext(ctx context.Context) error {
 // runs to completion, leaving the registers as if the process had never
 // competed) and acquired=false is returned. Unlike Drive, the whole call
 // is bounded — at most maxOps + the withdraw sweep's operations — and
-// never backs off or sleeps, which makes it the primitive behind
+// never parks, which makes it the primitive behind
 // hard-bounded trylocks: pick maxOps large enough for an uncontended
 // acquisition (2m+1 covers both algorithms; m suffices for Algorithm 2's
 // solo fast path) and any contended attempt fails fast instead of
@@ -311,7 +344,8 @@ func (d *Driver) TryDriveBounded(maxOps int) (acquired bool, err error) {
 // way the remaining ops run without backoff or further cancellation
 // checks: every one advances the machine (both sweeps are wait-free), and
 // stopping halfway could leave the process's identity in a register
-// nobody will ever erase.
+// nobody will ever erase. A withdrawn waiter may have been woken by an
+// erase it will never act on, so it passes one wake on as an erase does.
 func (d *Driver) withdraw(cause error) error {
 	aborting := d.machine.StartAbort() == nil
 	if err := d.finish(); err != nil {
@@ -320,6 +354,7 @@ func (d *Driver) withdraw(cause error) error {
 	if !aborting {
 		return nil
 	}
+	d.exec.Notify(true)
 	d.aborts++
 	return cause
 }
@@ -336,9 +371,10 @@ func (d *Driver) finish() error {
 }
 
 // Stats reports the driver's lifetime counters: shared-memory ops
-// executed, scheduler yields, and sleeps taken while waiting.
-func (d *Driver) Stats() (ops, yields, sleeps uint64) {
-	return d.ops, d.yields, d.sleeps
+// executed, parks that blocked, and how many of those a store's wake
+// ended (the rest ended at the cap or on cancellation).
+func (d *Driver) Stats() (ops, parks, wakes uint64) {
+	return d.ops, d.parks, d.wakes
 }
 
 // Aborts reports how many invocations DriveContext has withdrawn.

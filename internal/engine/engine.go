@@ -14,16 +14,17 @@
 //     for the scheduler (internal/sched), scenarios, and tests.
 //
 // Exec dispatches a single pending op against either substrate; Driver
-// runs a machine's whole invocation to completion with an adaptive
-// spin/backoff policy tuned for the real locks' wait loops (pure spin,
-// then runtime.Gosched, then exponentially escalating sleeps), handing
-// each compare&swap sweep to the machine whole. Both paths
-// are allocation-free per operation: snapshot buffers are owned by the
+// runs a machine's whole invocation to completion, handing each of
+// Algorithm 2's compare&swap and read sweeps to the machine whole, and
+// waits the real locks' wait loops out by parking: a short spin, then
+// the process blocks until a store to its memory wakes it (amem's park
+// lot), its context ends, or a cap passes. Both paths are
+// allocation-free per operation: snapshot buffers are owned by the
 // Driver (or caller) and reused, and Exec returns results by value.
 // DriveContext adds deadline-bounded, abortable acquisition: a context
-// cancelled mid-lock() triggers the machine's StartAbort withdraw — a
-// bounded erase sweep that leaves the anonymous registers exactly as if
-// the process had never competed.
+// cancelled mid-lock() — parked or not — triggers the machine's
+// StartAbort withdraw, a bounded erase sweep that leaves the anonymous
+// registers exactly as if the process had never competed.
 //
 // Recorder wraps any Executor and logs the full operation/result stream,
 // enabling cross-substrate equivalence checks: under a deterministic
@@ -58,6 +59,14 @@ type Executor interface {
 	// Snapshot returns a consistent snapshot of all m registers in local
 	// order, reusing dst when its capacity allows (RW model only).
 	Snapshot(dst []id.ID) []id.ID
+	// Park registers the process as a waiter on the memory (holds: it may
+	// own a register). The caller re-reads the memory once more, then
+	// blocks in the registration's Wait; a wake or Cancel ends it. A
+	// substrate that cannot block returns nil, whose Wait returns at once.
+	Park(holds bool) *amem.Parking
+	// Notify follows a store to the memory (erased: of ⊥) and wakes the
+	// parked waiters it may let in.
+	Notify(erased bool)
 }
 
 // Hardware returns the Executor backed by a real hardware-atomic view.
@@ -72,6 +81,14 @@ func Hardware(v *amem.View) Executor { return v }
 type simulated struct{ *vmem.View }
 
 func (s simulated) Snapshot(dst []id.ID) []id.ID { return s.View.SnapshotAtomic(dst) }
+
+// Park implements Executor: the simulated memory belongs to one
+// goroutine, so no store can arrive while its process waits, and the
+// park returns at once.
+func (simulated) Park(bool) *amem.Parking { return nil }
+
+// Notify implements Executor: nobody parks on the simulated memory.
+func (simulated) Notify(bool) {}
 
 // Simulated returns the Executor backed by a simulated view. Snapshots
 // execute atomically; schedulers that want honest double-scan snapshots
@@ -160,6 +177,12 @@ func (r *Recorder) CompareAndSwap(x int, old, newVal id.ID) bool {
 	r.Log = append(r.Log, OpRecord{Kind: core.OpCAS, X: x, Old: old, New: newVal, Swapped: ok})
 	return ok
 }
+
+// Park implements Executor; parking is not an op and is not recorded.
+func (r *Recorder) Park(holds bool) *amem.Parking { return r.Inner.Park(holds) }
+
+// Notify implements Executor, unrecorded like Park.
+func (r *Recorder) Notify(erased bool) { r.Inner.Notify(erased) }
 
 // Snapshot implements Executor.
 func (r *Recorder) Snapshot(dst []id.ID) []id.ID {

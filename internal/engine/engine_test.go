@@ -281,6 +281,8 @@ func (s *spinMachine) StartAbort() error {
 }
 func (s *spinMachine) PendingOp() core.Op                       { return core.Op{Kind: core.OpRead, X: 0} }
 func (s *spinMachine) SweepCAS(core.CASMemory, int) (int, bool) { return 0, false }
+func (s *spinMachine) SweepRead(core.ReadMemory, int) int       { return 0 }
+func (s *spinMachine) Absent() bool                             { return false }
 func (s *spinMachine) Advance(core.OpResult) core.Status {
 	s.left--
 	if s.left <= 0 {
@@ -299,6 +301,11 @@ func (s *spinMachine) OwnedAtEntry() int             { return 0 }
 func (s *spinMachine) AppendState(dst []byte) []byte { return dst }
 func (s *spinMachine) Clone() core.Machine           { c := *s; return &c }
 
+// TestDriverBackoffEscalation pins spin → park: SpinOps ops spin, then
+// the first step without progress registers a park, which re-runs the
+// wait's pass (two steps for a waiter that may hold registers) before
+// every block, and stays registered when the cap ends a block. On the
+// simulated memory a block returns at once, so the op count is exact.
 func TestDriverBackoffEscalation(t *testing.T) {
 	const m = 1
 	mem := vmem.New(m, false)
@@ -308,49 +315,44 @@ func TestDriverBackoffEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var yields int
-	var sleeps []time.Duration
-	b := Backoff{
-		SpinOps:  4,
-		YieldOps: 3,
-		SleepMin: time.Microsecond,
-		SleepMax: 8 * time.Microsecond,
-		yield:    func() { yields++ },
-		sleep:    func(d time.Duration) { sleeps = append(sleeps, d) },
-	}
-
-	// 4 spin + 3 yield + 5 sleeping ops; the 13th op completes the
-	// invocation and is not followed by a wait.
+	// Ops 1–4 spin; op 5 passes SpinOps and registers; the park blocks
+	// after re-running ops 6–7, 8–9 and 10–11, and the re-run of 12–13
+	// completes the invocation, which is not followed by a block.
 	sm := &spinMachine{me: me, total: 13}
-	d := NewDriverBackoff(sm, Simulated(v), b)
+	d := NewDriverBackoff(sm, Simulated(v), Backoff{SpinOps: 4})
 	if err := sm.StartLock(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Drive(); err != nil {
 		t.Fatal(err)
 	}
-	if yields != 3 {
-		t.Errorf("yields = %d, want 3", yields)
+	if ops, parks, wakes := d.Stats(); ops != 13 || parks != 3 || wakes != 0 {
+		t.Errorf("Stats() = (%d, %d, %d), want (13, 3, 0)", ops, parks, wakes)
 	}
-	want := []time.Duration{
-		1 * time.Microsecond, 2 * time.Microsecond, 4 * time.Microsecond,
-		8 * time.Microsecond, 8 * time.Microsecond,
+
+	// On hardware memory each block lasts until the cap: three of 20 ms
+	// take at least 60 ms.
+	_, next := newHardware(t, m)
+	sm = &spinMachine{me: me, total: 13}
+	d = NewDriverBackoff(sm, next(), Backoff{SpinOps: 4, SleepMax: 20 * time.Millisecond})
+	if err := sm.StartLock(); err != nil {
+		t.Fatal(err)
 	}
-	if len(sleeps) != len(want) {
-		t.Fatalf("sleeps = %v, want %v", sleeps, want)
+	start := time.Now()
+	if err := d.Drive(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v (all: %v)", i, sleeps[i], want[i], sleeps)
-		}
+	if took := time.Since(start); took < 60*time.Millisecond {
+		t.Errorf("three capped parks took %v, want >= 60ms", took)
 	}
-	ops, y, s := d.Stats()
-	if ops != 13 || y != 3 || s != 5 {
-		t.Errorf("Stats() = (%d, %d, %d), want (13, 3, 5)", ops, y, s)
+	if ops, parks, wakes := d.Stats(); ops != 13 || parks != 3 || wakes != 0 {
+		t.Errorf("hardware Stats() = (%d, %d, %d), want (13, 3, 0)", ops, parks, wakes)
 	}
 }
 
+// TestDriverBackoffResetsOnProgress: every write resets the streak, so
+// even with SpinOps=1 a solo Algorithm 1 lock — snapshot, then (claim,
+// snapshot) × m — never parks.
 func TestDriverBackoffResetsOnProgress(t *testing.T) {
 	const n, m = 2, 3
 	gen := id.NewGenerator()
@@ -359,27 +361,13 @@ func TestDriverBackoffResetsOnProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := vmem.New(m, true)
-	v, err := mem.NewView(me, perm.Identity(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var yields, sleeps int
-	b := Backoff{
-		SpinOps: 1, YieldOps: 1,
-		SleepMin: time.Microsecond, SleepMax: time.Microsecond,
-		yield: func() { yields++ },
-		sleep: func(time.Duration) { sleeps++ },
-	}
-	d := NewDriverBackoff(a, Simulated(v), b)
-	// Solo Algorithm 1: snapshot, then (claim, snapshot) × m, final check.
-	// Every write resets the streak, so even with SpinOps=1 the solo run
-	// never escalates past at most a yield between claims.
+	_, next := newHardware(t, m)
+	d := NewDriverBackoff(a, next(), Backoff{SpinOps: 1, SleepMax: time.Minute})
 	if st, err := d.DriveAll(); err != nil || st != core.StatusInCS {
 		t.Fatalf("lock: %v %v", st, err)
 	}
-	if sleeps != 0 {
-		t.Errorf("solo lock slept %d times; progress should keep resetting the backoff", sleeps)
+	if _, parks, _ := d.Stats(); parks != 0 {
+		t.Errorf("solo lock parked %d times; progress should keep resetting the backoff", parks)
 	}
 }
 

@@ -1,8 +1,9 @@
 package engine
 
-// Sweep tests: the Driver hands a whole compare&swap sweep to the machine
-// (core.Machine.SweepCAS) instead of feeding it op by op. That must change
-// nothing the process does to the memory. Against a reference loop that
+// Sweep tests: the Driver hands a whole compare&swap or read sweep to the
+// machine (core.Machine.SweepCAS, SweepRead) instead of feeding it op by
+// op. That must change nothing the process does to the memory. Against a
+// reference loop that
 // feeds every op through PendingOp, Exec and Advance, the same schedule
 // must issue the identical op trace, leave byte-identical machine state
 // and count the same ops — on both substrates, in every driving loop
@@ -24,7 +25,7 @@ import (
 )
 
 // refProc is the reference: one machine driven op by op, never through
-// SweepCAS.
+// SweepCAS or SweepRead.
 type refProc struct {
 	m   core.Machine
 	rec *Recorder
@@ -32,9 +33,13 @@ type refProc struct {
 	ops uint64
 }
 
-// turn executes one op or, when that op is a compare&swap, ops until the
-// machine leaves the sweep (its paper line changes) or max ops ran: the
-// grouping Driver.step makes, found here from outside the machine.
+// turn executes one op or, when that op opens a sweep, ops until the
+// machine leaves the sweep or max ops ran: the grouping Driver.step
+// makes, found here from outside the machine. Every compare&swap and
+// every read of Algorithm 2 belongs to a sweep (line 2, 3, 8–10 or 13, or
+// the withdraw), which ends where the paper line or the op kind changes;
+// a read sweep also ends with its read of register m-1, where a collect
+// or a pass of lines 8–10 is complete.
 func (r *refProc) turn(t *testing.T, max int) int {
 	t.Helper()
 	line := r.m.Line()
@@ -48,8 +53,10 @@ func (r *refProc) turn(t *testing.T, max int) int {
 		r.buf = buf
 		r.m.Advance(res)
 		n++
-		if op.Kind != core.OpCAS || r.m.Status() != core.StatusRunning ||
-			r.m.Line() != line || r.m.PendingOp().Kind != core.OpCAS {
+		if (op.Kind != core.OpCAS && op.Kind != core.OpRead) ||
+			(op.Kind == core.OpRead && op.X == r.rec.Size()-1) ||
+			r.m.Status() != core.StatusRunning ||
+			r.m.Line() != line || r.m.PendingOp().Kind != op.Kind {
 			break
 		}
 	}
@@ -100,7 +107,7 @@ func begin(t *testing.T, mach core.Machine) {
 }
 
 // turn gives process i one scheduler turn on both copies: one op, or a
-// compare&swap sweep of at most max ops.
+// sweep of at most max ops.
 func (p *sweepPair) turn(t *testing.T, i, max int) {
 	t.Helper()
 	begin(t, p.sw[i].Machine())
@@ -231,7 +238,8 @@ func allProcs(n int) []int {
 }
 
 // TestSweepMatchesPerOpInterleaved runs seeded random interleavings of
-// whole turns — one op, or one sweep — against the reference.
+// whole turns — one op, or one sweep, a read pass included — against the
+// reference.
 func TestSweepMatchesPerOpInterleaved(t *testing.T) {
 	for _, kind := range []string{"hardware", "simulated"} {
 		for _, c := range sweepCases(t) {

@@ -116,6 +116,12 @@ func (g *Greedy) PendingOp() core.Op {
 // driven op by op.
 func (g *Greedy) SweepCAS(core.CASMemory, int) (int, bool) { return 0, false }
 
+// SweepRead implements core.Machine: the collect is driven op by op too.
+func (g *Greedy) SweepRead(core.ReadMemory, int) int { return 0 }
+
+// Absent implements core.Machine: the strawman never parks absent.
+func (g *Greedy) Absent() bool { return false }
+
 // Advance implements core.Machine.
 func (g *Greedy) Advance(res core.OpResult) core.Status {
 	if g.status != core.StatusRunning {

@@ -188,9 +188,13 @@ func (l *Lock) NewProcess() (*Process, error) {
 	return &Process{
 		lock:   l,
 		view:   view,
-		driver: engine.NewDriver(machine, engine.Hardware(view)),
+		driver: newDriver(machine, engine.Hardware(view)),
 	}, nil
 }
+
+// newDriver builds each handle's driver. Tests swap in one whose park cap
+// is a minute, so that a lost wake shows as a hang rather than a delay.
+var newDriver = engine.NewDriver
 
 // Process is one process's handle on a Lock. Not safe for concurrent use:
 // a handle belongs to one goroutine at a time.
@@ -249,7 +253,7 @@ func (p *Process) LockCtx(ctx context.Context) error {
 // m under RMW (2m without the solo fast path) — and, if the lock has not
 // been entered by then, withdraws via the bounded erase sweep and reports
 // false. The whole call executes a hard-bounded number of operations and
-// never sleeps, unlike TryLockFor's wall-clock bound. Errors are reserved
+// never parks, unlike TryLockFor's wall-clock bound. Errors are reserved
 // for life-cycle misuse.
 func (p *Process) TryLock() (bool, error) {
 	if p.closed {
