@@ -65,7 +65,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":7117", "listen address")
 	algName := fs.String("alg", "rmw", "per-name lock algorithm: rw or rmw")
 	handles := fs.Int("handles", 8, "process handles per named lock (max concurrent competitors)")
-	registers := fs.Int("registers", 0, "anonymous registers per lock (0: smallest legal size)")
+	registers := fs.Int("registers", 0, "anonymous registers per lock (0: the smallest legal size above 1, 11 at -handles 8; rmw also runs on 1)")
 	shards := fs.Int("shards", 16, "lock-manager shards")
 	maxLocks := fs.Int("max-locks", 1024, "resident locks per shard before LRU eviction")
 	seed := fs.Uint64("seed", 1, "anonymity-adversary seed")

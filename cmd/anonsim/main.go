@@ -61,7 +61,7 @@ func run(args []string) error {
 	alg := anonmutex.RW
 	fs.TextVar(&alg, "alg", alg, "algorithm: rw, rmw, or greedy")
 	n := fs.Int("n", 2, "number of processes")
-	m := fs.Int("m", 3, "number of anonymous registers (0: smallest legal size)")
+	m := fs.Int("m", 3, "number of anonymous registers (0: the smallest legal size above 1; rmw also runs on 1)")
 	force := fs.Bool("force", false, "allow m outside M(n)")
 	sessions := fs.Int("sessions", 1, "lock/unlock cycles per process")
 	csTicks := fs.Int("cs-ticks", 0, "scheduler ticks spent inside the CS")

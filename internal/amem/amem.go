@@ -65,6 +65,14 @@ type Memory struct {
 // m < 1 (a memory must exist to communicate through; the paper's model has
 // m ≥ 1).
 func New(m int) *Memory {
+	mem := new(Memory)
+	mem.Init(m)
+	return mem
+}
+
+// Init is New in place, for an owner that holds the Memory by value (the
+// root package's Lock): only the register block is allocated.
+func (mem *Memory) Init(m int) {
 	if m < 1 {
 		panic(fmt.Sprintf("amem: memory size must be >= 1, got %d", m))
 	}
@@ -80,7 +88,7 @@ func New(m int) *Memory {
 		block = make([]register.Atomic, words+regsPerLine)
 		block = block[(lineBytes-intoLine(block))%lineBytes/regBytes:]
 	}
-	return &Memory{regs: block[: m : m+1]}
+	mem.regs = block[: m : m+1]
 }
 
 // Size returns m.
@@ -109,23 +117,35 @@ func (mem *Memory) ObserveValues() []id.ID {
 // copy of p, two bytes an entry, so a memory of more than 65 536
 // registers has no views.
 func (mem *Memory) NewView(me id.ID, p perm.Perm) (*View, error) {
+	v := new(View)
+	if err := v.Init(mem, me, p); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// Init is NewView in place, for an owner that holds the View by value
+// (the root package's Process): only the permutation is allocated. On
+// error v is left as it was.
+func (v *View) Init(mem *Memory, me id.ID, p perm.Perm) error {
 	if me.IsNone() {
-		return nil, fmt.Errorf("amem: a view requires a process identity, got ⊥")
+		return fmt.Errorf("amem: a view requires a process identity, got ⊥")
 	}
 	if len(p) != len(mem.regs) {
-		return nil, fmt.Errorf("amem: permutation size %d does not match memory size %d", len(p), len(mem.regs))
+		return fmt.Errorf("amem: permutation size %d does not match memory size %d", len(p), len(mem.regs))
 	}
 	if len(p) > math.MaxUint16+1 {
-		return nil, fmt.Errorf("amem: a view indexes at most %d registers, got %d", math.MaxUint16+1, len(p))
+		return fmt.Errorf("amem: a view indexes at most %d registers, got %d", math.MaxUint16+1, len(p))
 	}
 	if !p.Valid() {
-		return nil, fmt.Errorf("amem: invalid permutation %v", p)
+		return fmt.Errorf("amem: invalid permutation %v", p)
 	}
 	compact := make([]uint16, len(p))
 	for x, phys := range p {
 		compact[x] = uint16(phys)
 	}
-	return &View{regs: mem.regs, perm: compact, me: me}, nil
+	*v = View{regs: mem.regs, perm: compact, me: me}
+	return nil
 }
 
 // View is process pi's anonymous handle on the shared memory: every access
@@ -142,14 +162,17 @@ type View struct {
 	me   id.ID
 	seq  uint32 // sni: per-process write sequence number
 
-	// scan is the double scan's two collect buffers, m words each, made
-	// by the first Snapshot and reused by every later one. Algorithm 2
-	// never snapshots, so its views never carry them.
-	scan []register.Packed
+	// scan is made by the first Snapshot and reused by every later one.
+	// Algorithm 2 never snapshots, so its views never carry one.
+	scan *scanState
+}
 
-	// Statistics for the snapshot-cost experiments.
-	snapshotCalls    uint64
-	snapshotCollects uint64
+// scanState is what only a snapshotting view needs: the double scan's
+// two collect buffers, m words each, and the statistics for the
+// snapshot-cost experiments.
+type scanState struct {
+	buf             []register.Packed
+	calls, collects uint64
 }
 
 // Size returns m.
@@ -193,12 +216,13 @@ func (v *View) CompareAndSwap(x int, old, newVal id.ID) bool {
 // condition (1)); under active writing the operation retries, which is
 // exactly the model's behavior.
 func (v *View) Snapshot(dst []id.ID) []id.ID {
-	v.snapshotCalls++
 	m := len(v.perm)
 	if v.scan == nil {
-		v.scan = make([]register.Packed, 2*m)
+		v.scan = &scanState{buf: make([]register.Packed, 2*m)}
 	}
-	prev, cur := v.scan[:m], v.scan[m:]
+	s := v.scan
+	s.calls++
+	prev, cur := s.buf[:m], s.buf[m:]
 	v.collect(prev)
 	for {
 		v.collect(cur)
@@ -222,7 +246,7 @@ func (v *View) Snapshot(dst []id.ID) []id.ID {
 // that the k-th entries of two collects came from the same physical
 // register, which the fixed permutation guarantees.
 func (v *View) collect(buf []register.Packed) {
-	v.snapshotCollects++
+	v.scan.collects++
 	for x := range v.perm {
 		buf[x] = v.regs[v.perm[x]].LoadPacked()
 	}
@@ -241,7 +265,10 @@ func packedEqual(a, b []register.Packed) bool {
 // many collect passes they needed in total. attempts/calls - 1 is the mean
 // number of retries caused by concurrent writers (experiment E6).
 func (v *View) SnapshotStats() (calls, collects uint64) {
-	return v.snapshotCalls, v.snapshotCollects
+	if v.scan == nil {
+		return 0, 0
+	}
+	return v.scan.calls, v.scan.collects
 }
 
 // Perm returns a copy of this view's permutation. For diagnostics and

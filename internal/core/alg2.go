@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"anonmutex/internal/id"
 	"anonmutex/internal/mset"
@@ -36,28 +37,35 @@ const (
 // memory is saturated, not every competitor can own the same number of
 // registers, so somebody resigns and the leaders can absorb the freed
 // registers.
+//
+// The counters are int32: a process handle embeds its machine, and a
+// register index, an ownership count and m itself all fit (a memory of
+// more than 2³¹ registers has no machine). lockSteps stays an int.
 type Alg2Machine struct {
-	me  id.ID
-	m   int
-	cfg Alg2Config
-
+	me     id.ID
+	cfg    Alg2Config
 	status Status
 	phase  alg2Phase
 
-	view   []id.ID
-	cursor int
+	m      int32
+	cursor int32
 
 	// owned and most are the paper's ownedᵢ and most_presentᵢ locals
 	// (lines 4–5), retained because the line 12 until-condition consults
 	// ownedᵢ after the optional resign branch.
-	owned int
-	most  int
+	owned int32
+	most  int32
 	// casWins counts successful compare&swaps in the current line 2
 	// sweep, for the SoloFastPath entry decision.
-	casWins int
+	casWins int32
 
+	ownedAtEntry int32
 	lockSteps    int
-	ownedAtEntry int
+
+	// view is made by the first line 3 collect: a process whose every
+	// line 2 sweep takes the solo fast path never reads the memory back
+	// and never has one. Until then it reads as all ⊥.
+	view []id.ID
 }
 
 var _ Machine = (*Alg2Machine)(nil)
@@ -65,29 +73,41 @@ var _ Machine = (*Alg2Machine)(nil)
 // NewAlg2 creates an Algorithm 2 machine for process me over an anonymous
 // RMW memory of m registers shared by n processes, validating m ∈ M(n).
 func NewAlg2(me id.ID, n, m int, cfg Alg2Config) (*Alg2Machine, error) {
-	if err := mset.ValidateRMW(n, m); err != nil {
-		return nil, fmt.Errorf("core: algorithm 2 precondition: %w", err)
+	a := new(Alg2Machine)
+	if err := a.Init(me, n, m, cfg); err != nil {
+		return nil, err
 	}
-	return NewAlg2Unchecked(me, m, cfg)
+	return a, nil
+}
+
+// Init is NewAlg2 in place, for an owner that holds the machine by value
+// (the root package's Process). It allocates nothing.
+func (a *Alg2Machine) Init(me id.ID, n, m int, cfg Alg2Config) error {
+	if err := mset.ValidateRMW(n, m); err != nil {
+		return fmt.Errorf("core: algorithm 2 precondition: %w", err)
+	}
+	return a.init(me, m, cfg)
 }
 
 // NewAlg2Unchecked creates an Algorithm 2 machine without validating the
 // m ∈ M(n) precondition, for the Theorem 5 lower-bound experiments.
 func NewAlg2Unchecked(me id.ID, m int, cfg Alg2Config) (*Alg2Machine, error) {
+	a := new(Alg2Machine)
+	if err := a.init(me, m, cfg); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+func (a *Alg2Machine) init(me id.ID, m int, cfg Alg2Config) error {
 	if me.IsNone() {
-		return nil, fmt.Errorf("core: algorithm 2 requires a process identity")
+		return fmt.Errorf("core: algorithm 2 requires a process identity")
 	}
-	if m < 1 {
-		return nil, fmt.Errorf("core: algorithm 2 requires m >= 1, got %d", m)
+	if m < 1 || m > math.MaxInt32 {
+		return fmt.Errorf("core: algorithm 2 requires 1 <= m <= %d, got %d", math.MaxInt32, m)
 	}
-	return &Alg2Machine{
-		me:     me,
-		m:      m,
-		cfg:    cfg,
-		status: StatusIdle,
-		phase:  a2Idle,
-		view:   make([]id.ID, m),
-	}, nil
+	*a = Alg2Machine{me: me, m: int32(m), cfg: cfg, status: StatusIdle, phase: a2Idle}
+	return nil
 }
 
 // Me implements Machine.
@@ -97,7 +117,8 @@ func (a *Alg2Machine) Me() id.ID { return a.me }
 func (a *Alg2Machine) Status() Status { return a.status }
 
 // View returns the machine's current viewᵢ (the machine's own storage;
-// callers must not modify it). For monitors and tests.
+// callers must not modify it), nil before the first line 3 collect. For
+// monitors and tests.
 func (a *Alg2Machine) View() []id.ID { return a.view }
 
 // StartLock implements Machine: begin lock() (lines 1–12).
@@ -151,13 +172,13 @@ func (a *Alg2Machine) StartAbort() error {
 func (a *Alg2Machine) PendingOp() Op {
 	switch a.phase {
 	case a2CAS:
-		return Op{Kind: OpCAS, X: a.cursor, Old: id.None, New: a.me}
+		return Op{Kind: OpCAS, X: int(a.cursor), Old: id.None, New: a.me}
 	case a2Collect, a2WaitRead:
-		return Op{Kind: OpRead, X: a.cursor}
+		return Op{Kind: OpRead, X: int(a.cursor)}
 	case a2ResignWrite:
-		return Op{Kind: OpWrite, X: a.cursor, Val: id.None}
+		return Op{Kind: OpWrite, X: int(a.cursor), Val: id.None}
 	case a2UnlockCAS, a2AbortCAS:
-		return Op{Kind: OpCAS, X: a.cursor, Old: a.me, New: id.None}
+		return Op{Kind: OpCAS, X: int(a.cursor), Old: a.me, New: id.None}
 	default:
 		panic(fmt.Sprintf("core: PendingOp on algorithm 2 machine in phase %d status %v", a.phase, a.status))
 	}
@@ -183,10 +204,9 @@ func (a *Alg2Machine) Advance(res OpResult) Status {
 			if a.cfg.SoloFastPath && a.casWins == a.m {
 				// Every CAS won: all m registers hold idᵢ, and nothing can
 				// dislodge a foreign identity, so pᵢ owns a strict majority
-				// without reading anything back. Enter directly.
-				for x := range a.view {
-					a.view[x] = a.me
-				}
+				// without reading anything back. Enter directly. viewᵢ is
+				// not read again before the next collect overwrites it, so
+				// it is left as it is.
 				a.owned = a.m
 				a.most = a.m
 				a.ownedAtEntry = a.m
@@ -196,6 +216,9 @@ func (a *Alg2Machine) Advance(res OpResult) Status {
 			}
 			a.cursor = 0
 			a.phase = a2Collect
+			if a.view == nil {
+				a.view = make([]id.ID, a.m)
+			}
 		}
 	case a2Collect:
 		// Line 3: collect the memory into viewᵢ.
@@ -247,7 +270,7 @@ func (a *Alg2Machine) SweepCAS(mem CASMemory, max int) (ops int, swapped bool) {
 	}
 	phase := a.phase
 	for ops < max && a.phase == phase {
-		ok := mem.CompareAndSwap(a.cursor, op.Old, op.New)
+		ok := mem.CompareAndSwap(int(a.cursor), op.Old, op.New)
 		swapped = swapped || ok
 		ops++
 		a.Advance(OpResult{Swapped: ok})
@@ -267,7 +290,7 @@ func (a *Alg2Machine) SweepRead(mem ReadMemory, max int) (ops int) {
 	}
 	for ops < max {
 		ops++
-		a.Advance(OpResult{Val: mem.Read(a.cursor)})
+		a.Advance(OpResult{Val: mem.Read(int(a.cursor))})
 		if a.phase != phase || a.cursor == 0 {
 			break
 		}
@@ -281,8 +304,8 @@ func (a *Alg2Machine) Absent() bool { return a.phase == a2WaitRead }
 
 // afterCollect runs lines 4–6 and 11–12 after a complete line 3 sweep.
 func (a *Alg2Machine) afterCollect() {
-	a.most = mostPresent(a.view)       // line 4
-	a.owned = countOwned(a.view, a.me) // line 5
+	a.most = int32(mostPresent(a.view))       // line 4
+	a.owned = int32(countOwned(a.view, a.me)) // line 5
 
 	if a.owned < a.most { // line 6
 		// Resign: erase own entries (line 7), then wait for an empty
@@ -309,9 +332,9 @@ func (a *Alg2Machine) afterCollect() {
 // startResign positions the cursor at the first owned view entry for the
 // line 7 erase sweep. It reports whether any entry is owned.
 func (a *Alg2Machine) startResign() bool {
-	for x := 0; x < a.m; x++ {
-		if a.view[x].Equal(a.me) {
-			a.cursor = x
+	for x, v := range a.view {
+		if v.Equal(a.me) {
+			a.cursor = int32(x)
 			a.phase = a2ResignWrite
 			return true
 		}
@@ -367,13 +390,12 @@ func (a *Alg2Machine) Line() int {
 func (a *Alg2Machine) LockSteps() int { return a.lockSteps }
 
 // OwnedAtEntry implements Machine.
-func (a *Alg2Machine) OwnedAtEntry() int { return a.ownedAtEntry }
+func (a *Alg2Machine) OwnedAtEntry() int { return int(a.ownedAtEntry) }
 
 // Clone implements Machine.
 func (a *Alg2Machine) Clone() Machine {
 	c := *a
-	c.view = make([]id.ID, len(a.view))
-	copy(c.view, a.view)
+	c.view = append([]id.ID(nil), a.view...)
 	return &c
 }
 
@@ -383,15 +405,22 @@ func (a *Alg2Machine) Clone() Machine {
 func (a *Alg2Machine) AppendState(dst []byte) []byte {
 	dst = append(dst, byte(a.status), byte(a.phase))
 	dst = appendUint16(dst, id.Handle(a.me))
-	dst = appendInt(dst, a.cursor)
-	dst = appendInt(dst, a.owned)
-	dst = appendInt(dst, a.most)
+	dst = appendInt(dst, int(a.cursor))
+	dst = appendInt(dst, int(a.owned))
+	dst = appendInt(dst, int(a.most))
 	// casWins feeds the SoloFastPath entry decision mid-sweep, so it is
 	// protocol state exactly when that path is enabled; leaving it out
 	// otherwise keeps the paper algorithm's canonical state space (and the
 	// TestStateCountsStable anchors) unchanged.
 	if a.cfg.SoloFastPath {
-		dst = appendInt(dst, a.casWins)
+		dst = appendInt(dst, int(a.casWins))
+	}
+	if a.view == nil {
+		// Not yet made: all ⊥, as a made one reads before its collect.
+		for range a.m {
+			dst = appendUint16(dst, id.Handle(id.None))
+		}
+		return dst
 	}
 	return appendView(dst, a.view)
 }

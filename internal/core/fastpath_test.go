@@ -228,3 +228,56 @@ func TestAlg1SoloClaimContested(t *testing.T) {
 		t.Fatalf("status %v on a contested view, want running", mach.Status())
 	}
 }
+
+// TestAlg2ViewMadeAtFirstCollect: the fast path never reads the memory
+// back, so a machine that only ever takes it never makes viewᵢ; the
+// first line 3 collect makes it. Until then the state encodes the view
+// as all ⊥, exactly as a made one reads before its first collect, so the
+// model checker's state space does not see the difference.
+func TestAlg2ViewMadeAtFirstCollect(t *testing.T) {
+	const m = 3
+	g := id.NewGenerator()
+	mach, err := NewAlg2Unchecked(g.MustNew(), m, Alg2Config{SoloFastPath: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	made := *mach
+	made.view = make([]id.ID, m)
+	if got, want := string(mach.AppendState(nil)), string(made.AppendState(nil)); got != want {
+		t.Fatalf("state without a view %x, with an all-⊥ one %x", got, want)
+	}
+
+	vals := make([]id.ID, m)
+	for cycle := 0; cycle < 3; cycle++ {
+		if err := mach.StartLock(); err != nil {
+			t.Fatal(err)
+		}
+		if ops := driveVM(t, mach, vals); ops != m {
+			t.Fatalf("cycle %d: solo lock took %d ops, want the fast path's %d", cycle, ops, m)
+		}
+		if err := mach.StartUnlock(); err != nil {
+			t.Fatal(err)
+		}
+		driveVM(t, mach, vals)
+		if mach.View() != nil {
+			t.Fatalf("cycle %d: the fast path made viewᵢ", cycle)
+		}
+	}
+
+	vals[1] = g.MustNew() // a rival holds one register: the sweep loses a CAS
+	if err := mach.StartLock(); err != nil {
+		t.Fatal(err)
+	}
+	for mach.PendingOp().Kind == OpCAS {
+		op := mach.PendingOp()
+		var res OpResult
+		if vals[op.X].Equal(op.Old) {
+			vals[op.X] = op.New
+			res.Swapped = true
+		}
+		mach.Advance(res)
+	}
+	if v := mach.View(); len(v) != m {
+		t.Fatalf("at the first collect viewᵢ = %v, want %d entries", v, m)
+	}
+}

@@ -78,9 +78,9 @@ type Driver struct {
 	// defaultBackoff.
 	backoff *Backoff
 	// snapBuf is made by the first snapshot the machine requests (Exec
-	// grows it) and reused from then on; a driver of Algorithm 2, which
-	// never snapshots, never has one.
-	snapBuf []id.ID
+	// grows the slice) and reused from then on; a driver of Algorithm 2,
+	// which never snapshots, never has one.
+	snapBuf *[]id.ID
 
 	// streak counts consecutive ops without progress within the current
 	// invocation. It resets on every progress op and at the start of each
@@ -180,11 +180,20 @@ func (d *Driver) step(budget int) (n int, progress bool, err error) {
 		n = d.machine.SweepRead(d.exec, budget)
 	}
 	if n == 0 {
-		res, buf, err := Exec(d.exec, op, d.snapBuf)
+		var buf []id.ID
+		if d.snapBuf != nil {
+			buf = *d.snapBuf
+		}
+		res, buf, err := Exec(d.exec, op, buf)
 		if err != nil {
 			return 0, false, err
 		}
-		d.snapBuf = buf
+		if buf != nil {
+			if d.snapBuf == nil {
+				d.snapBuf = new([]id.ID)
+			}
+			*d.snapBuf = buf
+		}
 		d.machine.Advance(res)
 		n, progress = 1, op.Kind == core.OpWrite || res.Swapped
 	}

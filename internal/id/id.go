@@ -110,7 +110,18 @@ func (g *Generator) New() (ID, error) {
 	if g.order != nil {
 		return ID{h: g.order[g.issued-1]}, nil
 	}
-	return ID{h: uint16(g.issued)}, nil
+	return Sequential(g.issued - 1)
+}
+
+// Sequential returns the identity a zero Generator issues (k+1)-th, k
+// counted from 0, or an error for k ≥ MaxIDs. It is for an owner that
+// already counts what it issues under a mutex of its own (the root
+// package's Lock), and so needs no Generator beside it.
+func Sequential(k int) (ID, error) {
+	if k < 0 || k >= MaxIDs {
+		return None, fmt.Errorf("id: generator exhausted after %d identities", MaxIDs)
+	}
+	return ID{h: uint16(k + 1)}, nil
 }
 
 // MustNew is New for tests and examples where exhaustion is impossible; it

@@ -53,6 +53,25 @@ func TestGeneratorExhaustion(t *testing.T) {
 	}
 }
 
+// TestSequentialMatchesGenerator: Sequential(k) is the identity a zero
+// Generator issues (k+1)-th, for every k it can issue, and an error past
+// the last.
+func TestSequentialMatchesGenerator(t *testing.T) {
+	var g Generator
+	for k := 0; k < MaxIDs; k++ {
+		want := g.MustNew()
+		got, err := Sequential(k)
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("Sequential(%d) = %v, %v; the generator issued %v", k, got, err, want)
+		}
+	}
+	for _, k := range []int{-1, MaxIDs} {
+		if _, err := Sequential(k); err == nil {
+			t.Errorf("Sequential(%d) issued an identity", k)
+		}
+	}
+}
+
 func TestGeneratorConcurrent(t *testing.T) {
 	g := NewGenerator()
 	const workers, per = 8, 200

@@ -14,11 +14,12 @@ import (
 	"testing"
 
 	"anonmutex/internal/lockmgr"
+	"anonmutex/internal/xrand"
 )
 
-func benchManager(b *testing.B) *lockmgr.Manager {
+func benchManager(b *testing.B, cfg lockmgr.Config) *lockmgr.Manager {
 	b.Helper()
-	mgr, err := lockmgr.New(lockmgr.Config{})
+	mgr, err := lockmgr.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func benchManager(b *testing.B) *lockmgr.Manager {
 // on a single hot name: the path every lockd request takes when the lock
 // is free.
 func BenchmarkAcquireRelease_SoloLease(b *testing.B) {
-	mgr := benchManager(b)
+	mgr := benchManager(b, lockmgr.Config{})
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,31 +54,59 @@ func BenchmarkAcquireRelease_SoloLease(b *testing.B) {
 }
 
 // BenchmarkAcquireFast_Solo is the uncontended fast-path probe the lockd
-// acquire op takes before falling back to the context machinery.
+// acquire op takes before falling back to the context machinery, over a
+// key count: one hot key, and 4 096 or 16 000 resident keys taken in a
+// pre-drawn random order, so that a cycle reaches its key's entry,
+// handle, lock and registers at random rather than in a hot loop — the
+// price of a resident lock's layout. The table is sized so that every
+// key stays resident: no cycle evicts.
 func BenchmarkAcquireFast_Solo(b *testing.B) {
-	mgr := benchManager(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, ok, err := mgr.AcquireFast("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			b.Fatal("uncontended AcquireFast failed")
-		}
-		if err := mgr.Release(l); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if v := mgr.Violations(); v != 0 {
-		b.Fatalf("violations = %d", v)
+	for _, keys := range []int{1, 4096, 16000} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			mgr := benchManager(b, lockmgr.Config{MaxLocksPerShard: 2 * 1024})
+			names := make([]string, keys)
+			for i := range names {
+				names[i] = fmt.Sprintf("key-%05d", i)
+			}
+			order := make([]string, 1<<16)
+			r := xrand.New(uint64(keys))
+			for i := range order {
+				order[i] = names[r.Intn(keys)]
+			}
+			cycle := func(name string) {
+				l, ok, err := mgr.AcquireFast(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					b.Fatal("uncontended AcquireFast failed")
+				}
+				if err := mgr.Release(l); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, name := range names {
+				cycle(name)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle(order[i%len(order)])
+			}
+			b.StopTimer()
+			if c := mgr.Counters(); c.Evictions != 0 || c.ResidentLocks != keys {
+				b.Fatalf("%d evictions, %d resident: want all %d keys resident", c.Evictions, c.ResidentLocks, keys)
+			}
+			if v := mgr.Violations(); v != 0 {
+				b.Fatalf("violations = %d", v)
+			}
+		})
 	}
 }
 
 // BenchmarkTryAcquire_Solo is the non-blocking probe on a free name.
 func BenchmarkTryAcquire_Solo(b *testing.B) {
-	mgr := benchManager(b)
+	mgr := benchManager(b, lockmgr.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,7 +129,7 @@ func BenchmarkTryAcquire_Solo(b *testing.B) {
 func BenchmarkAcquireRelease_Contended(b *testing.B) {
 	for _, keys := range []int{1, 16} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			mgr := benchManager(b)
+			mgr := benchManager(b, lockmgr.Config{})
 			names := make([]string, keys)
 			for i := range names {
 				names[i] = fmt.Sprintf("key-%04d", i)
@@ -135,7 +164,7 @@ func BenchmarkAcquireRelease_Contended(b *testing.B) {
 // full shard and evicts its coldest name: the path a key space larger
 // than the table takes.
 func BenchmarkAcquireRelease_Evicting(b *testing.B) {
-	mgr := benchManager(b)
+	mgr := benchManager(b, lockmgr.Config{})
 	names := make([]string, 2*16*1024)
 	for i := range names {
 		names[i] = fmt.Sprintf("evict-%05d", i)
@@ -170,7 +199,7 @@ func BenchmarkAcquireRelease_Evicting(b *testing.B) {
 // BenchmarkStats measures the counter snapshot path (satellite: it must
 // not serialize against the shards' acquire traffic).
 func BenchmarkStats(b *testing.B) {
-	mgr := benchManager(b)
+	mgr := benchManager(b, lockmgr.Config{})
 	g, err := mgr.AcquireLeaseCtx(context.Background(), "bench")
 	if err != nil {
 		b.Fatal(err)

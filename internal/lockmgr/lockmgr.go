@@ -20,7 +20,7 @@
 //     critical section is a map lookup and two stores.
 //   - Lease pooling. Every named lock is a fixed-n anonmutex lock; a
 //     lease pool multiplexes arbitrarily many clients onto those n
-//     process handles through a mutex-guarded slice of parked handles,
+//     process handles through a mutex-guarded stack of parked handles,
 //     built on the root package's Close/re-lease lifecycle. Clients that
 //     find all n handles leased queue for the next release.
 //
@@ -44,6 +44,7 @@ package lockmgr
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +66,8 @@ type Config struct {
 	// for one name; further clients queue in the lease pool.
 	HandlesPerLock int
 	// Registers is the per-lock anonymous memory size m (default 0: the
-	// smallest legal size for the algorithm and n).
+	// smallest legal size above 1 for the algorithm and n, 11 at n = 8;
+	// m = 1 is legal for RMW and must be given).
 	Registers int
 	// MaxLocksPerShard bounds each shard's resident lock table (default
 	// 1024). Beyond it, the least-recently-used idle lock is evicted (and
@@ -95,8 +97,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HandlesPerLock == 0 {
 		c.HandlesPerLock = 8
 	}
-	if c.HandlesPerLock < 2 {
-		return c, fmt.Errorf("lockmgr: need HandlesPerLock >= 2, got %d", c.HandlesPerLock)
+	if c.HandlesPerLock < 2 || c.HandlesPerLock > math.MaxInt32 {
+		return c, fmt.Errorf("lockmgr: need 2 <= HandlesPerLock <= %d, got %d", math.MaxInt32, c.HandlesPerLock)
 	}
 	if c.Registers < 0 {
 		return c, fmt.Errorf("lockmgr: need Registers >= 0, got %d", c.Registers)
@@ -179,13 +181,13 @@ type entry struct {
 	// refs counts checked-out grants + queued acquirers; evictable only
 	// at 0. Pins (0→up) happen under the shard mutex; unpins are a plain
 	// atomic decrement on the release path.
-	refs atomic.Int64
+	refs atomic.Int32
+	held atomic.Int32 // grants inside the critical section: must step 0→1→0
 	// touched is the CLOCK recency bit: set on every hit (under the shard
 	// mutex the hit already holds for the map lookup), consumed by
 	// evictColdest, which batch-promotes touched entries instead of
 	// reordering the list on every hit.
 	touched bool
-	held    atomic.Int32 // grants inside the critical section: must step 0→1→0
 	pool    leasePool
 }
 
@@ -285,7 +287,7 @@ func (m *Manager) shard(name string) *shard {
 }
 
 // newLock materializes the anonmutex lock behind one name.
-func (m *Manager) newLock(name string) (func() (procHandle, error), error) {
+func (m *Manager) newLock(name string) (*lockSource, error) {
 	opts := []anonmutex.Option{anonmutex.WithSeed(m.cfg.Seed ^ hash(name))}
 	if m.cfg.Registers > 0 {
 		opts = append(opts, anonmutex.WithRegisters(m.cfg.Registers))
@@ -294,7 +296,7 @@ func (m *Manager) newLock(name string) (func() (procHandle, error), error) {
 	if err != nil {
 		return nil, err
 	}
-	return func() (procHandle, error) { return l.NewProcess() }, nil
+	return (*lockSource)(l), nil
 }
 
 // pin finds the entry for name in its shard sh (creating it, and evicting
@@ -320,12 +322,12 @@ func (m *Manager) pin(sh *shard, name string, unlessHeld bool) (*entry, error) {
 		e = sh.evictColdest()
 	}
 	if e == nil {
-		newHandle, err := m.newLock(name)
+		l, err := m.newLock(name)
 		if err != nil {
 			sh.mu.Unlock()
 			return nil, err
 		}
-		e = &entry{sh: sh, pool: leasePool{capacity: m.cfg.HandlesPerLock, newHandle: newHandle}}
+		e = &entry{sh: sh, pool: leasePool{src: l, capacity: int32(m.cfg.HandlesPerLock)}}
 	}
 	e.name = name
 	e.refs.Store(1)

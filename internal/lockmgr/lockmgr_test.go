@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -47,6 +48,7 @@ func TestConfigErrors(t *testing.T) {
 		{Algorithm: anonmutex.Greedy},
 		{Algorithm: anonmutex.Greedy + 1},
 		{HandlesPerLock: 1},
+		{HandlesPerLock: math.MaxInt32 + 1}, // the pool counts handles in an int32
 		{Registers: -3},
 		{MaxLocksPerShard: -1},
 		{Algorithm: anonmutex.RW, Registers: 4, HandlesPerLock: 2}, // 4 ∉ M(2): surfaces on first acquire
@@ -124,10 +126,10 @@ func TestMutualExclusionAcrossClients(t *testing.T) {
 // every slot leased out, a blocking lease waits for a release.
 func TestLeaseWaited(t *testing.T) {
 	created := 0
-	p := &leasePool{capacity: 1, newHandle: func() (procHandle, error) {
+	p := &leasePool{capacity: 1, src: sourceFunc(func() (procHandle, error) {
 		created++
 		return stubHandle{}, nil
-	}}
+	})}
 	h, waited, err := p.lease(context.Background())
 	if err != nil || h == nil || waited {
 		t.Fatalf("first lease: h=%v waited=%v err=%v", h, waited, err)
@@ -186,10 +188,10 @@ func TestPoolOneKeyStress(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		const handles = 8
 		var created atomic.Int32
-		p := &leasePool{capacity: handles, newHandle: func() (procHandle, error) {
+		p := &leasePool{capacity: handles, src: sourceFunc(func() (procHandle, error) {
 			created.Add(1)
 			return &countingHandle{}, nil
-		}}
+		})}
 		const cycles = 12500 // 200k in all, as in the manager subtest
 		// The stop-the-world goroutine runs for as long as the clients do,
 		// however slow the machine: no wall-clock floor to miss.
@@ -295,6 +297,11 @@ type countingHandle struct {
 }
 
 type stubHandle struct{}
+
+// sourceFunc makes a pool's stub handles.
+type sourceFunc func() (procHandle, error)
+
+func (f sourceFunc) newHandle() (procHandle, error) { return f() }
 
 func (stubHandle) LockCtx(ctx context.Context) error { return ctx.Err() }
 func (stubHandle) TryLock() (bool, error)            { return true, nil }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"anonmutex"
 )
 
 // procHandle is what the manager calls on a leased *anonmutex.Process.
@@ -20,7 +22,7 @@ type procHandle interface {
 // leasePool multiplexes an unbounded client population onto one lock's
 // fixed n process handles. Handles are created lazily (a lock that only
 // ever sees one client materializes one handle) and parked between
-// leases on a mutex-guarded slice: the uncontended lease/release cycle
+// leases on a mutex-guarded stack: the uncontended lease/release cycle
 // is two short critical sections and no allocation. Only when all n
 // handles are leased out do blocking callers touch a channel: they
 // register as waiters and park on a signal that every release posts
@@ -39,19 +41,23 @@ type procHandle interface {
 // Double releases are caught by the entry's held 0→1→0 cross-check, not
 // here.
 //
-// A pool is embedded in its entry and is ready once newHandle and
-// capacity are set.
+// A pool is embedded in its entry and is ready once src and capacity
+// are set.
 type leasePool struct {
-	newHandle func() (procHandle, error)
-	capacity  int
+	src handleSource
 
 	mu sync.Mutex
-	// idle holds the parked handles, most recently parked last. It grows
-	// by append to the number of handles the name's clients ever had out
-	// at once — one, for most names — and never shrinks, so the steady
-	// cycle does not allocate.
-	idle    []procHandle
-	created int // materialized handles, parked or leased
+	// top is the most recently parked handle, nil when none is parked;
+	// below holds the others, most recently parked last. A name whose
+	// clients never had more than one handle out at once — most names —
+	// parks in top alone and never makes below; below grows by append to
+	// the number the name's clients ever had out at once and never
+	// shrinks, so the steady cycle does not allocate. It is a pointer so
+	// that the entry stays in the 128 B size class.
+	top   procHandle
+	below *[]procHandle
+
+	capacity, created int32 // slots (n), and materialized handles, parked or leased
 
 	// waiters counts callers blocked for a handle; wake carries one
 	// signal per release that observed a waiter. A waiter that consumes a
@@ -59,8 +65,52 @@ type leasePool struct {
 	// spurious wakeup, never a lost one. The channel is made, under mu,
 	// by the first caller that has to queue: a name that never has more
 	// than n clients at once never has one.
-	waiters atomic.Int64
+	waiters atomic.Int32
 	wake    chan struct{}
+}
+
+// handleSource materializes a lock's process handles: the lock itself
+// (lockSource), or in the pool tests a stub.
+type handleSource interface {
+	newHandle() (procHandle, error)
+}
+
+// lockSource is an anonmutex.Lock seen as a handleSource: the pool holds
+// the lock itself, not a closure over it.
+type lockSource anonmutex.Lock
+
+func (l *lockSource) newHandle() (procHandle, error) {
+	h, err := (*anonmutex.Lock)(l).NewProcess()
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// park pushes h onto the parked stack. Called with mu held.
+func (p *leasePool) park(h procHandle) {
+	if p.top != nil {
+		if p.below == nil {
+			p.below = new([]procHandle)
+		}
+		*p.below = append(*p.below, p.top)
+	}
+	p.top = h
+}
+
+// unpark pops the most recently parked handle, or nil. Called with mu
+// held.
+func (p *leasePool) unpark() procHandle {
+	h := p.top
+	p.top = nil
+	if p.below != nil {
+		if n := len(*p.below); n > 0 {
+			p.top = (*p.below)[n-1]
+			(*p.below)[n-1] = nil
+			*p.below = (*p.below)[:n-1]
+		}
+	}
+	return h
 }
 
 // tryLease checks out a handle without waiting: a parked one if
@@ -68,10 +118,7 @@ type leasePool struct {
 // otherwise.
 func (p *leasePool) tryLease() (procHandle, error) {
 	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		h := p.idle[n-1]
-		p.idle[n-1] = nil
-		p.idle = p.idle[:n-1]
+	if h := p.unpark(); h != nil {
 		p.mu.Unlock()
 		return h, nil
 	}
@@ -83,7 +130,7 @@ func (p *leasePool) tryLease() (procHandle, error) {
 	if !create {
 		return nil, nil
 	}
-	h, err := p.newHandle()
+	h, err := p.src.newHandle()
 	if err != nil {
 		p.mu.Lock()
 		p.created--
@@ -135,7 +182,7 @@ func (p *leasePool) lease(ctx context.Context) (h procHandle, waited bool, err e
 // after its registration, and so after this park.
 func (p *leasePool) release(h procHandle) {
 	p.mu.Lock()
-	p.idle = append(p.idle, h)
+	p.park(h)
 	wake := p.wake
 	p.mu.Unlock()
 	if wake != nil && p.waiters.Load() > 0 {
@@ -153,7 +200,7 @@ func (p *leasePool) release(h procHandle) {
 func (p *leasePool) handles() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.created
+	return int(p.created)
 }
 
 // closeIdle closes every materialized handle. Callable only when no
@@ -162,17 +209,22 @@ func (p *leasePool) handles() int {
 func (p *leasePool) closeIdle() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if leased := p.created - len(p.idle); leased != 0 {
+	parked := int32(0)
+	if p.top != nil {
+		parked = 1
+		if p.below != nil {
+			parked += int32(len(*p.below))
+		}
+	}
+	if leased := p.created - parked; leased != 0 {
 		return fmt.Errorf("lockmgr: pool torn down with %d of %d handles still leased",
 			leased, p.created)
 	}
-	for i, h := range p.idle {
+	for h := p.unpark(); h != nil; h = p.unpark() {
 		if err := h.Close(); err != nil {
 			return fmt.Errorf("lockmgr: closing pooled handle: %w", err)
 		}
-		p.idle[i] = nil
+		p.created--
 	}
-	p.idle = p.idle[:0]
-	p.created = 0
 	return nil
 }

@@ -38,18 +38,25 @@ func heapCost(build func() any) (bytes, objects float64) {
 // Name strings are made before the first reading: they belong to the
 // caller (the wire decoder, in the service), not to a layer here.
 //
-// The ceilings are the ones the contiguous register block, the lazy scan
-// buffers and the one-object entry were landed against (DESIGN.md "Space
-// budget": 2 094 B in 19 objects before), the byte ceiling lowered again
-// when the handle's permutation shrank to two bytes an entry and its
-// driver stopped carrying its own backoff policy (982 B before). They
-// are size-class sums, so a toolchain that moves a size class moves
-// them: that is a red build to look at, not noise.
+// The ceilings are the totals the contiguous handle was landed against
+// (DESIGN.md "The space budget": 878 B in 12 objects before, 2 094 B in
+// 19 before the register block and the one-object entry), with 2–3 % of
+// byte slack: the name table's share moves with the map implementation
+// (686 B a lock on Go 1.24's, 688 B on the classic one). The rest are
+// size-class sums, so a toolchain that moves a size class moves them:
+// that is a red build to look at, not noise.
 func TestBytesPerLock(t *testing.T) {
 	const (
 		locks      = 16384
-		maxBytes   = 900
-		maxObjects = 13
+		maxBytes   = 700
+		maxObjects = 5
+		// each handle past the first: a name with k concurrent clients has k
+		maxHandleBytes   = 270
+		maxHandleObjects = 2
+		// objSlack is what a reading counts beside the layers' objects:
+		// the name table's share of the map's own (≈ 0.007 a lock), and
+		// what the runtime allocates meanwhile.
+		objSlack = 0.05
 	)
 	cfg, err := Config{}.withDefaults()
 	if err != nil {
@@ -91,10 +98,12 @@ func TestBytesPerLock(t *testing.T) {
 		}
 		return out
 	}
-	add("registers", unsafe.Sizeof((*amem.Memory)(nil)), func() any {
-		out := make([]*amem.Memory, locks)
+	// The Lock holds the register block's header by value: the row is
+	// the block.
+	add("registers", unsafe.Sizeof(amem.Memory{}), func() any {
+		out := make([]amem.Memory, locks)
 		for i := range out {
-			out[i] = amem.New(m)
+			out[i].Init(m)
 		}
 		return out
 	})
@@ -103,6 +112,7 @@ func TestBytesPerLock(t *testing.T) {
 	add("first handle", own, func() any { return newLocks(1) })
 	oneHandle := below
 	add("second handle", own, func() any { return newLocks(2) })
+	handle := rows[len(rows)-1]
 
 	names := make([]string, locks)
 	for i := range names {
@@ -140,14 +150,19 @@ func TestBytesPerLock(t *testing.T) {
 	t.Logf("%-16s %8s %8s", "layer", "B/lock", "obj/lock")
 	for _, r := range rows {
 		if r.layer == "second handle" {
-			t.Logf("%-16s %8.0f %8.1f   (not in the total: a name with one client never makes it)", r.layer, r.bytes, r.objects)
+			t.Logf("%-16s %8.0f %8.1f   (not in the total: a name with one client never makes it; ceiling %d B, %d objects)",
+				r.layer, r.bytes, r.objects, maxHandleBytes, maxHandleObjects)
 			continue
 		}
 		t.Logf("%-16s %8.0f %8.1f", r.layer, r.bytes, r.objects)
 	}
 	t.Logf("%-16s %8.0f %8.1f   (ceiling %d B, %d objects)", "resident lock", total.bytes, total.objects, maxBytes, maxObjects)
-	if total.bytes > maxBytes || total.objects > maxObjects {
-		t.Errorf("a resident lock costs %.0f B in %.1f objects, want <= %d B and <= %d objects",
+	if total.bytes > maxBytes || total.objects > maxObjects+objSlack {
+		t.Errorf("a resident lock costs %.0f B in %.3f objects, want <= %d B and <= %d objects",
 			total.bytes, total.objects, maxBytes, maxObjects)
+	}
+	if handle.bytes > maxHandleBytes || handle.objects > maxHandleObjects+objSlack {
+		t.Errorf("a further handle costs %.0f B in %.3f objects, want <= %d B and <= %d objects",
+			handle.bytes, handle.objects, maxHandleBytes, maxHandleObjects)
 	}
 }

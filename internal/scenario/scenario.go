@@ -59,7 +59,8 @@ type Spec struct {
 	// Algorithm is rw, rmw, or greedy (its JSON form is the name).
 	Algorithm anonmutex.Algorithm `json:"algorithm"`
 	// N is the number of processes; M the number of anonymous registers
-	// (0: the smallest legal size for the algorithm).
+	// (0: the smallest legal size above 1 for the algorithm; m = 1 is
+	// legal for rmw and must be given).
 	N int `json:"n"`
 	M int `json:"m,omitempty"`
 	// Unchecked skips the m ∈ M(n) validation — required for the

@@ -83,11 +83,10 @@ func (a *Algorithm) UnmarshalText(text []byte) (err error) {
 type Lock struct {
 	n, m int
 	cfg  config
-	mem  *amem.Memory
-	gen  id.Generator // zero value: sequential identities
+	mem  amem.Memory // held by value: the register block is the lock's only other object
 
 	mu     sync.Mutex
-	issued int
+	issued int        // handle i has identity id.Sequential(i)
 	free   []*Process // closed handles awaiting re-lease
 }
 
@@ -132,7 +131,9 @@ func NewLock(alg Algorithm, n int, opts ...Option) (*Lock, error) {
 	if err != nil {
 		return nil, fmt.Errorf("anonmutex: %w", err)
 	}
-	return &Lock{n: n, m: m, cfg: cfg, mem: amem.New(m)}, nil
+	l := &Lock{n: n, m: m, cfg: cfg}
+	l.mem.Init(m)
+	return l, nil
 }
 
 // NewRWLock is NewLock(RW, n, opts...): the paper's Algorithm 1.
@@ -163,15 +164,16 @@ func (l *Lock) NewProcess() (*Process, error) {
 		return nil, fmt.Errorf("anonmutex: lock configured for %d processes and none released", l.n)
 	}
 	i := l.issued
-	me, err := l.gen.New()
+	me, err := id.Sequential(i)
 	if err != nil {
 		return nil, fmt.Errorf("anonmutex: issuing identity: %w", err)
 	}
+	p := &Process{lock: l}
 	// With the sizes in NewLock, the only place the two algorithms differ.
-	var machine core.Machine
+	var machine core.Machine = &p.alg2
 	switch {
 	case l.cfg.alg == RMW:
-		machine, err = core.NewAlg2(me, l.n, l.m, core.Alg2Config{SoloFastPath: !l.cfg.noFastPath})
+		err = p.alg2.Init(me, l.n, l.m, core.Alg2Config{SoloFastPath: !l.cfg.noFastPath})
 	case l.cfg.firstBottom:
 		machine, err = core.NewAlg1(me, l.n, l.m, core.Alg1Config{Choice: core.ChooseFirstBottom})
 	default:
@@ -180,29 +182,32 @@ func (l *Lock) NewProcess() (*Process, error) {
 	if err != nil {
 		return nil, fmt.Errorf("anonmutex: %w", err)
 	}
-	view, err := l.mem.NewView(me, l.cfg.adversary().Assign(i, l.m))
-	if err != nil {
+	if err := p.view.Init(&l.mem, me, l.cfg.adversary().Assign(i, l.m)); err != nil {
 		return nil, fmt.Errorf("anonmutex: %w", err)
 	}
+	p.driver = *newDriver(machine, engine.Hardware(&p.view))
 	l.issued++
-	return &Process{
-		lock:   l,
-		view:   view,
-		driver: newDriver(machine, engine.Hardware(view)),
-	}, nil
+	return p, nil
 }
 
-// newDriver builds each handle's driver. Tests swap in one whose park cap
-// is a minute, so that a lost wake shows as a hang rather than a delay.
+// newDriver builds each handle's driver, which NewProcess copies into the
+// handle. Tests swap in one whose park cap is a minute, so that a lost
+// wake shows as a hang rather than a delay.
 var newDriver = engine.NewDriver
 
 // Process is one process's handle on a Lock. Not safe for concurrent use:
 // a handle belongs to one goroutine at a time.
+//
+// A handle is one allocation beside its view's permutation: the view,
+// the driver and an RMW handle's machine are fields, and the driver's
+// machine and executor point at them: 240 B, whatever n and m. An RW
+// handle's Algorithm 1 machine is made apart and leaves alg2 zero.
 type Process struct {
 	lock   *Lock
-	view   *amem.View
-	driver *engine.Driver // and, through Machine(), the machine: 32 bytes in all
 	closed bool
+	view   amem.View
+	driver engine.Driver
+	alg2   core.Alg2Machine
 }
 
 // Lock acquires the critical section. It returns an error only on
