@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkAppend is the fsync-off hot path a grant pays when
-// durability is disabled or deferred: frame encode + buffer append +
-// mirror update under one mutex.
+// durability is disabled or deferred: frame encode and buffer append
+// under one mutex.
 func BenchmarkAppend(b *testing.B) {
 	w, _, err := Open(b.TempDir(), Options{Sync: SyncOff, CompactBytes: 1 << 30})
 	if err != nil {

@@ -43,6 +43,7 @@ func TestCrashChild(t *testing.T) {
 		fmt.Fprintf(os.Stderr, "child open: %v\n", err)
 		os.Exit(3)
 	}
+	o := newOwner(w)
 	high, err := w.ReserveTokens(0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "child reserve: %v\n", err)
@@ -52,7 +53,7 @@ func TestCrashChild(t *testing.T) {
 	// record it in the ack file (O_SYNC so the parent trusts it even
 	// though the child dies without cleanup). The armed crash point
 	// fires somewhere inside this loop — possibly inside a compaction
-	// triggered by an Append.
+	// the owner runs when an Append made it due.
 	ack, err := os.OpenFile(ackPath, os.O_CREATE|os.O_WRONLY|os.O_SYNC, 0o644)
 	if err != nil {
 		os.Exit(3)
@@ -65,10 +66,15 @@ func TestCrashChild(t *testing.T) {
 				os.Exit(3)
 			}
 		}
-		lsn := w.Append(Record{Op: OpGrant, Name: fmt.Sprintf("key-%02d", i), Token: tok, Deadline: dl})
+		lsn, err := o.append(Record{Op: OpGrant, Name: fmt.Sprintf("key-%02d", i), Token: tok, Deadline: dl})
+		if err != nil {
+			os.Exit(3)
+		}
 		if i%3 == 2 {
 			// Churn so compaction actually triggers mid-run.
-			w.Append(Record{Op: OpRelease, Name: fmt.Sprintf("key-%02d", i), Token: tok})
+			if _, err := o.append(Record{Op: OpRelease, Name: fmt.Sprintf("key-%02d", i), Token: tok}); err != nil {
+				os.Exit(3)
+			}
 		}
 		if err := w.Commit(lsn); err != nil {
 			os.Exit(3)

@@ -20,6 +20,12 @@
 // replays the stale records as no-ops instead of resurrecting released
 // leases.
 //
+// The log keeps no copy of the lease state: replay builds the recovered
+// leases in a map local to Open, and a live Append only encodes and
+// buffers its frame. Past CompactBytes, Append marks compaction as due
+// and the caller — the lease manager, whose tables are the live state —
+// hands Compact the live leases with every per-key append excluded.
+//
 // Recovery is torn-tail-tolerant by construction: the log is replayed
 // record by record, and the first frame that fails its length or CRC
 // check ends the replay — the file is truncated there, never repaired
@@ -56,8 +62,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"iter"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,8 +158,9 @@ type Options struct {
 	// SyncAlways and SyncOff it paces the background flush that pushes
 	// records with no Commit caller (releases, expiries) to the OS.
 	SyncEvery time.Duration
-	// CompactBytes is how large the log may grow before a snapshot is
-	// written and the log truncated (default 1 MiB).
+	// CompactBytes is how large the log may grow before compaction is
+	// due: CompactDue turns true, and the owner of the live state calls
+	// Compact to write a snapshot and truncate the log (default 1 MiB).
 	CompactBytes int64
 	// BandSize is how many tokens one ReserveTokens call reserves
 	// (default 1<<20).
@@ -282,34 +292,34 @@ func decodeRecord(buf []byte) (lsn uint64, rec Record, rest []byte, err error) {
 	return lsn, rec, buf[frameHeader+int(n):], nil
 }
 
-// activeLease is the mirror's view of one held lease.
-type activeLease struct {
-	token    uint64
-	deadline int64
-}
-
 // Log is an open journal: the append path, the durability machinery,
-// and an in-memory mirror of the replayed state that snapshots are
-// written from. Safe for concurrent use.
+// and compaction. It holds the token high-water mark but no lease
+// state: Compact is handed the live leases by its caller. Safe for
+// concurrent use.
 type Log struct {
 	dir  string
 	opts Options
 
 	// mu guards the append path: the file writer, the LSN counter, the
-	// state mirror, and compaction (which rewrites both files).
+	// token high-water mark, and compaction (which rewrites both files).
 	mu        sync.Mutex
 	f         *os.File
 	wbuf      []byte // unflushed frames (the journal's own write buffer)
 	frame     []byte // per-append scratch, reused
 	nextLSN   uint64
 	walBytes  int64
-	active    map[string]activeLease
 	tokenHigh uint64
 	closed    bool
+	// recovered holds the leases Open recovered until TakeRecovered
+	// hands them to the manager that reattaches them.
+	recovered []LeaseState
 	// appendErr is sticky: the first write or compaction failure. It is
 	// set under mu but read without it, so a Commit that does not sync
 	// takes no lock.
 	appendErr atomic.Pointer[error]
+	// compactDue is set by the Append that takes the log past
+	// CompactBytes and cleared by Compact; it is read without mu.
+	compactDue atomic.Bool
 
 	// Group commit for SyncAlways: one committer becomes the leader,
 	// flushes and fsyncs everything appended so far, and wakes the
@@ -329,25 +339,26 @@ type Log struct {
 // Open opens (creating if needed) the journal in dir and recovers its
 // state: the snapshot is loaded, the log replayed on top of it —
 // truncating at the first corrupt or torn record — and the log left
-// ready for appends.
+// ready for appends. The Log keeps the recovered leases only until
+// TakeRecovered hands them to the lease manager that reattaches them.
 func Open(dir string, opts Options) (*Log, State, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, State{}, fmt.Errorf("journal: %w", err)
 	}
 	w := &Log{
-		dir:    dir,
-		opts:   opts,
-		active: make(map[string]activeLease),
-		stop:   make(chan struct{}),
+		dir:  dir,
+		opts: opts,
+		stop: make(chan struct{}),
 	}
 	w.syncCond = sync.NewCond(&w.syncMu)
 
-	snapLSN, err := w.loadSnapshot()
+	r := replay{leases: make(map[string]LeaseState)}
+	snapLSN, err := w.loadSnapshot(&r)
 	if err != nil {
 		return nil, State{}, err
 	}
-	st, lastLSN, err := w.replayWAL(snapLSN)
+	st, lastLSN, err := w.replayWAL(&r, snapLSN)
 	if err != nil {
 		return nil, State{}, err
 	}
@@ -356,22 +367,49 @@ func Open(dir string, opts Options) (*Log, State, error) {
 	}
 	w.nextLSN = lastLSN + 1
 	w.syncedLSN = lastLSN
-	st.TokenHigh = w.tokenHigh
-	for name, a := range w.active {
-		st.Leases = append(st.Leases, LeaseState{Name: name, Token: a.token, Deadline: a.deadline})
-	}
+	w.tokenHigh = r.tokenHigh
+	st.TokenHigh = r.tokenHigh
+	st.Leases = slices.Collect(maps.Values(r.leases))
+	w.recovered = st.Leases
 
 	w.wg.Add(1)
 	go w.run()
 	return w, st, nil
 }
 
-// loadSnapshot reads the snapshot file into the mirror, returning the
-// LSN it covers (0 when there is no snapshot). The snapshot is written
+// replay is the state recovery folds the snapshot and the log into.
+type replay struct {
+	leases    map[string]LeaseState
+	tokenHigh uint64
+}
+
+// apply folds one record into the replayed state. Deactivations check
+// the token so a stale record (an op that lost its arbitration) cannot
+// kill a newer lease on the same key.
+func (r *replay) apply(rec Record) {
+	switch rec.Op {
+	case OpGrant:
+		r.leases[rec.Name] = LeaseState{Name: rec.Name, Token: rec.Token, Deadline: rec.Deadline}
+	case OpExtend:
+		if a, ok := r.leases[rec.Name]; ok && a.Token == rec.Token {
+			a.Deadline = rec.Deadline
+			r.leases[rec.Name] = a
+		}
+	case OpRelease, OpRevoke, OpExpire:
+		if a, ok := r.leases[rec.Name]; ok && a.Token == rec.Token {
+			delete(r.leases, rec.Name)
+		}
+	case OpReserve:
+		r.tokenHigh = max(r.tokenHigh, rec.Token)
+	}
+}
+
+// loadSnapshot reads the snapshot file into r, returning the LSN it
+// covers (0 when there is no snapshot). The snapshot is written
 // atomically (tmp, fsync, rename), so unlike the log it is not
 // truncation-repaired: damage here is disk corruption and surfaces as
 // an error.
-func (w *Log) loadSnapshot() (uint64, error) {
+func (w *Log) loadSnapshot(r *replay) (uint64, error) {
 	buf, err := os.ReadFile(filepath.Join(w.dir, snapName))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -391,7 +429,7 @@ func (w *Log) loadSnapshot() (uint64, error) {
 			if rec.Op != opSnapMeta {
 				return 0, fmt.Errorf("journal: snapshot %s does not start with its meta record", snapName)
 			}
-			w.tokenHigh = rec.Token
+			r.tokenHigh = rec.Token
 			snapLSN = uint64(rec.Deadline)
 			first = false
 			continue
@@ -399,7 +437,7 @@ func (w *Log) loadSnapshot() (uint64, error) {
 		if rec.Op != OpGrant {
 			return 0, fmt.Errorf("journal: snapshot %s holds op %d, want only grants", snapName, rec.Op)
 		}
-		w.active[rec.Name] = activeLease{token: rec.Token, deadline: rec.Deadline}
+		r.apply(rec)
 		_ = lsn
 	}
 	if first && len(buf) == 0 {
@@ -412,9 +450,9 @@ func (w *Log) loadSnapshot() (uint64, error) {
 }
 
 // replayWAL reads the log, applies every record newer than snapLSN to
-// the mirror, truncates the file at the first corrupt or torn frame,
+// r, truncates the file at the first corrupt or torn frame,
 // and opens it for appending.
-func (w *Log) replayWAL(snapLSN uint64) (State, uint64, error) {
+func (w *Log) replayWAL(r *replay, snapLSN uint64) (State, uint64, error) {
 	path := filepath.Join(w.dir, walName)
 	buf, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -439,7 +477,7 @@ func (w *Log) replayWAL(snapLSN uint64) (State, uint64, error) {
 		if lsn <= snapLSN {
 			continue // already reflected in the snapshot
 		}
-		w.apply(rec)
+		r.apply(rec)
 		st.Replayed++
 	}
 	st.Truncated = len(buf) - good
@@ -467,33 +505,12 @@ func (w *Log) replayWAL(snapLSN uint64) (State, uint64, error) {
 	return st, lastLSN, nil
 }
 
-// apply folds one record into the state mirror. Deactivations check
-// the token so a stale record (a replayed duplicate, an op that lost
-// its arbitration) cannot kill a newer lease on the same key.
-func (w *Log) apply(rec Record) {
-	switch rec.Op {
-	case OpGrant:
-		w.active[rec.Name] = activeLease{token: rec.Token, deadline: rec.Deadline}
-	case OpExtend:
-		if a, ok := w.active[rec.Name]; ok && a.token == rec.Token {
-			a.deadline = rec.Deadline
-			w.active[rec.Name] = a
-		}
-	case OpRelease, OpRevoke, OpExpire:
-		if a, ok := w.active[rec.Name]; ok && a.token == rec.Token {
-			delete(w.active, rec.Name)
-		}
-	case OpReserve:
-		if rec.Token > w.tokenHigh {
-			w.tokenHigh = rec.Token
-		}
-	}
-}
-
 // Append adds one record to the log and returns its LSN for Commit.
 // It never waits for the disk: the frame goes to the journal's write
 // buffer, ordered by the append lock, and the buffer goes to the OS
-// once it passes maxBufferedBytes; durability is Commit's job.
+// once it passes maxBufferedBytes; durability is Commit's job. The
+// Append that takes the log past CompactBytes only marks compaction as
+// due (CompactDue); it never compacts.
 // Append after Close is a harmless no-op (LSN 0): late records from
 // lease teardown lose nothing that matters — the process is exiting.
 func (w *Log) Append(rec Record) uint64 {
@@ -515,9 +532,11 @@ func (w *Log) Append(rec Record) uint64 {
 	}
 	w.wbuf = append(w.wbuf, w.frame...)
 	w.walBytes += int64(len(w.frame))
-	w.apply(rec)
-	if w.walBytes >= w.opts.CompactBytes && w.appendErr.Load() == nil {
-		w.compactLocked()
+	if rec.Op == OpReserve && rec.Token > w.tokenHigh {
+		w.tokenHigh = rec.Token
+	}
+	if w.walBytes >= w.opts.CompactBytes && w.appendErr.Load() == nil && !w.compactDue.Load() {
+		w.compactDue.Store(true)
 	}
 	if len(w.wbuf) >= maxBufferedBytes {
 		w.flushLocked()
@@ -535,15 +554,18 @@ func (w *Log) flushLocked() error {
 		return nil
 	}
 	if _, err := w.f.Write(w.wbuf); err != nil {
-		w.fail(err)
-		return err
+		return w.fail(err)
 	}
 	w.wbuf = w.wbuf[:0]
 	return nil
 }
 
-// fail records err as the sticky append error. Caller holds mu.
-func (w *Log) fail(err error) { w.appendErr.Store(&err) }
+// fail records err as the sticky append error and returns it. Caller
+// holds mu.
+func (w *Log) fail(err error) error {
+	w.appendErr.Store(&err)
+	return err
+}
 
 // stickyErr returns the sticky append error, if any.
 func (w *Log) stickyErr() error {
@@ -646,8 +668,8 @@ func (w *Log) ReserveTokens(min uint64) (uint64, error) {
 	}
 	high += w.opts.BandSize
 	w.mu.Unlock()
-	// The append records the mark via the usual path (mirror update
-	// included); the band is usable only once durable.
+	// The append raises tokenHigh under mu like any reserve record; the
+	// band is usable only once durable.
 	w.Append(Record{Op: OpReserve, Token: high})
 	var err error
 	if w.opts.Sync == SyncOff {
@@ -661,26 +683,44 @@ func (w *Log) ReserveTokens(min uint64) (uint64, error) {
 	return high, nil
 }
 
-// compactLocked writes a snapshot of the mirror and truncates the log.
-// Caller holds mu. Crash ordering: the snapshot is complete and synced
-// before the rename makes it current, and replay skips log records the
-// snapshot covers (by LSN), so a crash anywhere in this sequence
-// recovers exactly the pre- or post-compaction state, never a mix.
-func (w *Log) compactLocked() {
+// CompactDue reports whether the log has grown past CompactBytes since
+// the last compaction: the owner of the live state should call Compact.
+func (w *Log) CompactDue() bool { return w.compactDue.Load() }
+
+// Compact writes a snapshot of live — the leases active as of the last
+// appended record — with the token high-water mark, and truncates the
+// log. The caller must exclude every append that changes a lease while
+// Compact runs, so that live reflects exactly the records below the
+// snapshot's LSN; reserve records need no exclusion, since the log
+// tracks the token mark itself under its own lock.
+//
+// Crash ordering: the snapshot is complete and synced before the
+// rename makes it current, and replay skips log records the snapshot
+// covers (by LSN), so a crash anywhere in this sequence recovers
+// exactly the pre- or post-compaction state, never a mix. A failure is
+// sticky: later commits report it.
+func (w *Log) Compact(live iter.Seq[LeaseState]) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	if err := w.stickyErr(); err != nil {
+		return err
+	}
+	w.compactDue.Store(false)
 	lastLSN := w.nextLSN - 1
 	buf := appendFrame(nil, lastLSN, Record{Op: opSnapMeta, Token: w.tokenHigh, Deadline: int64(lastLSN)})
-	for name, a := range w.active {
-		buf = appendFrame(buf, 0, Record{Op: OpGrant, Token: a.token, Deadline: a.deadline, Name: name})
+	for ls := range live {
+		buf = appendFrame(buf, 0, Record{Op: OpGrant, Token: ls.Token, Deadline: ls.Deadline, Name: ls.Name})
 	}
 	tmp := filepath.Join(w.dir, snapTempName)
 	if err := writeFileSync(tmp, buf); err != nil {
-		w.fail(fmt.Errorf("journal: snapshot: %w", err))
-		return
+		return w.fail(fmt.Errorf("journal: snapshot: %w", err))
 	}
 	crash(crashCompactBeforeRename)
 	if err := os.Rename(tmp, filepath.Join(w.dir, snapName)); err != nil {
-		w.fail(fmt.Errorf("journal: snapshot rename: %w", err))
-		return
+		return w.fail(fmt.Errorf("journal: snapshot rename: %w", err))
 	}
 	syncDir(w.dir)
 	crash(crashCompactAfterRename)
@@ -689,12 +729,10 @@ func (w *Log) compactLocked() {
 	// snapshot; drop it all.
 	w.wbuf = w.wbuf[:0]
 	if err := w.f.Truncate(0); err != nil {
-		w.fail(fmt.Errorf("journal: wal truncate: %w", err))
-		return
+		return w.fail(fmt.Errorf("journal: wal truncate: %w", err))
 	}
 	if _, err := w.f.Seek(0, 0); err != nil {
-		w.fail(fmt.Errorf("journal: %w", err))
-		return
+		return w.fail(fmt.Errorf("journal: %w", err))
 	}
 	w.walBytes = 0
 	crash(crashCompactAfterTruncate)
@@ -706,6 +744,19 @@ func (w *Log) compactLocked() {
 	}
 	w.syncMu.Unlock()
 	w.syncCond.Broadcast()
+	return nil
+}
+
+// TakeRecovered hands over what Open recovered. The leases go to the
+// first caller only — the lease manager that reattaches them — and
+// every later call gets none, so no two managers hold one recovered
+// lease. TokenHigh is the reserved mark as of the call.
+func (w *Log) TakeRecovered() State {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	st := State{Leases: w.recovered, TokenHigh: w.tokenHigh}
+	w.recovered = nil
+	return st
 }
 
 // writeFileSync writes data to path and fsyncs it before closing.

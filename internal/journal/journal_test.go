@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,37 @@ func openT(t *testing.T, dir string, opts Options) (*Log, State) {
 		t.Fatalf("Open: %v", err)
 	}
 	return w, st
+}
+
+// owner stands in for the lease manager: it keeps the test's own model
+// of the live leases, and compacts the log from that model whenever
+// the log reports compaction due.
+type owner struct {
+	w    *Log
+	live replay
+}
+
+func newOwner(w *Log) *owner {
+	return &owner{w: w, live: replay{leases: make(map[string]LeaseState)}}
+}
+
+// append appends rec, folds it into the model, and compacts if due.
+func (o *owner) append(rec Record) (uint64, error) {
+	lsn := o.w.Append(rec)
+	o.live.apply(rec)
+	if o.w.CompactDue() {
+		if err := o.w.Compact(maps.Values(o.live.leases)); err != nil {
+			return lsn, err
+		}
+	}
+	return lsn, nil
+}
+
+func (o *owner) appendT(t *testing.T, rec Record) {
+	t.Helper()
+	if _, err := o.append(rec); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
 }
 
 func leaseMap(st State) map[string]LeaseState {
@@ -70,8 +102,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestStaleDeactivationIgnored: a release/revoke/expire carrying an old
-// token must not kill the key's newer lease — neither live in the
-// mirror nor during replay.
+// token must not kill the key's newer lease during replay.
 func TestStaleDeactivationIgnored(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{})
@@ -243,13 +274,14 @@ func TestCorruptByte(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{CompactBytes: 512})
+	o := newOwner(w)
 	dl := int64(5e18)
 	// Churn far past CompactBytes; end with a known survivor set.
 	for i := 0; i < 200; i++ {
-		w.Append(Record{Op: OpGrant, Name: "churn", Token: uint64(i + 1), Deadline: dl})
-		w.Append(Record{Op: OpRelease, Name: "churn", Token: uint64(i + 1)})
+		o.appendT(t, Record{Op: OpGrant, Name: "churn", Token: uint64(i + 1), Deadline: dl})
+		o.appendT(t, Record{Op: OpRelease, Name: "churn", Token: uint64(i + 1)})
 	}
-	w.Append(Record{Op: OpGrant, Name: "keep", Token: 999, Deadline: dl})
+	o.appendT(t, Record{Op: OpGrant, Name: "keep", Token: 999, Deadline: dl})
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
 		t.Fatalf("no snapshot after %d bytes of churn: %v", w.SizeOnDisk(), err)
 	}
@@ -272,13 +304,14 @@ func TestCompaction(t *testing.T) {
 func TestCompactionPreservesReservation(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{CompactBytes: 256, BandSize: 1000})
+	o := newOwner(w)
 	high, err := w.ReserveTokens(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		w.Append(Record{Op: OpGrant, Name: "x", Token: uint64(i + 1), Deadline: 1})
-		w.Append(Record{Op: OpRelease, Name: "x", Token: uint64(i + 1)})
+		o.appendT(t, Record{Op: OpGrant, Name: "x", Token: uint64(i + 1), Deadline: 1})
+		o.appendT(t, Record{Op: OpRelease, Name: "x", Token: uint64(i + 1)})
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,12 @@ package lease
 // state for exact comparison.
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +23,7 @@ import (
 
 func newJournaled(t *testing.T, dir string, cfg Config, jopts journal.Options) (*lockmgr.Manager, *Manager, *journal.Log) {
 	t.Helper()
-	jn, st, err := journal.Open(dir, jopts)
+	jn, _, err := journal.Open(dir, jopts)
 	if err != nil {
 		t.Fatalf("journal.Open: %v", err)
 	}
@@ -27,7 +32,6 @@ func newJournaled(t *testing.T, dir string, cfg Config, jopts journal.Options) (
 		t.Fatal(err)
 	}
 	cfg.Journal = jn
-	cfg.Recovered = &st
 	m, err := New(lm, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +290,7 @@ func TestBandFloorComposition(t *testing.T) {
 // as the benchmark's inproc workload runs it.
 func newOffJournaled(tb testing.TB) *Manager {
 	tb.Helper()
-	jn, st, err := journal.Open(tb.TempDir(), journal.Options{Sync: journal.SyncOff})
+	jn, _, err := journal.Open(tb.TempDir(), journal.Options{Sync: journal.SyncOff})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -294,7 +298,7 @@ func newOffJournaled(tb testing.TB) *Manager {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err := New(lm, Config{TTL: time.Minute, Journal: jn, Recovered: &st})
+	m, err := New(lm, Config{TTL: time.Minute, Journal: jn})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -388,5 +392,215 @@ func TestCloseDoesNotJournalRevocations(t *testing.T) {
 	}
 	if st := liveState(m2)[("orphan")]; st.Token != g.Token {
 		t.Fatalf("recovered orphan token %d, want %d", st.Token, g.Token)
+	}
+}
+
+// TestRecoveredLeasesSurviveCompaction: a manager built on a journal
+// that recovered leases reattaches them without being handed them, so
+// the first compaction it runs — a snapshot of its own tables — keeps
+// every one, and a second restart gets each back with its token and
+// absolute deadline.
+func TestRecoveredLeasesSurviveCompaction(t *testing.T) {
+	dir := t.TempDir()
+	_, mA, jnA := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{Sync: journal.SyncAlways})
+	for i := 0; i < 8; i++ {
+		if _, ok, err := mA.tryAcquire(fmt.Sprintf("held-%d", i)); err != nil || !ok {
+			t.Fatalf("acquire held-%d: %v, %v", i, ok, err)
+		}
+	}
+	want := liveState(mA)
+	mA.Abandon()
+	if err := jnA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, mB, jnB := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{CompactBytes: 512})
+	if mB.Recovered() != uint64(len(want)) {
+		t.Fatalf("Recovered() = %d, want %d", mB.Recovered(), len(want))
+	}
+	snap := filepath.Join(dir, "snapshot")
+	for i := 0; ; i++ {
+		if _, err := os.Stat(snap); err == nil {
+			break
+		}
+		if i == 1000 {
+			t.Fatalf("no compaction after %d lease cycles at CompactBytes 512", i)
+		}
+		leaseCycle(t, mB, "churn")
+	}
+	mB.Abandon()
+	if err := jnB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, mC, jnC := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{})
+	defer func() { mC.Close(); jnC.Close() }()
+	got := liveState(mC)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d leases across a compaction, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if r := got[name]; r.Token != w.Token || !r.Deadline.Equal(w.Deadline) {
+			t.Errorf("lease %s recovered as token %d deadline %v, want %d %v", name, r.Token, r.Deadline, w.Token, w.Deadline)
+		}
+	}
+}
+
+// TestHeartbeatOnlyLoadCompacts: renewals alone grow the log, so they
+// too must compact it — one lease renewed 10 000 times keeps the
+// journal within its compaction size, and a restart recovers the last
+// renewed deadline.
+func TestHeartbeatOnlyLoadCompacts(t *testing.T) {
+	const compactBytes = 4 << 10
+	dir := t.TempDir()
+	_, m, jn := newJournaled(t, dir, Config{TTL: time.Minute},
+		journal.Options{Sync: journal.SyncOff, CompactBytes: compactBytes})
+	g, ok, err := m.tryAcquire("renewed")
+	if err != nil || !ok {
+		t.Fatalf("acquire: %v, %v", ok, err)
+	}
+	for i := 0; i < 10000; i++ {
+		if _, err := m.Heartbeat(g.Name, g.Token); err != nil {
+			t.Fatalf("heartbeat %d: %v", i, err)
+		}
+		if i%100 == 99 {
+			if err := jn.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if sz := jn.SizeOnDisk(); sz > 2*compactBytes {
+				t.Fatalf("journal is %d bytes on disk after %d renewals, compaction size %d", sz, i+1, compactBytes)
+			}
+		}
+	}
+	want := liveState(m)[g.Name]
+	m.Abandon()
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, m2, jn2 := newJournaled(t, dir, Config{TTL: time.Minute}, journal.Options{})
+	defer func() { m2.Close(); jn2.Close() }()
+	if got := liveState(m2)[g.Name]; got.Token != g.Token || !got.Deadline.Equal(want.Deadline) {
+		t.Fatalf("recovered token %d deadline %v, want %d %v", got.Token, got.Deadline, g.Token, want.Deadline)
+	}
+}
+
+// TestCompactionUnderChurn races releases, revocations, heartbeats and
+// TTL expiries against the compactions their own appends make due, at
+// the always policy and a 2 KiB compaction size. After a crash the
+// reopened journal holds exactly the manager's last table, and no token
+// was ever issued twice — before the crash or after it.
+func TestCompactionUnderChurn(t *testing.T) {
+	dir := t.TempDir()
+	_, mA, jnA := newJournaled(t, dir, Config{TTL: 20 * time.Millisecond, Shards: 4},
+		journal.Options{Sync: journal.SyncAlways, CompactBytes: 2 << 10, BandSize: 64})
+	keys := keyNames(16)
+	var (
+		mu       sync.Mutex
+		issued   = map[uint64]bool{}
+		maxToken uint64
+		wg       sync.WaitGroup
+	)
+	const workers, grants = 4, 80
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := xrand.New(seed)
+			for i := 0; i < grants; i++ {
+				// A key held by an abandoned lease is served at its expiry.
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				g, err := mA.AcquireCtx(ctx, keys[rng.Intn(len(keys))])
+				cancel()
+				if err != nil {
+					t.Errorf("acquire: %v", err)
+					return
+				}
+				mu.Lock()
+				if issued[g.Token] {
+					t.Errorf("token %d issued twice", g.Token)
+				}
+				issued[g.Token] = true
+				maxToken = max(maxToken, g.Token)
+				mu.Unlock()
+				// Ending ops may lose to TTL expiry: ErrFenced is a fair
+				// outcome, anything else is not.
+				var end error
+				switch rng.Intn(4) {
+				case 0:
+					end = mA.Release(g.Name, g.Token)
+				case 1:
+					end = mA.Revoke(g.Name, g.Token)
+				case 2:
+					for k := 0; k < 3 && end == nil; k++ {
+						_, end = mA.Heartbeat(g.Name, g.Token)
+					}
+					if end == nil {
+						end = mA.Release(g.Name, g.Token)
+					}
+				default:
+					// Abandoned: TTL expiry ends it.
+				}
+				if end != nil && !errors.Is(end, ErrFenced) {
+					t.Errorf("%s: %v", g.Name, end)
+				}
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Leases still live at the crash: the churn's last abandoned ones
+	// may have expired already.
+	for _, name := range []string{"final-a", "final-b"} {
+		g, ok, err := mA.tryAcquire(name)
+		if err != nil || !ok {
+			t.Fatalf("acquire %s: %v, %v", name, ok, err)
+		}
+		maxToken = max(maxToken, g.Token)
+	}
+	// Crash: the expiry loops stop, the tables stay as they are.
+	mA.Abandon()
+	want := liveState(mA)
+	if len(want) == 0 {
+		t.Fatal("nothing held at the crash; the comparison is vacuous")
+	}
+	if c := mA.Counters(); c.Expired == 0 {
+		t.Errorf("no lease expired; the churn never raced TTL expiry")
+	}
+	if err := jnA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil {
+		t.Fatalf("the churn never compacted: %v", err)
+	}
+
+	jnB, st, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Leases) != len(want) {
+		t.Errorf("reopen recovered %d leases, the last table held %d", len(st.Leases), len(want))
+	}
+	for _, ls := range st.Leases {
+		if w, ok := want[ls.Name]; !ok || w.Token != ls.Token || w.Deadline.UnixNano() != ls.Deadline {
+			t.Errorf("recovered %s token %d deadline %d; last table: %+v (held %v)", ls.Name, ls.Token, ls.Deadline, w, ok)
+		}
+	}
+	lm, err := lockmgr.New(lockmgr.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mB, err := New(lm, Config{TTL: time.Minute, Journal: jnB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { mB.Close(); jnB.Close(); lm.Close() }()
+	g, ok, err := mB.tryAcquire("after-restart")
+	if err != nil || !ok {
+		t.Fatalf("post-restart acquire: %v, %v", ok, err)
+	}
+	if g.Token <= maxToken {
+		t.Fatalf("post-restart token %d does not exceed pre-crash max %d", g.Token, maxToken)
 	}
 }

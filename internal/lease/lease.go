@@ -31,6 +31,13 @@
 //     table holds the live leases and nothing else. A stale holder's
 //     late ops find no live lease under their token and are rejected
 //     (ErrFenced) and counted all the same.
+//   - The tables are the journal's snapshot. With a journal, every
+//     per-key transition is appended under its key's shard mutex, in
+//     the critical section that changes the table, and the journal
+//     keeps no copy of the leases: once its log outgrows the
+//     compaction size, the next transition to finish takes every shard
+//     mutex and hands the journal the tables to snapshot. New reattaches
+//     the leases the journal recovered before anything else runs.
 //
 // Exactly one lifecycle operation wins a given token: Release, Revoke,
 // and expiry all arbitrate under the shard mutex on the (name, token)
@@ -69,16 +76,11 @@ type Config struct {
 	// write-ahead log: grants and heartbeat renewals are committed per
 	// the journal's sync policy before they are acknowledged, and the
 	// fencing counter draws from durably reserved token bands so no
-	// token is ever reissued across a restart. Nil keeps the manager
-	// purely in-memory (the pre-durability behavior, byte for byte).
+	// token is ever reissued across a restart. New takes the leases the
+	// journal recovered and reattaches them, and the manager compacts
+	// the journal from its own tables. Nil keeps the manager purely
+	// in-memory (the pre-durability behavior, byte for byte).
 	Journal *journal.Log
-	// Recovered, when non-nil alongside Journal, is the state the
-	// journal recovered: New re-acquires each recovered lease from the
-	// lock manager and reattaches it under its original token and
-	// absolute deadline (remaining-time semantics — a restart does not
-	// refresh TTLs), and seeds the token counter at the recovered
-	// high-water mark.
-	Recovered *journal.State
 }
 
 // Grant is one leased hold on a named lock, as returned by the
@@ -154,6 +156,8 @@ type Manager struct {
 	jn     *journal.Log
 	band   atomic.Uint64
 	bandMu sync.Mutex
+	// compacting admits one compaction at a time; the others skip it.
+	compacting atomic.Bool
 
 	granted, expired, revoked, fenced, recovered atomic.Uint64
 
@@ -183,8 +187,8 @@ func New(lm *lockmgr.Manager, cfg Config) (*Manager, error) {
 	for i := range m.shards {
 		m.shards[i] = &shard{keys: make(map[string]*keyState), wake: make(chan struct{}, 1)}
 	}
-	if cfg.Recovered != nil {
-		m.recover(cfg.Recovered)
+	if m.jn != nil {
+		m.recover(m.jn.TakeRecovered())
 	}
 	for i := range m.shards {
 		m.wg.Add(1)
@@ -204,7 +208,7 @@ func New(lm *lockmgr.Manager, cfg Config) (*Manager, error) {
 // recovered token), which is the restart-monotonicity argument: every
 // token this incarnation issues exceeds every token the previous one
 // could have issued.
-func (m *Manager) recover(st *journal.State) {
+func (m *Manager) recover(st journal.State) {
 	high := st.TokenHigh
 	for _, ls := range st.Leases {
 		if ls.Token > high {
@@ -218,7 +222,8 @@ func (m *Manager) recover(st *journal.State) {
 		if err != nil || !ok {
 			// The lock manager is fresh at recovery time, so this only
 			// happens if the caller raced its own acquires in first;
-			// their grant wins, the recovered one is dropped.
+			// their grant wins, the recovered one is dropped (and leaves
+			// the journal at its next compaction).
 			continue
 		}
 		sh := m.shard(ls.Name)
@@ -273,6 +278,7 @@ func (m *Manager) issueToken() (uint64, error) {
 		}
 		m.band.Store(high)
 		m.bandMu.Unlock()
+		m.compactIfDue()
 	}
 	return tok, nil
 }
@@ -316,6 +322,7 @@ func (m *Manager) Attach(l lockmgr.Lease) (uint64, error) {
 	}
 	sh.mu.Unlock()
 	if m.jn != nil {
+		m.compactIfDue()
 		if err := m.jn.Commit(lsn); err != nil {
 			// The grant cannot be made durable, so it must not be
 			// acknowledged: take the lease back through the usual
@@ -366,6 +373,7 @@ func (m *Manager) Heartbeat(name string, token uint64) (time.Duration, error) {
 	}
 	sh.mu.Unlock()
 	if m.jn != nil {
+		m.compactIfDue()
 		// A renewal must be durable before it is acknowledged for the
 		// same reason a grant must: a holder whose ack'd extension is
 		// lost would be expired while it believes itself renewed. The
@@ -445,6 +453,7 @@ func (m *Manager) detachOp(name string, token uint64, op journal.Op) (lockmgr.Le
 	}
 	l := sh.end(st)
 	sh.mu.Unlock()
+	m.compactIfDue()
 	return l, nil
 }
 
@@ -531,6 +540,9 @@ func (m *Manager) runShard(sh *shard) {
 		}
 		sh.armed = now.Add(wait)
 		sh.mu.Unlock()
+		if len(due) > 0 {
+			m.compactIfDue()
+		}
 		for _, l := range due {
 			m.expired.Add(1)
 			m.lm.Revoke(l)
@@ -547,6 +559,42 @@ func (m *Manager) runShard(sh *shard) {
 			return
 		case <-sh.wake:
 		case <-timer.C:
+		}
+	}
+}
+
+// compactIfDue compacts the journal once its log has grown past the
+// compaction size. Every per-key record is appended under its key's
+// shard mutex, in the critical section that changes the shard's table,
+// so with every shard mutex held the tables are exactly the state the
+// log's records describe, and they are the snapshot. The lock order is
+// the appenders': shards, in index order, then the journal. A closed
+// manager does not compact: Close ends leases without journaling them,
+// and its tables no longer match the log.
+func (m *Manager) compactIfDue() {
+	if m.jn == nil || !m.jn.CompactDue() || !m.compacting.CompareAndSwap(false, true) {
+		return
+	}
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+	}
+	if m.jn.CompactDue() && !m.closed.Load() {
+		// A failure is sticky in the journal: the next commit reports it.
+		_ = m.jn.Compact(m.live)
+	}
+	for _, sh := range m.shards {
+		sh.mu.Unlock()
+	}
+	m.compacting.Store(false)
+}
+
+// live yields every live lease. Caller holds every shard mutex.
+func (m *Manager) live(yield func(journal.LeaseState) bool) {
+	for _, sh := range m.shards {
+		for name, st := range sh.keys {
+			if !yield(journal.LeaseState{Name: name, Token: st.token, Deadline: st.deadline.UnixNano()}) {
+				return
+			}
 		}
 	}
 }

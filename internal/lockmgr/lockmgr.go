@@ -133,7 +133,7 @@ type shardCounters struct {
 	lockCreates, hits    atomic.Uint64
 	evictions            atomic.Uint64
 	resident             atomic.Int64
-	latCount, latSumNano atomic.Uint64 // acquire latency observations
+	waitCount, waitNanos atomic.Uint64 // acquires that waited (see StatsTable), and their waits
 }
 
 func (c *shardCounters) snapshot() Counters {
@@ -340,24 +340,24 @@ func (m *Manager) pin(sh *shard, name string, unlessHeld bool) (*entry, error) {
 }
 
 // checkout pins the entry for name and leases a handle from its pool,
-// queueing for one when all n are leased out. A caller whose ctx ends
-// while queued unpins and leaves empty-handed with ctx's error, counted
-// as a lease timeout.
-func (m *Manager) checkout(ctx context.Context, name string) (*entry, procHandle, error) {
-	e, err := m.pin(m.shard(name), name, false)
+// queueing for one when all n are leased out; queued is when it began
+// to, zero if it did not. A caller whose ctx ends while queued unpins
+// and leaves empty-handed with ctx's error, counted as a lease timeout.
+func (m *Manager) checkout(ctx context.Context, name string) (e *entry, h procHandle, queued time.Time, err error) {
+	e, err = m.pin(m.shard(name), name, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, queued, err
 	}
-	h, waited, err := e.pool.lease(ctx)
-	if waited {
+	h, queued, err = e.pool.lease(ctx)
+	if !queued.IsZero() {
 		e.sh.c.waits.Add(1)
 	}
 	if err != nil {
 		e.refs.Add(-1)
 		e.sh.c.leaseTimeouts.Add(1)
-		return nil, nil, fmt.Errorf("lockmgr: acquiring %q: queued for a handle: %w", name, err)
+		return nil, nil, queued, fmt.Errorf("lockmgr: acquiring %q: queued for a handle: %w", name, err)
 	}
-	return e, h, nil
+	return e, h, queued, nil
 }
 
 // evictColdest removes the least-recently-used idle entry from the table
@@ -439,10 +439,15 @@ func (l Lease) Name() string { return l.e.name }
 // counter steps. The steady-state acquire/release cycle through it
 // performs zero heap allocations.
 func (m *Manager) AcquireLeaseCtx(ctx context.Context, name string) (Lease, error) {
-	start := time.Now()
-	e, h, err := m.checkout(ctx, name)
+	e, h, waitStart, err := m.checkout(ctx, name)
 	if err != nil {
 		return Lease{}, err
+	}
+	// The clock is read only for an acquire that waits: one that queued
+	// for a handle, or finds the lock held and so parks until the
+	// holder's release.
+	if waitStart.IsZero() && e.held.Load() > 0 {
+		waitStart = time.Now()
 	}
 	if err := h.LockCtx(ctx); err != nil {
 		m.checkin(e, h, false)
@@ -453,8 +458,10 @@ func (m *Manager) AcquireLeaseCtx(ctx context.Context, name string) (Lease, erro
 		m.violations.Add(1)
 	}
 	e.sh.c.acquires.Add(1)
-	e.sh.c.latCount.Add(1)
-	e.sh.c.latSumNano.Add(uint64(time.Since(start).Nanoseconds()))
+	if !waitStart.IsZero() {
+		e.sh.c.waitCount.Add(1)
+		e.sh.c.waitNanos.Add(uint64(time.Since(waitStart).Nanoseconds()))
+	}
 	return Lease{e: e, h: h}, nil
 }
 
@@ -596,21 +603,24 @@ func (m *Manager) Counters() Counters {
 
 // StatsTable renders per-shard contention and throughput counters in the
 // experiment harness's table format (one row per shard plus a total row).
+// "mean wait µs" averages over the blocking acquires that waited —
+// queued for a handle or found the lock held — from the start of the
+// wait to entry; acquires that did not wait are not in it.
 func (m *Manager) StatsTable() *stats.Table {
 	t := &stats.Table{
 		Title: fmt.Sprintf("lockmgr — %d shards, alg=%s, n=%d/lock, LRU=%d/shard",
 			len(m.shards), m.cfg.Algorithm, m.cfg.HandlesPerLock, m.cfg.MaxLocksPerShard),
 		Header: []string{"shard", "locks", "acquires", "releases", "waits",
-			"aborts", "lease-timeouts", "try-fail", "creates", "hits", "evictions", "mean acq µs"},
+			"aborts", "lease-timeouts", "try-fail", "creates", "hits", "evictions", "mean wait µs"},
 	}
 	var total Counters
-	var latN, latSum uint64
+	var waitN, waitSum uint64
 	for i, sh := range m.shards {
 		c := sh.c.snapshot()
-		n, sum := sh.c.latCount.Load(), sh.c.latSumNano.Load()
+		n, sum := sh.c.waitCount.Load(), sh.c.waitNanos.Load()
 		total = total.add(c)
-		latN += n
-		latSum += sum
+		waitN += n
+		waitSum += sum
 		if c.Acquires == 0 && c.TryAcquires == 0 && c.ResidentLocks == 0 {
 			continue // keep quiet shards out of the table
 		}
@@ -622,8 +632,8 @@ func (m *Manager) StatsTable() *stats.Table {
 			c.Aborts, c.LeaseTimeouts, c.TryFailures, c.LockCreates, c.Hits, c.Evictions, mean)
 	}
 	meanAll := 0.0
-	if latN > 0 {
-		meanAll = float64(latSum) / float64(latN) / 1e3
+	if waitN > 0 {
+		meanAll = float64(waitSum) / float64(waitN) / 1e3
 	}
 	t.AddRow("total", total.ResidentLocks, total.Acquires, total.Releases, total.Waits,
 		total.Aborts, total.LeaseTimeouts, total.TryFailures, total.LockCreates,

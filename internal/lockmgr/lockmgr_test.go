@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,9 +131,9 @@ func TestLeaseWaited(t *testing.T) {
 		created++
 		return stubHandle{}, nil
 	})}
-	h, waited, err := p.lease(context.Background())
-	if err != nil || h == nil || waited {
-		t.Fatalf("first lease: h=%v waited=%v err=%v", h, waited, err)
+	h, queued, err := p.lease(context.Background())
+	if err != nil || h == nil || !queued.IsZero() {
+		t.Fatalf("first lease: h=%v queued=%v err=%v", h, queued, err)
 	}
 	if h, err := p.tryLease(); h != nil || err != nil {
 		t.Fatalf("non-blocking lease of exhausted pool: h=%v err=%v", h, err)
@@ -145,9 +146,9 @@ func TestLeaseWaited(t *testing.T) {
 	go func() {
 		defer close(done)
 		close(ready) // about to queue on the exhausted pool
-		h2, waited, err := p.lease(context.Background())
-		if err != nil || h2 == nil || !waited {
-			t.Errorf("queued lease: h=%v waited=%v err=%v", h2, waited, err)
+		h2, queued, err := p.lease(context.Background())
+		if err != nil || h2 == nil || queued.IsZero() {
+			t.Errorf("queued lease: h=%v queued=%v err=%v", h2, queued, err)
 			return
 		}
 		p.release(h2)
@@ -533,6 +534,10 @@ func TestCloseRejectsOutstandingGrants(t *testing.T) {
 	}
 }
 
+// TestStatsTable checks the table's shape and what its last column
+// counts: "mean wait µs" averages over the acquires that waited — here
+// one that found the lock held and one that queued for a handle — and
+// the uncontended acquires around them are not in it.
 func TestStatsTable(t *testing.T) {
 	m, err := New(Config{Shards: 2, HandlesPerLock: 2})
 	if err != nil {
@@ -547,6 +552,43 @@ func TestStatsTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if out := m.StatsTable().String(); !strings.Contains(out, "mean wait µs") {
+		t.Fatalf("stats table has no mean wait column:\n%s", out)
+	}
+	if mean := totalMeanWait(t, m); mean != 0 {
+		t.Fatalf("mean wait %v µs with no acquire that waited, want 0", mean)
+	}
+
+	// Hold x; a second acquire takes the other handle and waits for the
+	// lock, a third queues for a handle.
+	holder, err := m.AcquireLeaseCtx(context.Background(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := holder.e
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := m.AcquireLeaseCtx(context.Background(), "x")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := m.Release(g); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for e.pool.waiters.Load() == 0 {
+		runtime.Gosched()
+	}
+	if err := m.Release(holder); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
 	tbl := m.StatsTable()
 	out := tbl.String()
 	if !strings.Contains(out, "total") {
@@ -558,4 +600,31 @@ func TestStatsTable(t *testing.T) {
 	if len(tbl.Rows) < 2 {
 		t.Errorf("expected at least one shard row plus total, got %d rows", len(tbl.Rows))
 	}
+	var waited uint64
+	for _, sh := range m.shards {
+		waited += sh.c.waitCount.Load()
+	}
+	// The queued acquire always counts; the other one counts unless the
+	// holder released before it looked.
+	if c := m.Counters(); waited < 1 || waited > 2 || c.Acquires != 6 {
+		t.Errorf("%d of %d acquires counted as waited, want the 1 or 2 that waited", waited, c.Acquires)
+	}
+	if mean := totalMeanWait(t, m); mean <= 0 {
+		t.Errorf("mean wait %v µs after acquires that waited, want > 0", mean)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// totalMeanWait reads the total row's "mean wait µs" cell.
+func totalMeanWait(t *testing.T, m *Manager) float64 {
+	t.Helper()
+	tbl := m.StatsTable()
+	row := tbl.Rows[len(tbl.Rows)-1]
+	mean, err := strconv.ParseFloat(row[len(row)-1], 64)
+	if err != nil {
+		t.Fatalf("mean wait cell: %v", err)
+	}
+	return mean
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"anonmutex"
 )
@@ -142,12 +143,14 @@ func (p *leasePool) tryLease() (procHandle, error) {
 
 // lease checks out a handle: a parked one if available, a freshly
 // materialized one while slots remain, and otherwise the next handle
-// released by another client. waited reports whether the caller had to
-// queue. A queued caller whose ctx ends gives up with ctx's error.
-func (p *leasePool) lease(ctx context.Context) (h procHandle, waited bool, err error) {
+// released by another client. queued is when the caller began to
+// queue, zero if it did not have to. A queued caller whose ctx ends
+// gives up with ctx's error.
+func (p *leasePool) lease(ctx context.Context) (h procHandle, queued time.Time, err error) {
 	if h, err = p.tryLease(); h != nil || err != nil {
-		return h, false, err
+		return h, time.Time{}, err
 	}
+	queued = time.Now()
 	// All n handles exist and are leased out: queue. The re-poll after
 	// registering closes the race with a release that loaded the waiter
 	// count just before we registered.
@@ -163,12 +166,12 @@ func (p *leasePool) lease(ctx context.Context) (h procHandle, waited bool, err e
 	defer p.waiters.Add(-1)
 	for {
 		if h, err = p.tryLease(); h != nil || err != nil {
-			return h, true, err
+			return h, queued, err
 		}
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return nil, queued, ctx.Err()
 		}
 	}
 }

@@ -224,7 +224,7 @@ func (s *Server) Serve(ln net.Listener) error {
 				ln.Close()
 				return err
 			}
-			jn, st, err := journal.Open(s.Durability.Dir, journal.Options{
+			jn, _, err := journal.Open(s.Durability.Dir, journal.Options{
 				Sync:         pol,
 				SyncEvery:    s.Durability.FsyncInterval,
 				CompactBytes: s.Durability.CompactBytes,
@@ -237,7 +237,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.journal = jn
 			s.syncCommits = pol == journal.SyncAlways
 			cfg.Journal = jn
-			cfg.Recovered = &st
 		}
 		lm, err := lease.New(s.mgr, cfg)
 		if err != nil {
