@@ -67,8 +67,8 @@
 // (internal/scenario): one JSON-encodable spec — algorithm, sizes,
 // anonymity adversary, schedule, workload profile, seeds — runs on
 // either substrate or under the model checker, from the anonsim command
-// (-scenario, -substrate, -check) or the experiment suite (anonbench,
-// which sweeps the whole registry and emits JSON with -json). The
+// (-scenario, -substrate, -check), which also runs the experiment suite
+// (-experiment, JSON with -json) that sweeps the whole registry. The
 // Algorithm type names the scenarios' protocols too, including the
 // Greedy strawman no Lock runs. DESIGN.md has the layer diagram and the
 // experiment catalog.

@@ -36,14 +36,13 @@
 // throughput and shed arrivals. Crash ops need a leased server: on a
 // lease-free one nothing would free the orphan, so the run fails.
 //
-// The JSON output is an array of {id, title, seconds, table} records —
-// the same shape anonbench emits. The command exits nonzero if any
-// mutual-exclusion violation is observed.
+// The JSON output is an array of {id, title, seconds, table} records
+// (stats.Record) — the same shape anonsim -experiment -json emits. The
+// command exits nonzero if any mutual-exclusion violation is observed.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -67,14 +66,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "anonload:", err)
 		os.Exit(1)
 	}
-}
-
-// record matches anonbench's machine-readable result element.
-type record struct {
-	ID      string       `json:"id"`
-	Title   string       `json:"title"`
-	Seconds float64      `json:"seconds"`
-	Table   *stats.Table `json:"table"`
 }
 
 func run(args []string) error {
@@ -269,13 +260,10 @@ func serverTable(st wire.Stats) *stats.Table {
 // violations.
 func report(jsonOut bool, res *loadgen.Result, backend *stats.Table, violations uint64) error {
 	if jsonOut {
-		records := []record{
+		if err := stats.WriteRecords(os.Stdout, []stats.Record{
 			{ID: "LOAD", Title: "anonload run", Seconds: res.Seconds, Table: res.Table()},
 			{ID: "LOAD-BACKEND", Title: backend.Title, Table: backend},
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
+		}); err != nil {
 			return err
 		}
 	} else {

@@ -1,7 +1,8 @@
-// Command anonsim runs one execution of an anonymous-memory mutual
-// exclusion algorithm — described by flags, a named scenario, or a
-// scenario JSON file — on either substrate, or model-checks it with
-// -check, and reports its outcome.
+// Command anonsim is the repository's research command. It runs one
+// execution of an anonymous-memory mutual exclusion algorithm —
+// described by flags, a named scenario, or a scenario JSON file — on
+// either substrate, or model-checks it with -check, and reports its
+// outcome; or it runs the reproduction suite with -experiment.
 //
 // Usage:
 //
@@ -18,6 +19,16 @@
 //	anonsim -check -alg rw -n 2 -m 3          # every interleaving: verify Algorithm 1
 //	anonsim -check -alg rmw -n 2 -m 2 -force  # find the Theorem 5 trap
 //	anonsim -check -alg greedy -n 2 -m 2      # watch a broken protocol fail
+//	anonsim -experiment T2                    # one reproduction experiment
+//	anonsim -experiment all -json             # the whole suite as JSON
+//
+// -experiment runs the reproduction suite (internal/experiments): one
+// experiment per paper artifact (Table I, Figures 1-2, Table II,
+// Theorem 5) plus the added simulations and the scenario-registry sweep,
+// printed as paper-style tables or, with -json, as an array of
+// {id, title, seconds, table} records. It is the reproduction, not a
+// performance record: what the lock service costs is measured by bench/
+// (BENCHMARK.json).
 //
 // A verdict against the algorithm — a mutual-exclusion violation, a
 // progress trap, or a check that did not finish — is printed and exits 2;
@@ -36,9 +47,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
+	"time"
 
 	"anonmutex"
+	"anonmutex/internal/experiments"
 	"anonmutex/internal/scenario"
+	"anonmutex/internal/stats"
 	"anonmutex/internal/workload"
 )
 
@@ -83,8 +98,16 @@ func run(args []string) error {
 	listScenarios := fs.Bool("list-scenarios", false, "list registered scenarios and exit")
 	dump := fs.Bool("dump-scenario", false, "print the scenario's JSON spec instead of running it")
 	check := fs.Bool("check", false, "explore every interleaving of the scenario (model check) instead of running one schedule")
+	expID := fs.String("experiment", "", "run a reproduction experiment instead of a scenario: "+strings.Join(experiments.IDs(), ", ")+", or all")
+	jsonOut := fs.Bool("json", false, "with -experiment: print the results as JSON instead of text tables")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *expID != "" {
+		return runExperiments(*expID, *jsonOut)
+	}
+	if *jsonOut {
+		return fmt.Errorf("-json needs -experiment")
 	}
 
 	if *listScenarios {
@@ -273,4 +296,40 @@ func runCheck(spec scenario.Spec) error {
 			errVerdict, res.MEViolations, res.Traps, res.Complete)
 	}
 	return nil
+}
+
+// runExperiments runs one experiment, or all of them in presentation
+// order. Text streams each table as its experiment finishes; JSON
+// collects them, since it must be one document.
+func runExperiments(expID string, jsonOut bool) error {
+	toRun := experiments.All()
+	if expID != "all" {
+		e, err := experiments.ByID(expID)
+		if err != nil {
+			return err
+		}
+		toRun = []experiments.Experiment{e}
+	}
+	var results []stats.Record
+	for i, e := range toRun {
+		start := time.Now()
+		tbl, err := e.Run()
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
+		}
+		elapsed := time.Since(start).Seconds()
+		if jsonOut {
+			results = append(results, stats.Record{ID: e.ID, Title: e.Title, Seconds: elapsed, Table: tbl})
+			continue
+		}
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("[%s] %s  (%.2fs)\n", e.ID, e.Title, elapsed)
+		fmt.Print(tbl.String())
+	}
+	if !jsonOut {
+		return nil
+	}
+	return stats.WriteRecords(os.Stdout, results)
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +129,21 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunExperimentErrors: the experiment flags refuse what names no
+// experiment, and a bad flag next to -experiment is still a bad flag.
+func TestRunExperimentErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "nope"},
+		{"-experiment", "E7"}, // deleted: its claim is C1's
+		{"-experiment", "T1", "-qqq"},
+		{"-json"}, // -json formats experiments only
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
 // TestRunVerdicts: a run that finds the algorithm breaking a property
 // returns errVerdict (main exits 2 on it), not a plain error and not an
 // exit from inside run.
@@ -144,5 +161,90 @@ func TestRunVerdicts(t *testing.T) {
 	}
 	if err := run([]string{"-alg", "bogus"}); errors.Is(err, errVerdict) {
 		t.Errorf("a usage error reads as a verdict: %v", err)
+	}
+}
+
+func TestRunSingleExperiment(t *testing.T) {
+	// T1 is instantaneous; the full suite is exercised by the
+	// internal/experiments tests.
+	out := captureStdout(t, func() error { return run([]string{"-experiment", "T1"}) })
+	if !strings.HasPrefix(string(out), "[T1] Table I") || !strings.Contains(string(out), "R[1]") {
+		t.Fatalf("unexpected output:\n%s", out)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// wrote.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = old }()
+	done := make(chan []byte)
+	go func() {
+		buf := make([]byte, 0, 1<<16)
+		tmp := make([]byte, 4096)
+		for {
+			n, err := r.Read(tmp)
+			buf = append(buf, tmp[:n]...)
+			if err != nil {
+				break
+			}
+		}
+		done <- buf
+	}()
+	ferr := f()
+	w.Close()
+	out := <-done
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
+}
+
+func TestRunJSONOutput(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"-experiment", "T1", "-json"})
+	})
+	var results []struct {
+		ID      string  `json:"id"`
+		Title   string  `json:"title"`
+		Seconds float64 `json:"seconds"`
+		Table   struct {
+			Title  string     `json:"title"`
+			Header []string   `json:"header"`
+			Rows   [][]string `json:"rows"`
+			Notes  []string   `json:"notes"`
+		} `json:"table"`
+	}
+	dec := json.NewDecoder(strings.NewReader(string(out)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&results); err != nil {
+		t.Fatalf("output is not the result schema: %v\n%s", err, out)
+	}
+	if len(results) != 1 || results[0].ID != "T1" || results[0].Title == "" || results[0].Seconds < 0 {
+		t.Fatalf("unexpected results: %+v", results)
+	}
+	tbl := results[0].Table
+	if tbl.Title == "" || len(tbl.Header) == 0 || len(tbl.Rows) == 0 || len(tbl.Notes) == 0 {
+		t.Fatalf("incomplete table in JSON output: %+v", tbl)
+	}
+}
+
+// TestRunExperimentIDs: the experiment ids are listed where a user
+// meets them — in the error for an unknown one.
+func TestRunExperimentIDs(t *testing.T) {
+	err := run([]string{"-experiment", "nope"})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, id := range []string{"T1", "L1", "E9", "S1"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list %s", err, id)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,8 +19,8 @@ func TestAllHaveDistinctIDs(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 11 {
-		t.Fatalf("expected 11 experiments (T1…S1), have %d", len(seen))
+	if len(seen) != 10 {
+		t.Fatalf("expected 10 experiments (T1…S1), have %d", len(seen))
 	}
 }
 
@@ -172,7 +173,7 @@ func TestEntryCostShape(t *testing.T) {
 }
 
 func TestRemainingExperimentsRun(t *testing.T) {
-	for _, idStr := range []string{"E7", "E8", "E9", "E10"} {
+	for _, idStr := range []string{"E8", "E10"} {
 		e, err := ByID(idStr)
 		if err != nil {
 			t.Fatal(err)
@@ -183,6 +184,32 @@ func TestRemainingExperimentsRun(t *testing.T) {
 		}
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s produced no rows", idStr)
+		}
+	}
+}
+
+// TestFairnessExceedsFIFO: under each algorithm some single lock() is
+// bypassed at least n times, more than a FIFO lock allows (n-1).
+func TestFairnessExceedsFIFO(t *testing.T) {
+	const n = 4
+	tbl, err := Fairness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := map[string]int{}
+	for _, row := range tbl.Rows {
+		k, err := strconv.Atoi(row[5])
+		if err != nil {
+			t.Fatalf("row %v: %v", row, err)
+		}
+		if b, _ := strconv.Atoi(row[4]); k > b {
+			t.Errorf("row %v: one wait bypassed more often than all waits together", row)
+		}
+		most[row[0]] = max(most[row[0]], k)
+	}
+	for _, model := range []string{"RW", "RMW"} {
+		if most[model] < n {
+			t.Errorf("%s: most bypasses in one wait = %d, want >= n = %d\n%s", model, most[model], n, tbl)
 		}
 	}
 }

@@ -89,9 +89,8 @@ const (
 	// OpExpire records a TTL expiry executed by the lease manager.
 	OpExpire
 	// OpReserve records a token-band reservation: Token is the new
-	// high-water mark below which no token may be issued after a
-	// restart... above which, rather: recovery restarts the counter AT
-	// this mark, so every post-restart token exceeds it.
+	// high-water mark. Recovery restarts the token counter at this
+	// mark, so every token issued after a restart exceeds it.
 	OpReserve
 	// opSnapMeta is the snapshot file's header record: Token carries
 	// the reserved token high-water mark, Deadline carries (as an

@@ -10,15 +10,17 @@
 // mutual exclusion) or none ever does (violating deadlock-freedom).
 //
 // This package runs exactly that construction against real protocol
-// machines and reports which horn of the dichotomy occurred:
+// machines, on the simulator every other schedule runs on (internal/sched:
+// the lock-step policy, the rotation adversary, and its cycle detection),
+// and reports which horn of the dichotomy occurred:
 //
 //   - the paper's Algorithms 1 and 2 are safe, so on ℓ | m they take the
 //     livelock horn, detected as a repeated global state;
 //   - the deliberately broken strawman protocol takes the
 //     simultaneous-entry horn: all ℓ processes enter in the same round.
 //
-// Alongside the verdict, the driver verifies the proof's key invariant at
-// every round boundary: the memory contents are invariant under rotation
+// Alongside the verdict, Run verifies the proof's key invariant at every
+// round boundary: the memory contents are invariant under rotation
 // by m/ℓ composed with the identity relabeling pᵢ ↦ pᵢ₊₁ — an executable
 // check of the "processes at the same state" argument.
 package lowerbound
@@ -27,12 +29,10 @@ import (
 	"fmt"
 
 	"anonmutex"
-	"anonmutex/internal/core"
 	"anonmutex/internal/id"
 	"anonmutex/internal/mset"
 	"anonmutex/internal/perm"
 	"anonmutex/internal/sched"
-	"anonmutex/internal/vmem"
 )
 
 // Outcome is the observed horn of the Theorem 5 dichotomy.
@@ -96,9 +96,6 @@ func Run(alg anonmutex.Algorithm, l, m, maxRounds int) (Verdict, error) {
 	if l < 2 {
 		return Verdict{}, fmt.Errorf("lowerbound: need at least 2 processes, got %d", l)
 	}
-	if m < 1 {
-		return Verdict{}, fmt.Errorf("lowerbound: need at least 1 register, got %d", m)
-	}
 	if maxRounds <= 0 {
 		maxRounds = 50_000
 	}
@@ -106,103 +103,73 @@ func Run(alg anonmutex.Algorithm, l, m, maxRounds int) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	v := Verdict{Alg: alg, L: l, M: m, Applicable: m%l == 0, SymmetryHeld: true}
+	v := Verdict{Alg: alg, L: l, M: m, Applicable: m%l == 0, Step: 1, SymmetryHeld: true}
 	if v.Applicable {
 		v.Step = m / l
-	} else {
-		v.Step = 1
+	}
+	r, err := sched.New(sched.Config{
+		N: l, M: m,
+		NewMachine:   factory,
+		Adversary:    perm.RotationAdversary{Step: v.Step},
+		Policy:       sched.NewLockStep(l),
+		DetectCycles: true,
+		MaxSteps:     maxRounds * l,
+	})
+	if err != nil {
+		return Verdict{}, fmt.Errorf("lowerbound: %w", err)
 	}
 
-	mem := vmem.New(m, false)
-	gen := id.NewGenerator()
-	ids := make([]id.ID, l)
-	machines := make([]core.Machine, l)
-	views := make([]*vmem.View, l)
-	snapBufs := make([][]id.ID, l)
-	for i := 0; i < l; i++ {
-		ids[i] = gen.MustNew()
-		machines[i], err = factory(i, ids[i])
+	// A round is ℓ steps, one per process. The run stops at the end of
+	// the first round in which someone entered, so no process is ever
+	// scheduled inside the CS.
+	for steps := 1; ; steps++ {
+		more, err := r.Step()
 		if err != nil {
-			return Verdict{}, fmt.Errorf("lowerbound: building machine %d: %w", i, err)
+			return Verdict{}, fmt.Errorf("lowerbound: %w", err)
 		}
-		views[i], err = mem.NewView(ids[i], perm.Rotation(m, i*v.Step))
-		if err != nil {
-			return Verdict{}, fmt.Errorf("lowerbound: view %d: %w", i, err)
-		}
-		snapBufs[i] = make([]id.ID, m)
-		if err := machines[i].StartLock(); err != nil {
-			return Verdict{}, fmt.Errorf("lowerbound: starting lock %d: %w", i, err)
-		}
-	}
-
-	seen := make(map[string]int, 1024)
-	for round := 0; round < maxRounds; round++ {
-		v.Rounds = round + 1
-		inCS := 0
-		for i := 0; i < l; i++ {
-			mch := machines[i]
-			if mch.Status() == core.StatusInCS {
-				inCS++
-				continue // an entered process stops taking steps
+		if !more {
+			// The state repeated (in lock step, the round boundaries
+			// repeat from this round on), or the round bound was hit.
+			res := r.Result()
+			v.Rounds = (res.Steps + l - 1) / l
+			v.Outcome = OutcomeUndecided
+			if res.CycleDetected {
+				v.Outcome = OutcomeLivelock
 			}
-			op := mch.PendingOp()
-			var res core.OpResult
-			switch op.Kind {
-			case core.OpRead:
-				res.Val = views[i].Read(op.X)
-			case core.OpWrite:
-				views[i].Write(op.X, op.Val)
-			case core.OpCAS:
-				res.Swapped = views[i].CompareAndSwap(op.X, op.Old, op.New)
-			case core.OpSnapshot:
-				snapBufs[i] = views[i].SnapshotAtomic(snapBufs[i])
-				res.Snap = snapBufs[i]
-			default:
-				return Verdict{}, fmt.Errorf("lowerbound: unknown op %v", op.Kind)
-			}
-			if mch.Advance(res) == core.StatusInCS {
-				inCS++
-			}
+			return v, nil
 		}
-
-		if v.Applicable && inCS == 0 {
-			if !symmetric(mem.Values(), ids, v.Step) {
-				v.SymmetryHeld = false
-			}
+		if steps%l != 0 {
+			continue
 		}
-		if inCS > 0 {
-			v.Entrants = inCS
-			if inCS == l {
+		v.Rounds = steps / l
+		res := r.Result()
+		if res.Entries > 0 {
+			v.Entrants = res.Entries
+			if res.Entries == l {
 				v.Outcome = OutcomeSimultaneousEntry
 			} else {
 				v.Outcome = OutcomeEntry
 			}
 			return v, nil
 		}
-
-		key := string(fingerprint(mem, machines))
-		if _, dup := seen[key]; dup {
-			v.Outcome = OutcomeLivelock
-			return v, nil
+		if v.Applicable && !symmetric(res.FinalValues, res.PerProc, v.Step) {
+			v.SymmetryHeld = false
 		}
-		seen[key] = round
 	}
-	v.Outcome = OutcomeUndecided
-	return v, nil
 }
 
 // symmetric checks the proof's invariant: rotating the memory by step maps
 // it onto itself with every identity advanced to the next process on the
 // ring (pᵢ ↦ pᵢ₊₁, ⊥ ↦ ⊥).
-func symmetric(values []id.ID, ids []id.ID, step int) bool {
+func symmetric(values []id.ID, procs []sched.ProcStats, step int) bool {
 	m := len(values)
 	sigma := func(v id.ID) id.ID {
 		if v.IsNone() {
 			return v
 		}
-		for i := range ids {
-			if v.Equal(ids[i]) {
-				return ids[(i+1)%len(ids)]
+		for i := range procs {
+			if v.Equal(procs[i].ID) {
+				return procs[(i+1)%len(procs)].ID
 			}
 		}
 		return v
@@ -213,15 +180,6 @@ func symmetric(values []id.ID, ids []id.ID, step int) bool {
 		}
 	}
 	return true
-}
-
-// fingerprint canonically encodes the global state at a round boundary.
-func fingerprint(mem *vmem.Memory, machines []core.Machine) []byte {
-	dst := mem.AppendState(nil)
-	for _, m := range machines {
-		dst = m.AppendState(dst)
-	}
-	return dst
 }
 
 // GridEntry pairs a memory size with the verdict of the construction most

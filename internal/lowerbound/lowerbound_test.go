@@ -157,6 +157,23 @@ func TestGridBoundary(t *testing.T) {
 	}
 }
 
+// TestGridRounds pins L1's rounds column: a round is one step of every
+// process, a livelock is reported in the round whose end state repeats
+// an earlier round's, and an entry at the end of the round it happened
+// in.
+func TestGridRounds(t *testing.T) {
+	entries, err := Grid(anonmutex.RMW, 4, 1, 12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{2, 8, 12, 16, 20, 24, 14, 32, 36, 40, 22, 48} // m = 1 … 12
+	for i, e := range entries {
+		if e.Verdict.Rounds != want[i] {
+			t.Errorf("m=%d: %v after %d rounds, want %d", e.M, e.Verdict.Outcome, e.Verdict.Rounds, want[i])
+		}
+	}
+}
+
 func TestGridAlg1Boundary(t *testing.T) {
 	const n = 3
 	entries, err := Grid(anonmutex.RW, n, 4, 20, 0)

@@ -11,8 +11,8 @@
 // (one schedule on the simulated scheduler), Check (every interleaving,
 // model-checked) and RunReal (goroutines over the real locks).
 // cmd/anonsim runs any spec from a name or a JSON file, and the
-// experiment suite (internal/experiments, via cmd/anonbench) sweeps the
-// whole registry.
+// experiment suite (internal/experiments, anonsim -experiment) sweeps
+// the whole registry.
 package scenario
 
 import (

@@ -154,6 +154,7 @@ type ProcStats struct {
 	MaxWaitSteps int
 	MeanWait     float64
 	Bypasses     int
+	MaxBypasses  int // most entries by others during one lock()
 	OwnedAtEntry int // registers owned at the last CS entry
 	LockSteps    int // shared-memory ops in the last completed lock()
 }
@@ -169,14 +170,18 @@ type proc struct {
 	snapBuf  []id.ID
 }
 
-// Runner executes one configured simulation. Create with New, run with
-// Run; a Runner is single-use.
+// Runner executes one configured simulation. Create with New, then
+// Run it, or drive it one Step at a time and read Result between steps;
+// a Runner is single-use.
 type Runner struct {
-	cfg Config
-	mem *vmem.Memory
-	ps  []*proc
-	mon *trace.Monitor
-	tr  *trace.Trace
+	cfg     Config
+	mem     *vmem.Memory
+	ps      []*proc
+	mon     *trace.Monitor
+	tr      *trace.Trace
+	res     Result
+	seen    map[string]int // fingerprint → step, with DetectCycles
+	enabled []int
 }
 
 // New validates cfg and builds a runner.
@@ -218,53 +223,65 @@ func New(cfg Config) (*Runner, error) {
 			snapBuf:  make([]id.ID, cfg.M),
 		}
 	}
-	var tr *trace.Trace
+	r := &Runner{cfg: cfg, mem: mem, ps: ps, mon: trace.NewMonitor(cfg.N), enabled: make([]int, 0, cfg.N)}
 	if cfg.TraceCap > 0 {
-		tr = trace.NewTrace(cfg.TraceCap)
+		r.tr = trace.NewTrace(cfg.TraceCap)
 	}
-	return &Runner{cfg: cfg, mem: mem, ps: ps, mon: trace.NewMonitor(cfg.N), tr: tr}, nil
+	r.res.Trace = r.tr
+	if cfg.DetectCycles {
+		r.seen = make(map[string]int, 4096)
+	}
+	return r, nil
 }
 
 // Run executes the simulation to completion, cycle detection, or the step
 // bound.
 func (r *Runner) Run() (*Result, error) {
-	res := &Result{Trace: r.tr}
-	var seen map[string]int
-	if r.cfg.DetectCycles {
-		seen = make(map[string]int, 4096)
-	}
-	enabled := make([]int, 0, len(r.ps))
-
-	for step := 0; step < r.cfg.MaxSteps; step++ {
-		enabled = enabled[:0]
-		for i, p := range r.ps {
-			if p.machine.Status() != core.StatusIdle || p.sessions > 0 {
-				enabled = append(enabled, i)
-			}
-		}
-		if len(enabled) == 0 {
-			res.Completed = true
-			res.Steps = step
-			return r.finish(res), nil
-		}
-		i := r.cfg.Policy.Next(enabled)
-		if err := r.tick(i, step); err != nil {
+	for {
+		more, err := r.Step()
+		if err != nil {
 			return nil, err
 		}
-		res.Steps = step + 1
-
-		if seen != nil {
-			key := string(r.fingerprint(nil))
-			if first, dup := seen[key]; dup {
-				res.CycleDetected = true
-				res.CycleStart = first
-				res.CycleStep = step
-				return r.finish(res), nil
-			}
-			seen[key] = step
+		if !more {
+			return r.Result(), nil
 		}
 	}
-	return r.finish(res), nil
+}
+
+// Step performs one scheduler step. It reports false, and steps no
+// more, once the run is over: every process has finished its sessions,
+// the global state repeated (with DetectCycles), or MaxSteps steps ran.
+func (r *Runner) Step() (bool, error) {
+	step := r.res.Steps
+	if r.res.Completed || r.res.CycleDetected || step >= r.cfg.MaxSteps {
+		return false, nil
+	}
+	r.enabled = r.enabled[:0]
+	for i, p := range r.ps {
+		if p.machine.Status() != core.StatusIdle || p.sessions > 0 {
+			r.enabled = append(r.enabled, i)
+		}
+	}
+	if len(r.enabled) == 0 {
+		r.res.Completed = true
+		return false, nil
+	}
+	if err := r.tick(r.cfg.Policy.Next(r.enabled), step); err != nil {
+		return false, err
+	}
+	r.res.Steps = step + 1
+
+	if r.seen != nil {
+		key := string(r.fingerprint(nil))
+		if first, dup := r.seen[key]; dup {
+			r.res.CycleDetected = true
+			r.res.CycleStart = first
+			r.res.CycleStep = step
+			return false, nil
+		}
+		r.seen[key] = step
+	}
+	return true, nil
 }
 
 // tick performs one scheduler step for process i at the given step count.
@@ -375,8 +392,10 @@ func (r *Runner) fingerprint(dst []byte) []byte {
 	return dst
 }
 
-// finish assembles the result.
-func (r *Runner) finish(res *Result) *Result {
+// Result reports the execution so far: after Step has returned false,
+// the outcome of the run.
+func (r *Runner) Result() *Result {
+	res := r.res
 	res.Violations = r.mon.Violations()
 	res.Entries = r.mon.TotalEntries()
 	res.MemWrites = r.mem.Writes()
@@ -385,6 +404,7 @@ func (r *Runner) finish(res *Result) *Result {
 	maxW := r.mon.MaxWait()
 	meanW := r.mon.MeanWait()
 	byp := r.mon.Bypasses()
+	maxByp := r.mon.MaxBypasses()
 	res.PerProc = make([]ProcStats, len(r.ps))
 	for i, p := range r.ps {
 		res.PerProc[i] = ProcStats{
@@ -394,11 +414,12 @@ func (r *Runner) finish(res *Result) *Result {
 			MaxWaitSteps: maxW[i],
 			MeanWait:     meanW[i],
 			Bypasses:     byp[i],
+			MaxBypasses:  maxByp[i],
 			OwnedAtEntry: p.machine.OwnedAtEntry(),
 			LockSteps:    p.machine.LockSteps(),
 		}
 	}
-	return res
+	return &res
 }
 
 // Run is a convenience wrapper: build and run in one call.

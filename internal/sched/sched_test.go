@@ -257,6 +257,48 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestStepIsRun: driving a runner one Step at a time ends where Run
+// ends, Result grows step by step, and a finished runner steps no more.
+func TestStepIsRun(t *testing.T) {
+	cfg := func() Config {
+		return Config{
+			N: 2, M: 4,
+			NewMachine:   Alg2UncheckedFactory(4, core.Alg2Config{}),
+			Adversary:    perm.RotationAdversary{Step: 2},
+			Policy:       NewLockStep(2),
+			DetectCycles: true,
+		}
+	}
+	want, err := Run(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for steps := 1; ; steps++ {
+		more, err := r.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+		if got := r.Result().Steps; got != steps {
+			t.Fatalf("Result().Steps = %d after %d steps", got, steps)
+		}
+	}
+	got := r.Result()
+	if !want.CycleDetected || got.CycleDetected != want.CycleDetected || got.Steps != want.Steps ||
+		got.CycleStart != want.CycleStart || got.MemWrites != want.MemWrites {
+		t.Fatalf("stepped run %+v, Run %+v", got, want)
+	}
+	if more, err := r.Step(); more || err != nil || r.Result().Steps != want.Steps {
+		t.Fatalf("Step after the end = %v, %v; steps %d", more, err, r.Result().Steps)
+	}
+}
+
 func TestShuffledIdentities(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		assertCorrectRun(t, Config{

@@ -8,6 +8,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -111,6 +112,22 @@ func (h *Histogram) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(h.samples))
+}
+
+// Record is one table's machine-readable result: anonsim -experiment
+// -json and anonload -json each print a JSON array of them.
+type Record struct {
+	ID      string  `json:"id"`
+	Title   string  `json:"title"`
+	Seconds float64 `json:"seconds"`
+	Table   *Table  `json:"table"`
+}
+
+// WriteRecords writes recs to w as one indented JSON array.
+func WriteRecords(w io.Writer, recs []Record) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(recs)
 }
 
 // Table is a simple aligned text table used by the experiment harness to

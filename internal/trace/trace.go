@@ -135,6 +135,8 @@ type Monitor struct {
 	maxWait     []int // longest lock() duration in steps, per process
 	totalWait   []int64
 	bypasses    []int // entries by others while this process was waiting
+	waitByp     []int // bypasses of the pending lock() alone
+	maxByp      []int // most bypasses of one lock()
 }
 
 // NewMonitor creates a monitor for n processes.
@@ -149,6 +151,8 @@ func NewMonitor(n int) *Monitor {
 		maxWait:     make([]int, n),
 		totalWait:   make([]int64, n),
 		bypasses:    make([]int, n),
+		waitByp:     make([]int, n),
+		maxByp:      make([]int, n),
 	}
 	for i := range m.waitingFrom {
 		m.waitingFrom[i] = -1
@@ -160,6 +164,7 @@ func NewMonitor(n int) *Monitor {
 func (m *Monitor) OnLockStart(proc, step int) {
 	m.lockStarts[proc]++
 	m.waitingFrom[proc] = step
+	m.waitByp[proc] = 0
 }
 
 // OnEnter records that proc entered the critical section at step,
@@ -189,6 +194,8 @@ func (m *Monitor) OnEnter(proc, step int) {
 	for p, from := range m.waitingFrom {
 		if p != proc && from >= 0 {
 			m.bypasses[p]++
+			m.waitByp[p]++
+			m.maxByp[p] = max(m.maxByp[p], m.waitByp[p])
 		}
 	}
 }
@@ -245,11 +252,21 @@ func (m *Monitor) MeanWait() []float64 {
 
 // Bypasses returns, for each process, how many times some other process
 // entered the CS while this process had a pending lock(). Deadlock-freedom
-// permits unbounded bypassing (no starvation guarantee) — experiment E9
-// measures how unfair the algorithms actually are.
+// permits unbounded bypassing (no starvation guarantee), but the count
+// spans every lock() of a run, so a FIFO lock scores above 0 too; the
+// per-wait bound is MaxBypasses.
 func (m *Monitor) Bypasses() []int {
 	out := make([]int, m.n)
 	copy(out, m.bypasses)
+	return out
+}
+
+// MaxBypasses returns, for each process, the most entries by others
+// during a single lock() of its own. A FIFO lock bounds it by n-1: each
+// other process enters at most once ahead of a waiter.
+func (m *Monitor) MaxBypasses() []int {
+	out := make([]int, m.n)
+	copy(out, m.maxByp)
 	return out
 }
 

@@ -141,6 +141,34 @@ func TestMonitorBypasses(t *testing.T) {
 	}
 }
 
+// TestMonitorMaxBypasses: the per-wait maximum counts one lock() at a
+// time, while Bypasses sums them.
+func TestMonitorMaxBypasses(t *testing.T) {
+	m := NewMonitor(2)
+	step := 0
+	enterOthers := func(k int) {
+		for ; k > 0; k-- {
+			m.OnLockStart(0, step)
+			m.OnEnter(0, step+1)
+			m.OnExit(0, step+2)
+			step += 3
+		}
+	}
+	for _, k := range []int{3, 1} {
+		m.OnLockStart(1, step)
+		enterOthers(k)
+		m.OnEnter(1, step)
+		m.OnExit(1, step+1)
+		step += 2
+	}
+	if got := m.Bypasses()[1]; got != 4 {
+		t.Errorf("bypasses for p1 = %d, want 4", got)
+	}
+	if got := m.MaxBypasses(); got[1] != 3 || got[0] != 0 {
+		t.Errorf("max bypasses = %v, want [0 3]", got)
+	}
+}
+
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EvLockStart, EvOp, EvEnterCS, EvUnlockStart, EvUnlockDone, EventKind(77)}
 	for _, k := range kinds {

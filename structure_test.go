@@ -106,6 +106,56 @@ func TestLockdCallSitePins(t *testing.T) {
 	}
 }
 
+// TestExecutorPins: two executors turn a machine's pending op into a
+// memory access — engine.Exec, which both substrates and the simulator
+// share, and the model checker's, whose memory is a value copy per
+// state. Any other switch with a `case core.OpSnapshot` is a third.
+func TestExecutorPins(t *testing.T) {
+	var got []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // bench/ is its own module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		ast.Inspect(f, func(n ast.Node) bool {
+			cc, ok := n.(*ast.CaseClause)
+			if !ok {
+				return true
+			}
+			for _, e := range cc.List {
+				if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "OpSnapshot" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "core" {
+						got = append(got, path)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = slices.Compact(slices.Sorted(slices.Values(got)))
+	if want := []string{"internal/engine/engine.go", "internal/explore/explore.go"}; !slices.Equal(got, want) {
+		t.Errorf("switches on core.OpSnapshot in %v, want exactly %v", got, want)
+	}
+}
+
 // callee names a call as the pins spell it: "wire.X" for the wire
 // package's functions, the bare method or function name otherwise.
 func callee(call *ast.CallExpr) string {
