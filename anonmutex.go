@@ -86,9 +86,9 @@ package anonmutex
 import (
 	"fmt"
 
-	"anonmutex/internal/mset"
 	"anonmutex/internal/perm"
 	"anonmutex/internal/xrand"
+	"anonmutex/mnum"
 )
 
 // PermutationMode selects how the built-in anonymity adversary assigns
@@ -235,8 +235,8 @@ func (c config) rng(i int) *xrand.Rand {
 
 // MinRegistersRW returns the smallest legal memory size for an n-process
 // RWLock: the smallest m ≥ n in M(n) (the smallest prime above n).
-func MinRegistersRW(n int) int { return mset.MinRW(n) }
+func MinRegistersRW(n int) int { return mnum.MinRW(n) }
 
 // MinRegistersRMW returns the smallest non-degenerate legal memory size
 // for an n-process RMWLock (m = 1 is also legal; see mnum.MinRMW).
-func MinRegistersRMW(n int) int { return mset.MinRMWAbove(n) }
+func MinRegistersRMW(n int) int { return mnum.MinRMWAbove(n) }

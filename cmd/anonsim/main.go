@@ -1,26 +1,35 @@
 // Command anonsim is the repository's research command. It runs one
-// execution of an anonymous-memory mutual exclusion algorithm —
-// described by flags, a named scenario, or a scenario JSON file — on
-// either substrate, or model-checks it with -check, and reports its
-// outcome; or it runs the reproduction suite with -experiment.
+// execution of an anonymous-memory mutual exclusion algorithm on either
+// substrate, or model-checks it with -check, and reports its outcome; or
+// it runs the reproduction suite with -experiment.
 //
 // Usage:
 //
-//	anonsim -alg rw -n 3 -m 5 -sched random -seed 7 -sessions 2
-//	anonsim -alg rmw -n 2 -m 4 -force -sched lockstep -perms rotation -rotation-step 2 -detect-cycles
-//	anonsim -alg rw -n 2 -m 3 -trace 200
-//	anonsim -alg rmw -n 4 -m 5 -sessions 3 -cs-ticks 2 -workload bursty
-//	anonsim -scenario contended-rw -workload-file traffic.json -substrate real
 //	anonsim -list-scenarios
 //	anonsim -scenario contended-rw
 //	anonsim -scenario contended-rw -substrate real
+//	anonsim -scenario '{"algorithm":"rw","n":3,"m":5,"sessions":2,"schedule":"random","seed":7}'
+//	anonsim -scenario '{"algorithm":"rw","n":2,"m":3,"trace_cap":200}'
+//	anonsim -scenario '{"algorithm":"rmw","n":4,"m":5,"sessions":3,"cs_ticks":2,"workload":"bursty"}'
 //	anonsim -scenario lockstep-livelock -dump-scenario > wedge.json
 //	anonsim -scenario-file wedge.json
-//	anonsim -check -alg rw -n 2 -m 3          # every interleaving: verify Algorithm 1
-//	anonsim -check -alg rmw -n 2 -m 2 -force  # find the Theorem 5 trap
-//	anonsim -check -alg greedy -n 2 -m 2      # watch a broken protocol fail
+//	anonsim -check -scenario '{"algorithm":"rw","n":2,"m":3}'                    # every interleaving: verify Algorithm 1
+//	anonsim -check -scenario '{"algorithm":"rmw","n":2,"m":2,"unchecked":true}'  # find the Theorem 5 trap
+//	anonsim -check -scenario '{"algorithm":"greedy","n":2,"m":2}'                # watch a broken protocol fail
 //	anonsim -experiment T2                    # one reproduction experiment
 //	anonsim -experiment all -json             # the whole suite as JSON
+//
+// A run is one scenario spec (internal/scenario.Spec): the algorithm, n,
+// m, the anonymity adversary's permutations, the schedule, sessions, the
+// workload profile and the seeds. -scenario takes a registered scenario's
+// name or the spec itself as inline JSON (a value that starts with "{");
+// -scenario-file reads the JSON from a file. The JSON is the text
+// -dump-scenario prints, and unknown fields are refused. An m of 0 picks
+// the smallest legal size; an illegal m is refused with its witness
+// unless the spec sets "unchecked". The spec's workload (uniform, bursty
+// or skewed) and workload_seed drive both substrates: per-session spin
+// work on the real locks, per-session CS ticks on the simulated
+// scheduler when cs_ticks is set.
 //
 // -experiment runs the reproduction suite (internal/experiments): one
 // experiment per paper artifact (Table I, Figures 1-2, Table II,
@@ -33,13 +42,6 @@
 // A verdict against the algorithm — a mutual-exclusion violation, a
 // progress trap, or a check that did not finish — is printed and exits 2;
 // any other error exits 1.
-//
-// The scenario's traffic comes from the unified workload model:
-// -workload names a session profile (uniform, bursty, skewed) and
-// -workload-file attaches a full traffic spec (internal/workload.Spec
-// JSON) to whatever scenario is being run — both substrates consume it
-// (per-session spin work on the real locks, per-session CS ticks on the
-// simulated scheduler when -cs-ticks is set).
 package main
 
 import (
@@ -50,11 +52,9 @@ import (
 	"strings"
 	"time"
 
-	"anonmutex"
 	"anonmutex/internal/experiments"
 	"anonmutex/internal/scenario"
 	"anonmutex/internal/stats"
-	"anonmutex/internal/workload"
 )
 
 // errVerdict marks a run that finished and found the algorithm breaking
@@ -73,26 +73,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("anonsim", flag.ContinueOnError)
-	alg := anonmutex.RW
-	fs.TextVar(&alg, "alg", alg, "algorithm: rw, rmw, or greedy")
-	n := fs.Int("n", 2, "number of processes")
-	m := fs.Int("m", 3, "number of anonymous registers (0: the smallest legal size above 1; rmw also runs on 1)")
-	force := fs.Bool("force", false, "allow m outside M(n)")
-	sessions := fs.Int("sessions", 1, "lock/unlock cycles per process")
-	csTicks := fs.Int("cs-ticks", 0, "scheduler ticks spent inside the CS")
-	schedName := fs.String("sched", "rr", "schedule: rr, random, or lockstep")
-	seed := fs.Uint64("seed", 1, "schedule seed (random schedule)")
-	permsName := fs.String("perms", "identity", "permutations: identity, random, or rotation")
-	permSeed := fs.Uint64("perm-seed", 1, "permutation seed (random permutations)")
-	rotationStep := fs.Int("rotation-step", 1, "rotation step (rotation permutations)")
-	honest := fs.Bool("honest-snapshots", false, "schedule each double-scan read separately")
-	workloadName := fs.String("workload", "", "session profile for the scenario's traffic model: uniform, bursty, or skewed")
-	workloadSeed := fs.Uint64("workload-seed", 0, "traffic-model seed")
-	workloadFile := fs.String("workload-file", "", "full traffic-model JSON file (internal/workload.Spec schema) attached to the scenario")
-	detect := fs.Bool("detect-cycles", false, "stop with a livelock verdict on a repeated state")
-	maxSteps := fs.Int("max-steps", 1_000_000, "step bound (with -check: state bound)")
-	traceCap := fs.Int("trace", 0, "print up to this many trace events")
-	scenarioName := fs.String("scenario", "", "run a registered scenario instead of building one from flags")
+	scenarioArg := fs.String("scenario", "", "the run: a registered scenario's name, or a scenario spec as inline JSON (the text -dump-scenario prints)")
 	scenarioFile := fs.String("scenario-file", "", "run a scenario spec from a JSON file")
 	substrate := fs.String("substrate", "sim", "execution substrate: sim (deterministic scheduler) or real (goroutines over hardware-atomic memory)")
 	listScenarios := fs.Bool("list-scenarios", false, "list registered scenarios and exit")
@@ -122,79 +103,24 @@ func run(args []string) error {
 	}
 
 	var spec scenario.Spec
+	var err error
 	switch {
-	case *scenarioName != "" && *scenarioFile != "":
+	case *scenarioArg != "" && *scenarioFile != "":
 		return fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
-	case *scenarioName != "":
-		s, err := scenario.Lookup(*scenarioName)
-		if err != nil {
-			return err
-		}
-		spec = s
+	case strings.HasPrefix(*scenarioArg, "{"):
+		spec, err = scenario.ParseJSON([]byte(*scenarioArg))
+	case *scenarioArg != "":
+		spec, err = scenario.Lookup(*scenarioArg)
 	case *scenarioFile != "":
-		data, err := os.ReadFile(*scenarioFile)
-		if err != nil {
-			return err
+		var data []byte
+		if data, err = os.ReadFile(*scenarioFile); err == nil {
+			spec, err = scenario.ParseJSON(data)
 		}
-		s, err := scenario.ParseJSON(data)
-		if err != nil {
-			return err
-		}
-		spec = s
 	default:
-		spec = scenario.Spec{
-			Algorithm:       alg,
-			N:               *n,
-			M:               *m,
-			Unchecked:       *force || alg == anonmutex.Greedy,
-			Sessions:        *sessions,
-			CSTicks:         *csTicks,
-			Schedule:        *schedName,
-			Seed:            *seed,
-			Perms:           *permsName,
-			PermSeed:        *permSeed,
-			RotationStep:    *rotationStep,
-			HonestSnapshots: *honest,
-			DetectCycles:    *detect,
-			MaxSteps:        *maxSteps,
-			TraceCap:        *traceCap,
-		}
-		s, err := spec.Normalize()
-		if err != nil {
-			return err
-		}
-		spec = s
+		return fmt.Errorf("nothing to run: give -scenario (a name or inline JSON), -scenario-file, -list-scenarios or -experiment")
 	}
-
-	// Attach the traffic-model overrides to whatever scenario was
-	// selected, then re-normalize (idempotent for untouched specs).
-	if *workloadFile != "" {
-		data, err := os.ReadFile(*workloadFile)
-		if err != nil {
-			return err
-		}
-		tspec, err := workload.ParseJSON(data)
-		if err != nil {
-			return err
-		}
-		spec.Traffic = tspec
-		spec.Workload = "" // the file owns the profile now
-		spec.WorkloadSeed = 0
-	}
-	if *workloadName != "" {
-		spec.Workload = *workloadName
-		spec.Traffic.Profile = "" // the shorthand wins the profile
-	}
-	if *workloadSeed != 0 {
-		spec.WorkloadSeed = *workloadSeed
-		spec.Traffic.Seed = 0
-	}
-	{
-		s, err := spec.Normalize()
-		if err != nil {
-			return err
-		}
-		spec = s
+	if err != nil {
+		return err
 	}
 
 	if *dump {

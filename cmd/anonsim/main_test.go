@@ -1,28 +1,34 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"anonmutex/internal/scenario"
 )
 
 func TestRunVariants(t *testing.T) {
 	cases := [][]string{
-		{"-alg", "rw", "-n", "2", "-m", "3"},
-		{"-alg", "rmw", "-n", "2", "-m", "3", "-sched", "random", "-seed", "9", "-sessions", "2"},
-		{"-alg", "rmw", "-n", "3", "-m", "1", "-cs-ticks", "2"},
-		{"-alg", "rw", "-n", "2", "-m", "3", "-trace", "50"},
-		{"-alg", "rw", "-n", "2", "-m", "3", "-honest-snapshots"},
-		{"-alg", "rw", "-n", "2", "-m", "4", "-force", "-sched", "lockstep",
-			"-perms", "rotation", "-rotation-step", "2", "-detect-cycles"},
-		{"-alg", "rw", "-n", "2", "-m", "3", "-perms", "random", "-perm-seed", "3"},
-		{"-alg", "rw", "-n", "3", "-m", "0"}, // m derived from n
-		{"-alg", "rmw", "-n", "3", "-m", "1", "-sessions", "2", "-cs-ticks", "2",
-			"-workload", "bursty", "-workload-seed", "5"},
-		{"-alg", "rmw", "-n", "3", "-m", "1", "-workload", "skewed", "-substrate", "real"},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3}`},
+		{"-scenario", `{"algorithm":"rmw","n":2,"m":3,"schedule":"random","seed":9,"sessions":2}`},
+		{"-scenario", `{"algorithm":"rmw","n":3,"m":1,"cs_ticks":2}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"trace_cap":50}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"honest_snapshots":true}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":4,"unchecked":true,"schedule":"lockstep",
+			"perms":"rotation","rotation_step":2,"detect_cycles":true}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"perms":"random","perm_seed":3}`},
+		{"-scenario", `{"algorithm":"rw","n":3,"m":0}`}, // m derived from n
+		{"-scenario", `{"algorithm":"rmw","n":3,"m":1,"sessions":2,"cs_ticks":2,
+			"workload":"bursty","workload_seed":5}`},
+		{"-scenario", `{"algorithm":"rmw","n":3,"m":1,"workload":"skewed"}`, "-substrate", "real"},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -31,14 +37,42 @@ func TestRunVariants(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadInline: bursty traffic is named in the scenario itself,
+// and drives a run on either substrate and a -dump-scenario.
+func TestRunWorkloadInline(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", `{"algorithm":"rmw","n":2,"m":3,"workload":"bursty","workload_seed":11}`, "-substrate", "real"},
+		{"-scenario", `{"algorithm":"rmw","n":2,"m":3,"cs_ticks":2,"workload":"bursty","workload_seed":11}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"workload":"bursty","workload_seed":11}`, "-dump-scenario"},
+	} {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
+// TestInlineSpecMatchesName: the inline form of a registered scenario is
+// the text -dump-scenario prints, and running it prints what running the
+// scenario by name prints.
+func TestInlineSpecMatchesName(t *testing.T) {
+	for _, name := range scenario.Names() {
+		spec := captureStdout(t, func() error { return run([]string{"-scenario", name, "-dump-scenario"}) })
+		byName := captureStdout(t, func() error { return run([]string{"-scenario", name}) })
+		inline := captureStdout(t, func() error { return run([]string{"-scenario", string(spec)}) })
+		if !bytes.Equal(byName, inline) {
+			t.Errorf("%s: -scenario NAME prints\n%s\n-scenario <its JSON> prints\n%s", name, byName, inline)
+		}
+	}
+}
+
 // TestRunCheckLegal: under -check, every interleaving of a legal size
 // verifies.
 func TestRunCheckLegal(t *testing.T) {
 	for _, args := range [][]string{
-		{"-check", "-alg", "rw", "-n", "2", "-m", "3"},
-		{"-check", "-alg", "rmw", "-n", "2", "-m", "3"},
-		{"-check", "-alg", "rmw", "-n", "2", "-m", "1"},
-		{"-check", "-alg", "rmw", "-n", "2", "-m", "3", "-sessions", "2"},
+		{"-check", "-scenario", `{"algorithm":"rw","n":2,"m":3}`},
+		{"-check", "-scenario", `{"algorithm":"rmw","n":2,"m":3}`},
+		{"-check", "-scenario", `{"algorithm":"rmw","n":2,"m":1}`},
+		{"-check", "-scenario", `{"algorithm":"rmw","n":2,"m":3,"sessions":2}`},
 		{"-check", "-scenario", "smoke-rw"},
 	} {
 		if err := run(args); err != nil {
@@ -49,8 +83,8 @@ func TestRunCheckLegal(t *testing.T) {
 
 func TestRunCheckErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-check", "-alg", "bogus"},
-		{"-check", "-alg", "rw", "-n", "2", "-m", "4"}, // illegal without -force
+		{"-check", "-scenario", `{"algorithm":"bogus","n":2}`},
+		{"-check", "-scenario", `{"algorithm":"rw","n":2,"m":4}`}, // illegal without unchecked
 		{"-check", "-scenario", "smoke-rw", "-substrate", "real"},
 	} {
 		if err := run(args); err == nil {
@@ -66,8 +100,8 @@ func TestRunScenarios(t *testing.T) {
 		{"-scenario", "lockstep-livelock"},
 		{"-scenario", "smoke-rmw", "-substrate", "real"},
 		{"-scenario", "contended-rw", "-dump-scenario"},
-		{"-alg", "rmw", "-n", "2", "-m", "3", "-substrate", "real"},
-		{"-alg", "rw", "-n", "2", "-m", "3", "-dump-scenario"},
+		{"-scenario", `{"algorithm":"rmw","n":2,"m":3}`, "-substrate", "real"},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3}`, "-dump-scenario"},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -90,42 +124,69 @@ func TestRunScenarioFile(t *testing.T) {
 	}
 }
 
-func TestRunWorkloadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traffic.json")
-	traffic := `{"profile": "bursty", "base_cs": 3, "base_remainder": 4, "seed": 11}`
-	if err := os.WriteFile(path, []byte(traffic), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
-		{"-scenario", "smoke-rmw", "-workload-file", path, "-substrate", "real"},
-		{"-alg", "rmw", "-n", "2", "-m", "3", "-cs-ticks", "2", "-workload-file", path},
-		{"-scenario", "smoke-rw", "-workload-file", path, "-dump-scenario"},
-	} {
-		if err := run(args); err != nil {
-			t.Errorf("run(%v): %v", args, err)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-alg", "bogus"},
-		{"-sched", "bogus"},
-		{"-perms", "bogus"},
-		{"-alg", "rw", "-n", "2", "-m", "4"}, // illegal size without -force
+		{"-scenario", `{"algorithm":"bogus","n":2}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"schedule":"bogus"}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"perms":"bogus"}`},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":4}`}, // illegal size without unchecked
 		{"-nosuchflag"},
+		{}, // nothing to run
 		{"-scenario", "no-such-scenario"},
 		{"-scenario-file", "/no/such/file.json"},
 		{"-scenario", "smoke-rw", "-scenario-file", "x.json"}, // mutually exclusive
 		{"-scenario", "smoke-rw", "-substrate", "bogus"},
 		{"-scenario", "lockstep-livelock", "-substrate", "real"}, // unchecked size
-		{"-alg", "greedy", "-n", "2", "-m", "3", "-substrate", "real"},
-		{"-alg", "rw", "-n", "2", "-m", "3", "-workload", "pareto"}, // unknown profile fails loudly
-		{"-workload-file", "/no/such/traffic.json"},
+		{"-scenario", `{"algorithm":"greedy","n":2,"m":3}`, "-substrate", "real"},
+		{"-scenario", `{"algorithm":"rw","n":2,"m":3,"workload":"pareto"}`}, // unknown profile fails loudly
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunInlineSpecErrors: a bad inline spec is a usage error (exit 1,
+// not a verdict) whose message names the problem.
+func TestRunInlineSpecErrors(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []string
+	}{
+		{`{"algorithm":"rw","n":2`, []string{"parsing spec", "unexpected EOF"}},
+		{`{"algorithm":"rw","n":2,"m":3,"sched":"rr"}`, []string{`unknown field "sched"`}},
+		{`{"algorithm":"rw","n":2,"m":3,"traffic":{"profile":"bursty"}}`, []string{`unknown field "traffic"`}},
+		{`{"algorithm":"rw","n":6,"m":35}`, []string{"m=35 not in M(6)", "gcd(5, 35) = 5", "unchecked"}},
+	} {
+		err := run([]string{"-scenario", tc.spec})
+		if err == nil || errors.Is(err, errVerdict) {
+			t.Errorf("run(-scenario %s) = %v, want a usage error", tc.spec, err)
+			continue
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("run(-scenario %s): error %q does not name %q", tc.spec, err, frag)
+			}
+		}
+	}
+}
+
+// TestFlags pins the command's surface: a run is described by a scenario
+// spec, so no flag rebuilds one field by field.
+func TestFlags(t *testing.T) {
+	usage, err := capture(t, &os.Stderr, func() error { return run([]string{"-h"}) })
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(usage), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	want := []string{"check", "dump-scenario", "experiment", "json", "list-scenarios", "scenario", "scenario-file", "substrate"}
+	if !slices.Equal(got, want) {
+		t.Errorf("anonsim defines flags %v, want %v", got, want)
 	}
 }
 
@@ -150,16 +211,16 @@ func TestRunExperimentErrors(t *testing.T) {
 func TestRunVerdicts(t *testing.T) {
 	for _, args := range [][]string{
 		// The greedy strawman on the Theorem 5 ring: all three enter.
-		{"-alg", "greedy", "-n", "3", "-m", "6", "-sched", "lockstep", "-perms", "rotation", "-rotation-step", "2"},
-		{"-check", "-alg", "greedy", "-n", "2", "-m", "2"},
+		{"-scenario", `{"algorithm":"greedy","n":3,"m":6,"schedule":"lockstep","perms":"rotation","rotation_step":2}`},
+		{"-check", "-scenario", `{"algorithm":"greedy","n":2,"m":2}`},
 		// An illegal size: the model checker finds the trap.
-		{"-check", "-alg", "rmw", "-n", "2", "-m", "2", "-force"},
+		{"-check", "-scenario", `{"algorithm":"rmw","n":2,"m":2,"unchecked":true}`},
 	} {
 		if err := run(args); !errors.Is(err, errVerdict) {
 			t.Errorf("run(%v) = %v, want a verdict", args, err)
 		}
 	}
-	if err := run([]string{"-alg", "bogus"}); errors.Is(err, errVerdict) {
+	if err := run([]string{"-scenario", `{"algorithm":"bogus","n":2}`}); errors.Is(err, errVerdict) {
 		t.Errorf("a usage error reads as a verdict: %v", err)
 	}
 }
@@ -174,36 +235,35 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 // captureStdout runs f with os.Stdout redirected and returns what it
-// wrote.
+// wrote; f must succeed.
 func captureStdout(t *testing.T, f func() error) []byte {
 	t.Helper()
-	old := os.Stdout
+	out, err := capture(t, &os.Stdout, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// capture runs f with *file redirected to a pipe and returns what f
+// wrote there and f's error.
+func capture(t *testing.T, file **os.File, f func() error) ([]byte, error) {
+	t.Helper()
+	old := *file
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
+	*file = w
+	defer func() { *file = old }()
 	done := make(chan []byte)
 	go func() {
-		buf := make([]byte, 0, 1<<16)
-		tmp := make([]byte, 4096)
-		for {
-			n, err := r.Read(tmp)
-			buf = append(buf, tmp[:n]...)
-			if err != nil {
-				break
-			}
-		}
-		done <- buf
+		out, _ := io.ReadAll(r)
+		done <- out
 	}()
 	ferr := f()
 	w.Close()
-	out := <-done
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	return out
+	return <-done, ferr
 }
 
 func TestRunJSONOutput(t *testing.T) {

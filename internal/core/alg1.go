@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"anonmutex/internal/id"
-	"anonmutex/internal/mset"
+	"anonmutex/mnum"
 )
 
 // alg1Phase is the program counter of an Algorithm 1 machine. The phases
@@ -74,7 +74,7 @@ var _ Machine = (*Alg1Machine)(nil)
 // supported here — the experiments that need an illegal m (Theorem 5
 // demonstrations) use NewAlg1Unchecked.
 func NewAlg1(me id.ID, n, m int, cfg Alg1Config) (*Alg1Machine, error) {
-	if err := mset.ValidateRW(n, m); err != nil {
+	if err := mnum.ValidateRW(n, m); err != nil {
 		return nil, fmt.Errorf("core: algorithm 1 precondition: %w", err)
 	}
 	return NewAlg1Unchecked(me, m, cfg)

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"anonmutex/internal/id"
-	"anonmutex/internal/mset"
+	"anonmutex/mnum"
 )
 
 // alg2Phase is the program counter of an Algorithm 2 machine, named after
@@ -83,7 +83,7 @@ func NewAlg2(me id.ID, n, m int, cfg Alg2Config) (*Alg2Machine, error) {
 // Init is NewAlg2 in place, for an owner that holds the machine by value
 // (the root package's Process). It allocates nothing.
 func (a *Alg2Machine) Init(me id.ID, n, m int, cfg Alg2Config) error {
-	if err := mset.ValidateRMW(n, m); err != nil {
+	if err := mnum.ValidateRMW(n, m); err != nil {
 		return fmt.Errorf("core: algorithm 2 precondition: %w", err)
 	}
 	return a.init(me, m, cfg)

@@ -114,21 +114,6 @@ func (c *Alg1Config) normalize() error {
 	return nil
 }
 
-// Deterministic reports whether the configuration's behavior is a pure
-// function of observed memory values, as required by state-space
-// exploration.
-func (c Alg1Config) Deterministic() bool {
-	choice := c.Choice
-	if choice == 0 {
-		choice = ChooseFirstBottom
-	}
-	tie := c.Tie
-	if tie == 0 {
-		tie = TieBreakAverage
-	}
-	return choice != ChooseRandomBottom && tie != TieBreakRandom
-}
-
 // Alg2Config configures an Algorithm 2 machine. The zero value is the
 // paper's algorithm.
 type Alg2Config struct {

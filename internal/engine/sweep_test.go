@@ -20,8 +20,8 @@ import (
 
 	"anonmutex/internal/core"
 	"anonmutex/internal/id"
-	"anonmutex/internal/mset"
 	"anonmutex/internal/xrand"
+	"anonmutex/mnum"
 )
 
 // refProc is the reference: one machine driven op by op, never through
@@ -156,7 +156,7 @@ func sweepCases(t *testing.T) []sweepCase {
 	var cases []sweepCase
 	for n := 2; n <= 4; n++ {
 		for _, fast := range []bool{false, true} {
-			n, m, fast := n, mset.MinRMWAbove(n), fast
+			n, m, fast := n, mnum.MinRMWAbove(n), fast
 			cases = append(cases, sweepCase{
 				name: fmt.Sprintf("n=%d/m=%d/fast=%v", n, m, fast),
 				n:    n, m: m,

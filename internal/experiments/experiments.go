@@ -31,11 +31,11 @@ import (
 	"anonmutex"
 	"anonmutex/internal/core"
 	"anonmutex/internal/lowerbound"
-	"anonmutex/internal/mset"
 	"anonmutex/internal/perm"
 	"anonmutex/internal/scenario"
 	"anonmutex/internal/sched"
 	"anonmutex/internal/stats"
+	"anonmutex/mnum"
 )
 
 // Experiment is a runnable reproduction artifact.
@@ -289,7 +289,7 @@ func EntryCost() (*stats.Table, error) {
 		Header: []string{"n", "m", "model", "owned@entry", "need", "solo lock steps", "contended mean steps"},
 	}
 	for _, n := range []int{2, 3, 4, 6} {
-		m := mset.MinRW(n)
+		m := mnum.MinRW(n)
 		for _, alg := range []anonmutex.Algorithm{anonmutex.RW, anonmutex.RMW} {
 			factory, err := sched.Factory(alg, n, m, false)
 			if err != nil {

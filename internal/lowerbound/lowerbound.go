@@ -30,9 +30,9 @@ import (
 
 	"anonmutex"
 	"anonmutex/internal/id"
-	"anonmutex/internal/mset"
 	"anonmutex/internal/perm"
 	"anonmutex/internal/sched"
+	"anonmutex/mnum"
 )
 
 // Outcome is the observed horn of the Theorem 5 dichotomy.
@@ -207,9 +207,9 @@ func Grid(alg anonmutex.Algorithm, n, mLo, mHi, maxRounds int) ([]GridEntry, err
 		if m < 1 {
 			continue
 		}
-		e := GridEntry{M: m, InM: mset.InM(n, m)}
+		e := GridEntry{M: m, InM: mnum.InM(n, m)}
 		l := n
-		if w, bad := mset.Witness(n, m); bad {
+		if w, bad := mnum.Witness(n, m); bad {
 			l = w // smallest prime with gcd(l, m) > 1; it divides m
 		}
 		e.Witness = l

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"anonmutex"
-	"anonmutex/internal/mset"
+	"anonmutex/mnum"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -135,8 +135,8 @@ func TestGridBoundary(t *testing.T) {
 		t.Fatalf("grid has %d entries, want 30", len(entries))
 	}
 	for _, e := range entries {
-		if e.InM != mset.InM(n, e.M) {
-			t.Errorf("m=%d: grid InM=%v disagrees with mset", e.M, e.InM)
+		if e.InM != mnum.InM(n, e.M) {
+			t.Errorf("m=%d: grid InM=%v disagrees with mnum", e.M, e.InM)
 		}
 		if e.InM {
 			if e.Verdict.Outcome != OutcomeEntry {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anonmutex"
-	"anonmutex/internal/workload"
 )
 
 // TestNormalizeErrorsAreDescriptive pins the contract the harnesses rely
@@ -27,18 +26,6 @@ func TestNormalizeErrorsAreDescriptive(t *testing.T) {
 			[]string{"unknown perms", "transposition"}},
 		{"unknown workload", Spec{Algorithm: anonmutex.RW, N: 2, M: 3, Workload: "spiky"},
 			[]string{"unknown workload", "spiky"}},
-		{"unknown traffic profile", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
-			Traffic: workload.Spec{Profile: "spiky"}},
-			[]string{"traffic model", "spiky"}},
-		{"unknown traffic key dist", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
-			Traffic: workload.Spec{Keys: workload.KeySpec{Dist: "pareto"}}},
-			[]string{"traffic model", "pareto"}},
-		{"workload vs traffic conflict", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
-			Workload: "uniform", Traffic: workload.Spec{Profile: "bursty"}},
-			[]string{"conflicts", "bursty"}},
-		{"seed conflict", Spec{Algorithm: anonmutex.RW, N: 2, M: 3,
-			WorkloadSeed: 3, Traffic: workload.Spec{Seed: 4}},
-			[]string{"workload_seed", "conflicts"}},
 		{"illegal rw size", Spec{Algorithm: anonmutex.RW, N: 2, M: 4},
 			[]string{"unchecked"}}, // must point at the escape hatch
 		{"rw size below n", Spec{Algorithm: anonmutex.RW, N: 4, M: 3},
@@ -114,8 +101,7 @@ func TestParseJSONErrors(t *testing.T) {
 		{"invalid spec", `{"algorithm":"warp","n":2}`, "unknown algorithm"},
 		{"wrong type", `{"algorithm":"rw","n":"two"}`, "parsing spec"},
 		{"unknown workload name", `{"algorithm":"rw","n":2,"m":3,"workload":"pareto"}`, "unknown workload"},
-		{"unknown traffic profile", `{"algorithm":"rw","n":2,"m":3,"traffic":{"profile":"pareto"}}`, "pareto"},
-		{"unknown traffic field", `{"algorithm":"rw","n":2,"m":3,"traffic":{"dist":"zipf"}}`, "dist"},
+		{"unknown traffic field", `{"algorithm":"rw","n":2,"m":3,"traffic":{"profile":"bursty"}}`, `unknown field "traffic"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,10 +91,11 @@ func RunReal(s Spec) (*RealResult, error) {
 		}
 	}
 
-	// Per-session CS and remainder work comes from the scenario's unified
-	// traffic model: process i replays workload stream i, the same stream
-	// a loadgen client or the simulated scheduler would consume.
-	plan, err := workload.SpecPlan(s.Traffic, s.N, s.Sessions)
+	// Per-session CS and remainder work comes from the scenario's traffic
+	// model at 5 units a critical section: process i replays workload
+	// stream i, the same stream a loadgen client or the simulated
+	// scheduler would consume.
+	plan, err := workload.SpecPlan(s.traffic(5), s.N, s.Sessions)
 	if err != nil {
 		return nil, err
 	}

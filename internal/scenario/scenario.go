@@ -10,9 +10,9 @@
 // registry ships the built-in scenarios. A spec runs three ways: RunSim
 // (one schedule on the simulated scheduler), Check (every interleaving,
 // model-checked) and RunReal (goroutines over the real locks).
-// cmd/anonsim runs any spec from a name or a JSON file, and the
-// experiment suite (internal/experiments, anonsim -experiment) sweeps
-// the whole registry.
+// cmd/anonsim runs any spec from a name, inline JSON or a JSON file,
+// and the experiment suite (internal/experiments, anonsim -experiment)
+// sweeps the whole registry.
 package scenario
 
 import (
@@ -23,8 +23,8 @@ import (
 	"sync"
 
 	"anonmutex"
-	"anonmutex/internal/mset"
 	"anonmutex/internal/workload"
+	"anonmutex/mnum"
 )
 
 // Schedule and permutation names used in specs. The string forms are the
@@ -37,14 +37,6 @@ const (
 	PermsIdentity = "identity" // non-anonymous memory
 	PermsRandom   = "random"   // seeded uniform permutations
 	PermsRotation = "rotation" // the Theorem 5 ring adversary
-)
-
-// Workload profile names, re-exported from the unified traffic model
-// (internal/workload) for spec files and older call sites.
-const (
-	WorkloadUniform = "uniform"
-	WorkloadBursty  = "bursty"
-	WorkloadSkewed  = "skewed"
 )
 
 // Spec is one declarative scenario. The zero value of every optional
@@ -85,21 +77,14 @@ type Spec struct {
 	PermSeed     uint64 `json:"perm_seed,omitempty"`
 	RotationStep int    `json:"rotation_step,omitempty"`
 
-	// Workload names the session profile (uniform, bursty, skewed) of
-	// the scenario's traffic model and WorkloadSeed its jitter seed —
-	// shorthands that Normalize folds into Traffic. Both substrates
-	// consume the result: the real runner draws per-session
-	// critical-section and remainder spin work from it, and the
-	// simulated scheduler scales its per-session CS ticks by it when
-	// CSTicks > 0.
+	// Workload names the session profile (uniform, bursty, skewed; see
+	// internal/workload) and WorkloadSeed its jitter seed. Both
+	// substrates draw per-session work from them: the real runner spins
+	// through each session's critical-section and remainder work, and
+	// the simulated scheduler scales its per-session CS ticks by the
+	// profile when CSTicks > 0.
 	Workload     string `json:"workload,omitempty"`
 	WorkloadSeed uint64 `json:"workload_seed,omitempty"`
-	// Traffic is the scenario's full traffic model (the unified
-	// internal/workload spec). Normalize materializes it from the
-	// shorthands above when unset; a spec may also state it directly
-	// for profiles and bases the shorthands cannot express. Workload
-	// and Traffic.Profile must agree when both are given.
-	Traffic workload.Spec `json:"traffic"`
 
 	// DeterministicClaims resolves Algorithm 1's "any ⊥ register" choice
 	// to the first hole instead of a seeded random one, making runs fully
@@ -134,9 +119,9 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.M == 0 {
 		switch s.Algorithm {
 		case anonmutex.RW:
-			s.M = mset.MinRW(s.N)
+			s.M = mnum.MinRW(s.N)
 		case anonmutex.RMW:
-			s.M = mset.MinRMWAbove(s.N)
+			s.M = mnum.MinRMWAbove(s.N)
 		default:
 			return s, fmt.Errorf("scenario: %s needs an explicit m", s.Algorithm)
 		}
@@ -147,9 +132,9 @@ func (s Spec) Normalize() (Spec, error) {
 	if !s.Unchecked && s.Algorithm != anonmutex.Greedy {
 		var err error
 		if s.Algorithm == anonmutex.RW {
-			err = mset.ValidateRW(s.N, s.M)
+			err = mnum.ValidateRW(s.N, s.M)
 		} else {
-			err = mset.ValidateRMW(s.N, s.M)
+			err = mnum.ValidateRMW(s.N, s.M)
 		}
 		if err != nil {
 			return s, fmt.Errorf("scenario: %w (set unchecked to run anyway)", err)
@@ -180,43 +165,14 @@ func (s Spec) Normalize() (Spec, error) {
 	default:
 		return s, fmt.Errorf("scenario: unknown perms %q", s.Perms)
 	}
-	// Fold the Workload/WorkloadSeed shorthands into the unified traffic
-	// model, then let it validate itself (unknown profile names fail
-	// loudly there instead of defaulting to uniform).
-	if s.Workload != "" {
-		if _, err := workload.ParseProfile(s.Workload); err != nil {
-			return s, fmt.Errorf("scenario: unknown workload %q (want %s, %s, or %s)",
-				s.Workload, WorkloadUniform, WorkloadBursty, WorkloadSkewed)
-		}
+	if s.Workload == "" {
+		s.Workload = workload.Uniform.String()
 	}
-	if s.Workload != "" && s.Traffic.Profile != "" && s.Workload != s.Traffic.Profile {
-		return s, fmt.Errorf("scenario: workload %q conflicts with traffic.profile %q",
-			s.Workload, s.Traffic.Profile)
+	switch s.Workload {
+	case workload.Uniform.String(), workload.Bursty.String(), workload.Skewed.String():
+	default:
+		return s, fmt.Errorf("scenario: unknown workload %q (want uniform, bursty, or skewed)", s.Workload)
 	}
-	if s.Traffic.Profile == "" {
-		s.Traffic.Profile = s.Workload // "" defaults to uniform below
-	}
-	if s.WorkloadSeed != 0 && s.Traffic.Seed != 0 && s.WorkloadSeed != s.Traffic.Seed {
-		return s, fmt.Errorf("scenario: workload_seed %d conflicts with traffic.seed %d",
-			s.WorkloadSeed, s.Traffic.Seed)
-	}
-	if s.Traffic.Seed == 0 {
-		s.Traffic.Seed = s.WorkloadSeed
-	}
-	// The historical real-substrate scales.
-	if s.Traffic.BaseCS == 0 {
-		s.Traffic.BaseCS = 5
-	}
-	if s.Traffic.BaseRemainder == 0 {
-		s.Traffic.BaseRemainder = 10
-	}
-	traffic, err := s.Traffic.Normalize()
-	if err != nil {
-		return s, fmt.Errorf("scenario: traffic model: %w", err)
-	}
-	s.Traffic = traffic
-	s.Workload = traffic.Profile
-	s.WorkloadSeed = traffic.Seed
 	if s.MaxSteps == 0 {
 		s.MaxSteps = 1_000_000
 	}
@@ -224,6 +180,13 @@ func (s Spec) Normalize() (Spec, error) {
 		return s, fmt.Errorf("scenario: negative bounds")
 	}
 	return s, nil
+}
+
+// traffic is the session model both runners draw their plans from: the
+// scenario's profile and seed over base scales of baseCS work units a
+// critical section and 10 a remainder.
+func (s Spec) traffic(baseCS int) workload.Spec {
+	return workload.Spec{Profile: s.Workload, Seed: s.WorkloadSeed, BaseCS: baseCS, BaseRemainder: 10}
 }
 
 // JSON returns the spec's canonical (indented) JSON encoding.
@@ -346,15 +309,15 @@ func init() {
 		Name: "bursty-rmw", Doc: "Algorithm 2 under a bursty traffic model (jittered per-session CS ticks on both substrates)",
 		Algorithm: anonmutex.RMW, N: 4, Sessions: 4,
 		Schedule: SchedRandom, Seed: 19,
-		Traffic:  workload.Spec{Profile: WorkloadBursty, Seed: 3},
+		Workload: "bursty", WorkloadSeed: 3,
 		CSTicks:  2,
 		MaxSteps: 20_000_000,
 	})
 	mustRegister(Spec{
-		Name: "heavy-hitter-rw", Doc: "Algorithm 1 with one hammering process (skewed traffic model, shorthand form)",
+		Name: "heavy-hitter-rw", Doc: "Algorithm 1 with one hammering process (skewed traffic model)",
 		Algorithm: anonmutex.RW, N: 3, M: 5, Sessions: 3,
 		Schedule: SchedRandom, Seed: 29,
-		Workload: WorkloadSkewed, WorkloadSeed: 7,
+		Workload: "skewed", WorkloadSeed: 7,
 		CSTicks:  1,
 		MaxSteps: 20_000_000,
 	})

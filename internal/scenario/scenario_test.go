@@ -17,7 +17,7 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Errorf("derived m = %d, want 5 (smallest legal RW size for n=3)", s.M)
 	}
 	if s.Sessions != 1 || s.Schedule != SchedRoundRobin || s.Perms != PermsIdentity ||
-		s.Workload != WorkloadUniform || s.MaxSteps != 1_000_000 {
+		s.Workload != "uniform" || s.MaxSteps != 1_000_000 {
 		t.Errorf("defaults not filled: %+v", s)
 	}
 
@@ -163,7 +163,7 @@ func TestRunRealRejectsSimOnly(t *testing.T) {
 }
 
 func TestRunRealWorkloadProfiles(t *testing.T) {
-	for _, w := range []string{WorkloadUniform, WorkloadBursty, WorkloadSkewed} {
+	for _, w := range []string{"uniform", "bursty", "skewed"} {
 		spec := Spec{
 			Algorithm: anonmutex.RMW, N: 3, Sessions: 2,
 			Workload: w, WorkloadSeed: 7,
@@ -178,43 +178,23 @@ func TestRunRealWorkloadProfiles(t *testing.T) {
 	}
 }
 
-// TestNormalizeMaterializesTraffic: the Workload/WorkloadSeed shorthands
-// and the embedded traffic model must end up in sync, with the
-// historical real-substrate scales as defaults.
-func TestNormalizeMaterializesTraffic(t *testing.T) {
-	s, err := Spec{Algorithm: anonmutex.RMW, N: 3, Workload: WorkloadBursty, WorkloadSeed: 9}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Traffic.Profile != WorkloadBursty || s.Traffic.Seed != 9 {
-		t.Errorf("traffic not materialized from shorthands: %+v", s.Traffic)
-	}
-	if s.Traffic.BaseCS != 5 || s.Traffic.BaseRemainder != 10 {
-		t.Errorf("historical base scales not applied: %+v", s.Traffic)
-	}
-	// And the reverse direction: an explicit traffic spec fills the
-	// shorthand fields.
-	s, err = Spec{Algorithm: anonmutex.RMW, N: 3, Traffic: workload.Spec{Profile: WorkloadSkewed, Seed: 4}}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Workload != WorkloadSkewed || s.WorkloadSeed != 4 {
-		t.Errorf("shorthands not synced from traffic: workload=%q seed=%d", s.Workload, s.WorkloadSeed)
-	}
-}
-
 // TestRunRealUsesUnifiedPlan: the real runner's per-process sessions
-// must come from workload.SpecPlan on the scenario's traffic model —
-// process i replays workload stream i.
+// must come from workload.SpecPlan on the scenario's profile and seed at
+// the historical real-substrate scales (5 units a critical section, 10
+// a remainder) — process i replays workload stream i.
 func TestRunRealUsesUnifiedPlan(t *testing.T) {
 	spec, err := (Spec{
 		Algorithm: anonmutex.RMW, N: 2, M: 3, Sessions: 3,
-		Traffic: workload.Spec{Profile: WorkloadBursty, Seed: 21},
+		Workload: "bursty", WorkloadSeed: 21,
 	}).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := workload.SpecPlan(spec.Traffic, spec.N, spec.Sessions)
+	traffic := spec.traffic(5)
+	if want := (workload.Spec{Profile: "bursty", BaseCS: 5, BaseRemainder: 10, Seed: 21}); traffic != want {
+		t.Errorf("traffic model %+v, want %+v", traffic, want)
+	}
+	plan, err := workload.SpecPlan(traffic, spec.N, spec.Sessions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,8 @@ func RunSim(s Spec) (*sched.Result, error) {
 	case SchedLockStep:
 		cfg.Policy = sched.NewLockStep(s.N)
 	}
-	if s.CSTicks > 0 && s.Traffic.Profile != WorkloadUniform {
-		traffic := s.Traffic
-		traffic.BaseCS = s.CSTicks
-		plan, err := workload.SpecPlan(traffic, s.N, s.Sessions)
+	if s.CSTicks > 0 && s.Workload != workload.Uniform.String() {
+		plan, err := workload.SpecPlan(s.traffic(s.CSTicks), s.N, s.Sessions)
 		if err != nil {
 			return nil, err
 		}

@@ -89,7 +89,7 @@ func TestRunSimConsumesTrafficModel(t *testing.T) {
 		CSTicks: 5, MaxSteps: 20_000_000,
 	}
 	bursty := base
-	bursty.Workload, bursty.WorkloadSeed = WorkloadBursty, 3
+	bursty.Workload, bursty.WorkloadSeed = "bursty", 3
 
 	a, err := RunSim(bursty)
 	if err != nil {

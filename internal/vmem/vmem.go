@@ -54,9 +54,6 @@ func New(m int, stamping bool) *Memory {
 // Size returns m.
 func (mem *Memory) Size() int { return len(mem.cells) }
 
-// Stamping reports whether writes carry stamps.
-func (mem *Memory) Stamping() bool { return mem.stamping }
-
 // Writes returns the total number of write/CAS-success operations applied.
 func (mem *Memory) Writes() uint64 { return mem.writes }
 

@@ -13,8 +13,8 @@ import (
 
 // Spec is the unified, JSON-describable traffic model shared by every
 // load-producing layer in the repository: the loadgen client fleets, the
-// scenario runner on both substrates, the experiment catalog, and the
-// CLIs (`-workload` / `-workload-file`). One Spec composes four
+// scenario runner on both substrates, the experiment catalog, and
+// anonload (`-workload` / `-workload-file`). One Spec composes four
 // orthogonal generators, all derived deterministically from Seed:
 //
 //   - a session profile (Profile/BaseCS/BaseRemainder): per-session

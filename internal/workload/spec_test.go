@@ -128,14 +128,6 @@ func TestProfileStringParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGenerateRejectsUnknownProfileValue(t *testing.T) {
-	// The legacy path used to fall back to uniform silently; now it must
-	// fail loudly.
-	if _, err := Generate(Config{N: 2, Sessions: 2, Profile: Profile(9)}); err == nil {
-		t.Error("Generate accepted an unknown profile value")
-	}
-}
-
 func TestSourceDeterminism(t *testing.T) {
 	spec := mustNormalize(t, Spec{
 		Profile: "bursty", BaseCS: 4, BaseRemainder: 6, Seed: 42,

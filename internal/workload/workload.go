@@ -80,67 +80,6 @@ type Session struct {
 // sessions in order.
 type Plan [][]Session
 
-// Config is the legacy generation surface, kept as a thin alias over
-// Spec: it names a profile by enum value and applies the historical
-// defaults (BaseCS 5, BaseRemainder 10). New code should build a Spec
-// and use SpecPlan or NewSource directly.
-type Config struct {
-	// N is the number of processes; Sessions the sessions per process.
-	N, Sessions int
-	// Profile selects the contention pattern (default Uniform).
-	Profile Profile
-	// BaseCS and BaseRemainder set the scale (defaults 5 and 10).
-	BaseCS, BaseRemainder int
-	// Seed drives all randomness.
-	Seed uint64
-}
-
-func (c *Config) normalize() error {
-	if c.N < 1 {
-		return fmt.Errorf("workload: need N >= 1, got %d", c.N)
-	}
-	if c.Sessions < 1 {
-		return fmt.Errorf("workload: need Sessions >= 1, got %d", c.Sessions)
-	}
-	if c.Profile == 0 {
-		c.Profile = Uniform
-	}
-	if c.BaseCS == 0 {
-		c.BaseCS = 5
-	}
-	if c.BaseRemainder == 0 {
-		c.BaseRemainder = 10
-	}
-	if c.BaseCS < 0 || c.BaseRemainder < 0 {
-		return fmt.Errorf("workload: negative base durations")
-	}
-	return nil
-}
-
-// Generate materializes a plan from the legacy Config alias. Unknown
-// profile values are rejected (they used to fall back to uniform
-// silently).
-func Generate(cfg Config) (Plan, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	return SpecPlan(Spec{
-		Profile:       cfg.Profile.String(),
-		BaseCS:        cfg.BaseCS,
-		BaseRemainder: cfg.BaseRemainder,
-		Seed:          cfg.Seed,
-	}, cfg.N, cfg.Sessions)
-}
-
-// TotalSessions returns the number of sessions across all processes.
-func (p Plan) TotalSessions() int {
-	total := 0
-	for _, ps := range p {
-		total += len(ps)
-	}
-	return total
-}
-
 // Spin burns roughly units of CPU work; the benchmark harness uses it for
 // critical-section and remainder work in real-concurrency runs. It returns
 // a value to keep the loop from being optimized away.

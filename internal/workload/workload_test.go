@@ -5,26 +5,35 @@ import (
 	"testing"
 )
 
-func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(Config{N: 0, Sessions: 1}); err == nil {
-		t.Error("N=0 accepted")
+func TestSpecPlanValidation(t *testing.T) {
+	if _, err := SpecPlan(Spec{}, 0, 1); err == nil {
+		t.Error("n=0 accepted")
 	}
-	if _, err := Generate(Config{N: 1, Sessions: 0}); err == nil {
-		t.Error("Sessions=0 accepted")
+	if _, err := SpecPlan(Spec{}, 1, 0); err == nil {
+		t.Error("sessions=0 accepted")
 	}
-	if _, err := Generate(Config{N: 1, Sessions: 1, BaseCS: -1}); err == nil {
+	if _, err := SpecPlan(Spec{BaseCS: -1}, 1, 1); err == nil {
 		t.Error("negative BaseCS accepted")
 	}
 }
 
-func TestGenerateShape(t *testing.T) {
-	plan, err := Generate(Config{N: 3, Sessions: 4, Seed: 1})
+// A parseable but unknown profile value fails loudly instead of falling
+// back to uniform.
+func TestSpecPlanRejectsUnknownProfileValue(t *testing.T) {
+	if _, err := SpecPlan(Spec{Profile: Profile(9).String()}, 2, 2); err == nil {
+		t.Error("unknown profile value accepted")
+	}
+}
+
+func TestSpecPlanShape(t *testing.T) {
+	plan, err := SpecPlan(Spec{BaseCS: 5, BaseRemainder: 10, Seed: 1}, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan) != 3 {
 		t.Fatalf("plan for %d processes", len(plan))
 	}
+	total := 0
 	for i, ps := range plan {
 		if len(ps) != 4 {
 			t.Fatalf("process %d has %d sessions", i, len(ps))
@@ -34,20 +43,21 @@ func TestGenerateShape(t *testing.T) {
 				t.Fatalf("non-positive workload %+v", s)
 			}
 		}
+		total += len(ps)
 	}
-	if plan.TotalSessions() != 12 {
-		t.Fatalf("TotalSessions = %d", plan.TotalSessions())
+	if total != 12 {
+		t.Fatalf("%d sessions in total, want 12", total)
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
+func TestSpecPlanDeterministic(t *testing.T) {
 	for _, profile := range []Profile{Uniform, Bursty, Skewed} {
-		cfg := Config{N: 4, Sessions: 6, Profile: profile, Seed: 42}
-		a, err := Generate(cfg)
+		spec := Spec{Profile: profile.String(), BaseCS: 5, BaseRemainder: 10, Seed: 42}
+		a, err := SpecPlan(spec, 4, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Generate(cfg)
+		b, err := SpecPlan(spec, 4, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +68,10 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestUniformIsConstant(t *testing.T) {
-	plan, _ := Generate(Config{N: 2, Sessions: 5, Profile: Uniform, BaseCS: 7, BaseRemainder: 9, Seed: 3})
+	plan, err := SpecPlan(Spec{Profile: "uniform", BaseCS: 7, BaseRemainder: 9, Seed: 3}, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ps := range plan {
 		for _, s := range ps {
 			if s.CSWork != 7 || s.RemainderWork != 9 {
@@ -69,7 +82,10 @@ func TestUniformIsConstant(t *testing.T) {
 }
 
 func TestSkewedFavorsProcessZero(t *testing.T) {
-	plan, _ := Generate(Config{N: 3, Sessions: 20, Profile: Skewed, Seed: 5})
+	plan, err := SpecPlan(Spec{Profile: "skewed", BaseCS: 5, BaseRemainder: 10, Seed: 5}, 3, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	think0, think1 := 0, 0
 	for _, s := range plan[0] {
 		think0 += s.RemainderWork
@@ -83,7 +99,10 @@ func TestSkewedFavorsProcessZero(t *testing.T) {
 }
 
 func TestBurstyVariance(t *testing.T) {
-	plan, _ := Generate(Config{N: 1, Sessions: 60, Profile: Bursty, Seed: 9})
+	plan, err := SpecPlan(Spec{Profile: "bursty", BaseCS: 5, BaseRemainder: 10, Seed: 9}, 1, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	short, long := 0, 0
 	for _, s := range plan[0] {
 		if s.RemainderWork <= 1 {

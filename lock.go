@@ -11,7 +11,7 @@ import (
 	"anonmutex/internal/core"
 	"anonmutex/internal/engine"
 	"anonmutex/internal/id"
-	"anonmutex/internal/mset"
+	"anonmutex/mnum"
 )
 
 // Algorithm names a mutual exclusion protocol: one of the paper's two
@@ -117,14 +117,14 @@ func NewLock(alg Algorithm, n int, opts ...Option) (*Lock, error) {
 	switch alg {
 	case RW:
 		if m == 0 {
-			m = mset.MinRW(n)
+			m = mnum.MinRW(n)
 		}
-		err = mset.ValidateRW(n, m)
+		err = mnum.ValidateRW(n, m)
 	case RMW:
 		if m == 0 {
-			m = mset.MinRMWAbove(n)
+			m = mnum.MinRMWAbove(n)
 		}
-		err = mset.ValidateRMW(n, m)
+		err = mnum.ValidateRMW(n, m)
 	default:
 		err = fmt.Errorf("no lock runs algorithm %v (want RW or RMW)", alg)
 	}
