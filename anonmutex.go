@@ -162,17 +162,21 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithPermutations selects the anonymity adversary. step is used only by
-// PermRotation.
+// PermRotation, which needs step >= 1: a rotation by 0 is the identity.
 func WithPermutations(mode PermutationMode, step int) Option {
 	return func(c *config) error {
 		switch mode {
-		case PermRandom, PermIdentity, PermRotation:
-			c.mode = mode
-			c.rotationStep = step
-			return nil
+		case PermRandom, PermIdentity:
+		case PermRotation:
+			if step <= 0 {
+				return fmt.Errorf("anonmutex: rotation step must be >= 1, got %d", step)
+			}
 		default:
 			return fmt.Errorf("anonmutex: unknown permutation mode %v", mode)
 		}
+		c.mode = mode
+		c.rotationStep = step
+		return nil
 	}
 }
 

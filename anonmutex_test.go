@@ -39,6 +39,11 @@ func TestNewRWLockValidation(t *testing.T) {
 	if _, err := NewRWLock(2, WithPermutations(PermutationMode(99), 0)); err == nil {
 		t.Error("bad permutation mode accepted")
 	}
+	for _, step := range []int{0, -1} { // a rotation by 0 is the identity
+		if _, err := NewRWLock(2, WithPermutations(PermRotation, step)); err == nil {
+			t.Errorf("rotation step %d accepted", step)
+		}
+	}
 	if _, err := NewRWLock(2, WithRegisters(9)); err != nil {
 		t.Errorf("m=9 ∈ M(2) rejected: %v", err)
 	}

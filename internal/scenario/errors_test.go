@@ -24,6 +24,12 @@ func TestNormalizeErrorsAreDescriptive(t *testing.T) {
 			[]string{"unknown schedule", "fifo"}},
 		{"unknown perms", Spec{Algorithm: anonmutex.RW, N: 2, M: 3, Perms: "transposition"},
 			[]string{"unknown perms", "transposition"}},
+		{"negative rotation step", Spec{Algorithm: anonmutex.RW, N: 3, M: 5, Perms: PermsRotation, RotationStep: -1},
+			[]string{"rotation_step -1"}},
+		{"rotation step m", Spec{Algorithm: anonmutex.RW, N: 3, M: 5, Perms: PermsRotation, RotationStep: 5},
+			[]string{"rotation_step 5", "m = 5"}},
+		{"rotation step 2m", Spec{Algorithm: anonmutex.RW, N: 3, M: 5, Perms: PermsRotation, RotationStep: 10},
+			[]string{"rotation_step 10", "m = 5"}},
 		{"unknown workload", Spec{Algorithm: anonmutex.RW, N: 2, M: 3, Workload: "spiky"},
 			[]string{"unknown workload", "spiky"}},
 		{"illegal rw size", Spec{Algorithm: anonmutex.RW, N: 2, M: 4},
@@ -102,6 +108,7 @@ func TestParseJSONErrors(t *testing.T) {
 		{"wrong type", `{"algorithm":"rw","n":"two"}`, "parsing spec"},
 		{"unknown workload name", `{"algorithm":"rw","n":2,"m":3,"workload":"pareto"}`, "unknown workload"},
 		{"unknown traffic field", `{"algorithm":"rw","n":2,"m":3,"traffic":{"profile":"bursty"}}`, `unknown field "traffic"`},
+		{"identity rotation", `{"algorithm":"rw","n":3,"m":5,"perms":"rotation","rotation_step":5}`, "rotation_step 5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -161,7 +161,16 @@ func (s Spec) Normalize() (Spec, error) {
 		s.Perms = PermsIdentity
 	}
 	switch s.Perms {
-	case PermsIdentity, PermsRandom, PermsRotation:
+	case PermsIdentity, PermsRandom:
+	case PermsRotation:
+		// Step 0, or any multiple of m, rotates nothing: every process
+		// would see the identity, a non-anonymous memory.
+		if s.RotationStep == 0 {
+			s.RotationStep = 1
+		}
+		if s.RotationStep < 0 || s.RotationStep%s.M == 0 {
+			return s, fmt.Errorf("scenario: rotation_step %d is the identity rotation or negative (want 1 <= step, not a multiple of m = %d)", s.RotationStep, s.M)
+		}
 	default:
 		return s, fmt.Errorf("scenario: unknown perms %q", s.Perms)
 	}

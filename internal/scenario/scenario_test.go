@@ -28,6 +28,15 @@ func TestNormalizeDefaults(t *testing.T) {
 	if s2.M != 5 {
 		t.Errorf("derived RMW m = %d, want 5", s2.M)
 	}
+
+	// A rotation with no step rotates by 1, not by 0 (the identity).
+	s3, err := ParseJSON([]byte(`{"algorithm":"rw","n":3,"m":5,"perms":"rotation"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.RotationStep != 1 {
+		t.Errorf("rotation_step defaulted to %d, want 1", s3.RotationStep)
+	}
 }
 
 func TestNormalizeRejects(t *testing.T) {

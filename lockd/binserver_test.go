@@ -13,6 +13,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -601,6 +602,82 @@ func TestMuxReaderNeverWaitsOnPeer(t *testing.T) {
 	}
 	if v := mgr.Violations(); v != 0 {
 		t.Fatalf("%d violations", v)
+	}
+}
+
+// TestMuxWriterMakesSureAReaderRuns is the wedge an elected reader
+// invites, over net.Pipe on one scheduler thread. A stream's ping shares
+// one ≈ 9 KB write with 400 other streams' release_noack frames, past
+// the server's 4 KiB read buffer, while nothing else is owed. The server
+// answers the ping before it has read the rest and writes that answer
+// before its next read. The ping's caller, blocked in the write, cannot
+// read it, so the writer must make sure a reader runs before a write
+// that carries frames beyond its own. Two AcquireFor waiters on a held
+// key set the scene: sent together behind a third, they make the
+// socket's previous write multi-frame, so the ping's sender yields and
+// the no-ack senders join its write; then all three time out.
+func TestMuxWriterMakesSureAReaderRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, ln := startPipeServer(t)
+	c, _ := ln.dial(t)
+	m := client.NewMux(c, 0)
+	defer m.Close()
+	pinger := openStream(t, m)
+	if err := pinger.Acquire("wedge-held"); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 3)
+	wait := func(st *client.Conn, gate chan struct{}) {
+		<-gate
+		ok, err := st.AcquireFor("wedge-held", 100*time.Millisecond)
+		if err == nil && ok {
+			err = errors.New("AcquireFor took a held key")
+		}
+		waited <- err
+	}
+	first, together := make(chan struct{}), make(chan struct{})
+	go wait(openStream(t, m), first)
+	close(first)
+	time.Sleep(10 * time.Millisecond) // the first waiter's request is out
+	for i := 0; i < 2; i++ {
+		go wait(openStream(t, m), together)
+	}
+	close(together)
+	for i := 0; i < 3; i++ {
+		if err := <-waited; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const noAcks = 400
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < noAcks; i++ {
+		st := openStream(t, m)
+		name := "wedge-noack-" + strconv.Itoa(1000+i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-gate
+			if err := st.ReleaseNoAck(name); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() {
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			m.Close() // unwedge, so the test can fail instead of hang
+		}
+	}()
+	close(gate)
+	err := pinger.Ping() // runs before the gated senders: one scheduler thread
+	done <- err
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("ping sharing a write with %d no-ack frames: %v (client and server wedged)", noAcks, err)
 	}
 }
 

@@ -68,8 +68,9 @@ type Session interface {
 	AutoHeartbeat(every time.Duration)
 	// Ping probes liveness.
 	Ping() error
-	// Token reports the fencing token of the session's most recent
-	// grant on name (0 before any, or on a lease-free server).
+	// Token reports the fencing token of the grant the session holds on
+	// name: 0 when it holds none (Release clears it), and always 0 on a
+	// lease-free server.
 	Token(name string) uint64
 	// Close ends the session; the server releases what it still holds.
 	Close() error

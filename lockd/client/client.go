@@ -6,16 +6,17 @@
 // Every Conn is a stream of a Mux, the package's one I/O engine (mux.go):
 // a binary socket carries many streams, a newline-JSON socket exactly one
 // (DialConn/NewConn). Requests are pipelined: any goroutine may issue a
-// request while others are waiting for responses, and the socket's one
-// reader matches the server's in-order responses to their callers. That
-// is what makes Cancel useful — it can chase an Acquire that is blocked
-// on the same session — and what lets one socket carry overlapping
-// traffic. Locks held by the session are released by the server when the
-// stream or its socket closes. On a binary stream the per-request
-// bookkeeping (the waiter slot a response is matched to) is pooled and
-// responses are decoded in place, so a steady-state AcquireFor/Release
-// cycle performs no heap allocations on the client; the JSON framing goes
-// through encoding/json and allocates accordingly.
+// request while others are waiting for responses, and whichever goroutine
+// holds the socket's read side — a waiting caller, or a reader goroutine
+// it handed the side to — matches the server's in-order responses to
+// their callers. That is what makes Cancel useful — it can chase an
+// Acquire that is blocked on the same session — and what lets one socket
+// carry overlapping traffic. Locks held by the session are released by
+// the server when the stream or its socket closes. On a binary stream the
+// per-request bookkeeping (the waiter slot a response is matched to) is
+// pooled and responses are decoded in place, so a steady-state
+// AcquireFor/Release cycle performs no heap allocations on the client;
+// the JSON framing goes through encoding/json and allocates accordingly.
 //
 // The package has a second caller besides client programs: a proxy-mode
 // lockd node forwards foreign-key ops to their owners over a Mux of its
@@ -76,9 +77,9 @@ type Conn struct {
 	qhead  int           // first live entry; backing array is reused
 	broken error         // set once the stream or its socket stops
 
-	// tokMu guards tokens, the fencing token of the session's most
-	// recent grant per name — the client-side view the cluster failover
-	// property tests compare across ownership changes.
+	// tokMu guards tokens, the fencing token of each leased grant the
+	// session holds — the client-side view the cluster failover property
+	// tests compare across ownership changes. A release drops the entry.
 	tokMu  sync.Mutex
 	tokens map[string]uint64
 
@@ -106,31 +107,33 @@ func DialConn(addr string) (*Conn, error) {
 // as a newline-JSON session: the one stream of a JSON-framed Mux. The
 // Conn takes ownership of c, and its Close closes it.
 func NewConn(c net.Conn) *Conn {
-	m := newMux(c, true, 0)
-	st, _ := m.open(1) // a fresh socket is neither broken nor full
-	go m.readLoop()
+	st, _ := newMux(c, true, 0).open(1) // a fresh socket is neither broken nor full
 	return st
 }
 
 // enqueue registers ch as the waiter of every request in reqs that the
 // server answers — all but OpReleaseNoAck, for which a registration
-// would never be matched and would desync the FIFO behind it. The caller
-// holds the mux's sendMu, which orders its write, so queue order is wire
-// order.
-func (c *Conn) enqueue(reqs []wire.Request, ch chan result) error {
+// would never be matched and would desync the FIFO behind it — and
+// reports how many it registered, each one an answer the mux is now owed.
+// The caller holds the mux's sendMu, which orders its write, so queue
+// order is wire order.
+func (c *Conn) enqueue(reqs []wire.Request, ch chan result) (int, error) {
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+		return 0, fmt.Errorf("%w: %w", ErrUnavailable, err)
 	}
+	n := 0
 	for i := range reqs {
 		if reqs[i].Op != wire.OpReleaseNoAck {
 			c.queue = append(c.queue, ch)
+			n++
 		}
 	}
+	c.mux.owed.Add(int64(n))
 	c.mu.Unlock()
-	return nil
+	return n, nil
 }
 
 // deliver hands res to the oldest waiter; false means no request was in
@@ -149,6 +152,7 @@ func (c *Conn) deliver(res result) bool {
 		c.queue = c.queue[:0]
 		c.qhead = 0
 	}
+	c.mux.owed.Add(-1)
 	c.mu.Unlock()
 	ch <- res
 	return true
@@ -164,6 +168,7 @@ func (c *Conn) fail(err error) {
 	waiters := c.queue[c.qhead:]
 	c.queue = nil
 	c.qhead = 0
+	c.mux.owed.Add(-int64(len(waiters)))
 	c.mu.Unlock()
 	for _, ch := range waiters {
 		ch <- result{err: err}
@@ -185,6 +190,7 @@ func (c *Conn) Exchange(req wire.Request) (wire.Response, error) {
 		waiterPool.Put(ch)
 		return wire.Response{}, fmt.Errorf("client: %s: %w", req.Op, err)
 	}
+	c.mux.await(ch, 1)
 	res := <-ch
 	waiterPool.Put(ch)
 	if res.err != nil {
@@ -211,9 +217,10 @@ func (c *Conn) do(req wire.Request) (wire.Response, error) {
 	return resp, fmt.Errorf("client: %s: %s", req.Op, resp.Err)
 }
 
-// noteToken records the fencing token of a fresh grant on name. A grant
-// without a lease carries token 0, which Token reports for a name with
-// no entry, so a lease-free session keeps no map at all.
+// noteToken records the fencing token of a grant on name (token 0: a
+// grant without a lease), or forgets name's entry at its release. Token
+// reports 0 for a name with no entry, so a lease-free session keeps no
+// map at all, and a leased one an entry per name it holds.
 func (c *Conn) noteToken(name string, token uint64) {
 	c.tokMu.Lock()
 	if token == 0 {
@@ -227,10 +234,9 @@ func (c *Conn) noteToken(name string, token uint64) {
 	c.tokMu.Unlock()
 }
 
-// Token reports the fencing token of the session's most recent grant on
-// name (0 before any grant, and always 0 on a lease-free server). It is
-// not cleared by Release: it answers "what was the last token this
-// session was granted for name", which is the quantity cluster-failover
+// Token reports the fencing token of the grant the session holds on name:
+// 0 when it holds none, and always 0 on a lease-free server. Release
+// clears it, so read it while holding — the quantity cluster-failover
 // monotonicity is asserted over.
 func (c *Conn) Token(name string) uint64 {
 	c.tokMu.Lock()
@@ -239,8 +245,7 @@ func (c *Conn) Token(name string) uint64 {
 }
 
 // doAcquire runs one acquire-type exchange, recording the fencing token
-// when a grant came back, and returns the raw response — the routing
-// layer reads owner hints (and Aborted/Acquired) off it directly.
+// when a grant came back, and returns the raw response.
 func (c *Conn) doAcquire(req wire.Request) (wire.Response, error) {
 	resp, err := c.do(req)
 	if err == nil && resp.Acquired {
@@ -296,8 +301,10 @@ func (c *Conn) TryAcquire(name string) (bool, error) {
 	return resp.Acquired, err
 }
 
-// Release gives a held lock back.
+// Release gives a held lock back. Whatever the answer, the session no
+// longer holds name, and Token reports 0 for it.
 func (c *Conn) Release(name string) error {
+	c.noteToken(name, 0)
 	_, err := c.do(wire.Request{Op: wire.OpRelease, Name: name})
 	return err
 }
@@ -310,6 +317,7 @@ func (c *Conn) Release(name string) error {
 // the server would have rejected (not held, fenced) is dropped silently;
 // the error reports only a session that was already broken.
 func (c *Conn) ReleaseNoAck(name string) error {
+	c.noteToken(name, 0)
 	reqs := [1]wire.Request{{Op: wire.OpReleaseNoAck, Name: name}}
 	if err := c.mux.send(c, reqs[:], nil); err != nil {
 		return fmt.Errorf("client: %s: %w", wire.OpReleaseNoAck, err)
@@ -445,6 +453,7 @@ func (c *Conn) Batch(reqs []wire.Request, resps []wire.Response) error {
 		}
 		return fmt.Errorf("client: batch: %w", err)
 	}
+	c.mux.await(ch, len(reqs))
 	var firstErr error
 	for i := range resps {
 		res := <-ch

@@ -2,10 +2,10 @@ package client
 
 // Mux carries logical sessions over one socket: each Open() returns a
 // *Conn — same methods, same pipelining, same Cancel semantics on every
-// socket — and one reader goroutine routes responses back to per-stream
-// FIFO queues, so a cancelled or blocked stream never desyncs its
-// siblings. The socket speaks one of the two framings of the server's
-// one connection loop (lockd/transport.go):
+// socket — and responses are routed back to per-stream FIFO queues, so a
+// cancelled or blocked stream never desyncs its siblings. The socket
+// speaks one of the two framings of the server's one connection loop
+// (lockd/transport.go):
 //
 //   - binary (NewMux, DialMux): the preamble, then length-prefixed frames,
 //     each naming its stream; any number of streams.
@@ -14,14 +14,41 @@ package client
 //
 // Writes follow the server's rule under both: one write carries every
 // request that is ready. A sender appends its requests to the write
-// buffer; if no goroutine owns the write side, it takes it, yields once
-// so the goroutines woken with it — by one socket read's dispatch, or by
-// whatever woke this sender — can append theirs, and then writes
-// everything buffered in one syscall. A double buffer gives the write
-// side one owner, which writes until the buffer is empty; sendMu is
-// never held across a socket write. The reader never writes, so it never
-// waits on the peer: a reader blocked writing to a server whose reader is
-// blocked writing back would wedge both sides.
+// buffer; if no goroutine owns the write side, it takes it and writes
+// everything buffered, until the buffer is empty. A double buffer gives
+// the write side one owner; sendMu is never held across a socket write.
+// The sender that takes the write side yields once first, so that the
+// goroutines woken with it — by one socket read's dispatch, or by
+// whatever woke this sender — can append theirs, but only when another
+// sender may be about to: the socket's previous write carried more than
+// one frame, or answers are owed to other requests on it. A lone
+// sender writes at once.
+//
+// The read side has an owner too, but only while answers are owed: a
+// caller waiting for its answer that finds nobody reading reads the
+// socket itself, handing every answer it meets to its stream's oldest
+// waiter, until its own has come. If answers are still owed when it
+// leaves, it starts a reader goroutine, which reads until nothing is
+// owed and then exits — or, like any reader, fails every waiter when the
+// socket breaks or Close closes it — so an idle socket owns no
+// goroutine. A dead idle socket is found by its next op, which fails
+// with ErrUnavailable. The invariants:
+//
+//   - At most one goroutine reads the socket (reading). While any answer
+//     is owed, some goroutine is reading, or the caller that will read is
+//     on its way to its wait: owed rises before that caller tries to take
+//     the read side, and a reader leaving it re-checks owed after letting
+//     go, so one of the two always sees the other.
+//   - A reader never writes, so it never waits on the peer: a reader
+//     blocked writing to a server whose reader is blocked writing back
+//     would wedge both sides.
+//   - No goroutine blocks in a socket write that carries frames beyond its
+//     own while answers are owed and nobody reads: the server may answer
+//     a frame before it has read the ones behind it, and a server blocked
+//     writing that answer reads no more of the write. Before such a write
+//     the writer makes sure a reader runs. A write of the writer's own
+//     frame alone cannot wedge: its answer comes only after all of it has
+//     been read.
 
 import (
 	"bufio"
@@ -32,6 +59,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"anonmutex/lockd/wire"
 )
@@ -61,16 +89,30 @@ type Mux struct {
 	pool *muxPool
 
 	// sendMu serializes request appends and queue pushes (order on the
-	// wire must match each stream's queue order) and guards out, spare and
-	// writing. It is never held across a socket write.
+	// wire must match each stream's queue order) and guards out, spare,
+	// frames, lastFrames and writing. It is never held across a socket
+	// write.
 	sendMu sync.Mutex
 	// out holds the requests no write has taken yet; spare is the other
 	// half of the double buffer, nil while a write has it in flight.
 	out, spare []byte
+	// frames counts the frames (lines, on a JSON socket) in out;
+	// lastFrames is how many the socket's latest write carried.
+	frames, lastFrames int
 	// writing is set while one goroutine owns the socket's write side. The
 	// owner writes until out is empty, so a sender that finds it set only
 	// appends.
 	writing bool
+
+	// owed counts the answers registered on any stream and not yet
+	// delivered. reading is set while one goroutine owns the read side;
+	// br and frame (the frame reader's buffer) or line (the JSON reader's
+	// long-line scratch) belong to that goroutine.
+	owed    atomic.Int64
+	reading atomic.Bool
+	br      *bufio.Reader
+	frame   []byte
+	line    []byte
 
 	mu      sync.Mutex
 	streams map[uint32]*Conn
@@ -104,15 +146,13 @@ func DialMux(addr string) (*Mux, error) {
 // preamble's flag byte, fixed by who is calling: 0 from a client,
 // wire.HelloForwarded from a proxy-mode server's inter-node link.
 func NewMux(c net.Conn, hello byte) *Mux {
-	m := newMux(c, false, hello)
-	go m.readLoop()
-	return m
+	return newMux(c, false, hello)
 }
 
-// newMux makes a socket's client side without starting its reader, so a
-// caller can open the first stream before anything can break the socket.
+// newMux makes a socket's client side in either framing. Nothing reads
+// the socket until a request is owed an answer.
 func newMux(c net.Conn, json bool, hello byte) *Mux {
-	m := &Mux{c: c, json: json, streams: make(map[uint32]*Conn)}
+	m := &Mux{c: c, json: json, br: bufio.NewReader(c), streams: make(map[uint32]*Conn)}
 	if !json {
 		preamble := wire.Preamble(hello)
 		m.out = preamble[:]
@@ -156,36 +196,50 @@ func (m *Mux) Close() error {
 // the stream's FIFO matches the wire order. It never partially registers:
 // on an error nothing was queued and nothing was written. The requests
 // are written by the goroutine that owns the write side, or else by this
-// call, which takes the write side, yields once so the goroutines
-// runnable beside it can append theirs, and writes until the buffer is
-// empty. A failed write is not reported here: it closes the connection —
-// the reader then fails every waiter, this one's included — and drops
-// what is buffered.
+// call, which takes the write side — yielding once first if another
+// sender may be about to append — and writes until the buffer is empty.
+// Before a write that carries frames beyond its own it makes sure a
+// reader runs (ensureReader). A failed write is not reported here: it
+// closes the connection — whoever reads next fails every waiter, this
+// one's included — and drops what is buffered. The caller then collects
+// its answers with await.
 func (m *Mux) send(st *Conn, reqs []wire.Request, ch chan result) error {
 	m.sendMu.Lock()
 	start := len(m.out)
 	var err error
 	m.out, err = m.appendRequests(m.out, st.stream, reqs)
+	var own int
 	if err == nil {
-		err = st.enqueue(reqs, ch)
+		own, err = st.enqueue(reqs, ch)
 	}
 	if err != nil {
 		m.out = m.out[:start]
 		m.sendMu.Unlock()
 		return err
 	}
+	if m.json {
+		m.frames += len(reqs)
+	} else {
+		m.frames++
+	}
 	if m.writing {
 		m.sendMu.Unlock()
 		return nil
 	}
 	m.writing = true
+	yield := m.lastFrames > 1 || m.owed.Load() > int64(own)
 	m.sendMu.Unlock()
-	runtime.Gosched()
+	if yield {
+		runtime.Gosched()
+	}
 	m.sendMu.Lock()
-	for len(m.out) > 0 {
-		buf := m.out
-		m.out, m.spare = m.spare[:0], nil
+	for first := true; len(m.out) > 0; first = false {
+		buf, frames := m.out, m.frames
+		m.out, m.spare, m.frames, m.lastFrames = m.spare[:0], nil, 0, frames
 		m.sendMu.Unlock()
+		if !first || frames > 1 {
+			m.ensureReader()
+		}
 		_, werr := m.c.Write(buf)
 		m.sendMu.Lock()
 		m.spare = buf[:0]
@@ -197,6 +251,42 @@ func (m *Mux) send(st *Conn, reqs []wire.Request, ch chan result) error {
 	m.writing = false
 	m.sendMu.Unlock()
 	return nil
+}
+
+// ensureReader starts a reader goroutine if answers are owed and nobody
+// reads.
+func (m *Mux) ensureReader() {
+	if m.owed.Load() > 0 && m.reading.CompareAndSwap(false, true) {
+		go m.readLoop()
+	}
+}
+
+// await sees to it that ch gets the n answers the caller just sent for,
+// which the caller then receives from ch. If nobody reads the socket, the
+// caller reads it here, dispatching every answer it meets until its own
+// have come, and on leaving passes the read side on to a reader goroutine
+// if answers are still owed. Otherwise whoever reads delivers them.
+func (m *Mux) await(ch chan result, n int) {
+	if len(ch) >= n || !m.reading.CompareAndSwap(false, true) {
+		return
+	}
+	for len(ch) < n {
+		if !m.readOne() {
+			return
+		}
+	}
+	if m.owed.Load() > 0 || m.release() {
+		go m.readLoop()
+	}
+}
+
+// release gives up the read side. An answer owed in between its two
+// checks would have no reader — the caller it belongs to may have seen
+// the side still taken — so it then takes the side back, if nobody else
+// has, and reports true: its caller must read on.
+func (m *Mux) release() bool {
+	m.reading.Store(false)
+	return m.owed.Load() > 0 && m.reading.CompareAndSwap(false, true)
 }
 
 // appendRequests encodes reqs onto dst in the socket's framing: one
@@ -250,86 +340,102 @@ func (m *Mux) closeStream(st *Conn) error {
 	return err
 }
 
-// readLoop owns the inbound half: it reads responses in the socket's
-// framing and hands each to its stream's oldest waiter. Per-stream FIFOs
-// are what keep sibling streams independent: a response only ever
-// advances its own stream's queue. Whatever ends the reader breaks the
-// whole socket.
+// readLoop is the reader goroutine: started holding the read side, it
+// reads until nothing is owed, then gives the side up and exits.
 func (m *Mux) readLoop() {
-	br := bufio.NewReader(m.c)
+	for {
+		for m.owed.Load() > 0 {
+			if !m.readOne() {
+				return
+			}
+		}
+		if !m.release() {
+			return
+		}
+	}
+}
+
+// readOne reads one binary frame or JSON line, in the holder of the read
+// side, and hands each response in it to its stream's oldest waiter.
+// Per-stream FIFOs are what keep sibling streams independent: a response
+// only ever advances its own stream's queue. A failure breaks the whole
+// socket, answering every waiter with it, and gives up the read side:
+// readOne then reports false.
+func (m *Mux) readOne() bool {
+	var err error
 	if m.json {
-		m.fail(m.readLines(br))
+		err = m.readLine()
 	} else {
-		m.fail(m.readFrames(br))
+		err = m.readFrame()
 	}
+	if err != nil {
+		m.fail(err)
+		m.reading.Store(false)
+		return false
+	}
+	return true
 }
 
-// readFrames reads binary frames, each a batch of responses for one
-// stream. A frame on the reserved stream 0 carries the server's
-// connection-fatal protocol error.
-func (m *Mux) readFrames(br *bufio.Reader) error {
-	var buf []byte
-	for {
-		var id uint32
-		var ops []byte
-		var err error
-		id, ops, buf, err = wire.ReadFrame(br, buf, wire.DefaultMaxFrameBytes)
-		if err != nil {
-			return fmt.Errorf("connection broken: %w", err)
-		}
-		if id == 0 {
-			var resp wire.Response
-			if _, derr := wire.DecodeResponseBin(ops, &resp); derr == nil && resp.Err != "" {
-				return fmt.Errorf("server error: %s", resp.Err)
-			}
-			return errors.New("server error on stream 0")
-		}
-		st, err := m.stream(id)
-		if err != nil {
-			return err
-		}
-		for len(ops) > 0 {
-			var res result
-			if ops, err = wire.DecodeResponseBin(ops, &res.resp); err != nil {
-				return fmt.Errorf("bad response: %w", err)
-			}
-			if !st.deliver(res) {
-				return fmt.Errorf("response with no request in flight on stream %d", id)
-			}
-		}
+// readFrame reads one binary frame, a batch of responses for one stream.
+// A frame on the reserved stream 0 carries the server's connection-fatal
+// protocol error.
+func (m *Mux) readFrame() error {
+	id, ops, buf, err := wire.ReadFrame(m.br, m.frame, wire.DefaultMaxFrameBytes)
+	m.frame = buf
+	if err != nil {
+		return fmt.Errorf("connection broken: %w", err)
 	}
-}
-
-// readLines reads newline-JSON responses, every one for the socket's one
-// stream. A line longer than the reader's buffer — an error echoing a
-// long name — is accumulated.
-func (m *Mux) readLines(br *bufio.Reader) error {
-	var scratch []byte
-	for {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			scratch = append(scratch[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = br.ReadSlice('\n')
-				scratch = append(scratch, line...)
-			}
-			line = scratch
+	if id == 0 {
+		var resp wire.Response
+		if _, derr := wire.DecodeResponseBin(ops, &resp); derr == nil && resp.Err != "" {
+			return fmt.Errorf("server error: %s", resp.Err)
 		}
-		if err != nil {
-			return fmt.Errorf("connection broken: %w", err)
-		}
+		return errors.New("server error on stream 0")
+	}
+	st, err := m.stream(id)
+	if err != nil {
+		return err
+	}
+	for len(ops) > 0 {
 		var res result
-		if err := wire.DecodeResponse(line[:len(line)-1], &res.resp); err != nil {
+		if ops, err = wire.DecodeResponseBin(ops, &res.resp); err != nil {
 			return fmt.Errorf("bad response: %w", err)
 		}
-		st, err := m.stream(1)
-		if err != nil {
-			return err
-		}
 		if !st.deliver(res) {
-			return errors.New("response with no request in flight")
+			return fmt.Errorf("response with no request in flight on stream %d", id)
 		}
 	}
+	return nil
+}
+
+// readLine reads one newline-JSON response, for the socket's one stream.
+// A line longer than the reader's buffer — an error echoing a long name —
+// is accumulated.
+func (m *Mux) readLine() error {
+	line, err := m.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		m.line = append(m.line[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = m.br.ReadSlice('\n')
+			m.line = append(m.line, line...)
+		}
+		line = m.line
+	}
+	if err != nil {
+		return fmt.Errorf("connection broken: %w", err)
+	}
+	var res result
+	if err := wire.DecodeResponse(line[:len(line)-1], &res.resp); err != nil {
+		return fmt.Errorf("bad response: %w", err)
+	}
+	st, err := m.stream(1)
+	if err != nil {
+		return err
+	}
+	if !st.deliver(res) {
+		return errors.New("response with no request in flight")
+	}
+	return nil
 }
 
 // stream looks up the live stream a response is for.
@@ -400,7 +506,6 @@ func (p *muxPool) Open() (*Conn, error) {
 	m := newMux(c, p.json, 0)
 	m.pool = p
 	st, _ := m.open(p.perSocket) // a fresh socket is neither broken nor full
-	go m.readLoop()
 	p.muxes = append(p.muxes, m)
 	return st, nil
 }

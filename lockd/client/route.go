@@ -173,8 +173,7 @@ func (cl *poolClient) newSession(pools map[string]*muxPool, hbEvery time.Duratio
 		cl:      cl,
 		pools:   pools,
 		subs:    make(map[string]*Conn),
-		grants:  make(map[string]string),
-		granted: make(map[string]*Conn),
+		grants:  make(map[string]grant),
 		hbEvery: hbEvery,
 	}
 }
@@ -382,10 +381,16 @@ type routedSession struct {
 
 	mu      sync.Mutex
 	subs    map[string]*Conn
-	grants  map[string]string // held name → granting address
-	granted map[string]*Conn  // last grantor per name (kept after release, for Token)
+	grants  map[string]grant // one entry per held name, dropped at release
 	hbEvery time.Duration
 	closed  bool
+}
+
+// grant is a held name's pin: the address that granted it, where every
+// grant-bound op goes, and the grant's fencing token.
+type grant struct {
+	addr  string
+	token uint64
 }
 
 // sub returns the session's connection to addr, opening it on first
@@ -469,8 +474,7 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (wire.Respons
 				}
 				if resp.Acquired {
 					s.mu.Lock()
-					s.grants[name] = addr
-					s.granted[name] = c
+					s.grants[name] = grant{addr: addr, token: resp.Token}
 					s.mu.Unlock()
 				}
 				return resp, nil
@@ -512,8 +516,9 @@ func (s *routedSession) acquireRoute(name string, op func(c *Conn) (wire.Respons
 // session holds no grant — the server's rejection is the right answer).
 func (s *routedSession) grantConn(name string) (*Conn, string, error) {
 	s.mu.Lock()
-	addr, ok := s.grants[name]
+	g, ok := s.grants[name]
 	s.mu.Unlock()
+	addr := g.addr
 	if !ok {
 		addr = s.cl.route(name)
 	}
@@ -524,7 +529,7 @@ func (s *routedSession) grantConn(name string) (*Conn, string, error) {
 // Acquire blocks until the session holds name on its owning node.
 func (s *routedSession) Acquire(name string) error {
 	resp, err := s.acquireRoute(name, func(c *Conn) (wire.Response, error) {
-		return c.doAcquire(wire.Request{Op: wire.OpAcquire, Name: name})
+		return c.do(wire.Request{Op: wire.OpAcquire, Name: name})
 	})
 	if err != nil {
 		return err
@@ -538,7 +543,7 @@ func (s *routedSession) Acquire(name string) error {
 // AcquireFor bounds the attempt; expiry reports (false, nil).
 func (s *routedSession) AcquireFor(name string, d time.Duration) (bool, error) {
 	resp, err := s.acquireRoute(name, func(c *Conn) (wire.Response, error) {
-		return c.doAcquire(acquireForRequest(name, d))
+		return c.do(acquireForRequest(name, d))
 	})
 	return resp.Acquired, err
 }
@@ -546,7 +551,7 @@ func (s *routedSession) AcquireFor(name string, d time.Duration) (bool, error) {
 // TryAcquire probes the owning node without waiting.
 func (s *routedSession) TryAcquire(name string) (bool, error) {
 	resp, err := s.acquireRoute(name, func(c *Conn) (wire.Response, error) {
-		return c.doAcquire(wire.Request{Op: wire.OpTryAcquire, Name: name})
+		return c.do(wire.Request{Op: wire.OpTryAcquire, Name: name})
 	})
 	return resp.Acquired, err
 }
@@ -694,16 +699,12 @@ func (s *routedSession) Ping() error {
 	return lastErr
 }
 
-// Token reports the fencing token of the session's most recent grant on
-// name, whichever node issued it.
+// Token reports the fencing token of the grant the session holds on
+// name, whichever node issued it; 0 when it holds none.
 func (s *routedSession) Token(name string) uint64 {
 	s.mu.Lock()
-	c := s.granted[name]
-	s.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Token(name)
+	defer s.mu.Unlock()
+	return s.grants[name].token
 }
 
 // closeSubs tears down the session's sub-connections.
