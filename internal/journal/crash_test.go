@@ -43,7 +43,7 @@ func TestCrashChild(t *testing.T) {
 		fmt.Fprintf(os.Stderr, "child open: %v\n", err)
 		os.Exit(3)
 	}
-	o := newOwner(w)
+	o := newOwner(w, 3)
 	high, err := w.ReserveTokens(0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "child reserve: %v\n", err)
@@ -53,7 +53,10 @@ func TestCrashChild(t *testing.T) {
 	// record it in the ack file (O_SYNC so the parent trusts it even
 	// though the child dies without cleanup). The armed crash point
 	// fires somewhere inside this loop — possibly inside a compaction
-	// the owner runs when an Append made it due.
+	// the owner runs when an Append made it due. Keys append through
+	// three lanes, and each grant follows uncommitted renewals of the
+	// two keys before it, so a torn grant tears one lane while others
+	// hold frames.
 	ack, err := os.OpenFile(ackPath, os.O_CREATE|os.O_WRONLY|os.O_SYNC, 0o644)
 	if err != nil {
 		os.Exit(3)
@@ -64,6 +67,13 @@ func TestCrashChild(t *testing.T) {
 		if tok > high {
 			if high, err = w.ReserveTokens(tok); err != nil {
 				os.Exit(3)
+			}
+		}
+		for j := max(i-2, 0); j < i; j++ {
+			if j%3 != 2 {
+				if _, err := o.append(Record{Op: OpExtend, Name: fmt.Sprintf("key-%02d", j), Token: uint64(j + 1), Deadline: dl + int64(i)}); err != nil {
+					os.Exit(3)
+				}
 			}
 		}
 		lsn, err := o.append(Record{Op: OpGrant, Name: fmt.Sprintf("key-%02d", i), Token: tok, Deadline: dl})

@@ -13,18 +13,31 @@
 //
 // len counts the payload only; the CRC (Castagnoli, the polynomial
 // with hardware support on both amd64 and arm64) covers the payload.
-// The LSN is a log-wide sequence number, which is what makes snapshot
-// + log coexistence safe: a snapshot records the LSN of the last
-// transition it reflects, and replay skips every log record at or
-// below it — so a crash between "snapshot renamed" and "log truncated"
-// replays the stale records as no-ops instead of resurrecting released
-// leases.
+// The LSN is a log-wide position: an append draws it by adding its
+// frame's length to one counter, so LSNs increase across the whole log
+// (they are not dense). That is what makes snapshot + log coexistence
+// safe: a snapshot records the LSN of the last transition it reflects,
+// and replay skips every log record at or below it — so a crash between
+// "snapshot renamed" and "log truncated" replays the stale records as
+// no-ops instead of resurrecting released leases.
+//
+// Appends go through lanes. A lane is one appender's buffer, guarded by
+// a mutex its owner already holds — the lease manager gives each of its
+// shards a lane under the shard mutex — so two appends on different
+// lanes share no lock and write no common cache line except the LSN
+// counter. The lane rule: a record's LSN is drawn and its frame buffered
+// in one critical section of its lane's mutex, so a flusher that reads
+// the LSN counter and then takes every lane's mutex in turn has moved
+// every record at or below what it read. One key appends through one
+// lane, so a key's records reach the file in order; records of
+// different lanes interleave out of LSN order, which replay allows for
+// (it takes the largest LSN and skips by value, never by position).
 //
 // The log keeps no copy of the lease state: replay builds the recovered
-// leases in a map local to Open, and a live Append only encodes and
-// buffers its frame. Past CompactBytes, Append marks compaction as due
-// and the caller — the lease manager, whose tables are the live state —
-// hands Compact the live leases with every per-key append excluded.
+// leases in a map local to Open, and a live append only encodes and
+// buffers its frame. Past CompactBytes, an append marks compaction as
+// due and the caller — the lease manager, whose tables are the live
+// state — hands Compact the live leases with every lane's mutex held.
 //
 // Recovery is torn-tail-tolerant by construction: the log is replayed
 // record by record, and the first frame that fails its length or CRC
@@ -64,6 +77,7 @@ import (
 	"hash/crc32"
 	"iter"
 	"maps"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -207,11 +221,14 @@ type State struct {
 const (
 	frameHeader    = 8 // len u32 + crc u32
 	maxRecordBytes = 1 << 20
-	// maxBufferedBytes bounds the write buffer: Append writes it out once
-	// it passes this size rather than holding up to a SyncEvery of records
-	// for the background flush, so the buffer's size does not grow with
-	// the append rate.
+	// maxBufferedBytes bounds the frames the lanes hold together: the
+	// append that takes them past this size writes them out rather than
+	// holding up to a SyncEvery of records for the background flush, so
+	// the buffers' size does not grow with the append rate.
 	maxBufferedBytes = 64 << 10
+	// cacheLine separates the fields every append writes from those it
+	// only reads.
+	cacheLine = 64
 
 	walName      = "wal.log"
 	snapName     = "snapshot"
@@ -230,6 +247,15 @@ var errShort = errors.New("journal: truncated record")
 
 // ErrClosed fails appends and commits after Close or Abandon.
 var ErrClosed = errors.New("journal: closed")
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// frameLen is the length appendFrame encodes rec to when its LSN takes
+// lsnLen bytes.
+func frameLen(lsnLen int, rec Record) int {
+	return frameHeader + lsnLen + 1 + uvarintLen(rec.Token) + uvarintLen(uint64(rec.Deadline)) + len(rec.Name)
+}
 
 // appendFrame encodes one framed record.
 func appendFrame(dst []byte, lsn uint64, rec Record) []byte {
@@ -291,34 +317,57 @@ func decodeRecord(buf []byte) (lsn uint64, rec Record, rest []byte, err error) {
 	return lsn, rec, buf[frameHeader+int(n):], nil
 }
 
-// Log is an open journal: the append path, the durability machinery,
-// and compaction. It holds the token high-water mark but no lease
-// state: Compact is handed the live leases by its caller. Safe for
-// concurrent use.
+// Log is an open journal: the lanes, the durability machinery, and
+// compaction. It holds the token high-water mark but no lease state:
+// Compact is handed the live leases by its caller. Safe for concurrent
+// use.
+//
+// The lock order is lane mutexes (the owner's, then own's), then mu. A
+// drain holds one lane's mutex and mu and only tries the others, so it
+// never waits out of order.
 type Log struct {
 	dir  string
 	opts Options
 
-	// mu guards the append path: the file writer, the LSN counter, the
-	// token high-water mark, and compaction (which rewrites both files).
-	mu        sync.Mutex
-	f         *os.File
-	wbuf      []byte // unflushed frames (the journal's own write buffer)
-	frame     []byte // per-append scratch, reused
-	nextLSN   uint64
-	walBytes  int64
-	tokenHigh uint64
-	closed    bool
-	// recovered holds the leases Open recovered until TakeRecovered
-	// hands them to the manager that reattaches them.
-	recovered []LeaseState
+	// Read by every append, written only by a drain, a compaction or a
+	// failure. drained is the position the log would be at had only the
+	// frames that left the lanes been appended — pos minus drained is
+	// what the lanes hold; cut is the position of the last compaction —
+	// pos minus cut is the log's length, file and lanes together.
+	drained    atomic.Uint64
+	cut        atomic.Uint64
+	closed     atomic.Bool
+	compactDue atomic.Bool
 	// appendErr is sticky: the first write or compaction failure. It is
 	// set under mu but read without it, so a Commit that does not sync
 	// takes no lock.
 	appendErr atomic.Pointer[error]
-	// compactDue is set by the Append that takes the log past
-	// CompactBytes and cleared by Compact; it is read without mu.
-	compactDue atomic.Bool
+
+	// pos is the log position every LSN is drawn from: each append adds
+	// its frame's length and takes the sum as its LSN. It is the one word
+	// every append on every lane writes, so it has a cache line to itself.
+	_   [cacheLine]byte
+	pos atomic.Uint64
+	_   [cacheLine - 8]byte
+
+	// mu guards the file, the write buffer the lanes drain into, the
+	// lane list and the recovered leases.
+	mu     sync.Mutex
+	f      *os.File
+	wbuf   []byte
+	lanes  []*Lane
+	writes int // file writes of the write buffer, for tests
+	// recovered holds the leases Open recovered until TakeRecovered
+	// hands them to the manager that reattaches them.
+	recovered []LeaseState
+
+	// own is the lane Append and ReserveTokens use, under ownMu. The
+	// token mark changes only under it, in the critical section that
+	// appends the reserve record, so a compaction — which holds ownMu —
+	// sees a mark and an LSN that agree.
+	ownMu     sync.Mutex
+	own       *Lane
+	tokenHigh atomic.Uint64
 
 	// Group commit for SyncAlways: one committer becomes the leader,
 	// flushes and fsyncs everything appended so far, and wakes the
@@ -333,6 +382,31 @@ type Log struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// Lane is one appender's slice of the log: a buffer of frames that only
+// holders of its mutex append to. A lane's records reach the file in the
+// order they were appended; records of different lanes may not.
+type Lane struct {
+	w      *Log
+	mu     *sync.Mutex
+	buf    []byte
+	lsnLen int // the length of this lane's last LSN as a uvarint
+	// Lanes are allocated one after another and written by whichever CPU
+	// holds their mutex; a whole line each keeps them from sharing one.
+	_ [cacheLine - 48]byte
+}
+
+// NewLane hands out a lane whose appends run under mu: the caller holds
+// mu across every Lane.Append, and the journal takes mu itself to move
+// the lane's frames to the file. Whoever calls Compact must hold the mu
+// of every lane it was handed. Lanes live as long as the log.
+func (w *Log) NewLane(mu *sync.Mutex) *Lane {
+	l := &Lane{w: w, mu: mu, lsnLen: uvarintLen(w.pos.Load())}
+	w.mu.Lock()
+	w.lanes = append(w.lanes, l)
+	w.mu.Unlock()
+	return l
 }
 
 // Open opens (creating if needed) the journal in dir and recovers its
@@ -357,16 +431,19 @@ func Open(dir string, opts Options) (*Log, State, error) {
 	if err != nil {
 		return nil, State{}, err
 	}
-	st, lastLSN, err := w.replayWAL(&r, snapLSN)
+	st, lastLSN, fileLen, err := w.replayWAL(&r, snapLSN)
 	if err != nil {
 		return nil, State{}, err
 	}
-	if lastLSN < snapLSN {
-		lastLSN = snapLSN
-	}
-	w.nextLSN = lastLSN + 1
-	w.syncedLSN = lastLSN
-	w.tokenHigh = r.tokenHigh
+	// The position goes on from the largest LSN recovered, and at least
+	// from the log's length, so that pos minus cut is that length.
+	pos := max(lastLSN, snapLSN, fileLen)
+	w.pos.Store(pos)
+	w.drained.Store(pos)
+	w.cut.Store(pos - fileLen)
+	w.syncedLSN = pos
+	w.tokenHigh.Store(r.tokenHigh)
+	w.own = w.NewLane(&w.ownMu)
 	st.TokenHigh = r.tokenHigh
 	st.Leases = slices.Collect(maps.Values(r.leases))
 	w.recovered = st.Leases
@@ -449,13 +526,13 @@ func (w *Log) loadSnapshot(r *replay) (uint64, error) {
 }
 
 // replayWAL reads the log, applies every record newer than snapLSN to
-// r, truncates the file at the first corrupt or torn frame,
-// and opens it for appending.
-func (w *Log) replayWAL(r *replay, snapLSN uint64) (State, uint64, error) {
+// r, truncates the file at the first corrupt or torn frame, and opens
+// it for appending. It returns the largest LSN read and the length kept.
+func (w *Log) replayWAL(r *replay, snapLSN uint64) (State, uint64, uint64, error) {
 	path := filepath.Join(w.dir, walName)
 	buf, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return State{}, 0, fmt.Errorf("journal: %w", err)
+		return State{}, 0, 0, fmt.Errorf("journal: %w", err)
 	}
 	var st State
 	good := 0
@@ -483,75 +560,129 @@ func (w *Log) replayWAL(r *replay, snapLSN uint64) (State, uint64, error) {
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return State{}, 0, fmt.Errorf("journal: %w", err)
+		return State{}, 0, 0, fmt.Errorf("journal: %w", err)
 	}
 	if st.Truncated > 0 {
 		if err := f.Truncate(int64(good)); err != nil {
 			f.Close()
-			return State{}, 0, fmt.Errorf("journal: truncating torn tail: %w", err)
+			return State{}, 0, 0, fmt.Errorf("journal: truncating torn tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return State{}, 0, fmt.Errorf("journal: %w", err)
+			return State{}, 0, 0, fmt.Errorf("journal: %w", err)
 		}
 	}
 	if _, err := f.Seek(int64(good), 0); err != nil {
 		f.Close()
-		return State{}, 0, fmt.Errorf("journal: %w", err)
+		return State{}, 0, 0, fmt.Errorf("journal: %w", err)
 	}
 	w.f = f
-	w.walBytes = int64(good)
-	return st, lastLSN, nil
+	return st, lastLSN, uint64(good), nil
 }
 
-// Append adds one record to the log and returns its LSN for Commit.
-// It never waits for the disk: the frame goes to the journal's write
-// buffer, ordered by the append lock, and the buffer goes to the OS
-// once it passes maxBufferedBytes; durability is Commit's job. The
-// Append that takes the log past CompactBytes only marks compaction as
+// Append adds one record to the log through the journal's own lane and
+// returns its LSN for Commit. It is for callers that have no lane of
+// their own; see Lane.Append.
+func (w *Log) Append(rec Record) uint64 {
+	w.ownMu.Lock()
+	defer w.ownMu.Unlock()
+	return w.own.Append(rec)
+}
+
+// Append adds one record to the lane and returns its LSN for Commit.
+// The caller holds the lane's mutex. It never waits for the disk: the
+// frame goes to the lane's buffer, and the append that takes the lanes
+// past maxBufferedBytes writes them out; durability is Commit's job. The
+// append that takes the log past CompactBytes only marks compaction as
 // due (CompactDue); it never compacts.
 // Append after Close is a harmless no-op (LSN 0): late records from
 // lease teardown lose nothing that matters — the process is exiting.
-func (w *Log) Append(rec Record) uint64 {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+func (l *Lane) Append(rec Record) uint64 {
+	w := l.w
+	if w.closed.Load() {
 		return 0
 	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.frame = appendFrame(w.frame[:0], lsn, rec)
+	// The lane rule: the LSN is drawn and the frame buffered while the
+	// caller holds the lane's mutex, so a flusher that read pos before
+	// taking that mutex finds the frame of every LSN at or below it.
+	n := frameLen(l.lsnLen, rec)
+	lsn := w.pos.Add(uint64(n))
+	if k := uvarintLen(lsn); k != l.lsnLen {
+		// The LSN outgrew the length this lane last saw: count the longer
+		// frame, so that pos keeps counting every byte appended.
+		w.pos.Add(uint64(k - l.lsnLen))
+		n += k - l.lsnLen
+		l.lsnLen = k
+	}
+	l.buf = appendFrame(l.buf, lsn, rec)
 	if crashArmed(crashAppendTorn) {
-		// Crash-point: write half a frame straight to disk, then die —
-		// the torn tail recovery must truncate.
+		// Crash-point: the drain that writes this lane tears mid-frame,
+		// and the process dies — the torn tail recovery must truncate. The
+		// other lanes' frames die unwritten.
+		w.mu.Lock()
 		w.f.Write(w.wbuf)
-		w.f.Write(w.frame[:len(w.frame)/2])
+		w.f.Write(l.buf[:len(l.buf)-n/2])
 		w.f.Sync()
 		os.Exit(crashExitCode)
 	}
-	w.wbuf = append(w.wbuf, w.frame...)
-	w.walBytes += int64(len(w.frame))
-	if rec.Op == OpReserve && rec.Token > w.tokenHigh {
-		w.tokenHigh = rec.Token
+	if rec.Op == OpReserve {
+		for high := w.tokenHigh.Load(); rec.Token > high && !w.tokenHigh.CompareAndSwap(high, rec.Token); {
+			high = w.tokenHigh.Load()
+		}
 	}
-	if w.walBytes >= w.opts.CompactBytes && w.appendErr.Load() == nil && !w.compactDue.Load() {
+	if int64(lsn-w.cut.Load()) >= w.opts.CompactBytes && !w.compactDue.Load() && w.appendErr.Load() == nil {
 		w.compactDue.Store(true)
 	}
-	if len(w.wbuf) >= maxBufferedBytes {
-		w.flushLocked()
+	if int64(lsn-w.drained.Load()) >= maxBufferedBytes {
+		w.drain(l)
 	}
-	w.mu.Unlock()
 	return lsn
 }
 
-// flushLocked writes the buffered frames to the file. Caller holds mu.
+// drain writes the lanes' frames out in one write: own's, whose mutex
+// the caller holds, and every other lane's whose mutex is free. A lane
+// whose mutex is busy is being appended to, and its appender drains it
+// if the lanes are still over the bound — and only then: an appender
+// that crossed the bound while another drain ran finds it done.
+func (w *Log) drain(own *Lane) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if int64(w.pos.Load()-w.drained.Load()) < maxBufferedBytes {
+		return
+	}
+	w.take(own)
+	for _, l := range w.lanes {
+		if l != own && l.mu.TryLock() {
+			w.take(l)
+			l.mu.Unlock()
+		}
+	}
+	w.flushLocked()
+}
+
+// take moves l's frames to the write buffer. Caller holds mu and l's
+// mutex.
+func (w *Log) take(l *Lane) {
+	if len(l.buf) == 0 {
+		return
+	}
+	w.wbuf = append(w.wbuf, l.buf...)
+	w.drained.Add(uint64(len(l.buf)))
+	l.buf = l.buf[:0]
+}
+
+// flushLocked writes the write buffer to the file. Caller holds mu.
 func (w *Log) flushLocked() error {
+	if w.closed.Load() {
+		return ErrClosed
+	}
 	if err := w.stickyErr(); err != nil {
 		return err
 	}
 	if len(w.wbuf) == 0 {
 		return nil
 	}
+	w.writes++
 	if _, err := w.f.Write(w.wbuf); err != nil {
 		return w.fail(err)
 	}
@@ -574,15 +705,24 @@ func (w *Log) stickyErr() error {
 	return nil
 }
 
-// flush pushes buffered frames to the OS and reports the highest LSN
-// now (at least) file-resident.
+// flush pushes every lane's frames to the OS and reports the highest
+// LSN now (at least) file-resident. It reads pos before it takes the
+// first lane's mutex: by the lane rule, each lane then holds every
+// frame at or below that LSN that has not left it already.
 func (w *Log) flush() (uint64, error) {
+	target := w.pos.Load()
+	w.mu.Lock()
+	lanes := w.lanes
+	w.mu.Unlock()
+	for _, l := range lanes {
+		l.mu.Lock()
+		w.mu.Lock()
+		w.take(l)
+		w.mu.Unlock()
+		l.mu.Unlock()
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	target := w.nextLSN - 1
-	if w.closed {
-		return target, ErrClosed
-	}
 	return target, w.flushLocked()
 }
 
@@ -656,20 +796,18 @@ func (w *Log) forceSync() error {
 // flushed but not synced: that policy's contract already gives up
 // machine-crash guarantees.
 func (w *Log) ReserveTokens(min uint64) (uint64, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	w.ownMu.Lock()
+	if w.closed.Load() {
+		w.ownMu.Unlock()
 		return 0, ErrClosed
 	}
-	high := w.tokenHigh
-	if min > high {
-		high = min
-	}
-	high += w.opts.BandSize
-	w.mu.Unlock()
-	// The append raises tokenHigh under mu like any reserve record; the
+	high := max(w.tokenHigh.Load(), min) + w.opts.BandSize
+	// The mark is read, raised and its record buffered in one critical
+	// section of ownMu, which Compact holds: the record's LSN is above
+	// a snapshot's exactly when the snapshot's mark is below it. The
 	// band is usable only once durable.
-	w.Append(Record{Op: OpReserve, Token: high})
+	w.own.Append(Record{Op: OpReserve, Token: high})
+	w.ownMu.Unlock()
 	var err error
 	if w.opts.Sync == SyncOff {
 		_, err = w.flush()
@@ -688,10 +826,11 @@ func (w *Log) CompactDue() bool { return w.compactDue.Load() }
 
 // Compact writes a snapshot of live — the leases active as of the last
 // appended record — with the token high-water mark, and truncates the
-// log. The caller must exclude every append that changes a lease while
-// Compact runs, so that live reflects exactly the records below the
-// snapshot's LSN; reserve records need no exclusion, since the log
-// tracks the token mark itself under its own lock.
+// log. The caller holds the mutex of every lane NewLane handed it, so
+// that no append runs and live reflects exactly the records at or
+// below the snapshot's LSN; Compact takes its own lane's itself, which
+// orders reserve records with the cut. The frames the lanes still hold
+// are all at or below that LSN, so Compact drops them.
 //
 // Crash ordering: the snapshot is complete and synced before the
 // rename makes it current, and replay skips log records the snapshot
@@ -699,17 +838,19 @@ func (w *Log) CompactDue() bool { return w.compactDue.Load() }
 // exactly the pre- or post-compaction state, never a mix. A failure is
 // sticky: later commits report it.
 func (w *Log) Compact(live iter.Seq[LeaseState]) error {
+	w.ownMu.Lock()
+	defer w.ownMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return ErrClosed
 	}
 	if err := w.stickyErr(); err != nil {
 		return err
 	}
 	w.compactDue.Store(false)
-	lastLSN := w.nextLSN - 1
-	buf := appendFrame(nil, lastLSN, Record{Op: opSnapMeta, Token: w.tokenHigh, Deadline: int64(lastLSN)})
+	lastLSN := w.pos.Load()
+	buf := appendFrame(nil, lastLSN, Record{Op: opSnapMeta, Token: w.tokenHigh.Load(), Deadline: int64(lastLSN)})
 	for ls := range live {
 		buf = appendFrame(buf, 0, Record{Op: OpGrant, Token: ls.Token, Deadline: ls.Deadline, Name: ls.Name})
 	}
@@ -724,16 +865,20 @@ func (w *Log) Compact(live iter.Seq[LeaseState]) error {
 	syncDir(w.dir)
 	crash(crashCompactAfterRename)
 	// Everything in the log — including frames still in the write
-	// buffer — is at or below lastLSN and therefore covered by the
-	// snapshot; drop it all.
+	// buffer and the lanes — is at or below lastLSN and therefore
+	// covered by the snapshot; drop it all.
 	w.wbuf = w.wbuf[:0]
+	for _, l := range w.lanes {
+		l.buf = l.buf[:0]
+	}
+	w.drained.Store(lastLSN)
+	w.cut.Store(lastLSN)
 	if err := w.f.Truncate(0); err != nil {
 		return w.fail(fmt.Errorf("journal: wal truncate: %w", err))
 	}
 	if _, err := w.f.Seek(0, 0); err != nil {
 		return w.fail(fmt.Errorf("journal: %w", err))
 	}
-	w.walBytes = 0
 	crash(crashCompactAfterTruncate)
 	// The snapshot made every outstanding record durable; release any
 	// SyncAlways committers still waiting on those LSNs.
@@ -753,7 +898,7 @@ func (w *Log) Compact(live iter.Seq[LeaseState]) error {
 func (w *Log) TakeRecovered() State {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st := State{Leases: w.recovered, TokenHigh: w.tokenHigh}
+	st := State{Leases: w.recovered, TokenHigh: w.tokenHigh.Load()}
 	w.recovered = nil
 	return st
 }
@@ -834,17 +979,14 @@ func (w *Log) Sync() error {
 
 // Close syncs and closes the journal. Idempotent.
 func (w *Log) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	if w.closed.Load() {
 		return nil
 	}
-	w.mu.Unlock()
 	close(w.stop)
 	w.wg.Wait()
 	err := w.forceSync()
 	w.mu.Lock()
-	w.closed = true
+	w.closed.Store(true)
 	cerr := w.f.Close()
 	w.mu.Unlock()
 	if err == nil {
@@ -860,11 +1002,13 @@ func (w *Log) Close() error {
 // worse: a torn frame, which Append's crash-point covers).
 func (w *Log) Abandon() {
 	w.mu.Lock()
-	if w.closed {
+	if w.closed.Load() {
 		w.mu.Unlock()
 		return
 	}
-	w.closed = true
+	// Nothing is written once closed is set: the lanes' frames and the
+	// write buffer are dropped as they stand.
+	w.closed.Store(true)
 	w.wbuf = w.wbuf[:0]
 	w.mu.Unlock()
 	close(w.stop)

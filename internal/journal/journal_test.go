@@ -1,12 +1,19 @@
 package journal
 
 import (
+	"fmt"
+	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"anonmutex/internal/xrand"
 )
 
 func openT(t *testing.T, dir string, opts Options) (*Log, State) {
@@ -19,23 +26,46 @@ func openT(t *testing.T, dir string, opts Options) (*Log, State) {
 }
 
 // owner stands in for the lease manager: it keeps the test's own model
-// of the live leases, and compacts the log from that model whenever
-// the log reports compaction due.
+// of the live leases, appends each key's records through one lane (the
+// journal's own when it has none), and compacts the log from that model
+// whenever the log reports compaction due, holding every lane's mutex.
+// One goroutine uses an owner at a time.
 type owner struct {
-	w    *Log
-	live replay
+	w     *Log
+	mus   []sync.Mutex
+	lanes []*Lane
+	live  replay
 }
 
-func newOwner(w *Log) *owner {
-	return &owner{w: w, live: replay{leases: make(map[string]LeaseState)}}
+func newOwner(w *Log, lanes int) *owner {
+	o := &owner{w: w, mus: make([]sync.Mutex, lanes), lanes: make([]*Lane, lanes), live: replay{leases: make(map[string]LeaseState)}}
+	for i := range o.lanes {
+		o.lanes[i] = w.NewLane(&o.mus[i])
+	}
+	return o
 }
 
 // append appends rec, folds it into the model, and compacts if due.
 func (o *owner) append(rec Record) (uint64, error) {
-	lsn := o.w.Append(rec)
+	var lsn uint64
+	if len(o.lanes) == 0 {
+		lsn = o.w.Append(rec)
+	} else {
+		i := int(crc32.ChecksumIEEE([]byte(rec.Name)) % uint32(len(o.lanes)))
+		o.mus[i].Lock()
+		lsn = o.lanes[i].Append(rec)
+		o.mus[i].Unlock()
+	}
 	o.live.apply(rec)
 	if o.w.CompactDue() {
-		if err := o.w.Compact(maps.Values(o.live.leases)); err != nil {
+		for i := range o.mus {
+			o.mus[i].Lock()
+		}
+		err := o.w.Compact(maps.Values(o.live.leases))
+		for i := range o.mus {
+			o.mus[i].Unlock()
+		}
+		if err != nil {
 			return lsn, err
 		}
 	}
@@ -274,7 +304,7 @@ func TestCorruptByte(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{CompactBytes: 512})
-	o := newOwner(w)
+	o := newOwner(w, 0)
 	dl := int64(5e18)
 	// Churn far past CompactBytes; end with a known survivor set.
 	for i := 0; i < 200; i++ {
@@ -304,7 +334,7 @@ func TestCompaction(t *testing.T) {
 func TestCompactionPreservesReservation(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{CompactBytes: 256, BandSize: 1000})
-	o := newOwner(w)
+	o := newOwner(w, 0)
 	high, err := w.ReserveTokens(0)
 	if err != nil {
 		t.Fatal(err)
@@ -379,30 +409,56 @@ func TestAbandonLosesBufferedOnly(t *testing.T) {
 }
 
 // TestAppendBoundsWriteBuffer: with no Commit, no background flush in
-// reach and no compaction, Append alone keeps the write buffer within
-// maxBufferedBytes, so its size does not follow the append rate; what
-// left the buffer is in the file.
+// reach and no compaction, appends through eight lanes alone keep the
+// frames the lanes and the write buffer hold together within
+// maxBufferedBytes, so their size does not follow the append rate; what
+// left them is in the file, in writes of at least that size each.
 func TestAppendBoundsWriteBuffer(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{Sync: SyncOff, SyncEvery: time.Hour, CompactBytes: 1 << 40})
 	defer w.Close()
-	name := strings.Repeat("n", 64)
+	o := newOwner(w, 8)
+	start := w.pos.Load()
 	appended, peak := 0, 0
 	for tok := uint64(1); appended < 4<<20; tok++ {
+		name := fmt.Sprintf("%064d", tok%64)
 		for _, op := range []Op{OpGrant, OpRelease} {
-			w.Append(Record{Op: op, Name: name, Token: tok, Deadline: time.Now().UnixNano()})
-			w.mu.Lock()
-			appended = int(w.walBytes)
-			peak = max(peak, len(w.wbuf))
-			w.mu.Unlock()
+			if _, err := o.append(Record{Op: op, Name: name, Token: tok, Deadline: time.Now().UnixNano()}); err != nil {
+				t.Fatal(err)
+			}
+			appended = int(w.pos.Load() - start)
+			peak = max(peak, buffered(w))
 		}
 	}
 	if peak > maxBufferedBytes {
-		t.Errorf("write buffer peaked at %d bytes over %d appended, bound is %d", peak, appended, maxBufferedBytes)
+		t.Errorf("lanes and write buffer peaked at %d bytes over %d appended, bound is %d", peak, appended, maxBufferedBytes)
 	}
 	if onDisk := w.SizeOnDisk(); onDisk < int64(appended-maxBufferedBytes) {
 		t.Errorf("%d of %d appended bytes reached the file, want all but the last %d at most", onDisk, appended, maxBufferedBytes)
 	}
+	w.mu.Lock()
+	writes := w.writes
+	w.mu.Unlock()
+	if writes > appended/maxBufferedBytes {
+		t.Errorf("%d writes for %d bytes, want at most one per %d", writes, appended, maxBufferedBytes)
+	}
+}
+
+// buffered is what w's lanes and write buffer hold.
+func buffered(w *Log) int {
+	w.mu.Lock()
+	lanes := w.lanes
+	w.mu.Unlock()
+	n := 0
+	for _, l := range lanes {
+		l.mu.Lock()
+		n += len(l.buf)
+		l.mu.Unlock()
+	}
+	w.mu.Lock()
+	n += len(w.wbuf)
+	w.mu.Unlock()
+	return n
 }
 
 // TestCommitReportsStickyAppendError: under the policies whose Commit
@@ -496,5 +552,211 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestLaneLSNRule races goroutines that each append through a lane of
+// their own — grants, renewals and releases, every one committed at the
+// always policy — against the compactions their appends make due and
+// two goroutines that flush in a loop. Each Commit that returns must
+// have taken its record out of its lane: a flusher reads the LSN
+// counter before it takes each lane's mutex, so an LSN drawn, or a
+// frame buffered, outside that mutex is a record a flusher can pass
+// over and a Commit can then return without. The looping flushers keep
+// the lanes' mutexes contended, so an appender that lets go of its
+// mutex between the two is often overtaken. After a crash, every key
+// comes back as its model says, with its token and deadline, though the
+// file holds the lanes' records out of LSN order and the compactions
+// cut between them.
+func TestLaneLSNRule(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := openT(t, dir, Options{Sync: SyncAlways, CompactBytes: 4 << 10})
+	const workers, keys, ops = 4, 6, 1000
+	var (
+		mus        [workers]sync.Mutex
+		lanes      [workers]*Lane
+		models     [workers]map[string]LeaseState // models[g] is guarded by mus[g]
+		tokens     atomic.Uint64
+		compacting atomic.Bool
+		wg         sync.WaitGroup
+	)
+	live := func(yield func(LeaseState) bool) {
+		for _, m := range models {
+			for _, ls := range m {
+				if !yield(ls) {
+					return
+				}
+			}
+		}
+	}
+	compact := func() {
+		if !w.CompactDue() || !compacting.CompareAndSwap(false, true) {
+			return
+		}
+		for i := range mus {
+			mus[i].Lock()
+		}
+		err := w.Compact(live)
+		for i := range mus {
+			mus[i].Unlock()
+		}
+		compacting.Store(false)
+		if err != nil {
+			t.Errorf("Compact: %v", err)
+		}
+	}
+	for g := range workers {
+		lanes[g] = w.NewLane(&mus[g])
+		models[g] = map[string]LeaseState{}
+	}
+	done := make(chan struct{})
+	var fwg sync.WaitGroup
+	for range 2 {
+		fwg.Add(1)
+		go func() {
+			defer fwg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := w.flush(); err != nil {
+					t.Errorf("flush: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := xrand.New(uint64(g + 1))
+			for i := 1; i <= ops; i++ {
+				name := fmt.Sprintf("g%d-k%d", g, rng.Intn(keys))
+				mus[g].Lock()
+				ls, held := models[g][name]
+				rec := Record{Op: OpExtend, Name: name, Token: ls.Token, Deadline: int64(i)}
+				switch {
+				case !held:
+					rec.Op, rec.Token = OpGrant, tokens.Add(1)
+				case rng.Intn(2) == 0:
+					rec = Record{Op: OpRelease, Name: name, Token: ls.Token}
+				}
+				lsn := lanes[g].Append(rec)
+				r := replay{leases: models[g]}
+				r.apply(rec)
+				mus[g].Unlock()
+				compact()
+				if err := w.Commit(lsn); err != nil {
+					t.Errorf("Commit: %v", err)
+					return
+				}
+				mus[g].Lock()
+				first, _, _, err := decodeRecord(lanes[g].buf)
+				mus[g].Unlock()
+				if err == nil && first <= lsn {
+					t.Errorf("Commit(%d) returned with LSN %d still in its lane", lsn, first)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	fwg.Wait()
+	if t.Failed() {
+		return
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
+		t.Fatalf("the appends never compacted: %v", err)
+	}
+	w.Abandon()
+
+	w2, st := openT(t, dir, Options{})
+	defer w2.Close()
+	want := map[string]LeaseState{}
+	for _, m := range models {
+		maps.Copy(want, m)
+	}
+	got := leaseMap(st)
+	if len(got) != len(want) {
+		t.Errorf("recovered %d leases, the models hold %d", len(got), len(want))
+	}
+	for name, ls := range want {
+		if got[name] != ls {
+			t.Errorf("key %s recovered as %+v, its model holds %+v", name, got[name], ls)
+		}
+	}
+}
+
+// TestLaneOrderAcrossCut: two lanes hold interleaved LSNs when a
+// compaction cuts, and afterwards the later lane reaches the file
+// first. Replay goes by each record's LSN, not its place in the file,
+// and each key's records stay in its lane's order.
+func TestLaneOrderAcrossCut(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := openT(t, dir, Options{Sync: SyncOff, SyncEvery: time.Hour, CompactBytes: 1 << 40})
+	var mus [2]sync.Mutex
+	lanes := [2]*Lane{w.NewLane(&mus[0]), w.NewLane(&mus[1])}
+	app := func(i int, rec Record) {
+		mus[i].Lock()
+		lanes[i].Append(rec)
+		mus[i].Unlock()
+	}
+	// Key x appends through lane 0, key y through lane 1.
+	app(0, Record{Op: OpGrant, Name: "x", Token: 1, Deadline: 10})
+	app(1, Record{Op: OpGrant, Name: "y", Token: 2, Deadline: 10})
+	app(0, Record{Op: OpRelease, Name: "x", Token: 1})
+	app(1, Record{Op: OpExtend, Name: "y", Token: 2, Deadline: 20})
+	app(0, Record{Op: OpGrant, Name: "x", Token: 3, Deadline: 10})
+	mus[0].Lock()
+	mus[1].Lock()
+	err := w.Compact(slices.Values([]LeaseState{{Name: "x", Token: 3, Deadline: 10}, {Name: "y", Token: 2, Deadline: 20}}))
+	mus[1].Unlock()
+	mus[0].Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app(0, Record{Op: OpRelease, Name: "x", Token: 3})
+	app(1, Record{Op: OpRelease, Name: "y", Token: 2})
+	app(0, Record{Op: OpGrant, Name: "x", Token: 4, Deadline: 30})
+	app(1, Record{Op: OpGrant, Name: "y", Token: 5, Deadline: 30})
+	app(1, Record{Op: OpExtend, Name: "y", Token: 5, Deadline: 40})
+	for _, i := range []int{1, 0} {
+		mus[i].Lock()
+		w.mu.Lock()
+		w.take(lanes[i])
+		err := w.flushLocked()
+		w.mu.Unlock()
+		mus[i].Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []uint64
+	for len(raw) > 0 {
+		lsn, _, rest, err := decodeRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns, raw = append(lsns, lsn), rest
+	}
+	if len(lsns) != 5 || slices.IsSorted(lsns) {
+		t.Fatalf("log after the cut holds LSNs %v, want lane 1's three before lane 0's two", lsns)
+	}
+	w2, st := openT(t, dir, Options{})
+	defer w2.Close()
+	got := leaseMap(st)
+	if x, y := got["x"], got["y"]; len(got) != 2 || x.Token != 4 || x.Deadline != 30 || y.Token != 5 || y.Deadline != 40 {
+		t.Fatalf("recovered %+v, want x token 4 deadline 30 and y token 5 deadline 40", st.Leases)
 	}
 }

@@ -31,13 +31,15 @@
 //     table holds the live leases and nothing else. A stale holder's
 //     late ops find no live lease under their token and are rejected
 //     (ErrFenced) and counted all the same.
-//   - The tables are the journal's snapshot. With a journal, every
-//     per-key transition is appended under its key's shard mutex, in
-//     the critical section that changes the table, and the journal
-//     keeps no copy of the leases: once its log outgrows the
-//     compaction size, the next transition to finish takes every shard
-//     mutex and hands the journal the tables to snapshot. New reattaches
-//     the leases the journal recovered before anything else runs.
+//   - The tables are the journal's snapshot. With a journal, each shard
+//     appends through a journal lane of its own, under the shard mutex,
+//     in the critical section that changes the table — so grants on
+//     names in different shards share no lock — and the journal keeps
+//     no copy of the leases: once its log outgrows the compaction size,
+//     the next transition to finish takes every shard mutex, which
+//     stops every lane, and hands the journal the tables to snapshot.
+//     New reattaches the leases the journal recovered before anything
+//     else runs.
 //
 // Exactly one lifecycle operation wins a given token: Release, Revoke,
 // and expiry all arbitrate under the shard mutex on the (name, token)
@@ -132,6 +134,14 @@ type shard struct {
 	armed  time.Time
 	wake   chan struct{}
 	passes int // expiry-loop passes, for tests
+	// lane is the shard's journal lane (nil without a journal): every
+	// record appends to it under mu.
+	lane    *journal.Lane
+	granted atomic.Uint64 // tokens issued on this shard's keys
+	// A multiple of 64 B puts shards in a size class whose objects start
+	// on a cache line, so one shard's writes never land on a line that
+	// holds its neighbour's mutex.
+	_ [8]byte
 }
 
 // Manager runs the lease lifecycle over a lock manager. Safe for
@@ -142,11 +152,6 @@ type Manager struct {
 	lm     *lockmgr.Manager
 	ttl    time.Duration
 	shards []*shard
-
-	// tokens is the manager-wide issue counter: strictly increasing
-	// across every key, which is what makes per-key token sequences
-	// monotonic across expiry, release, eviction, and slot recycling.
-	tokens atomic.Uint64
 
 	// jn, when non-nil, journals every transition. band is the durably
 	// reserved token high-water mark: tokens at or below it may be
@@ -159,12 +164,25 @@ type Manager struct {
 	// compacting admits one compaction at a time; the others skip it.
 	compacting atomic.Bool
 
-	granted, expired, revoked, fenced, recovered atomic.Uint64
+	expired, revoked, fenced, recovered atomic.Uint64
 
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
+
+	// tokens is the manager-wide issue counter: strictly increasing
+	// across every key, which is what makes per-key token sequences
+	// monotonic across expiry, release, eviction, and slot recycling.
+	// Every grant writes it, so it has a cache line to itself: the
+	// fields above are read by every operation.
+	_      [cacheLine]byte
+	tokens atomic.Uint64
+	_      [cacheLine - 8]byte
 }
+
+// cacheLine separates the words every grant writes from those every
+// operation reads.
+const cacheLine = 64
 
 // New starts a lease manager over lm.
 func New(lm *lockmgr.Manager, cfg Config) (*Manager, error) {
@@ -185,7 +203,11 @@ func New(lm *lockmgr.Manager, cfg Config) (*Manager, error) {
 		stop:   make(chan struct{}),
 	}
 	for i := range m.shards {
-		m.shards[i] = &shard{keys: make(map[string]*keyState), wake: make(chan struct{}, 1)}
+		sh := &shard{keys: make(map[string]*keyState), wake: make(chan struct{}, 1)}
+		if m.jn != nil {
+			sh.lane = m.jn.NewLane(&sh.mu)
+		}
+		m.shards[i] = sh
 	}
 	if m.jn != nil {
 		m.recover(m.jn.TakeRecovered())
@@ -315,10 +337,10 @@ func (m *Manager) Attach(l lockmgr.Lease) (uint64, error) {
 		}
 	}
 	var lsn uint64
-	if m.jn != nil {
+	if sh.lane != nil {
 		// Appended under the shard mutex so the journal's record order
 		// agrees with the state transition order for this key.
-		lsn = m.jn.Append(journal.Record{Op: journal.OpGrant, Name: name, Token: tok, Deadline: deadline.UnixNano()})
+		lsn = sh.lane.Append(journal.Record{Op: journal.OpGrant, Name: name, Token: tok, Deadline: deadline.UnixNano()})
 	}
 	sh.mu.Unlock()
 	if m.jn != nil {
@@ -333,7 +355,7 @@ func (m *Manager) Attach(l lockmgr.Lease) (uint64, error) {
 			return 0, fmt.Errorf("lease: journal commit: %w", err)
 		}
 	}
-	m.granted.Add(1)
+	sh.granted.Add(1)
 	return tok, nil
 }
 
@@ -368,8 +390,8 @@ func (m *Manager) Heartbeat(name string, token uint64) (time.Duration, error) {
 	st.deadline = deadline
 	sh.heapFix(st.idx)
 	var lsn uint64
-	if m.jn != nil {
-		lsn = m.jn.Append(journal.Record{Op: journal.OpExtend, Name: name, Token: token, Deadline: deadline.UnixNano()})
+	if sh.lane != nil {
+		lsn = sh.lane.Append(journal.Record{Op: journal.OpExtend, Name: name, Token: token, Deadline: deadline.UnixNano()})
 	}
 	sh.mu.Unlock()
 	if m.jn != nil {
@@ -448,8 +470,8 @@ func (m *Manager) detachOp(name string, token uint64, op journal.Op) (lockmgr.Le
 		m.fenced.Add(1)
 		return lockmgr.Lease{}, fmt.Errorf("lease: release of %q token %d: %w", name, token, ErrFenced)
 	}
-	if m.jn != nil {
-		m.jn.Append(journal.Record{Op: op, Name: name, Token: token})
+	if sh.lane != nil {
+		sh.lane.Append(journal.Record{Op: op, Name: name, Token: token})
 	}
 	l := sh.end(st)
 	sh.mu.Unlock()
@@ -529,8 +551,8 @@ func (m *Manager) runShard(sh *shard) {
 		for len(sh.heap) > 0 && !sh.heap[0].deadline.After(now) {
 			// TTL expiry: claim the lease exactly as detach would.
 			st := sh.heap[0]
-			if m.jn != nil {
-				m.jn.Append(journal.Record{Op: journal.OpExpire, Name: st.name, Token: st.token})
+			if sh.lane != nil {
+				sh.lane.Append(journal.Record{Op: journal.OpExpire, Name: st.name, Token: st.token})
 			}
 			due = append(due, sh.end(st))
 		}
@@ -564,13 +586,14 @@ func (m *Manager) runShard(sh *shard) {
 }
 
 // compactIfDue compacts the journal once its log has grown past the
-// compaction size. Every per-key record is appended under its key's
-// shard mutex, in the critical section that changes the shard's table,
-// so with every shard mutex held the tables are exactly the state the
-// log's records describe, and they are the snapshot. The lock order is
-// the appenders': shards, in index order, then the journal. A closed
-// manager does not compact: Close ends leases without journaling them,
-// and its tables no longer match the log.
+// compaction size. Every per-key record is appended to its shard's lane
+// under the shard mutex, in the critical section that changes the
+// shard's table, so with every shard mutex held no lane appends, the
+// tables are exactly the state the log's records describe, and they are
+// the snapshot. The lock order is the appenders': shards (the lanes),
+// in index order, then the journal's. A closed manager does not compact:
+// Close ends leases without journaling them, and its tables no longer
+// match the log.
 func (m *Manager) compactIfDue() {
 	if m.jn == nil || !m.jn.CompactDue() || !m.compacting.CompareAndSwap(false, true) {
 		return
@@ -602,13 +625,13 @@ func (m *Manager) live(yield func(journal.LeaseState) bool) {
 // Counters snapshots the lifecycle bookkeeping.
 func (m *Manager) Counters() Counters {
 	c := Counters{
-		Granted:       m.granted.Load(),
 		Expired:       m.expired.Load(),
 		Revoked:       m.revoked.Load(),
 		FencedRejects: m.fenced.Load(),
 		Recovered:     m.recovered.Load(),
 	}
 	for _, sh := range m.shards {
+		c.Granted += sh.granted.Load()
 		sh.mu.Lock()
 		c.Active += len(sh.keys)
 		sh.mu.Unlock()

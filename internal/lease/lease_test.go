@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"anonmutex/internal/lockmgr"
 	"anonmutex/internal/xrand"
@@ -579,6 +581,38 @@ func BenchmarkLeaseCycle(b *testing.B) {
 		}
 		if err := m.Release("bench-key", g.Token); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestGrantPathLayout pins what keeps the grant path off other CPUs'
+// cache lines: the token counter every grant writes shares no 64-byte
+// line with another field of the Manager, wherever the allocator's
+// 8-byte alignment puts the Manager; the grant count lives in the
+// shards; and a shard fills whole lines, so neighbouring shards'
+// mutexes never share one.
+func TestGrantPathLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(shard{}); sz%cacheLine != 0 {
+		t.Errorf("shard is %d B, want a multiple of %d", sz, cacheLine)
+	}
+	typ := reflect.TypeFor[Manager]()
+	tok, ok := typ.FieldByName("tokens")
+	if !ok {
+		t.Fatal("Manager has no tokens field")
+	}
+	if _, ok := typ.FieldByName("granted"); ok {
+		t.Error("Manager counts grants in one word every grant writes; count them per shard")
+	}
+	for base := uintptr(0); base < cacheLine; base += 8 {
+		line := (base + tok.Offset) / cacheLine
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if f.Name == "_" || f.Name == "tokens" {
+				continue
+			}
+			if first, last := (base+f.Offset)/cacheLine, (base+f.Offset+f.Type.Size()-1)/cacheLine; first <= line && line <= last {
+				t.Errorf("Manager.%s shares a cache line with tokens when the Manager starts %d B into a line", f.Name, base)
+			}
 		}
 	}
 }

@@ -165,6 +165,10 @@ type shard struct {
 	hot, cold *entry
 
 	c shardCounters
+	// A multiple of 64 B puts shards in a size class whose objects start
+	// on a cache line, so one shard's counters never share a line with
+	// its neighbour's mutex.
+	_ [48]byte
 }
 
 // entry is one resident named lock: table slot, recency-list node and

@@ -166,3 +166,12 @@ func TestBytesPerLock(t *testing.T) {
 			handle.bytes, handle.objects, maxHandleBytes, maxHandleObjects)
 	}
 }
+
+// TestShardFillsCacheLines: a shard's size is a multiple of 64 B, so
+// shards, which every acquire and release on their names write, never
+// share a cache line with a neighbour.
+func TestShardFillsCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(shard{}); sz%64 != 0 {
+		t.Errorf("shard is %d B, want a multiple of 64", sz)
+	}
+}
